@@ -21,8 +21,9 @@ from .opspace import (
     CostConfig,
     OpCost,
     OperationKind,
+    VALID,
+    WHITELISTED_TRANSITIONS,
     cost_of_op,
-    is_valid_transition_natpp,
     op_from_name,
 )
 
@@ -207,7 +208,7 @@ def apply_transitions(graph: CellGraph, actions: Sequence[OperationKind]) -> Cel
         raise ValueError(f"expected {graph.num_edges} actions, got {len(actions)}")
     new_edges = []
     for idx, (e, target_op) in enumerate(zip(graph.edges, actions)):
-        if not is_valid_transition_natpp(e.op, target_op):
+        if not VALID[e.op.index, target_op.index]:
             raise ValueError(
                 f"invalid transition {e.op.value} -> {target_op.value} at edge {idx}"
             )
@@ -244,7 +245,7 @@ def cost_non_increasing(
     if before.num_nodes != after.num_nodes or len(before.edges) != len(after.edges):
         raise ValueError("graphs must share topology")
     for eb, ea in zip(before.edges, after.edges):
-        if (eb.op, ea.op) == (OperationKind.NULL, OperationKind.SKIP):
+        if (eb.op, ea.op) in WHITELISTED_TRANSITIONS:
             continue
         cb, ca = cost_of_op(eb.op, cfg), cost_of_op(ea.op, cfg)
         if ca.params > cb.params or ca.madds > cb.madds:

@@ -29,7 +29,7 @@ from .archgraph import (
 )
 from .evaluator import accuracy, load_shared, make_dataset, save_shared
 from .gcnpolicy import load_policy, save_policy
-from .opspace import CostConfig, audit_rows
+from .opspace import CostConfig, audit_rows, audit_violations
 from .trainer import TrainConfig
 
 
@@ -85,18 +85,20 @@ def audit(channels: int, hw: int, out_path: str) -> None:
     header = ["from", "to", "valid", "whitelisted", "params_delta", "madds_delta"]
     _atomic_write(out_path, _csv_text(header, [[r[h] for h in header] for r in rows]))
     _write_manifest(out_path, "audit", {"channels": channels, "hw": hw, "out": out_path})
-    violations = [
-        r
-        for r in rows
-        if r["valid"] and not r["whitelisted"] and (r["params_delta"] > 0 or r["madds_delta"] > 0)
-    ]
+    violations = audit_violations(cfg)
     click.echo(f"wrote {len(rows)} rows to {out_path}; {len(violations)} violations")
     if violations:
         sys.exit(1)
 
 
 @main.command()
-@click.option("--nodes", type=int, default=7, show_default=True, help="Total node count |V|.")
+@click.option(
+    "--nodes",
+    type=click.IntRange(min=4),
+    default=7,
+    show_default=True,
+    help="Total node count |V|: two inputs, at least one intermediate, one output.",
+)
 @click.option("--count", type=int, default=1, show_default=True)
 @_seed_option
 @click.option("--out", "out_path", default="graphs.txt", show_default=True)
@@ -200,6 +202,12 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
     policy = load_policy(policy_path)
     with open(in_path) as fh:
         graphs = parse_many(fh.read())
+    for i, g in enumerate(graphs):
+        if g.num_intermediate > policy.i_max:
+            raise click.ClickException(
+                f"graph {i} has {g.num_intermediate} intermediate nodes; "
+                f"the policy handles at most i_max={policy.i_max}"
+            )
     rng = np.random.default_rng(seed)
     optimized = []
     for g in graphs:

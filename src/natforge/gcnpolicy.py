@@ -10,7 +10,9 @@ operations receive probability.
 
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
-central finite differences.
+central finite differences. ``policy_gradient`` takes the ``PolicyOutput``
+that ``forward`` returned, whose backprop cache holds the intermediates, so
+one policy step runs the forward pass once.
 """
 
 from __future__ import annotations
@@ -18,18 +20,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .archgraph import GraphEncoding
 from .numkernel import bmsoftmax, glorot_uniform, softmax
-from .opspace import (
-    NUM_OPERATIONS,
-    OPERATIONS,
-    OperationKind,
-    transition_mask,
-)
+from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, OperationKind
 
 NAT = "nat"
 NATPP = "nat++"
@@ -78,12 +75,26 @@ class ParamGrads:
         self.fc *= factor
 
 
+class BackpropCache(NamedTuple):
+    """Forward-pass intermediates that ``policy_gradient`` reads."""
+
+    a: np.ndarray  # adjacency
+    hiddens: list[np.ndarray]  # inputs to each conv layer
+    pres: list[np.ndarray]  # pre-activations of the relu layers
+    m: np.ndarray  # output of the last (linear) conv layer
+
+
 @dataclass
 class PolicyOutput:
-    """Per-edge action distributions and the masks that shaped them."""
+    """Per-edge action distributions and the masks that shaped them.
+
+    ``cache`` holds the intermediates of the ``forward`` call that produced
+    the output; it is None for an output built by hand.
+    """
 
     Z: np.ndarray
     masks: np.ndarray
+    cache: BackpropCache | None = None
 
     @property
     def num_edges(self) -> int:
@@ -113,11 +124,11 @@ def _masks_for(mode: str, ops: Sequence[OperationKind]) -> np.ndarray:
     k = len(ops)
     if mode == NAT:
         return np.ones((k, 3), dtype=int)
-    return np.array([transition_mask(op).bits for op in ops], dtype=int)
+    return VALID[[op.index for op in ops]]
 
 
-def _forward_full(enc: GraphEncoding, ops: Sequence[OperationKind], params: PolicyParams):
-    """Forward pass keeping the intermediates needed for backprop."""
+def forward(enc: GraphEncoding, ops: Sequence[OperationKind], params: PolicyParams) -> PolicyOutput:
+    """Per-edge transition distributions for the given cell, with the backprop cache."""
     k = len(ops)
     num_inter = k // 2
     if k != 2 * num_inter or num_inter != enc.adjacency.shape[0] - 3:
@@ -129,8 +140,8 @@ def _forward_full(enc: GraphEncoding, ops: Sequence[OperationKind], params: Poli
             f"{params.gcn[0].shape[0]}"
         )
     h = x
-    hiddens = [h]  # inputs to each conv layer
-    pres = []  # pre-activations of the relu layers
+    hiddens = [h]
+    pres = []
     for w in params.gcn[:-1]:
         pre = a @ h @ w
         pres.append(pre)
@@ -150,25 +161,34 @@ def _forward_full(enc: GraphEncoding, ops: Sequence[OperationKind], params: Poli
         z = softmax(logits)
     else:
         z = bmsoftmax(logits, masks)
-    return PolicyOutput(Z=z, masks=masks), (a, hiddens, pres, m, logits)
+    return PolicyOutput(Z=z, masks=masks, cache=BackpropCache(a, hiddens, pres, m))
 
 
-def forward(enc: GraphEncoding, ops: Sequence[OperationKind], params: PolicyParams) -> PolicyOutput:
-    """Per-edge transition distributions for the given cell."""
-    out, _ = _forward_full(enc, ops, params)
-    return out
+#: Tolerance on a row's probability sum, the one ``Generator.choice`` applies.
+_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One independent categorical draw per edge; returns (indices, joint log-prob)."""
-    k, c = out.Z.shape
-    actions = np.empty(k, dtype=int)
-    log_prob = 0.0
-    for e in range(k):
-        p = out.Z[e] / out.Z[e].sum()
-        actions[e] = rng.choice(c, p=p)
-        log_prob += float(np.log(out.Z[e, actions[e]]))
-    return actions, log_prob
+    """One independent categorical draw per edge; returns (indices, joint log-prob).
+
+    Edge e's action is the draw ``rng.choice(c, p=Z[e] / Z[e].sum())`` would
+    make: one uniform variate per edge, in edge order, located in the row's
+    normalized CDF. The whole batch takes one ``rng.random(k)``, which consumes
+    the generator exactly as the per-edge ``choice`` calls would.
+    """
+    k = out.num_edges
+    p = out.Z / out.Z.sum(axis=1, keepdims=True)
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities contain NaN or inf")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(p.sum(axis=1) - 1.0) > _SUM_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(k)
+    actions = (cdf <= u[:, None]).sum(axis=1)
+    return actions, log_prob_of(out, actions)
 
 
 def argmax_actions(out: PolicyOutput) -> np.ndarray:
@@ -201,40 +221,44 @@ def actions_to_ops(
 
 
 def policy_gradient(
-    enc: GraphEncoding,
-    ops: Sequence[OperationKind],
+    out: PolicyOutput,
     params: PolicyParams,
     actions: np.ndarray,
     reward: float,
     entropy_weight: float,
 ) -> ParamGrads:
-    """Exact gradient of reward * log pi(actions) + entropy_weight * H(pi)."""
+    """Exact gradient of reward * log pi(actions) + entropy_weight * H(pi).
+
+    ``out`` must come from ``forward`` with these same ``params``: the
+    gradient is built from its backprop cache without re-running the forward
+    pass, so the cache is valid only until ``params`` change (for example
+    through ``ascend_``). An output with no cache is rejected.
+    """
+    if out.cache is None:
+        raise ValueError("policy output has no backprop cache; pass the output of forward()")
     if not np.isfinite(reward):
         raise ValueError("reward must be finite")
-    out, (a, hiddens, pres, m, _logits) = _forward_full(enc, ops, params)
-    k, c = out.Z.shape
-    if np.any(out.masks[np.arange(k), actions] == 0):
-        bad = int(np.argmax(out.masks[np.arange(k), actions] == 0))
+    a, hiddens, pres, m = out.cache
+    z = out.Z
+    k, c = z.shape
+    rows = np.arange(k)
+    if np.any(out.masks[rows, actions] == 0):
+        bad = int(np.argmax(out.masks[rows, actions] == 0))
         raise ValueError(f"action at edge {bad} violates its transition mask")
 
-    # d/du of the objective, row by row. For a masked row the softmax Jacobian
-    # is zero at cleared bits, so both terms vanish there automatically.
-    g_u = np.zeros((k, c))
-    for e in range(k):
-        p = out.Z[e]
-        grad_logp = -p.copy()
-        grad_logp[actions[e]] += 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(p > 0, np.log(p), 0.0)
-        h_row = float(-(p * logp).sum())
-        grad_h = np.where(p > 0, -p * (logp + h_row), 0.0)
-        g_u[e] = reward * grad_logp + entropy_weight * grad_h
+    # d/du of the objective. For a masked row the softmax Jacobian is zero at
+    # cleared bits, so both terms vanish there automatically.
+    grad_logp = -z
+    grad_logp[rows, actions] += 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(z > 0, np.log(z), 0.0)
+    row_entropy = -(z * logp).sum(axis=1, keepdims=True)
+    grad_h = np.where(z > 0, -z * (logp + row_entropy), 0.0)
+    g_u = reward * grad_logp + entropy_weight * grad_h
 
-    num_inter = k // 2
     g_m = np.zeros_like(m)
     grad_fc = np.zeros_like(params.fc)
-    for l in range(num_inter):
-        node_grad = np.concatenate([g_u[2 * l], g_u[2 * l + 1]])
+    for l, node_grad in enumerate(g_u.reshape(k // 2, 2 * c)):
         g_m[2 + l] = params.fc @ node_grad
         grad_fc += np.outer(m[2 + l], node_grad)
 

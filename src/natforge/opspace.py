@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class TypeClass(Enum):
     CONV = "conv"
@@ -247,12 +249,30 @@ class TransitionMask:
         return sum(self.bits)
 
 
-def transition_mask(source: OperationKind) -> TransitionMask:
-    """Validity mask for one source operation under the joint rule."""
-    bits = tuple(
-        1 if is_valid_transition_natpp(source, dst) else 0 for dst in OPERATIONS
+def _validity_table() -> np.ndarray:
+    table = np.array(
+        [[int(is_valid_transition_natpp(src, dst)) for dst in OPERATIONS] for src in OPERATIONS],
+        dtype=int,
     )
-    return TransitionMask(source, bits)
+    table.flags.writeable = False
+    return table
+
+
+#: Read-only 13x13 validity table: ``VALID[src.index, dst.index]`` is 1 iff the
+#: transition is valid. Built once from ``is_valid_transition_natpp``, which
+#: stays the single definition of the rule.
+VALID = _validity_table()
+
+_MASKS = tuple(TransitionMask(op, tuple(int(b) for b in VALID[op.index])) for op in OPERATIONS)
+
+
+def transition_mask(source: OperationKind) -> TransitionMask:
+    """Validity mask for one source operation under the joint rule.
+
+    Masks are frozen and prebuilt from ``VALID``, so every call for the same
+    source returns the same shared object.
+    """
+    return _MASKS[source.index]
 
 
 def audit_rows(cfg: CostConfig) -> list[dict]:

@@ -179,9 +179,7 @@ def run(cfg: TrainConfig) -> TrainResult:
                     r = provider.reward(alpha, beta)
                     rewards.append(r)
                     r_eff = r - baseline if cfg.use_baseline else r
-                    grads = policy_gradient(
-                        enc, beta.ops(), policy, actions, r_eff, cfg.entropy_weight
-                    )
+                    grads = policy_gradient(out, policy, actions, r_eff, cfg.entropy_weight)
                     if total is None:
                         total = grads
                     else:

@@ -134,7 +134,7 @@ def test_criterion_04_gradient_fidelity():
         actions, _ = sample_actions(out, rng)
         reward = float(rng.standard_normal())
         lam = float(rng.uniform(0, 0.1))
-        grads = policy_gradient(enc, g.ops(), params, actions, reward, lam)
+        grads = policy_gradient(forward(enc, g.ops(), params), params, actions, reward, lam)
 
         def objective(flat, params=params, enc=enc, g=g, actions=actions, reward=reward, lam=lam):
             probe = params.copy()

@@ -4,10 +4,13 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from natforge.archgraph import EncodingConfig
 from natforge.cli import main
+from natforge.gcnpolicy import NATPP, init_params, save_policy
 
 
 @pytest.fixture()
@@ -66,6 +69,26 @@ class TestSample:
         runner.invoke(main, ["sample", "--out", a], env={"NATFORGE_SEED": "9"})
         runner.invoke(main, ["sample", "--seed", "9", "--out", b])
         assert open(a).read() == open(b).read()
+
+
+    def test_too_few_nodes_names_limit(self, runner, tmp_path):
+        result = runner.invoke(main, ["sample", "--nodes", "3", "--out", str(tmp_path / "g.txt")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "x>=4" in result.output
+
+
+class TestOptimize:
+    def test_cell_beyond_policy_i_max_names_limit(self, runner, tmp_path):
+        graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
+        assert runner.invoke(main, ["sample", "--nodes", "9", "--out", graphs]).exit_code == 0
+        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        save_policy(params, policy)
+        result = runner.invoke(main, ["optimize", "--in", graphs, "--policy", policy])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "graph 0 has 6 intermediate nodes" in result.output
+        assert "i_max=4" in result.output
 
 
 class TestCost:

@@ -182,7 +182,7 @@ class TestGradient:
         g = sample_uniform(4, rng)
         out = forward(encode(g, LAYOUT), g.ops(), params)
         actions, _ = sample_actions(out, rng)
-        grads = policy_gradient(encode(g, LAYOUT), g.ops(), params, actions, 0.0, 0.0)
+        grads = policy_gradient(forward(encode(g, LAYOUT), g.ops(), params), params, actions, 0.0, 0.0)
         assert all(np.all(gw == 0) for gw in grads.gcn)
         assert np.all(grads.fc == 0)
 
@@ -197,14 +197,14 @@ class TestGradient:
         actions = np.array([op.index for op in g.ops()])
         actions[e] = OperationKind.CONV_3X3.index
         with pytest.raises(ValueError, match="mask"):
-            policy_gradient(encode(g, LAYOUT), g.ops(), params, actions, 1.0, 0.0)
+            policy_gradient(forward(encode(g, LAYOUT), g.ops(), params), params, actions, 1.0, 0.0)
 
     def test_non_finite_reward_rejected(self):
         rng = np.random.default_rng(14)
         params = init_params(NAT, LAYOUT.feature_dim, rng)
         g = sample_uniform(4, rng)
         with pytest.raises(ValueError, match="finite"):
-            policy_gradient(encode(g, LAYOUT), g.ops(), params, np.zeros(8, dtype=int), float("inf"), 0.0)
+            policy_gradient(forward(encode(g, LAYOUT), g.ops(), params), params, np.zeros(8, dtype=int), float("inf"), 0.0)
 
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_matches_finite_differences(self, mode):
@@ -215,7 +215,7 @@ class TestGradient:
         out = forward(enc, g.ops(), params)
         actions, _ = sample_actions(out, rng)
         reward, lam = 0.7, 0.05
-        grads = policy_gradient(enc, g.ops(), params, actions, reward, lam)
+        grads = policy_gradient(forward(enc, g.ops(), params), params, actions, reward, lam)
 
         def objective(flat):
             probe = params.copy()
@@ -239,10 +239,123 @@ class TestGradient:
         out = forward(enc, g.ops(), params)
         actions, _ = sample_actions(out, rng)
         before = total_entropy(out)
-        grads = policy_gradient(enc, g.ops(), params, actions, 0.0, 1.0)
+        grads = policy_gradient(forward(enc, g.ops(), params), params, actions, 0.0, 1.0)
         ascend_(params, grads, 1e-4)
         after = total_entropy(forward(enc, g.ops(), params))
         assert after >= before - 1e-12
+
+
+def reference_sample_actions(out, rng):
+    """Per-edge ``rng.choice`` sampler that ``sample_actions`` must reproduce exactly."""
+    k, c = out.Z.shape
+    actions = np.empty(k, dtype=int)
+    log_prob = 0.0
+    for e in range(k):
+        p = out.Z[e] / out.Z[e].sum()
+        actions[e] = rng.choice(c, p=p)
+        log_prob += float(np.log(out.Z[e, actions[e]]))
+    return actions, log_prob
+
+
+def reference_policy_gradient(out, params, actions, reward, entropy_weight):
+    """Per-row ``g_u`` loop that ``policy_gradient`` must reproduce bit for bit."""
+    a, hiddens, pres, m = out.cache
+    k, c = out.Z.shape
+    g_u = np.zeros((k, c))
+    for e in range(k):
+        p = out.Z[e]
+        grad_logp = -p.copy()
+        grad_logp[actions[e]] += 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.where(p > 0, np.log(p), 0.0)
+        h_row = float(-(p * logp).sum())
+        grad_h = np.where(p > 0, -p * (logp + h_row), 0.0)
+        g_u[e] = reward * grad_logp + entropy_weight * grad_h
+
+    num_inter = k // 2
+    g_m = np.zeros_like(m)
+    grad_fc = np.zeros_like(params.fc)
+    for l in range(num_inter):
+        node_grad = np.concatenate([g_u[2 * l], g_u[2 * l + 1]])
+        g_m[2 + l] = params.fc @ node_grad
+        grad_fc += np.outer(m[2 + l], node_grad)
+
+    grads = [np.zeros_like(w) for w in params.gcn]
+    b = a @ hiddens[-1]
+    grads[-1] = b.T @ g_m
+    g_h = a.T @ (g_m @ params.gcn[-1].T)
+    for i in range(params.depth - 2, -1, -1):
+        g_pre = g_h * (pres[i] > 0)
+        grads[i] = (a @ hiddens[i]).T @ g_pre
+        g_h = a.T @ (g_pre @ params.gcn[i].T)
+    return grads, grad_fc
+
+
+def random_outputs(count, seed):
+    """Forward outputs over both modes, 1-4 intermediates and peaked or flat logits."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        mode = NAT if i % 2 == 0 else NATPP
+        params = init_params(mode, LAYOUT.feature_dim, rng, depth=int(rng.integers(1, 4)))
+        params.fc *= float(rng.choice([0.1, 1.0, 30.0]))
+        g = sample_uniform(int(rng.integers(1, 5)), rng)
+        yield params, forward(encode(g, LAYOUT), g.ops(), params)
+
+
+def one_hot_outputs():
+    for c in (3, 13):
+        for hot in range(c):
+            z = np.zeros((4, c))
+            z[:, hot] = 1.0
+            z[1] = 0.0
+            z[1, c - 1 - hot] = 1.0
+            yield PolicyOutput(Z=z, masks=(z > 0).astype(int))
+
+
+class TestReferenceEquivalence:
+    def test_sampler_matches_per_edge_choice(self):
+        outs = [out for _, out in random_outputs(200, 20)] + list(one_hot_outputs())
+        for i, out in enumerate(outs):
+            fast_rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(5):
+                actions, logp = sample_actions(out, fast_rng)
+                ref_actions, ref_logp = reference_sample_actions(out, ref_rng)
+                assert np.array_equal(actions, ref_actions)
+                assert logp == pytest.approx(ref_logp, rel=1e-12, abs=1e-12)
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "z", [[[0.5, np.nan, 0.5]], [[-0.5, 1.0, 0.5]]], ids=["nan", "negative"]
+    )
+    def test_sampler_rejects_invalid_rows_like_choice(self, z):
+        out = PolicyOutput(Z=np.array(z), masks=np.ones((1, 3), dtype=int))
+        with pytest.raises(ValueError):
+            reference_sample_actions(out, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="probabilities"):
+            sample_actions(out, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_gradient_matches_per_row_loop(self, mode):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for params, out in random_outputs(120, 22):
+            if params.mode != mode:
+                continue
+            actions, _ = sample_actions(out, rng)
+            reward = float(rng.standard_normal())
+            lam = float(rng.choice([0.0, 0.003, 0.1, 1.0]))
+            grads = policy_gradient(out, params, actions, reward, lam)
+            ref_gcn, ref_fc = reference_policy_gradient(out, params, actions, reward, lam)
+            assert all(np.array_equal(a, b) for a, b in zip(grads.gcn, ref_gcn))
+            assert np.array_equal(grads.fc, ref_fc)
+            checked += 1
+        assert checked == 60
+
+    def test_gradient_rejects_output_without_cache(self):
+        params = init_params(NAT, LAYOUT.feature_dim, np.random.default_rng(23))
+        out = PolicyOutput(Z=np.full((8, 3), 1 / 3), masks=np.ones((8, 3), dtype=int))
+        with pytest.raises(ValueError, match="cache"):
+            policy_gradient(out, params, np.zeros(8, dtype=int), 1.0, 0.0)
 
 
 class TestCheckpoint:

@@ -1,10 +1,12 @@
 """Operation taxonomy, cost model, and transition-rule tests."""
 
+import numpy as np
 import pytest
 
 from natforge.opspace import (
     NUM_OPERATIONS,
     OPERATIONS,
+    VALID,
     WHITELISTED_TRANSITIONS,
     CostConfig,
     OpCost,
@@ -187,6 +189,18 @@ class TestTransitionMask:
         for op in OPERATIONS:
             mask = transition_mask(op)
             assert mask.popcount() == len(mask.ops())
+
+
+    def test_table_matches_predicate(self):
+        assert VALID.shape == (NUM_OPERATIONS, NUM_OPERATIONS)
+        for i, src in enumerate(OPERATIONS):
+            for j, dst in enumerate(OPERATIONS):
+                assert VALID[i, j] == is_valid_transition_natpp(src, dst)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            VALID[0, 1] = 1
+        assert np.array_equal(VALID[0], transition_mask(OPERATIONS[0]).bits)
 
 
 class TestAudit:
