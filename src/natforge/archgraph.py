@@ -76,7 +76,12 @@ def make_cell(num_nodes: int, edges: Iterable[EdgeSlot]) -> CellGraph:
 
 
 def validate(graph: CellGraph) -> None:
-    """Check every structural invariant; raise GraphError naming the first failure."""
+    """Check every structural invariant; raise GraphError naming the first failure.
+
+    Edge i must be slot i % 2 of node i // 2. With exactly 2*I edges, that
+    one check rules out dangling targets and bad, duplicate or missing slots,
+    and keeps the canonical (target, slot) order that consumers index by.
+    """
     num_inter = graph.num_nodes - 3
     if num_inter < 1:
         raise GraphError("node count: need at least one intermediate node (|V| >= 4)")
@@ -85,24 +90,34 @@ def validate(graph: CellGraph) -> None:
             f"slot count: expected {2 * num_inter} edges for {num_inter} "
             f"intermediates, got {len(graph.edges)}"
         )
-    seen: set[tuple[int, int]] = set()
-    for e in graph.edges:
-        if not (0 <= e.target_node < num_inter):
-            raise GraphError(f"dangling node: target {e.target_node} is not intermediate")
-        if e.slot not in (0, 1):
-            raise GraphError(f"slot count: slot {e.slot} on node {e.target_node}")
-        if (e.target_node, e.slot) in seen:
-            raise GraphError(f"duplicate slot: node {e.target_node} slot {e.slot}")
-        seen.add((e.target_node, e.slot))
+    for i, e in enumerate(graph.edges):
+        if e.target_node != i >> 1 or e.slot != i & 1:
+            raise GraphError(_slot_error(graph.edges, num_inter))
         if e.source_node < -2:
             raise GraphError(f"dangling node: source {e.source_node}")
         if e.source_node >= e.target_node:
             raise GraphError(
                 f"acyclicity: edge {e.source_node}->{e.target_node} does not go forward"
             )
-    for l in range(num_inter):
-        if (l, 0) not in seen or (l, 1) not in seen:
-            raise GraphError(f"slot count: node {l} is missing a slot")
+
+
+def _slot_error(edges: Sequence[EdgeSlot], num_inter: int) -> str:
+    """Name the fault of 2*I edges that are not slot i % 2 of node i // 2 in turn."""
+    seen: set[tuple[int, int]] = set()
+    for e in edges:
+        if not (0 <= e.target_node < num_inter):
+            return f"dangling node: target {e.target_node} is not intermediate"
+        if e.slot not in (0, 1):
+            return f"slot count: slot {e.slot} on node {e.target_node}"
+        if (e.target_node, e.slot) in seen:
+            return f"duplicate slot: node {e.target_node} slot {e.slot}"
+        seen.add((e.target_node, e.slot))
+    # 2*I distinct slots, all in range: every slot is present, only the order is off.
+    i = next(i for i, e in enumerate(edges) if (e.target_node, e.slot) != divmod(i, 2))
+    return (
+        f"edge order: edge {i} is slot {edges[i].slot} of node {edges[i].target_node}; "
+        "edges must be sorted by (target, slot)"
+    )
 
 
 def sample_uniform(num_intermediate: int, rng: np.random.Generator) -> CellGraph:
@@ -216,6 +231,23 @@ def apply_transitions(graph: CellGraph, actions: Sequence[OperationKind]) -> Cel
     return CellGraph(graph.num_nodes, tuple(new_edges))
 
 
+def same_topology(a: CellGraph, b: CellGraph) -> bool:
+    """True iff both cells have the same nodes and the same (target, slot, source) edges.
+
+    Operations may differ: a topology-preserving rewrite changes only them.
+    """
+    if a.num_nodes != b.num_nodes or len(a.edges) != len(b.edges):
+        return False
+    for ea, eb in zip(a.edges, b.edges):
+        if (
+            ea.source_node != eb.source_node
+            or ea.target_node != eb.target_node
+            or ea.slot != eb.slot
+        ):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class CostReport:
     total_params: int
@@ -242,7 +274,7 @@ def cost_non_increasing(
     True iff every edge's params and madds are non-increasing, except the
     whitelisted null->skip replacement.
     """
-    if before.num_nodes != after.num_nodes or len(before.edges) != len(after.edges):
+    if not same_topology(before, after):
         raise ValueError("graphs must share topology")
     for eb, ea in zip(before.edges, after.edges):
         if (eb.op, ea.op) in WHITELISTED_TRANSITIONS:

@@ -23,6 +23,7 @@ from .archgraph import (
     cost_non_increasing,
     cost_of,
     parse_many,
+    same_topology,
     sample_uniform,
     serialize_many,
     validate,
@@ -61,6 +62,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _cost_config(channels: int, hw: int) -> CostConfig:
+    """The square geometry of the --channels/--hw flags; bad values are usage errors."""
+    try:
+        return CostConfig(channels_in=channels, channels_out=channels, height=hw, width=hw)
+    except ValueError as exc:
+        raise click.UsageError(f"--channels {channels} --hw {hw}: {exc}") from None
+
+
 _seed_option = click.option(
     "--seed", type=int, default=0, envvar="NATFORGE_SEED", show_default=True
 )
@@ -80,7 +89,7 @@ def audit(channels: int, hw: int, out_path: str) -> None:
 
     Exits nonzero if any valid, non-whitelisted transition increases cost.
     """
-    cfg = CostConfig(channels_in=channels, channels_out=channels, height=hw, width=hw)
+    cfg = _cost_config(channels, hw)
     rows = audit_rows(cfg)
     header = ["from", "to", "valid", "whitelisted", "params_delta", "madds_delta"]
     _atomic_write(out_path, _csv_text(header, [[r[h] for h in header] for r in rows]))
@@ -120,7 +129,7 @@ def sample(nodes: int, count: int, seed: int, out_path: str) -> None:
 @click.option("--out", "out_path", default="costs.csv", show_default=True)
 def cost(in_path: str, channels: int, hw: int, out_path: str) -> None:
     """Write per-graph cost reports for a graph file."""
-    cfg = CostConfig(channels_in=channels, channels_out=channels, height=hw, width=hw)
+    cfg = _cost_config(channels, hw)
     with open(in_path) as fh:
         graphs = parse_many(fh.read())
     rows = []
@@ -199,7 +208,10 @@ def train(
 @click.option("--out", "out_path", default="optimized.txt", show_default=True)
 def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: str) -> None:
     """Optimize every graph in a file with a trained policy."""
-    policy = load_policy(policy_path)
+    try:
+        policy = load_policy(policy_path)
+    except ValueError as exc:
+        raise click.ClickException(f"{policy_path}: {exc}") from None
     with open(in_path) as fh:
         graphs = parse_many(fh.read())
     for i, g in enumerate(graphs):
@@ -249,14 +261,27 @@ def report(
     out_path: str,
 ) -> None:
     """Join original-vs-optimized cost and reward statistics into a CSV."""
-    cfg = CostConfig(channels_in=channels, channels_out=channels, height=hw, width=hw)
+    cfg = _cost_config(channels, hw)
     with open(in_path) as fh:
         originals = parse_many(fh.read())
     with open(opt_path) as fh:
         optimized = parse_many(fh.read())
     if len(originals) != len(optimized):
         raise click.ClickException("original and optimized graph counts differ")
-    shared = load_shared(supernet_path)
+    try:
+        shared = load_shared(supernet_path)
+    except ValueError as exc:
+        raise click.ClickException(f"{supernet_path}: {exc}") from None
+    for i, (orig, opt) in enumerate(zip(originals, optimized)):
+        if not same_topology(orig, opt):
+            raise click.ClickException(
+                f"optimized graph {i} does not have the topology of original graph {i}"
+            )
+        if orig.num_intermediate != shared.num_intermediate:
+            raise click.ClickException(
+                f"graph {i} has {orig.num_intermediate} intermediate nodes; "
+                f"the supernet has {shared.num_intermediate}"
+            )
     dataset = make_dataset(data_seed)
     x_val, y_val = dataset.val_batch()
 

@@ -12,6 +12,10 @@ linear head classifies the concatenated intermediate nodes.
 The planted oracle scores each (edge, operation) pair with a fixed random
 table, so the best reachable transition for every edge is known exactly and
 policy convergence can be measured against ground truth.
+
+Both providers expose ``score(graph)`` and define the reward of a rewrite as
+``score(alpha) - score(beta)``. Scores are pure, so a caller that draws many
+rewrites of one input cell scores that cell once.
 """
 
 from __future__ import annotations
@@ -23,8 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .archgraph import CellGraph, validate
-from .numkernel import cross_entropy_logits, glorot_uniform
+from .archgraph import CellGraph, same_topology, validate
+from .numkernel import (
+    checkpoint_array,
+    checkpoint_dim,
+    checkpoint_fields,
+    cross_entropy_logits,
+    glorot_uniform,
+)
 from .opspace import (
     NUM_OPERATIONS,
     OPERATIONS,
@@ -47,14 +57,6 @@ class SyntheticDataset:
     inputs: np.ndarray
     labels: np.ndarray
     split: int
-
-    @property
-    def train_inputs(self) -> np.ndarray:
-        return self.inputs[: self.split]
-
-    @property
-    def train_labels(self) -> np.ndarray:
-        return self.labels[: self.split]
 
     def train_batch(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.integers(0, self.split, size=size)
@@ -168,8 +170,8 @@ def _edge_forward(op: OperationKind, x: np.ndarray, entry: dict | None):
     win = _windows(x.shape[1], op.kernel)
     vals = x[:, win]  # (B, d, k)
     if tc is TypeClass.MAX_POOL:
-        arg = vals.argmax(axis=2)
-        return vals.max(axis=2), (win, arg)
+        # The argmax is taken in backward, so a read-only forward skips it.
+        return vals.max(axis=2), (win, vals)
     return vals.mean(axis=2), (win,)
 
 
@@ -202,18 +204,20 @@ def _edge_backward(
         gu = gy @ entry["mix"].T
         grad_entry["diag"] += (gu * xr).sum(axis=0)
         return np.roll(gu * entry["diag"], -op.kernel, axis=1)
-    batch = gy.shape[0]
-    rows = np.arange(batch)[:, None]
     gx = np.zeros_like(gy)
     if tc is TypeClass.MAX_POOL:
-        win, arg = cache
-        cols = win[np.arange(win.shape[0])[None, :], arg]
-        np.add.at(gx, (rows, cols), gy)
+        win, vals = cache
+        cols = win[np.arange(win.shape[0])[None, :], vals.argmax(axis=2)]
+        # One input coordinate can be the max of several windows: accumulate.
+        np.add.at(gx, (np.arange(gy.shape[0])[:, None], cols), gy)
         return gx
     (win,) = cache
     k = win.shape[1]
+    # Column j of the circular windows is a permutation of the coordinates,
+    # so each fancy-indexed += touches every coordinate exactly once.
+    g = gy / k
     for j in range(k):
-        np.add.at(gx, (rows, win[None, :, j]), gy / k)
+        gx[:, win[:, j]] += g
     return gx
 
 
@@ -221,13 +225,12 @@ def _forward_graph(graph: CellGraph, w: SharedWeights, x: np.ndarray):
     """Supernet forward over a batch; returns (logits, caches)."""
     nodes: dict[int, np.ndarray] = {-2: x, -1: x}
     edge_caches: list = [None] * len(graph.edges)
-    # Edges are in canonical (target, slot) order and sources precede targets,
-    # so one pass per intermediate node visits everything already computed.
+    # Edges are in canonical (target, slot) order, so node l's edges are 2l
+    # and 2l + 1, and sources precede targets, so their inputs are computed.
     for l in range(graph.num_intermediate):
         pre = np.zeros_like(x)
-        for e_idx, edge in enumerate(graph.edges):
-            if edge.target_node != l:
-                continue
+        for e_idx in (2 * l, 2 * l + 1):
+            edge = graph.edges[e_idx]
             entry = w.bank.get((e_idx, edge.op))
             y, cache = _edge_forward(edge.op, nodes[edge.source_node], entry)
             edge_caches[e_idx] = cache
@@ -288,9 +291,8 @@ def supernet_train_step(
         # Walk intermediates in reverse so downstream credit arrives first.
         for l in range(graph.num_intermediate - 1, -1, -1):
             gpre = node_grads[l] * (1.0 - nodes[l] ** 2)
-            for e_idx, edge in enumerate(graph.edges):
-                if edge.target_node != l:
-                    continue
+            for e_idx in (2 * l, 2 * l + 1):
+                edge = graph.edges[e_idx]
                 key = (e_idx, edge.op)
                 w.usage_counts[key] += 1
                 entry = w.bank.get(key)
@@ -334,28 +336,57 @@ def save_shared(w: SharedWeights, path: str) -> None:
     os.replace(tmp, path)
 
 
+_SHARED_FIELDS = ("feature_dim", "num_intermediate", "num_classes", "head_w", "head_b", "bank")
+
+
 def load_shared(path: str) -> SharedWeights:
+    """Read a ``save_shared`` checkpoint, validating every field.
+
+    The bank must hold exactly the entries ``init_shared`` allocates, each
+    with its arrays' shapes. Raises ValueError naming the first field that is
+    missing, malformed, of the wrong shape, or not finite.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    from .opspace import op_from_name
+    checkpoint_fields(payload, _SHARED_FIELDS)
+    d = checkpoint_dim(payload["feature_dim"], "feature_dim")
+    num_intermediate = checkpoint_dim(payload["num_intermediate"], "num_intermediate")
+    num_classes = checkpoint_dim(payload["num_classes"], "num_classes")
+    head_w = checkpoint_array(payload["head_w"], (num_intermediate * d, num_classes), "head_w")
+    head_b = checkpoint_array(payload["head_b"], (num_classes,), "head_b")
 
+    stored = payload["bank"]
+    if not isinstance(stored, dict):
+        raise ValueError("bank: expected an object")
     bank = {}
-    usage = {}
-    for e in range(2 * payload["num_intermediate"]):
+    for e in range(2 * num_intermediate):
         for op in OPERATIONS:
-            usage[(e, op)] = 0
-    for key, entry in payload["bank"].items():
-        e_str, op_name = key.split(":")
-        bank[(int(e_str), op_from_name(op_name))] = {
-            name: np.array(vals, dtype=float) for name, vals in entry.items()
-        }
+            if op.type_class not in _LEARNABLE:
+                continue
+            key = f"{e}:{op.value}"
+            if key not in stored:
+                raise ValueError(f"bank: missing entry {key!r}")
+            shapes = {"mix": (d, d)}
+            if op.type_class is not TypeClass.CONV:
+                shapes["diag"] = (d,)
+            entry = stored[key]
+            if not isinstance(entry, dict) or set(entry) != set(shapes):
+                raise ValueError(f"bank[{key!r}]: expected arrays {sorted(shapes)}")
+            bank[(e, op)] = {
+                name: checkpoint_array(vals, shapes[name], f"bank[{key!r}].{name}")
+                for name, vals in entry.items()
+            }
+    if len(stored) != len(bank):
+        extra = sorted(set(stored) - {f"{e}:{op.value}" for e, op in bank})
+        raise ValueError(f"bank: unexpected entry {extra[0]!r}")
+    usage = {(e, op): 0 for e in range(2 * num_intermediate) for op in OPERATIONS}
     return SharedWeights(
-        feature_dim=payload["feature_dim"],
-        num_intermediate=payload["num_intermediate"],
-        num_classes=payload["num_classes"],
+        feature_dim=d,
+        num_intermediate=num_intermediate,
+        num_classes=num_classes,
         bank=bank,
-        head_w=np.array(payload["head_w"], dtype=float),
-        head_b=np.array(payload["head_b"], dtype=float),
+        head_w=head_w,
+        head_b=head_b,
         usage_counts=usage,
     )
 
@@ -418,18 +449,6 @@ def make_oracle(seed: int, num_edges: int = 8, scale: float = 0.1) -> PlantedOra
 # Reward providers
 
 
-def _check_same_topology(alpha: CellGraph, beta: CellGraph) -> None:
-    if alpha.num_nodes != beta.num_nodes or len(alpha.edges) != len(beta.edges):
-        raise ValueError("architectures must share topology")
-    for ea, eb in zip(alpha.edges, beta.edges):
-        if (ea.target_node, ea.slot, ea.source_node) != (
-            eb.target_node,
-            eb.slot,
-            eb.source_node,
-        ):
-            raise ValueError("architectures must share topology")
-
-
 class OracleProvider:
     """Reward from the planted score table: score(alpha) - score(beta)."""
 
@@ -438,9 +457,13 @@ class OracleProvider:
     def __init__(self, oracle: PlantedOracle):
         self.oracle = oracle
 
+    def score(self, graph: CellGraph) -> float:
+        return self.oracle.score(graph)
+
     def reward(self, alpha: CellGraph, beta: CellGraph) -> float:
-        _check_same_topology(alpha, beta)
-        return self.oracle.score(alpha) - self.oracle.score(beta)
+        if not same_topology(alpha, beta):
+            raise ValueError("architectures must share topology")
+        return self.score(alpha) - self.score(beta)
 
 
 class SupernetProvider:
@@ -453,8 +476,11 @@ class SupernetProvider:
         self.x_val = x_val
         self.y_val = y_val
 
+    def score(self, graph: CellGraph) -> float:
+        """Validation accuracy of the cell under the current shared weights."""
+        return accuracy(graph, self.w, self.x_val, self.y_val)
+
     def reward(self, alpha: CellGraph, beta: CellGraph) -> float:
-        _check_same_topology(alpha, beta)
-        return accuracy(alpha, self.w, self.x_val, self.y_val) - accuracy(
-            beta, self.w, self.x_val, self.y_val
-        )
+        if not same_topology(alpha, beta):
+            raise ValueError("architectures must share topology")
+        return self.score(alpha) - self.score(beta)

@@ -24,8 +24,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .archgraph import GraphEncoding
-from .numkernel import bmsoftmax, glorot_uniform, softmax
+from .archgraph import EncodingConfig, GraphEncoding
+from .numkernel import (
+    bmsoftmax,
+    checkpoint_array,
+    checkpoint_dim,
+    checkpoint_fields,
+    glorot_uniform,
+    softmax,
+)
 from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, OperationKind
 
 NAT = "nat"
@@ -298,12 +305,38 @@ def save_policy(params: PolicyParams, path: str) -> None:
     os.replace(tmp, path)
 
 
+_POLICY_FIELDS = ("mode", "i_max", "depth", "gcn_shapes", "fc_shape", "gcn_values", "fc_values")
+
+
 def load_policy(path: str) -> PolicyParams:
+    """Read a ``save_policy`` checkpoint, validating every field.
+
+    Raises ValueError naming the first field that is missing, has an unknown
+    mode, has a shape inconsistent with ``i_max``, ``depth`` or the mode, or
+    holds a non-finite value.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    gcn = [
-        np.array(vals, dtype=float).reshape(shape)
-        for vals, shape in zip(payload["gcn_values"], payload["gcn_shapes"])
-    ]
-    fc = np.array(payload["fc_values"], dtype=float).reshape(payload["fc_shape"])
-    return PolicyParams(mode=payload["mode"], gcn=gcn, fc=fc, i_max=payload["i_max"])
+    checkpoint_fields(payload, _POLICY_FIELDS)
+    mode = payload["mode"]
+    if mode not in _NUM_ACTIONS:
+        raise ValueError(f"mode: must be one of {sorted(_NUM_ACTIONS)}, got {mode!r}")
+    i_max = checkpoint_dim(payload["i_max"], "i_max")
+    depth = checkpoint_dim(payload["depth"], "depth")
+    for field in ("gcn_shapes", "gcn_values"):
+        if not isinstance(payload[field], list) or len(payload[field]) != depth:
+            raise ValueError(f"{field}: expected a list of depth={depth} entries")
+    fan_in = EncodingConfig(i_max=i_max).feature_dim
+    gcn = []
+    for i, (shape, vals) in enumerate(zip(payload["gcn_shapes"], payload["gcn_values"])):
+        if not (isinstance(shape, list) and len(shape) == 2 and shape[0] == fan_in):
+            raise ValueError(f"gcn_shapes[{i}]: expected [{fan_in}, width], got {shape!r}")
+        width = checkpoint_dim(shape[1], f"gcn_shapes[{i}]")
+        flat = checkpoint_array(vals, (fan_in * width,), f"gcn_values[{i}]")
+        gcn.append(flat.reshape(fan_in, width))
+        fan_in = width
+    fc_shape = [fan_in, 2 * _NUM_ACTIONS[mode]]
+    if payload["fc_shape"] != fc_shape:
+        raise ValueError(f"fc_shape: expected {fc_shape}, got {payload['fc_shape']!r}")
+    fc = checkpoint_array(payload["fc_values"], (fc_shape[0] * fc_shape[1],), "fc_values")
+    return PolicyParams(mode=mode, gcn=gcn, fc=fc.reshape(fc_shape), i_max=i_max)

@@ -1,4 +1,4 @@
-"""Dense numeric primitives: softmax variants, entropy, SGD, gradient checking.
+"""Dense numeric primitives: softmax variants, entropy, gradient checking, checkpoint arrays.
 
 Everything runs in float64 on numpy arrays with deterministic reduction
 order, so repeated runs are bit-reproducible. The masked softmax assigns
@@ -63,26 +63,6 @@ def cross_entropy_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
     return loss, grad / n
 
 
-class SGD:
-    """Plain gradient descent with optional momentum (off by default)."""
-
-    def __init__(self, lr: float, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
-        """Update ``param`` in place by one descent step."""
-        if self.momentum:
-            vel = self._velocity.setdefault(id(param), np.zeros_like(param))
-            vel *= self.momentum
-            vel += grad
-            grad = vel
-        param -= self.lr * grad
-
-
 def grad_check(f, analytic_grad: np.ndarray, point: np.ndarray, step: float = 1e-5) -> float:
     """Max relative error between ``analytic_grad`` and central differences of ``f``.
 
@@ -112,3 +92,36 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     """Uniform init in +-sqrt(6/(fan_in+fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def checkpoint_array(values, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Float array of exactly ``shape`` with only finite entries, read from a checkpoint.
+
+    Raises ValueError naming ``field`` when the values are not numeric, do not
+    have that shape, or include NaN or infinity.
+    """
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: not a numeric array") from None
+    if arr.shape != tuple(shape):
+        raise ValueError(f"{field}: shape {arr.shape}, expected {tuple(shape)}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{field}: contains NaN or infinity")
+    return arr
+
+
+def checkpoint_fields(payload, fields: tuple[str, ...]) -> None:
+    """Reject a checkpoint payload that is not an object or lacks one of ``fields``."""
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint: expected a JSON object")
+    for field in fields:
+        if field not in payload:
+            raise ValueError(f"{field}: missing")
+
+
+def checkpoint_dim(value, field: str) -> int:
+    """A positive integer read from a checkpoint; ValueError names ``field`` otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{field}: expected a positive integer, got {value!r}")
+    return value

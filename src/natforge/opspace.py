@@ -140,7 +140,16 @@ def make_op(type_class: TypeClass, kernel: int | None = None) -> OperationKind:
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Feature-map geometry the cost model is evaluated at."""
+    """Feature-map geometry the cost model is evaluated at.
+
+    The rules guarantee non-increasing cost only for ``channels_out >= 2``.
+    The binding transition is conv_k -> sep_conv_k (or dil_sep_conv_k), which
+    keeps the kernel: it needs k^2*Cin*Cout >= k^2*Cin + Cin*Cout, i.e.
+    k^2*Cout >= k^2 + Cout, i.e. Cout >= k^2/(k^2 - 1). Separable kernels are
+    3 and 5, so the bound is 9/8 or 25/24, and the least integer meeting it is
+    2. Madds scale the same parameters by H*W, and every other valid
+    transition is non-increasing at any positive geometry.
+    """
 
     channels_in: int = 128
     channels_out: int = 128
@@ -148,9 +157,13 @@ class CostConfig:
     width: int = 32
 
     def __post_init__(self) -> None:
-        for field in ("channels_in", "channels_out", "height", "width"):
+        for field in ("channels_in", "height", "width"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
+        if self.channels_out < 2:
+            raise ValueError(
+                f"channels_out must be >= 2 for the cost guarantee, got {self.channels_out}"
+            )
 
 
 @dataclass(frozen=True)

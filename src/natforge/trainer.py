@@ -171,12 +171,15 @@ def run(cfg: TrainConfig) -> TrainResult:
                 enc = encode(beta, layout)
                 out = forward(enc, beta.ops(), policy)
                 entropies.append(total_entropy(out))
+                # Rewrites keep beta's topology, so each reward is
+                # score(alpha) - score(beta) with beta scored once.
+                base = provider.score(beta)
                 for _j in range(cfg.n):
                     actions, _logp = sample_actions(out, rng)
                     alpha = apply_transitions(
                         beta, actions_to_ops(cfg.mode, beta.ops(), actions)
                     )
-                    r = provider.reward(alpha, beta)
+                    r = provider.score(alpha) - base
                     rewards.append(r)
                     r_eff = r - baseline if cfg.use_baseline else r
                     grads = policy_gradient(out, policy, actions, r_eff, cfg.entropy_weight)

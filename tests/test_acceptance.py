@@ -199,6 +199,7 @@ def test_criterion_06_cost_constraint_soundness(default_oracle_runs):
     assert violations == 0
 
 
+@pytest.mark.slow
 def test_criterion_07_supernet_directional_analog():
     """Mean accuracy: NAT++-optimized >= NAT-optimized >= original; NAT++ params < original."""
     t0 = time.perf_counter()
@@ -237,6 +238,7 @@ def test_criterion_07_supernet_directional_analog():
     assert elapsed < 1200.0
 
 
+@pytest.mark.slow
 def test_criterion_08a_depth_ablation():
     """Depth {1,2,5,10}: depth 2 strictly beats 1 and is >= 5 and 10 in mean match.
 

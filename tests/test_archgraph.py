@@ -19,6 +19,7 @@ from natforge.archgraph import (
     make_cell,
     parse,
     parse_many,
+    same_topology,
     sample_uniform,
     serialize,
     serialize_many,
@@ -85,6 +86,13 @@ class TestValidation:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(GraphError, match="node count"):
             validate(CellGraph(3, ()))
+
+    def test_unsorted_edges_rejected(self):
+        g = chain_cell(OperationKind.SKIP, num_intermediate=2)
+        swapped = CellGraph(g.num_nodes, (g.edges[1], g.edges[0]) + g.edges[2:])
+        with pytest.raises(GraphError, match="edge order: edge 0 is slot 1 of node 0"):
+            validate(swapped)
+        validate(make_cell(g.num_nodes, swapped.edges))
 
 
 class TestSampling:
@@ -213,6 +221,32 @@ class TestCosting:
         before = chain_cell(OperationKind.NULL, num_intermediate=1)
         after = apply_transitions(before, (OperationKind.SKIP, OperationKind.NULL))
         assert cost_non_increasing(before, after, CFG)
+
+    def test_cost_audit_rejects_topology_mismatch(self):
+        before = chain_cell(OperationKind.CONV_3X3, num_intermediate=2)
+        moved = EdgeSlot(1, 0, -2, OperationKind.NULL)
+        rewired = make_cell(5, before.edges[:2] + (moved,) + before.edges[3:])
+        with pytest.raises(ValueError, match="topology"):
+            cost_non_increasing(before, rewired, CFG)
+
+
+class TestSameTopology:
+    def test_rewrite_keeps_topology(self):
+        g = chain_cell(OperationKind.CONV_5X5)
+        assert same_topology(g, apply_transitions(g, (OperationKind.NULL,) * 8))
+
+    def test_source_node_differs(self):
+        g = chain_cell(OperationKind.SKIP, num_intermediate=2)
+        moved = EdgeSlot(1, 0, -2, OperationKind.SKIP)
+        rewired = make_cell(5, g.edges[:2] + (moved,) + g.edges[3:])
+        assert not same_topology(g, rewired)
+        assert not same_topology(rewired, g)
+
+    def test_node_count_differs(self):
+        assert not same_topology(
+            chain_cell(OperationKind.SKIP, num_intermediate=2),
+            chain_cell(OperationKind.SKIP, num_intermediate=3),
+        )
 
 
 class TestCardinality:

@@ -54,6 +54,15 @@ class TestAudit:
         assert manifest["command"] == "audit"
         assert "config_hash" in manifest
 
+    def test_single_channel_is_usage_error(self, runner, tmp_path):
+        out = str(tmp_path / "audit.csv")
+        result = runner.invoke(main, ["audit", "--channels", "1", "--out", out])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "channels_out must be >= 2" in errors[0]
+        assert not os.path.exists(out)
+
 
 class TestSample:
     def test_count_and_determinism(self, runner, tmp_path):
@@ -89,6 +98,19 @@ class TestOptimize:
         assert isinstance(result.exception, SystemExit)
         assert "graph 0 has 6 intermediate nodes" in result.output
         assert "i_max=4" in result.output
+
+    def test_bad_policy_names_field(self, runner, tmp_path):
+        graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
+        assert runner.invoke(main, ["sample", "--out", graphs]).exit_code == 0
+        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        save_policy(params, policy)
+        payload = json.load(open(policy))
+        payload["mode"] = "bogus"
+        json.dump(payload, open(policy, "w"))
+        result = runner.invoke(main, ["optimize", "--in", graphs, "--policy", policy])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "mode: must be one of" in result.output
 
 
 class TestCost:
@@ -179,3 +201,48 @@ class TestTrainOptimizeReport:
         assert [r["set"] for r in rows] == ["original", "optimized"]
         orig, opt = rows
         assert float(opt["params_mean"]) <= float(orig["params_mean"])
+
+    def _report(self, artifacts, tmp_path, optimized, supernet=None, originals=None):
+        return CliRunner().invoke(
+            main,
+            [
+                "report",
+                "--in", originals or artifacts["graphs"],
+                "--optimized", optimized,
+                "--supernet", supernet or os.path.join(artifacts["run"], "supernet.json"),
+                "--out", str(tmp_path / "report.csv"),
+            ],
+        )
+
+    def test_report_rejects_topology_mismatch(self, artifacts, tmp_path):
+        from natforge.archgraph import EdgeSlot, make_cell, parse_many, serialize_many
+
+        optimized = parse_many(open(artifacts["opt"]).read())
+        g = optimized[3]
+        edges = list(g.edges)
+        last = edges[-1]
+        edges[-1] = EdgeSlot(last.target_node, last.slot, -1 - (last.source_node == -1), last.op)
+        optimized[3] = make_cell(g.num_nodes, edges)
+        path = str(tmp_path / "rewired.txt")
+        open(path, "w").write(serialize_many(optimized))
+        result = self._report(artifacts, tmp_path, path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "optimized graph 3 does not have the topology of original graph 3" in result.output
+
+    def test_report_rejects_bad_supernet(self, artifacts, tmp_path):
+        payload = json.load(open(os.path.join(artifacts["run"], "supernet.json")))
+        payload["head_b"][0] = float("nan")
+        path = str(tmp_path / "supernet.json")
+        json.dump(payload, open(path, "w"))
+        result = self._report(artifacts, tmp_path, artifacts["opt"], supernet=path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "head_b: contains NaN or infinity" in result.output
+
+    def test_report_rejects_intermediate_count_mismatch(self, artifacts, tmp_path):
+        graphs = str(tmp_path / "g.txt")
+        assert CliRunner().invoke(main, ["sample", "--nodes", "6", "--out", graphs]).exit_code == 0
+        result = self._report(artifacts, tmp_path, graphs, originals=graphs)
+        assert result.exit_code == 1
+        assert "graph 0 has 3 intermediate nodes; the supernet has 4" in result.output

@@ -1,5 +1,7 @@
 """Controller tests: forward distributions, sampling, and exact gradients."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -369,3 +371,35 @@ class TestCheckpoint:
         assert loaded.i_max == params.i_max
         assert all(np.array_equal(a, b) for a, b in zip(loaded.gcn, params.gcn))
         assert np.array_equal(loaded.fc, params.fc)
+
+    @pytest.fixture()
+    def payload(self, tmp_path):
+        params = init_params(NAT, LAYOUT.feature_dim, np.random.default_rng(18))
+        path = str(tmp_path / "policy.json")
+        save_policy(params, path)
+        with open(path) as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("mode", lambda p: p.update(mode="bogus")),
+            ("gcn_values[1]", lambda p: p["gcn_values"][1].__setitem__(0, float("nan"))),
+            ("fc_values", lambda p: p["fc_values"].__setitem__(3, float("inf"))),
+            ("fc_values", lambda p: p["fc_values"].pop()),
+            ("fc_shape", lambda p: p.update(mode="nat++")),
+            ("gcn_shapes[0]", lambda p: p.update(i_max=3)),
+            ("gcn_shapes", lambda p: p.update(depth=3)),
+            ("i_max", lambda p: p.update(i_max=0)),
+            ("gcn_values[0]", lambda p: p["gcn_values"].__setitem__(0, "x")),
+            ("depth", lambda p: p.pop("depth")),
+        ],
+    )
+    def test_bad_payload_names_field(self, payload, tmp_path, field, edit):
+        edit(payload)
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError) as info:
+            load_policy(path)
+        assert str(info.value).startswith(field + ":")

@@ -1,4 +1,4 @@
-"""Numeric primitive tests: softmax variants, entropy, SGD, gradient checker."""
+"""Numeric primitive tests: softmax variants, entropy, gradient checker, checkpoint arrays."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from natforge.numkernel import (
-    SGD,
     bmsoftmax,
     cross_entropy_logits,
     entropy,
@@ -153,24 +152,6 @@ class TestCrossEntropy:
             logits.ravel().copy(),
         )
         assert err < 1e-6
-
-
-class TestSGD:
-    def test_plain_step(self):
-        p = np.array([1.0, 2.0])
-        SGD(lr=0.5).step(p, np.array([1.0, -1.0]))
-        assert np.allclose(p, [0.5, 2.5])
-
-    def test_momentum_accumulates(self):
-        p = np.zeros(1)
-        opt = SGD(lr=1.0, momentum=0.9)
-        opt.step(p, np.ones(1))
-        opt.step(p, np.ones(1))
-        assert p[0] == pytest.approx(-(1.0 + 1.9))
-
-    def test_bad_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
 
 
 class TestGlorot:

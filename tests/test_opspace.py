@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natforge.opspace import (
     NUM_OPERATIONS,
@@ -92,6 +94,12 @@ class TestCostModel:
     def test_negative_cost_config_rejected(self):
         with pytest.raises(ValueError):
             CostConfig(channels_in=0)
+
+    def test_single_output_channel_rejected(self):
+        # At Cout = 1, conv_k -> sep_conv_k grows from k^2*Cin to k^2*Cin + Cin params.
+        with pytest.raises(ValueError, match="channels_out must be >= 2"):
+            CostConfig(channels_out=1)
+        CostConfig(channels_out=2)
 
 
 class TestNatActions:
@@ -213,6 +221,16 @@ class TestAudit:
 
     def test_no_violations_at_reference_config(self):
         assert audit_violations(CFG) == []
+
+    @settings(deadline=None)
+    @given(
+        channels_in=st.integers(1, 512),
+        channels_out=st.integers(2, 512),
+        hw=st.integers(1, 64),
+    )
+    def test_no_violations_at_any_accepted_geometry(self, channels_in, channels_out, hw):
+        cfg = CostConfig(channels_in=channels_in, channels_out=channels_out, height=hw, width=hw)
+        assert audit_violations(cfg) == []
 
     def test_null_to_skip_row(self):
         rows = {(r["from"], r["to"]): r for r in audit_rows(CFG)}
