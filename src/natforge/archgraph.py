@@ -10,7 +10,7 @@ their targets, which makes the graph acyclic by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,8 +22,8 @@ from .opspace import (
     OpCost,
     OperationKind,
     VALID,
-    WHITELISTED_TRANSITIONS,
     cost_of_op,
+    non_increasing_table,
     op_from_name,
 )
 
@@ -158,7 +158,7 @@ class GraphEncoding:
     features: np.ndarray
 
 
-def _node_row(graph: CellGraph, node: int) -> int:
+def _node_row(node: int) -> int:
     """Map a cell node index (-2-based) to a matrix row."""
     return node + 2
 
@@ -181,13 +181,13 @@ def encode(graph: CellGraph, layout: EncodingConfig = EncodingConfig()) -> Graph
     n = graph.num_nodes
     adj = np.zeros((n, n))
     for e in graph.edges:
-        i, j = _node_row(graph, e.source_node), _node_row(graph, e.target_node)
+        i, j = _node_row(e.source_node), _node_row(e.target_node)
         adj[i, j] = 1.0
         adj[j, i] = 1.0
-    out = _node_row(graph, graph.output_node)
+    out = _node_row(graph.output_node)
     for l in range(num_inter):
-        adj[_node_row(graph, l), out] = 1.0
-        adj[out, _node_row(graph, l)] = 1.0
+        adj[_node_row(l), out] = 1.0
+        adj[out, _node_row(l)] = 1.0
     if layout.normalize:
         adj = adj + np.eye(n)
         adj = adj / adj.sum(axis=1, keepdims=True)
@@ -195,7 +195,7 @@ def encode(graph: CellGraph, layout: EncodingConfig = EncodingConfig()) -> Graph
     slot_ops = {(e.target_node, e.slot): e.op for e in graph.edges}
     x = np.zeros((n, layout.feature_dim))
     for node in range(-2, n - 2):
-        row = _node_row(graph, node)
+        row = _node_row(node)
         if node == -2:
             x[row, 0] = 1.0
         elif node == -1:
@@ -227,7 +227,7 @@ def apply_transitions(graph: CellGraph, actions: Sequence[OperationKind]) -> Cel
             raise ValueError(
                 f"invalid transition {e.op.value} -> {target_op.value} at edge {idx}"
             )
-        new_edges.append(replace(e, op=target_op))
+        new_edges.append(EdgeSlot(e.target_node, e.slot, e.source_node, target_op))
     return CellGraph(graph.num_nodes, tuple(new_edges))
 
 
@@ -272,17 +272,13 @@ def cost_non_increasing(
     """Per-edge cost audit of a transition result against its input.
 
     True iff every edge's params and madds are non-increasing, except the
-    whitelisted null->skip replacement.
+    whitelisted null->skip replacement. Each edge is one lookup in
+    ``non_increasing_table(cfg)``.
     """
     if not same_topology(before, after):
         raise ValueError("graphs must share topology")
-    for eb, ea in zip(before.edges, after.edges):
-        if (eb.op, ea.op) in WHITELISTED_TRANSITIONS:
-            continue
-        cb, ca = cost_of_op(eb.op, cfg), cost_of_op(ea.op, cfg)
-        if ca.params > cb.params or ca.madds > cb.madds:
-            return False
-    return True
+    ok = non_increasing_table(cfg)
+    return all(ok[eb.op.index, ea.op.index] for eb, ea in zip(before.edges, after.edges))
 
 
 def assignment_count(num_intermediate: int, vocab_size: int = NUM_OPERATIONS) -> int:

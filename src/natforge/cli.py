@@ -17,7 +17,7 @@ import sys
 import click
 import numpy as np
 
-from . import gcnpolicy, trainer
+from . import trainer
 from .archgraph import (
     EncodingConfig,
     cost_non_increasing,
@@ -30,15 +30,9 @@ from .archgraph import (
 )
 from .evaluator import accuracy, load_shared, make_dataset, save_shared
 from .gcnpolicy import load_policy, save_policy
+from .numkernel import atomic_write
 from .opspace import CostConfig, audit_rows, audit_violations
 from .trainer import TrainConfig
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_manifest(out_path: str, command: str, flags: dict) -> str:
@@ -50,7 +44,7 @@ def _write_manifest(out_path: str, command: str, flags: dict) -> str:
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
     }
     path = out_path + ".manifest.json"
-    _atomic_write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic_write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -69,6 +63,9 @@ def _cost_config(channels: int, hw: int) -> CostConfig:
     except ValueError as exc:
         raise click.UsageError(f"--channels {channels} --hw {hw}: {exc}") from None
 
+
+#: An input file that must exist: a missing path is a usage error, not a traceback.
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 _seed_option = click.option(
     "--seed", type=int, default=0, envvar="NATFORGE_SEED", show_default=True
@@ -92,7 +89,7 @@ def audit(channels: int, hw: int, out_path: str) -> None:
     cfg = _cost_config(channels, hw)
     rows = audit_rows(cfg)
     header = ["from", "to", "valid", "whitelisted", "params_delta", "madds_delta"]
-    _atomic_write(out_path, _csv_text(header, [[r[h] for h in header] for r in rows]))
+    atomic_write(out_path, _csv_text(header, [[r[h] for h in header] for r in rows]))
     _write_manifest(out_path, "audit", {"channels": channels, "hw": hw, "out": out_path})
     violations = audit_violations(cfg)
     click.echo(f"wrote {len(rows)} rows to {out_path}; {len(violations)} violations")
@@ -115,7 +112,7 @@ def sample(nodes: int, count: int, seed: int, out_path: str) -> None:
     """Sample cells uniformly and write them in the text format."""
     rng = np.random.default_rng(seed)
     graphs = [sample_uniform(nodes - 3, rng) for _ in range(count)]
-    _atomic_write(out_path, serialize_many(graphs))
+    atomic_write(out_path, serialize_many(graphs))
     _write_manifest(
         out_path, "sample", {"nodes": nodes, "count": count, "seed": seed, "out": out_path}
     )
@@ -123,7 +120,7 @@ def sample(nodes: int, count: int, seed: int, out_path: str) -> None:
 
 
 @main.command()
-@click.option("--in", "in_path", required=True)
+@click.option("--in", "in_path", type=_INPUT_FILE, required=True)
 @click.option("--channels", type=int, default=128, show_default=True)
 @click.option("--hw", type=int, default=32, show_default=True)
 @click.option("--out", "out_path", default="costs.csv", show_default=True)
@@ -136,7 +133,7 @@ def cost(in_path: str, channels: int, hw: int, out_path: str) -> None:
     for i, g in enumerate(graphs):
         report = cost_of(g, cfg)
         rows.append([i, report.total_params, report.total_madds])
-    _atomic_write(out_path, _csv_text(["graph", "total_params", "total_madds"], rows))
+    atomic_write(out_path, _csv_text(["graph", "total_params", "total_madds"], rows))
     _write_manifest(
         out_path,
         "cost",
@@ -199,8 +196,8 @@ def train(
 
 
 @main.command()
-@click.option("--in", "in_path", required=True)
-@click.option("--policy", "policy_path", required=True)
+@click.option("--in", "in_path", type=_INPUT_FILE, required=True)
+@click.option("--policy", "policy_path", type=_INPUT_FILE, required=True)
 @click.option(
     "--decode", type=click.Choice(["sample", "argmax"]), default="argmax", show_default=True
 )
@@ -221,14 +218,12 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
                 f"the policy handles at most i_max={policy.i_max}"
             )
     rng = np.random.default_rng(seed)
-    optimized = []
-    for g in graphs:
-        alpha = trainer.infer(policy, g, decode=decode, rng=rng)
+    optimized = trainer.infer_many(policy, graphs, decode=decode, rng=rng)
+    for g, alpha in zip(graphs, optimized):
         validate(alpha)
         if not cost_non_increasing(g, alpha):
             raise click.ClickException("optimized graph failed the cost audit")
-        optimized.append(alpha)
-    _atomic_write(out_path, serialize_many(optimized))
+    atomic_write(out_path, serialize_many(optimized))
     _write_manifest(
         out_path,
         "optimize",
@@ -244,9 +239,11 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
 
 
 @main.command()
-@click.option("--in", "in_path", required=True, help="Original graph file.")
-@click.option("--optimized", "opt_path", required=True, help="Optimized graph file.")
-@click.option("--supernet", "supernet_path", required=True)
+@click.option("--in", "in_path", type=_INPUT_FILE, required=True, help="Original graph file.")
+@click.option(
+    "--optimized", "opt_path", type=_INPUT_FILE, required=True, help="Optimized graph file."
+)
+@click.option("--supernet", "supernet_path", type=_INPUT_FILE, required=True)
 @click.option("--data-seed", type=int, default=0, show_default=True)
 @click.option("--channels", type=int, default=128, show_default=True)
 @click.option("--hw", type=int, default=32, show_default=True)
@@ -284,6 +281,11 @@ def report(
             )
     dataset = make_dataset(data_seed)
     x_val, y_val = dataset.val_batch()
+    if shared.feature_dim != x_val.shape[1]:
+        raise click.ClickException(
+            f"{supernet_path}: the supernet has feature_dim {shared.feature_dim}; "
+            f"the validation data has feature dimension {x_val.shape[1]}"
+        )
 
     def stats(graphs, baselines=None):
         params = [cost_of(g, cfg).total_params for g in graphs]
@@ -328,7 +330,7 @@ def report(
         row("original", orig_params, orig_madds, orig_accs, orig_rewards),
         row("optimized", opt_params, opt_madds, opt_accs, opt_rewards),
     ]
-    _atomic_write(out_path, _csv_text(header, rows))
+    atomic_write(out_path, _csv_text(header, rows))
     _write_manifest(
         out_path,
         "report",

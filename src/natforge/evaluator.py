@@ -21,7 +21,6 @@ rewrites of one input cell scores that cell once.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .archgraph import CellGraph, same_topology, validate
 from .numkernel import (
+    atomic_write,
     checkpoint_array,
     checkpoint_dim,
     checkpoint_fields,
@@ -329,11 +329,7 @@ def save_shared(w: SharedWeights, path: str) -> None:
             )
         },
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload) + "\n")
 
 
 _SHARED_FIELDS = ("feature_dim", "num_intermediate", "num_classes", "head_w", "head_b", "bank")

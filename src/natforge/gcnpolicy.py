@@ -18,7 +18,6 @@ one policy step runs the forward pass once.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .archgraph import EncodingConfig, GraphEncoding
 from .numkernel import (
+    atomic_write,
     bmsoftmax,
     checkpoint_array,
     checkpoint_dim,
@@ -95,8 +95,9 @@ class BackpropCache(NamedTuple):
 class PolicyOutput:
     """Per-edge action distributions and the masks that shaped them.
 
-    ``cache`` holds the intermediates of the ``forward`` call that produced
-    the output; it is None for an output built by hand.
+    ``cache`` holds the intermediates of the one-cell ``forward`` call that
+    produced the output; it is None for a batched output and for an output
+    built by hand.
     """
 
     Z: np.ndarray
@@ -127,23 +128,40 @@ def init_params(
     return PolicyParams(mode=mode, gcn=gcn, fc=fc, i_max=i_max)
 
 
-def _masks_for(mode: str, ops: Sequence[OperationKind]) -> np.ndarray:
-    k = len(ops)
+def _masks_for(mode: str, index: np.ndarray) -> np.ndarray:
+    """Masks for an array of source-operation indices, one row per entry."""
     if mode == NAT:
-        return np.ones((k, 3), dtype=int)
-    return VALID[[op.index for op in ops]]
+        return np.ones(index.shape + (3,), dtype=int)
+    return VALID[index]
 
 
-def forward(enc: GraphEncoding, ops: Sequence[OperationKind], params: PolicyParams) -> PolicyOutput:
-    """Per-edge transition distributions for the given cell, with the backprop cache."""
-    k = len(ops)
-    num_inter = k // 2
-    if k != 2 * num_inter or num_inter != enc.adjacency.shape[0] - 3:
-        raise ValueError("ops must list both slots of every intermediate node")
+def forward(enc: GraphEncoding, ops: Sequence, params: PolicyParams) -> PolicyOutput:
+    """Per-edge transition distributions for one cell or a batch of same-size cells.
+
+    One cell: ``enc`` holds a (V, V) adjacency and (V, F) features, ``ops``
+    the cell's K = 2(V - 3) operations, and the output's ``Z`` and ``masks``
+    are (K, c), with the backprop cache. A batch of B cells with V nodes
+    each: the encodings are stacked on a leading axis, (B, V, V) and
+    (B, V, F), ``ops`` holds B per-cell operation sequences, and ``Z`` and
+    ``masks`` are (B, K, c), without a cache. The graph convolutions are the
+    same matmuls either way. The one-cell head maps each intermediate node
+    through ``fc`` on its own; the batched head maps all of them in one
+    stacked product, which can change the last bits of ``Z``.
+    """
     a, x = enc.adjacency, enc.features
-    if x.shape[1] != params.gcn[0].shape[0]:
+    batched = a.ndim == 3
+    index = np.array([[op.index for op in row] for row in (ops if batched else [ops])])
+    cells, k = index.shape
+    num_inter = k // 2
+    if (
+        k != 2 * num_inter
+        or num_inter != a.shape[-1] - 3
+        or cells != (a.shape[0] if batched else 1)
+    ):
+        raise ValueError("ops must list both slots of every intermediate node")
+    if x.shape[-1] != params.gcn[0].shape[0]:
         raise ValueError(
-            f"feature dim {x.shape[1]} does not match controller input "
+            f"feature dim {x.shape[-1]} does not match controller input "
             f"{params.gcn[0].shape[0]}"
         )
     h = x
@@ -157,18 +175,22 @@ def forward(enc: GraphEncoding, ops: Sequence[OperationKind], params: PolicyPara
     m = a @ h @ params.gcn[-1]
 
     c = params.num_actions
-    logits = np.empty((k, c))
-    for l in range(num_inter):
-        node_logits = m[2 + l] @ params.fc
-        logits[2 * l] = node_logits[:c]
-        logits[2 * l + 1] = node_logits[c:]
+    if batched:
+        logits = (m[:, 2 : 2 + num_inter] @ params.fc).reshape(cells, k, c)
+    else:
+        logits = np.empty((k, c))
+        for l in range(num_inter):
+            node_logits = m[2 + l] @ params.fc
+            logits[2 * l] = node_logits[:c]
+            logits[2 * l + 1] = node_logits[c:]
 
-    masks = _masks_for(params.mode, ops)
+    masks = _masks_for(params.mode, index if batched else index[0])
     if params.mode == NAT:
         z = softmax(logits)
     else:
         z = bmsoftmax(logits, masks)
-    return PolicyOutput(Z=z, masks=masks, cache=BackpropCache(a, hiddens, pres, m))
+    cache = None if batched else BackpropCache(a, hiddens, pres, m)
+    return PolicyOutput(Z=z, masks=masks, cache=cache)
 
 
 #: Tolerance on a row's probability sum, the one ``Generator.choice`` applies.
@@ -298,11 +320,7 @@ def save_policy(params: PolicyParams, path: str) -> None:
         "gcn_values": [w.ravel().tolist() for w in params.gcn],
         "fc_values": params.fc.ravel().tolist(),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload) + "\n")
 
 
 _POLICY_FIELDS = ("mode", "i_max", "depth", "gcn_shapes", "fc_shape", "gcn_values", "fc_values")

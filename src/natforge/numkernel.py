@@ -1,11 +1,17 @@
 """Dense numeric primitives: softmax variants, entropy, gradient checking, checkpoint arrays.
 
+``atomic_write`` is the one way the package writes a file (checkpoints, the
+training log, CLI outputs and manifests): write a temporary file next to the
+target, then rename it over the target, so readers never see partial output.
+
 Everything runs in float64 on numpy arrays with deterministic reduction
 order, so repeated runs are bit-reproducible. The masked softmax assigns
 exactly zero probability to cleared bits and renormalizes over the rest.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -92,6 +98,14 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     """Uniform init in +-sqrt(6/(fan_in+fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``path + ".tmp"`` and an atomic rename."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def checkpoint_array(values, shape: tuple[int, ...], field: str) -> np.ndarray:

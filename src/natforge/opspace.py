@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -286,6 +287,31 @@ def transition_mask(source: OperationKind) -> TransitionMask:
     source returns the same shared object.
     """
     return _MASKS[source.index]
+
+
+@lru_cache(maxsize=64)
+def non_increasing_table(cfg: CostConfig) -> np.ndarray:
+    """Read-only 13x13 bool table of the per-edge cost audit at one geometry.
+
+    ``table[src.index, dst.index]`` is True iff replacing src by dst keeps
+    both params and madds from growing under ``cost_of_op``, or the pair is in
+    ``WHITELISTED_TRANSITIONS``; those two stay the only rule definitions.
+    Tables are cached by the (frozen, hashable) ``CostConfig``, for the 64
+    geometries used last.
+    """
+    costs = [cost_of_op(op, cfg) for op in OPERATIONS]
+    table = np.array(
+        [
+            [
+                (src, dst) in WHITELISTED_TRANSITIONS
+                or (cd.params <= cs.params and cd.madds <= cs.madds)
+                for dst, cd in zip(OPERATIONS, costs)
+            ]
+            for src, cs in zip(OPERATIONS, costs)
+        ]
+    )
+    table.flags.writeable = False
+    return table
 
 
 def audit_rows(cfg: CostConfig) -> list[dict]:

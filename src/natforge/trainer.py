@@ -3,18 +3,20 @@
 Each epoch alternates two phases: supernet updates on training batches over
 uniformly sampled cells (skipped for the oracle provider, which has nothing
 to train), then policy-gradient ascent on the controller using rewards from
-the provider. Inference is a single policy application: encode the input
-cell, read the per-edge distributions, pick actions by sampling or argmax,
-and apply them. Because only rule-valid transitions carry probability, the
-optimized cell never costs more than its input.
+the provider. Inference is a single policy application per input cell:
+encode it, read the per-edge distributions, pick actions by sampling or
+argmax, and apply them. Cells do not depend on each other, so ``infer_many``
+runs the policy once per group of same-size cells. Because only rule-valid
+transitions carry probability, the optimized cell never costs more than its
+input.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from . import gcnpolicy
 from .archgraph import (
     CellGraph,
     EncodingConfig,
+    GraphEncoding,
     apply_transitions,
     encode,
     sample_uniform,
@@ -38,6 +41,7 @@ from .evaluator import (
     supernet_train_step,
 )
 from .gcnpolicy import (
+    PolicyOutput,
     PolicyParams,
     actions_to_ops,
     argmax_actions,
@@ -47,6 +51,7 @@ from .gcnpolicy import (
     sample_actions,
     total_entropy,
 )
+from .numkernel import atomic_write
 from .opspace import OperationKind, transition_mask
 
 
@@ -104,10 +109,7 @@ class TrainLog:
         return "".join(json.dumps(r) + "\n" for r in self.records)
 
     def write(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(self.to_jsonl())
-        os.replace(tmp, path)
+        atomic_write(path, self.to_jsonl())
 
 
 @dataclass
@@ -210,6 +212,62 @@ def run(cfg: TrainConfig) -> TrainResult:
     return TrainResult(policy=policy, log=log, shared=shared, oracle=oracle, dataset=dataset)
 
 
+#: Cells per batched policy application in ``infer_many``. It bounds the
+#: memory of one chunk's stacked encodings and activations.
+INFER_CHUNK = 256
+
+
+def infer_many(
+    policy: PolicyParams,
+    graphs: Sequence[CellGraph],
+    decode: str = "sample",
+    rng: np.random.Generator | None = None,
+    layout: EncodingConfig | None = None,
+) -> list[CellGraph]:
+    """Optimize every input cell with one policy application each, in input order.
+
+    The cells are taken in chunks of ``INFER_CHUNK``. Within a chunk, the
+    cells of each intermediate count share one batched ``forward``; their
+    rows of ``Z`` are then put back in input order and decoded together. One
+    ``sample_actions`` call per chunk draws one uniform per edge in input
+    order, which consumes the generator exactly as one call per cell would.
+    """
+    if decode not in ("sample", "argmax"):
+        raise ValueError(f"decode must be 'sample' or 'argmax', got {decode!r}")
+    if decode == "sample" and rng is None:
+        raise ValueError("sampling decode requires an rng")
+    layout = layout or EncodingConfig(i_max=policy.i_max)
+    optimized = []
+    for start in range(0, len(graphs), INFER_CHUNK):
+        chunk = graphs[start : start + INFER_CHUNK]
+        groups: dict[int, list[int]] = {}
+        for i, g in enumerate(chunk):
+            groups.setdefault(g.num_intermediate, []).append(i)
+        z = [None] * len(chunk)
+        masks = [None] * len(chunk)
+        for members in groups.values():
+            encs = [encode(chunk[i], layout) for i in members]
+            enc = GraphEncoding(
+                adjacency=np.stack([e.adjacency for e in encs]),
+                features=np.stack([e.features for e in encs]),
+            )
+            out = forward(enc, [chunk[i].ops() for i in members], policy)
+            for i, zi, mi in zip(members, out.Z, out.masks):
+                z[i], masks[i] = zi, mi
+        rows = PolicyOutput(Z=np.concatenate(z), masks=np.concatenate(masks))
+        if decode == "argmax":
+            actions = argmax_actions(rows)
+        else:
+            actions, _ = sample_actions(rows, rng)
+        pos = 0
+        for g in chunk:
+            ops = g.ops()
+            step = actions[pos : pos + len(ops)]
+            optimized.append(apply_transitions(g, actions_to_ops(policy.mode, ops, step)))
+            pos += len(ops)
+    return optimized
+
+
 def infer(
     policy: PolicyParams,
     beta: CellGraph,
@@ -217,19 +275,8 @@ def infer(
     rng: np.random.Generator | None = None,
     layout: EncodingConfig | None = None,
 ) -> CellGraph:
-    """Optimize one input cell with a single policy application."""
-    if decode not in ("sample", "argmax"):
-        raise ValueError(f"decode must be 'sample' or 'argmax', got {decode!r}")
-    layout = layout or EncodingConfig(i_max=policy.i_max)
-    enc = encode(beta, layout)
-    out = forward(enc, beta.ops(), policy)
-    if decode == "argmax":
-        actions = argmax_actions(out)
-    else:
-        if rng is None:
-            raise ValueError("sampling decode requires an rng")
-        actions, _ = sample_actions(out, rng)
-    return apply_transitions(beta, actions_to_ops(policy.mode, beta.ops(), actions))
+    """Optimize one input cell with a single policy application (``infer_many`` of one)."""
+    return infer_many(policy, [beta], decode=decode, rng=rng, layout=layout)[0]
 
 
 def edge_match_rate(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from natforge.archgraph import (
@@ -26,9 +28,28 @@ from natforge.archgraph import (
     to_record,
     validate,
 )
-from natforge.opspace import NUM_OPERATIONS, CostConfig, OperationKind
+from natforge.opspace import (
+    NUM_OPERATIONS,
+    OPERATIONS,
+    WHITELISTED_TRANSITIONS,
+    CostConfig,
+    OperationKind,
+    cost_of_op,
+    transition_mask,
+)
 
 CFG = CostConfig(channels_in=128, channels_out=128, height=32, width=32)
+
+
+def reference_cost_non_increasing(before, after, cfg):
+    """Per-edge ``cost_of_op`` audit loop that ``cost_non_increasing`` must agree with."""
+    for eb, ea in zip(before.edges, after.edges):
+        if (eb.op, ea.op) in WHITELISTED_TRANSITIONS:
+            continue
+        cb, ca = cost_of_op(eb.op, cfg), cost_of_op(ea.op, cfg)
+        if ca.params > cb.params or ca.madds > cb.madds:
+            return False
+    return True
 
 
 def chain_cell(op: OperationKind, num_intermediate: int = 4) -> CellGraph:
@@ -222,6 +243,29 @@ class TestCosting:
         after = apply_transitions(before, (OperationKind.SKIP, OperationKind.NULL))
         assert cost_non_increasing(before, after, CFG)
 
+    @settings(deadline=None, max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        channels_in=st.integers(1, 512),
+        channels_out=st.integers(2, 512),
+        hw=st.integers(1, 64),
+    )
+    def test_cost_audit_matches_per_edge_loop(self, seed, channels_in, channels_out, hw):
+        cfg = CostConfig(channels_in=channels_in, channels_out=channels_out, height=hw, width=hw)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            before = sample_uniform(int(rng.integers(1, 5)), rng)
+            # Arbitrary rewrites, valid or not, so both outcomes of the audit occur.
+            after = make_cell(
+                before.num_nodes,
+                [
+                    EdgeSlot(e.target_node, e.slot, e.source_node, OPERATIONS[rng.integers(13)])
+                    for e in before.edges
+                ],
+            )
+            expected = reference_cost_non_increasing(before, after, cfg)
+            assert cost_non_increasing(before, after, cfg) == expected
+
     def test_cost_audit_rejects_topology_mismatch(self):
         before = chain_cell(OperationKind.CONV_3X3, num_intermediate=2)
         moved = EdgeSlot(1, 0, -2, OperationKind.NULL)
@@ -267,6 +311,24 @@ class TestCardinality:
         for combo in product(*per_edge):
             distinct.add(tuple(combo))
         assert len(distinct) == 6_561
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_intermediate=st.integers(1, 6))
+    def test_parse_inverts_serialize(self, seed, num_intermediate):
+        g = sample_uniform(num_intermediate, np.random.default_rng(seed))
+        assert parse(serialize(g)) == g
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_intermediate=st.integers(1, 6))
+    def test_keep_action_returns_equal_graph(self, seed, num_intermediate):
+        rng = np.random.default_rng(seed)
+        g = sample_uniform(num_intermediate, rng)
+        assert apply_transitions(g, g.ops()) == g
+        rewrite = [transition_mask(e.op).ops() for e in g.edges]
+        alpha = apply_transitions(g, [ops[rng.integers(len(ops))] for ops in rewrite])
+        assert apply_transitions(alpha, alpha.ops()) == alpha
 
 
 class TestSerialization:

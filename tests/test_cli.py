@@ -1,6 +1,7 @@
 """Command-line surface tests."""
 
 import csv
+import io
 import json
 import os
 
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from natforge.archgraph import EncodingConfig
 from natforge.cli import main
+from natforge.evaluator import init_shared, save_shared
 from natforge.gcnpolicy import NATPP, init_params, save_policy
 
 
@@ -111,6 +113,42 @@ class TestOptimize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "mode: must be one of" in result.output
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize(
+        "command, missing",
+        [
+            ("optimize", "--in"),
+            ("optimize", "--policy"),
+            ("cost", "--in"),
+            ("report", "--in"),
+            ("report", "--optimized"),
+            ("report", "--supernet"),
+        ],
+    )
+    def test_missing_path_is_usage_error(self, runner, tmp_path, command, missing):
+        present = tmp_path / "present.txt"
+        present.write_text("")
+        options = {
+            "optimize": ["--in", "--policy"],
+            "cost": ["--in"],
+            "report": ["--in", "--optimized", "--supernet"],
+        }[command]
+        args = [command]
+        for option in options:
+            args += [option, str(tmp_path / "missing.json") if option == missing else str(present)]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out.txt")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"Invalid value for '{missing}'" in result.output
+        assert "does not exist" in result.output
+
+    def test_directory_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["cost", "--in", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "is a directory" in result.output
 
 
 class TestCost:
@@ -239,6 +277,24 @@ class TestTrainOptimizeReport:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "head_b: contains NaN or infinity" in result.output
+
+    def test_report_rejects_supernet_feature_dim_mismatch(self, artifacts, tmp_path):
+        path = str(tmp_path / "supernet.json")
+        save_shared(init_shared(np.random.default_rng(0), 4, feature_dim=8), path)
+        result = self._report(artifacts, tmp_path, artifacts["opt"], supernet=path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "feature_dim 8" in result.output
+        assert "feature dimension 16" in result.output
+        assert not os.path.exists(str(tmp_path / "report.csv"))
+
+    def test_checkpoints_are_streamed_json_bytes(self, artifacts):
+        for name in ("policy.json", "supernet.json"):
+            text = open(os.path.join(artifacts["run"], name)).read()
+            streamed = io.StringIO()
+            json.dump(json.loads(text), streamed)
+            streamed.write("\n")
+            assert text == streamed.getvalue()
 
     def test_report_rejects_intermediate_count_mismatch(self, artifacts, tmp_path):
         graphs = str(tmp_path / "g.txt")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from natforge.archgraph import EncodingConfig, encode, sample_uniform
+from natforge.archgraph import EncodingConfig, GraphEncoding, encode, sample_uniform
 from natforge.gcnpolicy import (
     NAT,
     NATPP,
@@ -352,6 +352,36 @@ class TestReferenceEquivalence:
             assert np.array_equal(grads.fc, ref_fc)
             checked += 1
         assert checked == 60
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_batched_forward_matches_per_cell(self, mode):
+        rng = np.random.default_rng(24)
+        for trial in range(12):
+            params = init_params(mode, LAYOUT.feature_dim, rng, depth=trial % 3 + 1)
+            params.fc *= float(rng.choice([0.1, 1.0, 30.0]))
+            cells = [sample_uniform(trial % 4 + 1, rng) for _ in range(int(rng.integers(1, 40)))]
+            encs = [encode(g, LAYOUT) for g in cells]
+            batch = GraphEncoding(
+                adjacency=np.stack([e.adjacency for e in encs]),
+                features=np.stack([e.features for e in encs]),
+            )
+            out = forward(batch, [g.ops() for g in cells], params)
+            assert out.cache is None
+            assert out.Z.shape == (len(cells), cells[0].num_edges, params.num_actions)
+            for g, enc, z, masks in zip(cells, encs, out.Z, out.masks):
+                single = forward(enc, g.ops(), params)
+                np.testing.assert_allclose(z, single.Z, rtol=1e-12, atol=0)
+                assert np.array_equal(masks, single.masks)
+
+    def test_batched_forward_rejects_mismatched_ops(self):
+        params = init_params(NATPP, LAYOUT.feature_dim, np.random.default_rng(25))
+        cells = [sample_uniform(2, np.random.default_rng(i)) for i in range(3)]
+        batch = GraphEncoding(
+            adjacency=np.stack([encode(g, LAYOUT).adjacency for g in cells]),
+            features=np.stack([encode(g, LAYOUT).features for g in cells]),
+        )
+        with pytest.raises(ValueError, match="slots"):
+            forward(batch, [g.ops() for g in cells[:2]], params)
 
     def test_gradient_rejects_output_without_cache(self):
         params = init_params(NAT, LAYOUT.feature_dim, np.random.default_rng(23))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from natforge.numkernel import (
+    atomic_write,
     bmsoftmax,
     cross_entropy_logits,
     entropy,
@@ -161,3 +162,12 @@ class TestGlorot:
         limit = math.sqrt(6.0 / 100)
         assert np.array_equal(a, b)
         assert np.abs(a).max() <= limit
+
+
+class TestAtomicWrite:
+    def test_replaces_target_and_leaves_no_temp(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        atomic_write(path, "first\n")
+        atomic_write(path, "second\n")
+        assert open(path).read() == "second\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -21,12 +21,21 @@ from natforge.opspace import (
     madds_of,
     make_op,
     nat_actions,
+    non_increasing_table,
     op_from_name,
     params_of,
     transition_mask,
 )
 
 CFG = CostConfig(channels_in=128, channels_out=128, height=32, width=32)
+
+
+def reference_edge_ok(src, dst, cfg):
+    """The per-edge cost audit rule that ``non_increasing_table`` must tabulate."""
+    if (src, dst) in WHITELISTED_TRANSITIONS:
+        return True
+    cs, cd = cost_of_op(src, cfg), cost_of_op(dst, cfg)
+    return not (cd.params > cs.params or cd.madds > cs.madds)
 
 
 class TestVocabulary:
@@ -231,6 +240,26 @@ class TestAudit:
     def test_no_violations_at_any_accepted_geometry(self, channels_in, channels_out, hw):
         cfg = CostConfig(channels_in=channels_in, channels_out=channels_out, height=hw, width=hw)
         assert audit_violations(cfg) == []
+
+    def test_cost_table_is_cached_and_read_only(self):
+        table = non_increasing_table(CostConfig())
+        assert table is non_increasing_table(CostConfig())
+        assert table.shape == (NUM_OPERATIONS, NUM_OPERATIONS)
+        with pytest.raises(ValueError):
+            table[0, 0] = False
+
+    @settings(deadline=None)
+    @given(
+        channels_in=st.integers(1, 512),
+        channels_out=st.integers(2, 512),
+        hw=st.integers(1, 64),
+    )
+    def test_cost_table_matches_per_edge_rule(self, channels_in, channels_out, hw):
+        cfg = CostConfig(channels_in=channels_in, channels_out=channels_out, height=hw, width=hw)
+        table = non_increasing_table(cfg)
+        for src in OPERATIONS:
+            for dst in OPERATIONS:
+                assert table[src.index, dst.index] == reference_edge_ok(src, dst, cfg)
 
     def test_null_to_skip_row(self):
         rows = {(r["from"], r["to"]): r for r in audit_rows(CFG)}

@@ -6,12 +6,22 @@ import numpy as np
 import pytest
 
 from natforge import trainer
-from natforge.archgraph import cost_non_increasing, sample_uniform, validate
+from natforge.archgraph import (
+    EncodingConfig,
+    apply_transitions,
+    cost_non_increasing,
+    encode,
+    sample_uniform,
+    validate,
+)
+from natforge.gcnpolicy import NAT, NATPP, actions_to_ops, forward, init_params, sample_actions
 from natforge.trainer import (
+    INFER_CHUNK,
     TrainConfig,
     TrainLog,
     edge_match_rate,
     infer,
+    infer_many,
     random_policy_match_rate,
     uniform_policy_entropy,
 )
@@ -140,6 +150,42 @@ class TestInfer:
                 ea.slot,
                 ea.source_node,
             )
+
+
+def reference_infer(policy, beta, decode, rng):
+    """Per-cell inference that ``infer_many`` must reproduce: encode, forward, decode, apply."""
+    out = forward(encode(beta, EncodingConfig(i_max=policy.i_max)), beta.ops(), policy)
+    if decode == "argmax":
+        actions = out.Z.argmax(axis=1)
+    else:
+        actions, _ = sample_actions(out, rng)
+    return apply_transitions(beta, actions_to_ops(policy.mode, beta.ops(), actions))
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("decode", ["sample", "argmax"])
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_infer_many_matches_per_cell_loop(self, mode, decode):
+        rng = np.random.default_rng(30)
+        cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(2 * INFER_CHUNK + 37)]
+        for scale in (0.1, 1.0, 30.0):
+            policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng, depth=2)
+            policy.fc *= scale
+            fast_rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+            fast = infer_many(policy, cells, decode=decode, rng=fast_rng)
+            ref = [reference_infer(policy, g, decode, ref_rng) for g in cells]
+            assert fast == ref
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_infer_is_infer_many_of_one(self, trained):
+        cells = [sample_uniform(i % 4 + 1, np.random.default_rng(i)) for i in range(8)]
+        fast_rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+        many = infer_many(trained.policy, cells, rng=fast_rng)
+        assert many == [infer(trained.policy, g, rng=ref_rng) for g in cells]
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_empty_input(self, trained):
+        assert infer_many(trained.policy, [], rng=np.random.default_rng(0)) == []
 
 
 class TestMatchRates:
