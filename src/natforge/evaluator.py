@@ -28,6 +28,7 @@ import numpy as np
 
 from .archgraph import CellGraph, same_topology, validate
 from .numkernel import (
+    FORMAT_VERSION,
     atomic_write,
     checkpoint_array,
     checkpoint_dim,
@@ -315,8 +316,9 @@ def supernet_train_step(
 
 
 def save_shared(w: SharedWeights, path: str) -> None:
-    """Write the supernet bank and head as a JSON checkpoint."""
+    """Write the supernet bank and head as a versioned JSON checkpoint."""
     payload = {
+        "format_version": FORMAT_VERSION,
         "feature_dim": w.feature_dim,
         "num_intermediate": w.num_intermediate,
         "num_classes": w.num_classes,
@@ -340,7 +342,8 @@ def load_shared(path: str) -> SharedWeights:
 
     The bank must hold exactly the entries ``init_shared`` allocates, each
     with its arrays' shapes. Raises ValueError naming the first field that is
-    missing, malformed, of the wrong shape, or not finite.
+    missing, malformed, of the wrong shape, or not finite, or an unknown
+    ``format_version``.
     """
     with open(path) as fh:
         payload = json.load(fh)

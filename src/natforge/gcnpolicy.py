@@ -8,11 +8,21 @@ vocabulary {keep, to-null, to-skip} under a standard softmax; in the 13-action
 mode the logits go through the masked softmax so that only rule-valid target
 operations receive probability.
 
+``forward`` takes one cell or a stack of same-size cells and maps every
+intermediate node through the head in one stacked product. Its output always
+carries a backprop cache of the intermediates, so a policy step runs the
+forward pass once.
+
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
-central finite differences. ``policy_gradient`` takes the ``PolicyOutput``
-that ``forward`` returned, whose backprop cache holds the intermediates, so
-one policy step runs the forward pass once.
+central finite differences. They come in two parts: ``logit_grad`` is the
+per-edge gradient with respect to the logits of one sampled draw, and
+``backprop`` carries a logit gradient through the cached GCN. The objective
+is linear in the logit gradient, so the trainer sums the draws of every cell
+and backprops once per step; ``policy_gradient`` is the two composed for a
+single draw.
+
+Checkpoints carry ``format_version``; the loader rejects any other version.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import numpy as np
 
 from .archgraph import EncodingConfig, GraphEncoding
 from .numkernel import (
+    FORMAT_VERSION,
     atomic_write,
     bmsoftmax,
     checkpoint_array,
@@ -33,7 +44,7 @@ from .numkernel import (
     glorot_uniform,
     softmax,
 )
-from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, OperationKind
+from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, OperationKind, nat_actions
 
 NAT = "nat"
 NATPP = "nat++"
@@ -71,11 +82,6 @@ class ParamGrads:
     gcn: list[np.ndarray]
     fc: np.ndarray
 
-    def add_(self, other: "ParamGrads") -> None:
-        for mine, theirs in zip(self.gcn, other.gcn):
-            mine += theirs
-        self.fc += other.fc
-
     def scale_(self, factor: float) -> None:
         for g in self.gcn:
             g *= factor
@@ -83,10 +89,10 @@ class ParamGrads:
 
 
 class BackpropCache(NamedTuple):
-    """Forward-pass intermediates that ``policy_gradient`` reads."""
+    """Forward-pass intermediates that ``backprop`` reads."""
 
     a: np.ndarray  # adjacency
-    hiddens: list[np.ndarray]  # inputs to each conv layer
+    ahs: list[np.ndarray]  # adjacency times the input of each conv layer
     pres: list[np.ndarray]  # pre-activations of the relu layers
     m: np.ndarray  # output of the last (linear) conv layer
 
@@ -95,9 +101,8 @@ class BackpropCache(NamedTuple):
 class PolicyOutput:
     """Per-edge action distributions and the masks that shaped them.
 
-    ``cache`` holds the intermediates of the one-cell ``forward`` call that
-    produced the output; it is None for a batched output and for an output
-    built by hand.
+    ``cache`` holds the intermediates of the ``forward`` call that produced
+    the output; it is None only for an output built by hand.
     """
 
     Z: np.ndarray
@@ -140,13 +145,12 @@ def forward(enc: GraphEncoding, ops: Sequence, params: PolicyParams) -> PolicyOu
 
     One cell: ``enc`` holds a (V, V) adjacency and (V, F) features, ``ops``
     the cell's K = 2(V - 3) operations, and the output's ``Z`` and ``masks``
-    are (K, c), with the backprop cache. A batch of B cells with V nodes
-    each: the encodings are stacked on a leading axis, (B, V, V) and
-    (B, V, F), ``ops`` holds B per-cell operation sequences, and ``Z`` and
-    ``masks`` are (B, K, c), without a cache. The graph convolutions are the
-    same matmuls either way. The one-cell head maps each intermediate node
-    through ``fc`` on its own; the batched head maps all of them in one
-    stacked product, which can change the last bits of ``Z``.
+    are (K, c). A batch of B cells with V nodes each: the encodings are
+    stacked on a leading axis, (B, V, V) and (B, V, F), ``ops`` holds B
+    per-cell operation sequences, and ``Z`` and ``masks`` are (B, K, c).
+    Either way the graph convolutions are the same matmuls, the head maps
+    every intermediate node through ``fc`` in one stacked product, and the
+    output carries the backprop cache.
     """
     a, x = enc.adjacency, enc.features
     batched = a.ndim == 3
@@ -165,32 +169,24 @@ def forward(enc: GraphEncoding, ops: Sequence, params: PolicyParams) -> PolicyOu
             f"{params.gcn[0].shape[0]}"
         )
     h = x
-    hiddens = [h]
+    ahs = []
     pres = []
     for w in params.gcn[:-1]:
-        pre = a @ h @ w
+        ahs.append(a @ h)
+        pre = ahs[-1] @ w
         pres.append(pre)
         h = np.maximum(pre, 0.0)
-        hiddens.append(h)
-    m = a @ h @ params.gcn[-1]
+    ahs.append(a @ h)
+    m = ahs[-1] @ params.gcn[-1]
 
     c = params.num_actions
-    if batched:
-        logits = (m[:, 2 : 2 + num_inter] @ params.fc).reshape(cells, k, c)
-    else:
-        logits = np.empty((k, c))
-        for l in range(num_inter):
-            node_logits = m[2 + l] @ params.fc
-            logits[2 * l] = node_logits[:c]
-            logits[2 * l + 1] = node_logits[c:]
-
+    logits = (m[..., 2 : 2 + num_inter, :] @ params.fc).reshape(a.shape[:-2] + (k, c))
     masks = _masks_for(params.mode, index if batched else index[0])
     if params.mode == NAT:
         z = softmax(logits)
     else:
         z = bmsoftmax(logits, masks)
-    cache = None if batched else BackpropCache(a, hiddens, pres, m)
-    return PolicyOutput(Z=z, masks=masks, cache=cache)
+    return PolicyOutput(Z=z, masks=masks, cache=BackpropCache(a, ahs, pres, m))
 
 
 #: Tolerance on a row's probability sum, the one ``Generator.choice`` applies.
@@ -242,11 +238,71 @@ def actions_to_ops(
 ) -> tuple[OperationKind, ...]:
     """Translate action indices into per-edge target operations."""
     if mode == NAT:
-        table = (None, OperationKind.NULL, OperationKind.SKIP)
-        return tuple(
-            cur if a == 0 else table[a] for cur, a in zip(current_ops, actions)
-        )
+        return tuple(nat_actions(cur)[a] for cur, a in zip(current_ops, actions))
     return tuple(OPERATIONS[a] for a in actions)
+
+
+def logit_grad(
+    out: PolicyOutput, actions: np.ndarray, reward: float, entropy_weight: float
+) -> np.ndarray:
+    """Per-edge gradient of reward * log pi(actions) + entropy_weight * H(pi) in the logits.
+
+    ``out`` is one cell's output, (K, c); the result has the same shape. For
+    a masked row the softmax Jacobian is zero at cleared bits, so both terms
+    vanish there.
+    """
+    if not np.isfinite(reward):
+        raise ValueError("reward must be finite")
+    z = out.Z
+    k, c = z.shape
+    rows = np.arange(k)
+    if np.any(out.masks[rows, actions] == 0):
+        bad = int(np.argmax(out.masks[rows, actions] == 0))
+        raise ValueError(f"action at edge {bad} violates its transition mask")
+    grad_logp = -z
+    grad_logp[rows, actions] += 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(z > 0, np.log(z), 0.0)
+    row_entropy = -(z * logp).sum(axis=1, keepdims=True)
+    grad_h = np.where(z > 0, -z * (logp + row_entropy), 0.0)
+    return reward * grad_logp + entropy_weight * grad_h
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Merge the leading axes of a per-node array into one row axis."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def backprop(out: PolicyOutput, params: PolicyParams, g_u: np.ndarray) -> ParamGrads:
+    """Parameter gradient of an objective whose gradient in the logits is ``g_u``.
+
+    ``g_u`` has the shape of ``out.Z``; for a batched output the gradients of
+    its cells are summed. ``out`` must come from ``forward`` with these same
+    ``params``: the pass reads its backprop cache, which is valid only until
+    ``params`` change (for example through ``ascend_``). An output with no
+    cache is rejected.
+    """
+    if out.cache is None:
+        raise ValueError("policy output has no backprop cache; pass the output of forward()")
+    if g_u.shape != out.Z.shape:
+        raise ValueError(f"logit gradient shape {g_u.shape} does not match Z {out.Z.shape}")
+    a, ahs, pres, m = out.cache
+    c = params.num_actions
+    node_grad = g_u.reshape(g_u.shape[:-2] + (-1, 2 * c))
+    num_inter = node_grad.shape[-2]
+    g_m = np.zeros_like(m)
+    g_m[..., 2 : 2 + num_inter, :] = node_grad @ params.fc.T
+    grad_fc = _rows(m[..., 2 : 2 + num_inter, :]).T @ _rows(node_grad)
+
+    a_t = np.swapaxes(a, -1, -2)
+    grads = [None] * params.depth
+    grads[-1] = _rows(ahs[-1]).T @ _rows(g_m)
+    g_h = a_t @ (g_m @ params.gcn[-1].T)
+    for i in range(params.depth - 2, -1, -1):
+        g_pre = g_h * (pres[i] > 0)
+        grads[i] = _rows(ahs[i]).T @ _rows(g_pre)
+        g_h = a_t @ (g_pre @ params.gcn[i].T)
+    return ParamGrads(gcn=grads, fc=grad_fc)
 
 
 def policy_gradient(
@@ -256,50 +312,11 @@ def policy_gradient(
     reward: float,
     entropy_weight: float,
 ) -> ParamGrads:
-    """Exact gradient of reward * log pi(actions) + entropy_weight * H(pi).
+    """Exact gradient of reward * log pi(actions) + entropy_weight * H(pi) for one cell.
 
-    ``out`` must come from ``forward`` with these same ``params``: the
-    gradient is built from its backprop cache without re-running the forward
-    pass, so the cache is valid only until ``params`` change (for example
-    through ``ascend_``). An output with no cache is rejected.
+    The composition of ``logit_grad`` and ``backprop``, with their checks.
     """
-    if out.cache is None:
-        raise ValueError("policy output has no backprop cache; pass the output of forward()")
-    if not np.isfinite(reward):
-        raise ValueError("reward must be finite")
-    a, hiddens, pres, m = out.cache
-    z = out.Z
-    k, c = z.shape
-    rows = np.arange(k)
-    if np.any(out.masks[rows, actions] == 0):
-        bad = int(np.argmax(out.masks[rows, actions] == 0))
-        raise ValueError(f"action at edge {bad} violates its transition mask")
-
-    # d/du of the objective. For a masked row the softmax Jacobian is zero at
-    # cleared bits, so both terms vanish there automatically.
-    grad_logp = -z
-    grad_logp[rows, actions] += 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(z > 0, np.log(z), 0.0)
-    row_entropy = -(z * logp).sum(axis=1, keepdims=True)
-    grad_h = np.where(z > 0, -z * (logp + row_entropy), 0.0)
-    g_u = reward * grad_logp + entropy_weight * grad_h
-
-    g_m = np.zeros_like(m)
-    grad_fc = np.zeros_like(params.fc)
-    for l, node_grad in enumerate(g_u.reshape(k // 2, 2 * c)):
-        g_m[2 + l] = params.fc @ node_grad
-        grad_fc += np.outer(m[2 + l], node_grad)
-
-    grads = [np.zeros_like(w) for w in params.gcn]
-    b = a @ hiddens[-1]
-    grads[-1] = b.T @ g_m
-    g_h = a.T @ (g_m @ params.gcn[-1].T)
-    for i in range(params.depth - 2, -1, -1):
-        g_pre = g_h * (pres[i] > 0)
-        grads[i] = (a @ hiddens[i]).T @ g_pre
-        g_h = a.T @ (g_pre @ params.gcn[i].T)
-    return ParamGrads(gcn=grads, fc=grad_fc)
+    return backprop(out, params, logit_grad(out, actions, reward, entropy_weight))
 
 
 def ascend_(params: PolicyParams, grads: ParamGrads, lr: float) -> None:
@@ -310,8 +327,9 @@ def ascend_(params: PolicyParams, grads: ParamGrads, lr: float) -> None:
 
 
 def save_policy(params: PolicyParams, path: str) -> None:
-    """Write a portable JSON checkpoint (mode, shapes, row-major values)."""
+    """Write a portable JSON checkpoint (version, mode, shapes, row-major values)."""
     payload = {
+        "format_version": FORMAT_VERSION,
         "mode": params.mode,
         "i_max": params.i_max,
         "depth": params.depth,
@@ -330,8 +348,8 @@ def load_policy(path: str) -> PolicyParams:
     """Read a ``save_policy`` checkpoint, validating every field.
 
     Raises ValueError naming the first field that is missing, has an unknown
-    mode, has a shape inconsistent with ``i_max``, ``depth`` or the mode, or
-    holds a non-finite value.
+    ``format_version`` or mode, has a shape inconsistent with ``i_max``,
+    ``depth`` or the mode, or holds a non-finite value.
     """
     with open(path) as fh:
         payload = json.load(fh)

@@ -1,4 +1,4 @@
-"""Dense numeric primitives: softmax variants, entropy, gradient checking, checkpoint arrays.
+"""Dense numeric primitives: softmax variants, gradient checking, checkpoint arrays.
 
 ``atomic_write`` is the one way the package writes a file (checkpoints, the
 training log, CLI outputs and manifests): write a temporary file next to the
@@ -40,17 +40,6 @@ def bmsoftmax(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     shifted = u - np.where(on, u, -np.inf).max(axis=-1, keepdims=True)
     e = np.where(on, np.exp(np.where(on, shifted, 0.0)), 0.0)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats, with 0*ln(0) taken as 0."""
-    p = np.asarray(p, dtype=float)
-    if (p < 0).any():
-        raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
 
 
 def log_softmax(u: np.ndarray) -> np.ndarray:
@@ -125,10 +114,19 @@ def checkpoint_array(values, shape: tuple[int, ...], field: str) -> np.ndarray:
     return arr
 
 
+#: The ``format_version`` every checkpoint writer records and every loader requires.
+FORMAT_VERSION = 1
+
+
 def checkpoint_fields(payload, fields: tuple[str, ...]) -> None:
-    """Reject a checkpoint payload that is not an object or lacks one of ``fields``."""
+    """Reject a checkpoint payload that is not an object, has another
+    ``format_version`` than ``FORMAT_VERSION``, or lacks one of ``fields``."""
     if not isinstance(payload, dict):
         raise ValueError("checkpoint: expected a JSON object")
+    version = payload.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        found = "missing" if "format_version" not in payload else repr(version)
+        raise ValueError(f"format_version: expected {FORMAT_VERSION}, found {found}")
     for field in fields:
         if field not in payload:
             raise ValueError(f"{field}: missing")

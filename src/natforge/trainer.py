@@ -45,9 +45,10 @@ from .gcnpolicy import (
     PolicyParams,
     actions_to_ops,
     argmax_actions,
+    backprop,
     forward,
     init_params,
-    policy_gradient,
+    logit_grad,
     sample_actions,
     total_entropy,
 )
@@ -121,8 +122,24 @@ class TrainResult:
     dataset: SyntheticDataset | None = None
 
 
+def _stack(encs: Sequence[GraphEncoding]) -> GraphEncoding:
+    """One batched encoding of same-size cells, stacked on a leading axis."""
+    return GraphEncoding(
+        adjacency=np.array([e.adjacency for e in encs]),
+        features=np.array([e.features for e in encs]),
+    )
+
+
 def run(cfg: TrainConfig) -> TrainResult:
-    """Alternating supernet / policy training, fully deterministic under the seed."""
+    """Alternating supernet / policy training, fully deterministic under the seed.
+
+    A θ step draws its m input cells first, runs one batched ``forward`` over
+    them, and then, cell by cell, draws and scores the n rewrites. Each
+    draw's ``logit_grad`` is added to its cell's row, and one ``backprop`` of
+    the stacked sum gives the step's gradient, scaled by 1/(m·n). With m = 1
+    the generator is consumed in the same order as one forward per cell;
+    with m > 1 all m cells come off the generator before their draws.
+    """
     rng = np.random.default_rng(cfg.seed)
     layout = EncodingConfig(i_max=cfg.i_max)
     policy = init_params(
@@ -165,30 +182,28 @@ def run(cfg: TrainConfig) -> TrainResult:
                 )
 
         for _ in range(cfg.iters_theta):
-            total = None
+            betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
+            enc = _stack([encode(b, layout) for b in betas])
+            out = forward(enc, [b.ops() for b in betas], policy)
+            g_u = np.zeros_like(out.Z)
             rewards = []
             entropies = []
-            for _i in range(cfg.m):
-                beta = sample_uniform(cfg.num_intermediate, rng)
-                enc = encode(beta, layout)
-                out = forward(enc, beta.ops(), policy)
-                entropies.append(total_entropy(out))
+            for i, beta in enumerate(betas):
+                cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
+                entropies.append(total_entropy(cell))
                 # Rewrites keep beta's topology, so each reward is
                 # score(alpha) - score(beta) with beta scored once.
                 base = provider.score(beta)
                 for _j in range(cfg.n):
-                    actions, _logp = sample_actions(out, rng)
+                    actions, _logp = sample_actions(cell, rng)
                     alpha = apply_transitions(
                         beta, actions_to_ops(cfg.mode, beta.ops(), actions)
                     )
                     r = provider.score(alpha) - base
                     rewards.append(r)
                     r_eff = r - baseline if cfg.use_baseline else r
-                    grads = policy_gradient(out, policy, actions, r_eff, cfg.entropy_weight)
-                    if total is None:
-                        total = grads
-                    else:
-                        total.add_(grads)
+                    g_u[i] += logit_grad(cell, actions, r_eff, cfg.entropy_weight)
+            total = backprop(out, policy, g_u)
             total.scale_(1.0 / (cfg.m * cfg.n))
             if not all(np.isfinite(g).all() for g in total.gcn + [total.fc]):
                 raise FloatingPointError(f"non-finite policy gradient at iteration {step + 1}")
@@ -246,11 +261,7 @@ def infer_many(
         z = [None] * len(chunk)
         masks = [None] * len(chunk)
         for members in groups.values():
-            encs = [encode(chunk[i], layout) for i in members]
-            enc = GraphEncoding(
-                adjacency=np.stack([e.adjacency for e in encs]),
-                features=np.stack([e.features for e in encs]),
-            )
+            enc = _stack([encode(chunk[i], layout) for i in members])
             out = forward(enc, [chunk[i].ops() for i in members], policy)
             for i, zi, mi in zip(members, out.Z, out.masks):
                 z[i], masks[i] = zi, mi

@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from natforge.archgraph import EncodingConfig
+from natforge import trainer
+from natforge.archgraph import EncodingConfig, make_cell
 from natforge.cli import main
 from natforge.evaluator import init_shared, save_shared
 from natforge.gcnpolicy import NATPP, init_params, save_policy
@@ -113,6 +115,31 @@ class TestOptimize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "mode: must be one of" in result.output
+
+
+    def test_rewired_rewrite_rejected_by_audit(self, runner, tmp_path, monkeypatch):
+        graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
+        out = str(tmp_path / "opt.txt")
+        assert runner.invoke(main, ["sample", "--count", "3", "--out", graphs]).exit_code == 0
+        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        save_policy(params, policy)
+
+        def rewired(policy, cells, decode, rng):
+            # Node 0's first slot swaps input -2 for input -1 or back: a valid
+            # cell with the same operations but another topology.
+            return [
+                make_cell(
+                    g.num_nodes,
+                    (replace(g.edges[0], source_node=-3 - g.edges[0].source_node),) + g.edges[1:],
+                )
+                for g in cells
+            ]
+
+        monkeypatch.setattr(trainer, "infer_many", rewired)
+        result = runner.invoke(main, ["optimize", "--in", graphs, "--policy", policy, "--out", out])
+        assert isinstance(result.exception, ValueError)
+        assert "share topology" in str(result.exception)
+        assert not os.path.exists(out)
 
 
 class TestMissingInput:

@@ -309,6 +309,25 @@ class TestSharedCheckpointValidation:
             load_shared(path)
         assert str(info.value).startswith(field + ":")
 
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            (lambda p: p.pop("format_version"), "missing"),
+            (lambda p: p.update(format_version=2), "2"),
+            (lambda p: p.update(format_version="1"), "'1'"),
+        ],
+        ids=["missing", "2", "string"],
+    )
+    def test_format_version_named(self, payload, tmp_path, edit, found):
+        assert payload["format_version"] == 1
+        edit(payload)
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError) as info:
+            load_shared(path)
+        assert str(info.value) == f"format_version: expected 1, found {found}"
+
     def test_reload_rewrites_same_bytes(self, tmp_path):
         rng = np.random.default_rng(20)
         w = init_shared(rng, 4)
@@ -500,7 +519,7 @@ class TestTrainerScoring:
     @pytest.mark.parametrize("provider", ["oracle", "supernet"])
     def test_beta_scored_once_per_draw_set(self, monkeypatch, provider):
         base = OracleProvider if provider == "oracle" else SupernetProvider
-        counts = {"score": 0, "reward": 0}
+        counts = {"score": 0, "reward": 0, "forward": 0, "backprop": 0}
 
         class Counting(base):
             def score(self, graph):
@@ -511,9 +530,22 @@ class TestTrainerScoring:
                 counts["reward"] += 1
                 return super().reward(alpha, beta)
 
+        def counting(name):
+            real = getattr(trainer, name)
+
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return call
+
         monkeypatch.setattr(trainer, base.__name__, Counting)
+        for name in ("forward", "backprop"):
+            monkeypatch.setattr(trainer, name, counting(name))
         cfg = TrainConfig(provider=provider, m=2, n=3, epochs=2, iters_theta=3, iters_w=1)
         trainer.run(cfg)
         theta_steps = cfg.epochs * cfg.iters_theta
         assert counts["score"] == theta_steps * cfg.m * (cfg.n + 1)
         assert counts["reward"] == 0
+        assert counts["forward"] == theta_steps
+        assert counts["backprop"] == theta_steps

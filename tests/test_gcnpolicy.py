@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from natforge.archgraph import EncodingConfig, GraphEncoding, encode, sample_uniform
+from natforge.archgraph import (
+    EncodingConfig,
+    GraphEncoding,
+    apply_transitions,
+    encode,
+    sample_uniform,
+)
+from natforge.evaluator import OracleProvider, make_oracle
 from natforge.gcnpolicy import (
     NAT,
     NATPP,
@@ -15,17 +22,19 @@ from natforge.gcnpolicy import (
     actions_to_ops,
     argmax_actions,
     ascend_,
+    backprop,
     forward,
     init_params,
     load_policy,
     log_prob_of,
+    logit_grad,
     policy_gradient,
     sample_actions,
     save_policy,
     total_entropy,
 )
 from natforge.numkernel import grad_check
-from natforge.opspace import OPERATIONS, OperationKind, transition_mask
+from natforge.opspace import OPERATIONS, OperationKind, nat_actions, transition_mask
 
 LAYOUT = EncodingConfig(i_max=4)
 
@@ -247,6 +256,63 @@ class TestGradient:
         assert after >= before - 1e-12
 
 
+class TestEstimator:
+    """REINFORCE against the exact gradient of the expected planted-oracle reward.
+
+    The oracle score is a sum over edges, so the expected reward's gradient
+    in edge e's logits is pi_e * (t_e - pi_e . t_e), where t_e[a] scores the
+    target of action a on edge e. The entropy term is exact, so it adds
+    lambda * dH/du to both sides.
+    """
+
+    DRAWS = 2000
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_mean_of_draws_matches_exact_gradient(self, mode):
+        rng = np.random.default_rng(40)
+        oracle = make_oracle(40)
+        provider = OracleProvider(oracle)
+        lam, baseline = 0.05, 0.3
+        for num_inter, scale in [(1, 0.1), (2, 1.0), (3, 3.0), (4, 1.0)]:
+            params = init_params(mode, LAYOUT.feature_dim, rng, hidden_dim=16)
+            params.fc *= scale
+            beta = sample_uniform(num_inter, rng)
+            out = forward(encode(beta, LAYOUT), beta.ops(), params)
+            z = out.Z
+            k = z.shape[0]
+            if mode == NAT:
+                targets = np.array([[op.index for op in nat_actions(cur)] for cur in beta.ops()])
+            else:
+                targets = np.tile(np.arange(len(OPERATIONS)), (k, 1))
+            t = oracle.table[np.arange(k)[:, None], targets]
+            with np.errstate(divide="ignore"):
+                logz = np.where(z > 0, np.log(z), 0.0)
+            grad_h = np.where(z > 0, -z * (logz - (z * logz).sum(axis=1, keepdims=True)), 0.0)
+            exact = z * (t - (z * t).sum(axis=1, keepdims=True)) + lam * grad_h
+
+            base = provider.score(beta)
+            draws = np.empty((self.DRAWS,) + z.shape)
+            flat = []
+            for s in range(self.DRAWS):
+                actions, _ = sample_actions(out, rng)
+                alpha = apply_transitions(beta, actions_to_ops(mode, beta.ops(), actions))
+                draws[s] = logit_grad(out, actions, provider.score(alpha) - base - baseline, lam)
+                flat.append(flat_grads(backprop(out, params, draws[s])))
+            self.assert_within_clt(draws, exact)
+            self.assert_within_clt(np.array(flat), flat_grads(backprop(out, params, exact)))
+
+    @staticmethod
+    def assert_within_clt(samples, exact):
+        """Entry by entry, the sample mean is within 5 standard errors of ``exact``."""
+        mean = samples.mean(axis=0)
+        se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+        assert np.all(np.abs(mean - exact) <= 5 * se + 1e-12)
+
+
+def flat_grads(grads):
+    return np.concatenate([g.ravel() for g in grads.gcn] + [grads.fc.ravel()])
+
+
 def reference_sample_actions(out, rng):
     """Per-edge ``rng.choice`` sampler that ``sample_actions`` must reproduce exactly."""
     k, c = out.Z.shape
@@ -260,8 +326,12 @@ def reference_sample_actions(out, rng):
 
 
 def reference_policy_gradient(out, params, actions, reward, entropy_weight):
-    """Per-row ``g_u`` loop that ``policy_gradient`` must reproduce bit for bit."""
-    a, hiddens, pres, m = out.cache
+    """Per-row ``g_u`` loop and per-node head backprop, the gradient before the split.
+
+    ``logit_grad`` must reproduce its ``g_u`` bit for bit; ``backprop`` sums
+    the head in another order, so its parameter gradients agree to rounding.
+    """
+    a, ahs, pres, m = out.cache
     k, c = out.Z.shape
     g_u = np.zeros((k, c))
     for e in range(k):
@@ -283,14 +353,13 @@ def reference_policy_gradient(out, params, actions, reward, entropy_weight):
         grad_fc += np.outer(m[2 + l], node_grad)
 
     grads = [np.zeros_like(w) for w in params.gcn]
-    b = a @ hiddens[-1]
-    grads[-1] = b.T @ g_m
+    grads[-1] = ahs[-1].T @ g_m
     g_h = a.T @ (g_m @ params.gcn[-1].T)
     for i in range(params.depth - 2, -1, -1):
         g_pre = g_h * (pres[i] > 0)
-        grads[i] = (a @ hiddens[i]).T @ g_pre
+        grads[i] = ahs[i].T @ g_pre
         g_h = a.T @ (g_pre @ params.gcn[i].T)
-    return grads, grad_fc
+    return g_u, grads, grad_fc
 
 
 def random_outputs(count, seed):
@@ -346,10 +415,12 @@ class TestReferenceEquivalence:
             actions, _ = sample_actions(out, rng)
             reward = float(rng.standard_normal())
             lam = float(rng.choice([0.0, 0.003, 0.1, 1.0]))
+            g_u = logit_grad(out, actions, reward, lam)
             grads = policy_gradient(out, params, actions, reward, lam)
-            ref_gcn, ref_fc = reference_policy_gradient(out, params, actions, reward, lam)
-            assert all(np.array_equal(a, b) for a, b in zip(grads.gcn, ref_gcn))
-            assert np.array_equal(grads.fc, ref_fc)
+            ref_g_u, ref_gcn, ref_fc = reference_policy_gradient(out, params, actions, reward, lam)
+            assert np.array_equal(g_u, ref_g_u)
+            for got, want in zip(grads.gcn + [grads.fc], ref_gcn + [ref_fc]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
             checked += 1
         assert checked == 60
 
@@ -366,12 +437,18 @@ class TestReferenceEquivalence:
                 features=np.stack([e.features for e in encs]),
             )
             out = forward(batch, [g.ops() for g in cells], params)
-            assert out.cache is None
+            assert out.cache is not None
             assert out.Z.shape == (len(cells), cells[0].num_edges, params.num_actions)
-            for g, enc, z, masks in zip(cells, encs, out.Z, out.masks):
+            g_u = rng.standard_normal(out.Z.shape) * (out.masks > 0)
+            summed = 0.0
+            for g, enc, z, masks, g_cell in zip(cells, encs, out.Z, out.masks, g_u):
                 single = forward(enc, g.ops(), params)
+                assert single.cache is not None
                 np.testing.assert_allclose(z, single.Z, rtol=1e-12, atol=0)
                 assert np.array_equal(masks, single.masks)
+                summed = summed + flat_grads(backprop(single, params, g_cell))
+            stacked = flat_grads(backprop(out, params, g_u))
+            np.testing.assert_allclose(stacked, summed, rtol=1e-12, atol=1e-13)
 
     def test_batched_forward_rejects_mismatched_ops(self):
         params = init_params(NATPP, LAYOUT.feature_dim, np.random.default_rng(25))
@@ -388,6 +465,13 @@ class TestReferenceEquivalence:
         out = PolicyOutput(Z=np.full((8, 3), 1 / 3), masks=np.ones((8, 3), dtype=int))
         with pytest.raises(ValueError, match="cache"):
             policy_gradient(out, params, np.zeros(8, dtype=int), 1.0, 0.0)
+
+    def test_backprop_rejects_mismatched_logit_gradient(self):
+        params = init_params(NAT, LAYOUT.feature_dim, np.random.default_rng(26))
+        g = sample_uniform(3, np.random.default_rng(26))
+        out = forward(encode(g, LAYOUT), g.ops(), params)
+        with pytest.raises(ValueError, match="shape"):
+            backprop(out, params, np.zeros((8, 3)))
 
 
 class TestCheckpoint:
@@ -433,3 +517,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as info:
             load_policy(path)
         assert str(info.value).startswith(field + ":")
+
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            (lambda p: p.pop("format_version"), "missing"),
+            (lambda p: p.update(format_version=2), "2"),
+            (lambda p: p.update(format_version="1"), "'1'"),
+        ],
+        ids=["missing", "2", "string"],
+    )
+    def test_format_version_named(self, payload, tmp_path, edit, found):
+        assert payload["format_version"] == 1
+        edit(payload)
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError) as info:
+            load_policy(path)
+        assert str(info.value) == f"format_version: expected 1, found {found}"

@@ -14,7 +14,18 @@ from natforge.archgraph import (
     sample_uniform,
     validate,
 )
-from natforge.gcnpolicy import NAT, NATPP, actions_to_ops, forward, init_params, sample_actions
+from natforge.evaluator import OracleProvider, make_oracle
+from natforge.gcnpolicy import (
+    NAT,
+    NATPP,
+    ParamGrads,
+    actions_to_ops,
+    ascend_,
+    forward,
+    init_params,
+    policy_gradient,
+    sample_actions,
+)
 from natforge.trainer import (
     INFER_CHUNK,
     TrainConfig,
@@ -162,7 +173,79 @@ def reference_infer(policy, beta, decode, rng):
     return apply_transitions(beta, actions_to_ops(policy.mode, beta.ops(), actions))
 
 
+def reference_run(cfg):
+    """Oracle θ steps with one forward and one ``policy_gradient`` per cell and draw.
+
+    The m cells of a step are drawn before their rewrites; with m = 1 this is
+    the order of one forward per cell. Returns the policy, the per-step mean
+    rewards and the generator.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    layout = EncodingConfig(i_max=cfg.i_max)
+    policy = init_params(
+        cfg.mode,
+        layout.feature_dim,
+        rng,
+        hidden_dim=cfg.hidden_dim,
+        depth=cfg.depth,
+        i_max=cfg.i_max,
+    )
+    provider = OracleProvider(make_oracle(cfg.seed, num_edges=2 * cfg.num_intermediate))
+    baseline = 0.0
+    mean_rewards = []
+    for _ in range(cfg.epochs * cfg.iters_theta):
+        betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
+        total = None
+        rewards = []
+        for beta in betas:
+            out = forward(encode(beta, layout), beta.ops(), policy)
+            base = provider.score(beta)
+            for _ in range(cfg.n):
+                actions, _ = sample_actions(out, rng)
+                alpha = apply_transitions(beta, actions_to_ops(cfg.mode, beta.ops(), actions))
+                r = provider.score(alpha) - base
+                rewards.append(r)
+                grads = policy_gradient(out, policy, actions, r - baseline, cfg.entropy_weight)
+                parts = grads.gcn + [grads.fc]
+                total = parts if total is None else [t + p for t, p in zip(total, parts)]
+        step = ParamGrads(gcn=total[:-1], fc=total[-1])
+        step.scale_(1.0 / (cfg.m * cfg.n))
+        ascend_(policy, step, cfg.eta_theta)
+        mean_rewards.append(float(np.mean(rewards)))
+        baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * mean_rewards[-1]
+    return policy, mean_rewards, rng
+
+
 class TestReferenceEquivalence:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_run_matches_per_draw_gradients(self, monkeypatch, mode, m):
+        cfg = TrainConfig(
+            mode=mode,
+            m=m,
+            n=3,
+            use_baseline=True,
+            entropy_weight=0.1,
+            epochs=3,
+            iters_theta=4,
+            seed=7,
+        )
+        generators = []
+        real = trainer.sample_uniform
+
+        def spy(num_intermediate, rng):
+            generators.append(rng)
+            return real(num_intermediate, rng)
+
+        monkeypatch.setattr(trainer, "sample_uniform", spy)
+        result = trainer.run(cfg)
+        ref_policy, ref_rewards, ref_rng = reference_run(cfg)
+        assert [r["mean_reward"] for r in result.log.records] == ref_rewards
+        assert generators[-1].bit_generator.state == ref_rng.bit_generator.state
+        got, want = result.policy, ref_policy
+        for a, b in zip(got.gcn + [got.fc], want.gcn + [want.fc]):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
     @pytest.mark.parametrize("decode", ["sample", "argmax"])
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_infer_many_matches_per_cell_loop(self, mode, decode):
