@@ -6,11 +6,29 @@ preceding cells), I intermediate nodes (0..I-1), and one output node
 exactly two incoming edge slots, each labeled with an operation, so a cell
 with I intermediates has K = 2*I labeled edges. Edge sources always precede
 their targets, which makes the graph acyclic by construction.
+
+A ``CellGraph`` holds ``num_nodes`` and two read-only int arrays in
+canonical order: ``sources[i]`` and ``ops[i]`` (an index into
+``OPERATIONS``) of edge i, which is slot i % 2 of node i // 2. Slot and
+target are implied by the position, so they need no storage and cannot
+disagree with it. ``edges`` is a tuple of ``EdgeSlot`` views built on
+demand.
+
+A cell is validated exactly once, when it is built from outside data:
+``CellGraph(num_nodes, edges)`` and ``make_cell`` check one cell, and
+``parse_many`` checks a whole file with one array pass. Everything a valid
+cell passes through after that trusts it: ``sample_uniform`` draws sources
+inside their legal range, and ``apply_transitions`` reuses its input's
+topology and checks only the new operations against ``VALID``. So
+``encode``, ``serialize``, the cost audit and the reward providers never
+re-check a cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,12 +62,28 @@ class EdgeSlot:
     op: OperationKind
 
 
-@dataclass(frozen=True)
-class CellGraph:
-    """Immutable cell DAG. ``edges`` is kept sorted by (target, slot)."""
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
-    num_nodes: int
-    edges: tuple[EdgeSlot, ...]
+
+class CellGraph:
+    """Immutable cell DAG: ``num_nodes`` plus per-edge ``sources`` and ``ops`` arrays.
+
+    ``CellGraph(num_nodes, edges)`` validates the edge slots, which must
+    already be in canonical (target, slot) order; ``make_cell`` sorts them
+    first.
+    """
+
+    __slots__ = ("num_nodes", "sources", "ops")
+
+    def __init__(self, num_nodes: int, edges: Iterable[EdgeSlot]):
+        edges = tuple(edges)
+        _check_cell(num_nodes, [(e.target_node, e.slot, e.source_node) for e in edges])
+        self.num_nodes = num_nodes
+        self.sources = _frozen([e.source_node for e in edges])
+        self.ops = _frozen([e.op.index for e in edges])
 
     @property
     def num_intermediate(self) -> int:
@@ -61,76 +95,172 @@ class CellGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ops)
 
-    def ops(self) -> tuple[OperationKind, ...]:
-        """Per-edge operations in canonical (target, slot) order."""
-        return tuple(e.op for e in self.edges)
+    @property
+    def edges(self) -> tuple[EdgeSlot, ...]:
+        """Per-edge views in canonical (target, slot) order."""
+        return tuple(
+            EdgeSlot(i >> 1, i & 1, f, OPERATIONS[o])
+            for i, (f, o) in enumerate(zip(self.sources.tolist(), self.ops.tolist()))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CellGraph):
+            return NotImplemented
+        return (
+            self.num_nodes == other.num_nodes
+            and np.array_equal(self.sources, other.sources)
+            and np.array_equal(self.ops, other.ops)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.num_nodes, self.sources.tobytes(), self.ops.tobytes()))
+
+    def __repr__(self) -> str:
+        ops = [OPERATIONS[o].value for o in self.ops.tolist()]
+        return f"CellGraph(num_nodes={self.num_nodes}, sources={self.sources.tolist()}, ops={ops})"
+
+
+def _cell(num_nodes: int, sources: np.ndarray, ops: np.ndarray) -> CellGraph:
+    """A cell from read-only arrays that are already known to be valid."""
+    graph = object.__new__(CellGraph)
+    graph.num_nodes = num_nodes
+    graph.sources = sources
+    graph.ops = ops
+    return graph
 
 
 def make_cell(num_nodes: int, edges: Iterable[EdgeSlot]) -> CellGraph:
     """Build and validate a cell, canonicalizing edge order."""
-    graph = CellGraph(num_nodes, tuple(sorted(edges, key=lambda e: (e.target_node, e.slot))))
-    validate(graph)
-    return graph
+    return CellGraph(num_nodes, sorted(edges, key=lambda e: (e.target_node, e.slot)))
 
 
-def validate(graph: CellGraph) -> None:
-    """Check every structural invariant; raise GraphError naming the first failure.
+#: Ints beyond this magnitude are clipped before the array checks; they fail
+#: every check either way, and error messages quote the unclipped values.
+_CLIP = 2**61
 
-    Edge i must be slot i % 2 of node i // 2. With exactly 2*I edges, that
-    one check rules out dangling targets and bad, duplicate or missing slots,
-    and keeps the canonical (target, slot) order that consumers index by.
+
+def _int_rows(rows: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    """A (len(rows), width) int64 array of tuples of Python ints."""
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+    except OverflowError:
+        flat = np.clip(np.array(rows, dtype=object), -_CLIP, _CLIP).astype(np.int64)
+    return flat.reshape(len(rows), width)
+
+
+def _faulty_cells(
+    nodes: np.ndarray,
+    bounds: np.ndarray,
+    targets: np.ndarray,
+    slots: np.ndarray,
+    sources: np.ndarray,
+) -> np.ndarray:
+    """Per cell, True iff it breaks a structural invariant; the one statement of the rule.
+
+    Cell b has ``nodes[b]`` nodes and the edges ``bounds[b]:bounds[b + 1]``
+    of the flat edge arrays, sorted by (target, slot). A cell needs at least
+    one intermediate, exactly 2*I edges, and edge i must be slot i % 2 of
+    node i // 2 with a source in [-2, i // 2). With exactly 2*I edges, the
+    slot check rules out dangling targets and bad, duplicate or missing
+    slots, and keeps the canonical order that consumers index by.
     """
-    num_inter = graph.num_nodes - 3
+    counts = np.diff(bounds)
+    inter = np.clip(nodes, -_CLIP, _CLIP) - 3
+    bad = (inter < 1) | (counts != 2 * inter)
+    pos = np.arange(len(targets)) - np.repeat(bounds[:-1], counts)
+    edge_bad = (targets != pos >> 1) | (slots != pos & 1) | (sources < -2) | (sources >= targets)
+    bad[np.repeat(np.arange(len(nodes)), counts)[edge_bad]] = True
+    return bad
+
+
+def _fault_message(num_nodes: int, edges: Sequence[tuple[int, int, int]]) -> str:
+    """Name the first fault of one cell that ``_faulty_cells`` flagged.
+
+    ``edges`` are the cell's (target, slot, source) triples in (target, slot)
+    order, with their values as given.
+    """
+    num_inter = num_nodes - 3
     if num_inter < 1:
-        raise GraphError("node count: need at least one intermediate node (|V| >= 4)")
-    if len(graph.edges) != 2 * num_inter:
-        raise GraphError(
+        return "node count: need at least one intermediate node (|V| >= 4)"
+    if len(edges) != 2 * num_inter:
+        return (
             f"slot count: expected {2 * num_inter} edges for {num_inter} "
-            f"intermediates, got {len(graph.edges)}"
+            f"intermediates, got {len(edges)}"
         )
-    for i, e in enumerate(graph.edges):
-        if e.target_node != i >> 1 or e.slot != i & 1:
-            raise GraphError(_slot_error(graph.edges, num_inter))
-        if e.source_node < -2:
-            raise GraphError(f"dangling node: source {e.source_node}")
-        if e.source_node >= e.target_node:
-            raise GraphError(
-                f"acyclicity: edge {e.source_node}->{e.target_node} does not go forward"
-            )
+    for i, (t, s, f) in enumerate(edges):
+        if t != i >> 1 or s != i & 1:
+            return _slot_error(edges, num_inter)
+        if f < -2:
+            return f"dangling node: source {f}"
+        if f >= t:
+            return f"acyclicity: edge {f}->{t} does not go forward"
+    raise AssertionError("no fault in a cell the array check flagged")
 
 
-def _slot_error(edges: Sequence[EdgeSlot], num_inter: int) -> str:
+def _slot_error(edges: Sequence[tuple[int, int, int]], num_inter: int) -> str:
     """Name the fault of 2*I edges that are not slot i % 2 of node i // 2 in turn."""
     seen: set[tuple[int, int]] = set()
-    for e in edges:
-        if not (0 <= e.target_node < num_inter):
-            return f"dangling node: target {e.target_node} is not intermediate"
-        if e.slot not in (0, 1):
-            return f"slot count: slot {e.slot} on node {e.target_node}"
-        if (e.target_node, e.slot) in seen:
-            return f"duplicate slot: node {e.target_node} slot {e.slot}"
-        seen.add((e.target_node, e.slot))
+    for t, s, _ in edges:
+        if not (0 <= t < num_inter):
+            return f"dangling node: target {t} is not intermediate"
+        if s not in (0, 1):
+            return f"slot count: slot {s} on node {t}"
+        if (t, s) in seen:
+            return f"duplicate slot: node {t} slot {s}"
+        seen.add((t, s))
     # 2*I distinct slots, all in range: every slot is present, only the order is off.
-    i = next(i for i, e in enumerate(edges) if (e.target_node, e.slot) != divmod(i, 2))
+    i = next(i for i, (t, s, _) in enumerate(edges) if (t, s) != divmod(i, 2))
     return (
-        f"edge order: edge {i} is slot {edges[i].slot} of node {edges[i].target_node}; "
+        f"edge order: edge {i} is slot {edges[i][1]} of node {edges[i][0]}; "
         "edges must be sorted by (target, slot)"
     )
 
 
+def _check_cell(num_nodes: int, edges: Sequence[tuple[int, int, int]]) -> None:
+    """Raise GraphError naming the first fault of one cell's (target, slot, source) edges."""
+    flat = _int_rows(edges, 3)
+    nodes = _int_rows([(num_nodes,)], 1)[:, 0]
+    if _faulty_cells(nodes, np.array([0, len(flat)]), flat[:, 0], flat[:, 1], flat[:, 2])[0]:
+        raise GraphError(_fault_message(num_nodes, edges))
+
+
+def validate(graph: CellGraph) -> None:
+    """Check every structural invariant of a built cell; raise GraphError naming the first failure.
+
+    Construction already ran these checks, so this is an assertion for
+    cells that come from trusted paths.
+    """
+    k = len(graph.sources)
+    if len(graph.ops) != k or ((graph.ops < 0) | (graph.ops >= NUM_OPERATIONS)).any():
+        raise GraphError(f"operations: expected {k} indices in [0, {NUM_OPERATIONS})")
+    _check_cell(graph.num_nodes, [(i >> 1, i & 1, f) for i, f in enumerate(graph.sources.tolist())])
+
+
+@lru_cache(maxsize=64)
+def _sample_bounds(num_intermediate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interleaved per-slot (low, high) draw bounds: slot i's source, then its op."""
+    k = 2 * num_intermediate
+    low = np.tile([-2, 0], k)
+    high = np.stack([np.arange(k) >> 1, np.full(k, NUM_OPERATIONS)], axis=1).ravel()
+    low.flags.writeable = high.flags.writeable = False
+    return low, high
+
+
 def sample_uniform(num_intermediate: int, rng: np.random.Generator) -> CellGraph:
-    """Draw a cell uniformly: each slot picks a predecessor and one of 13 ops."""
+    """Draw a cell uniformly: each slot picks a predecessor and one of 13 ops.
+
+    One ``rng.integers(low, high)`` call over the interleaved per-slot
+    bounds draws the same values, and leaves the generator in the same
+    state, as one scalar call per source and per op in slot order.
+    """
     if num_intermediate < 1:
         raise ValueError("num_intermediate must be >= 1")
-    edges = []
-    for l in range(num_intermediate):
-        for slot in (0, 1):
-            source = int(rng.integers(-2, l))
-            op = OPERATIONS[int(rng.integers(NUM_OPERATIONS))]
-            edges.append(EdgeSlot(l, slot, source, op))
-    return make_cell(num_intermediate + 3, tuple(edges))
+    bounds = _sample_bounds(num_intermediate)
+    draws = rng.integers(*bounds)
+    draws.flags.writeable = False
+    return _cell(num_intermediate + 3, draws[0::2], draws[1::2])
 
 
 #: Width of an op one-hot block: the 13 operations plus a "no incoming edge" code.
@@ -143,9 +273,6 @@ class EncodingConfig:
     """Layout of the (A, X) encoding fed to the controller."""
 
     i_max: int = 4
-    # Row-normalized (A + I) keeps source-less nodes alive after one layer;
-    # bare binary A is available for literal-formula experiments.
-    normalize: bool = True
 
     @property
     def feature_dim(self) -> int:
@@ -158,77 +285,126 @@ class GraphEncoding:
     features: np.ndarray
 
 
-def _node_row(node: int) -> int:
-    """Map a cell node index (-2-based) to a matrix row."""
-    return node + 2
+@lru_cache(maxsize=64)
+def _template(num_nodes: int, i_max: int) -> tuple[np.ndarray, ...]:
+    """Read-only (adjacency, features, edge target rows, slot column bases) for one size.
+
+    The adjacency holds the self-loops and the intermediate<->output links,
+    and the features every one-hot bit that does not depend on an edge.
+    Matrix row r is cell node r - 2.
+    """
+    n, num_inter = num_nodes, num_nodes - 3
+    out = n - 1
+    adj = np.eye(n)
+    adj[2:out, out] = 1.0
+    adj[out, 2:out] = 1.0
+    x = np.zeros((n, EncodingConfig(i_max).feature_dim))
+    x[0, 0] = x[1, 1] = x[out, 3] = 1.0
+    inter = np.arange(num_inter)
+    x[2 + inter, 2] = 1.0
+    x[2 + inter, 4 + inter] = 1.0
+    slot_base = 4 + i_max + np.array([0, OP_BLOCK])
+    for row in (0, 1, out):
+        x[row, slot_base + _NO_EDGE] = 1.0
+    pos = np.arange(2 * num_inter)
+    parts = (adj, x, 2 + (pos >> 1), slot_base[pos & 1])
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
 
 
-def encode(graph: CellGraph, layout: EncodingConfig = EncodingConfig()) -> GraphEncoding:
-    """Encode a cell as (adjacency, node features) for the controller.
+def encode(
+    graphs: CellGraph | Sequence[CellGraph], layout: EncodingConfig = EncodingConfig()
+) -> GraphEncoding:
+    """Encode one cell, or a group of same-size cells, as (adjacency, node features).
 
     A node's feature row is [role one-hot (input-0 / input-1 / intermediate /
     output) || intermediate-position one-hot || slot-0 op one-hot || slot-1 op
     one-hot], where the extra op code marks "no incoming edge". Adjacency is
     symmetric over edge slots plus the intermediate->output concatenation
-    links, with self-loops and row normalization by default.
+    links, with self-loops and row normalization. One cell gives (V, V) and
+    (V, F) arrays; B cells of V nodes give them stacked, (B, V, V) and
+    (B, V, F). Each is a copy of a cached template with only the K edge
+    entries filled in.
     """
-    validate(graph)
-    num_inter = graph.num_intermediate
+    single = isinstance(graphs, CellGraph)
+    cells = [graphs] if single else graphs
+    if not cells:
+        raise ValueError("encode needs at least one cell")
+    n = cells[0].num_nodes
+    if any(g.num_nodes != n for g in cells):
+        raise ValueError("encode takes a group of cells with one node count")
+    num_inter = n - 3
     if num_inter > layout.i_max:
         raise GraphError(
             f"graph has {num_inter} intermediates, layout allows {layout.i_max}"
         )
-    n = graph.num_nodes
-    adj = np.zeros((n, n))
-    for e in graph.edges:
-        i, j = _node_row(e.source_node), _node_row(e.target_node)
-        adj[i, j] = 1.0
-        adj[j, i] = 1.0
-    out = _node_row(graph.output_node)
-    for l in range(num_inter):
-        adj[_node_row(l), out] = 1.0
-        adj[out, _node_row(l)] = 1.0
-    if layout.normalize:
-        adj = adj + np.eye(n)
-        adj = adj / adj.sum(axis=1, keepdims=True)
-
-    slot_ops = {(e.target_node, e.slot): e.op for e in graph.edges}
-    x = np.zeros((n, layout.feature_dim))
-    for node in range(-2, n - 2):
-        row = _node_row(node)
-        if node == -2:
-            x[row, 0] = 1.0
-        elif node == -1:
-            x[row, 1] = 1.0
-        elif node == graph.output_node:
-            x[row, 3] = 1.0
-        else:
-            x[row, 2] = 1.0
-            x[row, 4 + node] = 1.0
-        for slot in (0, 1):
-            base = 4 + layout.i_max + slot * OP_BLOCK
-            op = slot_ops.get((node, slot))
-            code = op.index if op is not None else _NO_EDGE
-            x[row, base + code] = 1.0
+    adj0, x0, rows, cols = _template(n, layout.i_max)
+    b = len(cells)
+    sources = np.array([g.sources for g in cells]) + 2
+    ops = np.array([g.ops for g in cells])
+    cell = np.arange(b)[:, None]
+    adj = np.repeat(adj0[None], b, axis=0)
+    adj[cell, sources, rows] = 1.0
+    adj[cell, rows, sources] = 1.0
+    adj /= adj.sum(axis=2, keepdims=True)
+    x = np.repeat(x0[None], b, axis=0)
+    x[cell, rows, cols + ops] = 1.0
+    if single:
+        return GraphEncoding(adjacency=adj[0], features=x[0])
     return GraphEncoding(adjacency=adj, features=x)
 
 
-def apply_transitions(graph: CellGraph, actions: Sequence[OperationKind]) -> CellGraph:
-    """Replace per-edge operations, rejecting any rule-violating action.
+def apply_transitions(
+    graphs: CellGraph | Sequence[CellGraph], ops: Sequence[int] | np.ndarray
+) -> CellGraph | list[CellGraph]:
+    """Replace per-edge operations (indices into ``OPERATIONS``), rejecting any invalid one.
 
-    Topology is untouched; by cost monotonicity of the rules the result never
-    costs more than the input (up to the whitelisted null->skip copies).
+    Takes one cell and its K new operations, or a group of cells and their
+    new operations concatenated in order, and returns one cell or a list.
+    Topology is untouched: each result shares its input's validated
+    ``sources``, and only the new operations are checked, for range and
+    against ``VALID``, in one pass over the group. By cost monotonicity of
+    the rules a result never costs more than its input (up to the
+    whitelisted null->skip copies).
     """
-    if len(actions) != graph.num_edges:
-        raise ValueError(f"expected {graph.num_edges} actions, got {len(actions)}")
-    new_edges = []
-    for idx, (e, target_op) in enumerate(zip(graph.edges, actions)):
-        if not VALID[e.op.index, target_op.index]:
+    single = isinstance(graphs, CellGraph)
+    cells = [graphs] if single else graphs
+    if not cells:
+        if len(ops):
+            raise ValueError(f"expected 0 actions, got {len(ops)}")
+        return []
+    current = np.concatenate([g.ops for g in cells])
+    new = np.array(ops)
+    if new.shape != current.shape:
+        raise ValueError(f"expected {len(current)} actions, got {new.size}")
+    if new.dtype.kind not in "iu":
+        raise ValueError(f"operations must be integer indices, got dtype {new.dtype}")
+    in_range = (new >= 0) & (new < NUM_OPERATIONS)
+    ok = in_range & VALID[current, np.where(in_range, new, 0)].astype(bool)
+    if not ok.all():
+        idx = int(ok.argmin())
+        where = f"edge {idx}"
+        if not single:
+            bounds = np.cumsum([g.num_edges for g in cells])
+            c = int(np.searchsorted(bounds, idx, side="right"))
+            where = f"edge {idx - (bounds[c - 1] if c else 0)} of cell {c}"
+        if not in_range[idx]:
             raise ValueError(
-                f"invalid transition {e.op.value} -> {target_op.value} at edge {idx}"
+                f"operation index {new[idx]} at {where} is not in [0, {NUM_OPERATIONS})"
             )
-        new_edges.append(EdgeSlot(e.target_node, e.slot, e.source_node, target_op))
-    return CellGraph(graph.num_nodes, tuple(new_edges))
+        src, dst = OPERATIONS[current[idx]], OPERATIONS[new[idx]]
+        raise ValueError(f"invalid transition {src.value} -> {dst.value} at {where}")
+    new = new.astype(np.int64, copy=False)
+    new.flags.writeable = False
+    if single:
+        return _cell(graphs.num_nodes, graphs.sources, new)
+    out, lo = [], 0
+    for g in cells:
+        hi = lo + len(g.ops)
+        out.append(_cell(g.num_nodes, g.sources, new[lo:hi]))
+        lo = hi
+    return out
 
 
 def same_topology(a: CellGraph, b: CellGraph) -> bool:
@@ -236,16 +412,9 @@ def same_topology(a: CellGraph, b: CellGraph) -> bool:
 
     Operations may differ: a topology-preserving rewrite changes only them.
     """
-    if a.num_nodes != b.num_nodes or len(a.edges) != len(b.edges):
-        return False
-    for ea, eb in zip(a.edges, b.edges):
-        if (
-            ea.source_node != eb.source_node
-            or ea.target_node != eb.target_node
-            or ea.slot != eb.slot
-        ):
-            return False
-    return True
+    return a.num_nodes == b.num_nodes and (
+        a.sources is b.sources or np.array_equal(a.sources, b.sources)
+    )
 
 
 @dataclass(frozen=True)
@@ -257,8 +426,7 @@ class CostReport:
 
 def cost_of(graph: CellGraph, cfg: CostConfig = CostConfig()) -> CostReport:
     """Sum the per-edge analytic costs of a cell."""
-    validate(graph)
-    per_edge = tuple(cost_of_op(e.op, cfg) for e in graph.edges)
+    per_edge = tuple(cost_of_op(OPERATIONS[o], cfg) for o in graph.ops.tolist())
     return CostReport(
         total_params=sum(c.params for c in per_edge),
         total_madds=sum(c.madds for c in per_edge),
@@ -267,18 +435,27 @@ def cost_of(graph: CellGraph, cfg: CostConfig = CostConfig()) -> CostReport:
 
 
 def cost_non_increasing(
-    before: CellGraph, after: CellGraph, cfg: CostConfig = CostConfig()
+    before: CellGraph | Sequence[CellGraph],
+    after: CellGraph | Sequence[CellGraph],
+    cfg: CostConfig = CostConfig(),
 ) -> bool:
-    """Per-edge cost audit of a transition result against its input.
+    """Per-edge cost audit of transition results against their inputs.
 
-    True iff every edge's params and madds are non-increasing, except the
-    whitelisted null->skip replacement. Each edge is one lookup in
-    ``non_increasing_table(cfg)``.
+    Takes one pair of cells, or two equal-length sequences of cells paired
+    in order. True iff each pair shares a topology and every edge's params
+    and madds are non-increasing, except the whitelisted null->skip
+    replacement. A rewired result is not a rewrite of its input, so it
+    fails the audit. All edges are one lookup in ``non_increasing_table(cfg)``.
     """
-    if not same_topology(before, after):
-        raise ValueError("graphs must share topology")
-    ok = non_increasing_table(cfg)
-    return all(ok[eb.op.index, ea.op.index] for eb, ea in zip(before.edges, after.edges))
+    if isinstance(before, CellGraph):
+        before, after = [before], [after]
+    if len(before) != len(after) or not all(map(same_topology, before, after)):
+        return False
+    if not before:
+        return True
+    ops_before = np.concatenate([g.ops for g in before])
+    ops_after = np.concatenate([g.ops for g in after])
+    return bool(non_increasing_table(cfg)[ops_before, ops_after].all())
 
 
 def assignment_count(num_intermediate: int, vocab_size: int = NUM_OPERATIONS) -> int:
@@ -293,117 +470,168 @@ def assignment_count(num_intermediate: int, vocab_size: int = NUM_OPERATIONS) ->
     return count
 
 
+_OP_NAMES = tuple(op.value for op in OPERATIONS)
+
+
+@lru_cache(maxsize=4096)
+def _edge_line(i: int, source: int, op: int) -> str:
+    """Text of edge i of a cell; a cell file repeats few distinct lines."""
+    return f"edge t={i >> 1} s={i & 1} f={source} op={_OP_NAMES[op]}\n"
+
+
 def serialize(graph: CellGraph) -> str:
     """Render a cell in the line-oriented text format."""
-    validate(graph)
-    lines = [f"cell v={graph.num_nodes}"]
-    for e in graph.edges:
-        lines.append(f"edge t={e.target_node} s={e.slot} f={e.source_node} op={e.op.value}")
-    return "\n".join(lines) + "\n"
+    edges = map(_edge_line, count(), graph.sources.tolist(), graph.ops.tolist())
+    return f"cell v={graph.num_nodes}\n" + "".join(edges)
 
 
-def _parse_field(token: str, key: str, lineno: int) -> str:
+def serialize_many(graphs: Sequence[CellGraph]) -> str:
+    return "\n".join(map(serialize, graphs))
+
+
+def _parse_field(token: str, key: str) -> str:
     if not token.startswith(key + "="):
-        raise ParseError(f"line {lineno}: expected '{key}=...', got {token!r}")
+        raise ValueError(f"expected '{key}=...', got {token!r}")
     return token[len(key) + 1 :]
 
 
-def _parse_int(text: str, lineno: int) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"line {lineno}: not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _parse_records(text: str) -> list[tuple[int, CellGraph]]:
-    """Parse all cell records in a document; returns (first line number, graph) pairs."""
-    graphs: list[tuple[int, CellGraph]] = []
-    num_nodes: int | None = None
-    start_line = 0
-    edges: list[EdgeSlot] = []
+def _line_record(raw: str) -> tuple[str | None, object, str | None]:
+    """Tokenize one line into (kind, value, error), independent of its neighbors.
 
-    def flush(lineno: int) -> None:
-        nonlocal num_nodes, edges
-        if num_nodes is None:
-            return
-        if not edges:
-            raise ParseError(f"line {start_line}: cell declares intermediates but has no edges")
-        try:
-            graphs.append((start_line, make_cell(num_nodes, tuple(edges))))
-        except GraphError as exc:
-            raise ParseError(f"line {start_line}: {exc}") from exc
-        num_nodes, edges = None, []
+    ``kind`` is "cell" (value: the node count), "edge" (value: target, slot,
+    source, op index) or None for a blank or comment line. ``error`` is the
+    fault of a malformed line, without its line number.
+    """
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None, None, None
+    tokens = line.split()
+    try:
+        if tokens[0] == "cell":
+            if len(tokens) != 2:
+                return "cell", None, "malformed cell header"
+            return "cell", _parse_int(_parse_field(tokens[1], "v")), None
+        if tokens[0] == "edge":
+            if len(tokens) != 5:
+                return "edge", None, "edge record needs t/s/f/op fields"
+            t, s, f = (_parse_int(_parse_field(tok, key)) for tok, key in zip(tokens[1:4], "tsf"))
+            return "edge", (t, s, f, op_from_name(_parse_field(tokens[4], "op")).index), None
+    except ValueError as exc:
+        return tokens[0], None, str(exc)
+    return None, None, f"unknown record {tokens[0]!r}"
+
+
+def _parse_records(text: str) -> tuple[list[int], list[CellGraph]]:
+    """Parse all cell records in a document; returns their first line numbers and cells.
+
+    The lines are tokenized in order, up to the first malformed one; each
+    distinct line is tokenized once. The cells read before that point are
+    then validated together by one array pass, and a cell's structural
+    fault is reported before a later malformed line, as a line-by-line
+    reader would.
+    """
+    cache: dict[str, tuple] = {}
+    heads: list[tuple[int, int, int]] = []  # (first line, num_nodes, first edge) per cell
+    edges: list[tuple[int, int, int, int]] = []
+    open_head = None
+
+    def close_cell() -> ParseError | None:
+        nonlocal open_head
+        if open_head is not None:
+            if len(edges) == open_head[2]:
+                return ParseError(
+                    f"line {open_head[0]}: cell declares intermediates but has no edges"
+                )
+            heads.append(open_head)
+            open_head = None
+        return None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        rec = cache.get(raw)
+        if rec is None:
+            rec = cache[raw] = _line_record(raw)
+        kind, value, error = rec
+        if kind == "edge":
+            if open_head is None:
+                error = "edge before any cell header"
+            elif error is None:
+                edges.append(value)
+                continue
+        elif kind == "cell":
+            stop = close_cell()
+            if stop is not None:
+                break
+            if error is None:
+                open_head = (lineno, value, len(edges))
+                continue
+        elif error is None:
             continue
-        tokens = line.split()
-        if tokens[0] == "cell":
-            flush(lineno)
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: malformed cell header")
-            num_nodes = _parse_int(_parse_field(tokens[1], "v", lineno), lineno)
-            start_line = lineno
-        elif tokens[0] == "edge":
-            if num_nodes is None:
-                raise ParseError(f"line {lineno}: edge before any cell header")
-            if len(tokens) != 5:
-                raise ParseError(f"line {lineno}: edge record needs t/s/f/op fields")
-            t = _parse_int(_parse_field(tokens[1], "t", lineno), lineno)
-            s = _parse_int(_parse_field(tokens[2], "s", lineno), lineno)
-            f = _parse_int(_parse_field(tokens[3], "f", lineno), lineno)
-            name = _parse_field(tokens[4], "op", lineno)
-            try:
-                op = op_from_name(name)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            edges.append(EdgeSlot(t, s, f, op))
-        else:
-            raise ParseError(f"line {lineno}: unknown record {tokens[0]!r}")
-    flush(len(text.splitlines()) + 1)
-    return graphs
+        stop = ParseError(f"line {lineno}: {error}")
+        break
+    else:
+        stop = close_cell()
+    if open_head is not None:
+        del edges[open_head[2] :]
+
+    graphs = _validated_cells(heads, edges)
+    if stop is not None:
+        raise stop
+    return [h[0] for h in heads], graphs
+
+
+def _validated_cells(
+    heads: list[tuple[int, int, int]], edges: list[tuple[int, int, int, int]]
+) -> list[CellGraph]:
+    """Canonicalize and validate every tokenized cell at once; build the cells.
+
+    Raises ParseError at the first line of the first faulty cell.
+    """
+    if not heads:
+        return []
+    cells = _int_rows(heads, 3)
+    nodes = cells[:, 1]
+    bounds = np.append(cells[:, 2], len(edges))
+    flat = _int_rows(edges, 4)
+    bad = _faulty_cells(nodes, bounds, flat[:, 0], flat[:, 1], flat[:, 2])
+    if bad.any():
+        # Some cells are faulty or only list their edges out of order: sort
+        # every cell's edges by (target, slot) and check again.
+        cell_of = np.repeat(np.arange(len(heads)), np.diff(bounds))
+        flat = flat[np.lexsort((flat[:, 1], flat[:, 0], cell_of))]
+        bad = _faulty_cells(nodes, bounds, flat[:, 0], flat[:, 1], flat[:, 2])
+    if bad.any():
+        c = int(bad.argmax())
+        line, num_nodes, first = heads[c]
+        cell_edges = sorted(edges[first : bounds[c + 1]], key=lambda e: (e[0], e[1]))
+        message = _fault_message(num_nodes, [e[:3] for e in cell_edges])
+        raise ParseError(f"line {line}: {message}")
+    sources = np.ascontiguousarray(flat[:, 2])
+    ops = np.ascontiguousarray(flat[:, 3])
+    sources.flags.writeable = False
+    ops.flags.writeable = False
+    starts = bounds.tolist()
+    return [
+        _cell(h[1], sources[lo:hi], ops[lo:hi])
+        for h, lo, hi in zip(heads, starts[:-1], starts[1:])
+    ]
 
 
 def parse(text: str) -> CellGraph:
     """Parse one cell; raises ParseError on malformed input or extra records."""
-    graphs = _parse_records(text)
+    lines, graphs = _parse_records(text)
     if not graphs:
         raise ParseError("line 1: no cell record found")
     if len(graphs) > 1:
-        raise ParseError(f"line {graphs[1][0]}: expected a single cell record")
-    return graphs[0][1]
-
-
-def serialize_many(graphs: Sequence[CellGraph]) -> str:
-    return "\n".join(serialize(g) for g in graphs)
+        raise ParseError(f"line {lines[1]}: expected a single cell record")
+    return graphs[0]
 
 
 def parse_many(text: str) -> list[CellGraph]:
-    return [g for _, g in _parse_records(text)]
-
-
-def to_record(graph: CellGraph) -> dict:
-    """Structured-object export with the same fields as the text format."""
-    return {
-        "num_nodes": graph.num_nodes,
-        "edges": [
-            {
-                "target": e.target_node,
-                "slot": e.slot,
-                "source": e.source_node,
-                "op": e.op.value,
-            }
-            for e in graph.edges
-        ],
-    }
-
-
-def from_record(record: dict) -> CellGraph:
-    return make_cell(
-        record["num_nodes"],
-        tuple(
-            EdgeSlot(e["target"], e["slot"], e["source"], op_from_name(e["op"]))
-            for e in record["edges"]
-        ),
-    )
+    return _parse_records(text)[1]

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archgraph import CellGraph, same_topology, validate
+from .archgraph import CellGraph, same_topology
 from .numkernel import (
     FORMAT_VERSION,
     atomic_write,
@@ -222,32 +222,38 @@ def _edge_backward(
     return gx
 
 
-def _forward_graph(graph: CellGraph, w: SharedWeights, x: np.ndarray):
+def _edge_lists(graph: CellGraph) -> tuple[list[int], list[OperationKind]]:
+    """The cell's per-edge sources and operations as lists, for the per-edge loops."""
+    return graph.sources.tolist(), [OPERATIONS[o] for o in graph.ops.tolist()]
+
+
+def _forward_graph(
+    sources: list[int], ops: list[OperationKind], w: SharedWeights, x: np.ndarray
+):
     """Supernet forward over a batch; returns (logits, caches)."""
+    num_inter = len(ops) // 2
     nodes: dict[int, np.ndarray] = {-2: x, -1: x}
-    edge_caches: list = [None] * len(graph.edges)
+    edge_caches: list = [None] * len(ops)
     # Edges are in canonical (target, slot) order, so node l's edges are 2l
     # and 2l + 1, and sources precede targets, so their inputs are computed.
-    for l in range(graph.num_intermediate):
+    for l in range(num_inter):
         pre = np.zeros_like(x)
         for e_idx in (2 * l, 2 * l + 1):
-            edge = graph.edges[e_idx]
-            entry = w.bank.get((e_idx, edge.op))
-            y, cache = _edge_forward(edge.op, nodes[edge.source_node], entry)
+            op = ops[e_idx]
+            y, cache = _edge_forward(op, nodes[sources[e_idx]], w.bank.get((e_idx, op)))
             edge_caches[e_idx] = cache
             pre = pre + y
         nodes[l] = np.tanh(pre)
-    feats = np.concatenate([nodes[l] for l in range(graph.num_intermediate)], axis=1)
+    feats = np.concatenate([nodes[l] for l in range(num_inter)], axis=1)
     logits = feats @ w.head_w + w.head_b
     return logits, (nodes, edge_caches, feats)
 
 
 def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarray:
     """Pure read-only forward pass."""
-    validate(graph)
     if graph.num_intermediate != w.num_intermediate:
         raise ValueError("graph and shared weights disagree on intermediate count")
-    logits, _ = _forward_graph(graph, w, x)
+    logits, _ = _forward_graph(*_edge_lists(graph), w, x)
     return logits
 
 
@@ -275,10 +281,10 @@ def supernet_train_step(
     grad_head_b = np.zeros_like(w.head_b)
     total_loss = 0.0
     for graph in graphs:
-        validate(graph)
         if graph.num_intermediate != w.num_intermediate:
             raise ValueError("graph and shared weights disagree on intermediate count")
-        logits, (nodes, edge_caches, feats) = _forward_graph(graph, w, x)
+        sources, ops = _edge_lists(graph)
+        logits, (nodes, edge_caches, feats) = _forward_graph(sources, ops, w, x)
         loss, dlogits = cross_entropy_logits(logits, labels)
         total_loss += loss
         grad_head_w += feats.T @ dlogits
@@ -293,8 +299,7 @@ def supernet_train_step(
         for l in range(graph.num_intermediate - 1, -1, -1):
             gpre = node_grads[l] * (1.0 - nodes[l] ** 2)
             for e_idx in (2 * l, 2 * l + 1):
-                edge = graph.edges[e_idx]
-                key = (e_idx, edge.op)
+                key = (e_idx, ops[e_idx])
                 w.usage_counts[key] += 1
                 entry = w.bank.get(key)
                 gentry = None
@@ -302,9 +307,9 @@ def supernet_train_step(
                     gentry = grad_bank.setdefault(
                         key, {name: np.zeros_like(arr) for name, arr in entry.items()}
                     )
-                gx = _edge_backward(edge.op, gpre, entry, edge_caches[e_idx], gentry)
-                if edge.source_node >= 0:
-                    node_grads[edge.source_node] += gx
+                gx = _edge_backward(ops[e_idx], gpre, entry, edge_caches[e_idx], gentry)
+                if sources[e_idx] >= 0:
+                    node_grads[sources[e_idx]] += gx
 
     scale = 1.0 / len(graphs)
     w.head_w -= lr * scale * grad_head_w
@@ -410,9 +415,8 @@ class PlantedOracle:
         return self.table.shape[0]
 
     def score(self, graph: CellGraph) -> float:
-        return float(
-            sum(self.table[e, edge.op.index] for e, edge in enumerate(graph.edges))
-        )
+        # A sequential Python sum: ``np.sum`` adds pairwise, which changes the last bits.
+        return float(sum(self.table[np.arange(graph.num_edges), graph.ops].tolist()))
 
     def planted_optimum(self, edge_index: int) -> OperationKind:
         return OPERATIONS[int(self.table[edge_index].argmax())]

@@ -20,7 +20,12 @@ per-edge gradient with respect to the logits of one sampled draw, and
 ``backprop`` carries a logit gradient through the cached GCN. The objective
 is linear in the logit gradient, so the trainer sums the draws of every cell
 and backprops once per step; ``policy_gradient`` is the two composed for a
-single draw.
+single draw. ``logit_grad`` is itself the sum of a draw's
+``reward_logit_grad`` and the weighted ``entropy_logit_grad``, which depends
+on the cell only, so the trainer computes it once per cell.
+
+Operations enter as index arrays into ``OPERATIONS``, the form a
+``CellGraph`` stores them in.
 
 Checkpoints carry ``format_version``; the loader rejects any other version.
 """
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +49,7 @@ from .numkernel import (
     glorot_uniform,
     softmax,
 )
-from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, OperationKind, nat_actions
+from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, nat_actions
 
 NAT = "nat"
 NATPP = "nat++"
@@ -140,29 +145,26 @@ def _masks_for(mode: str, index: np.ndarray) -> np.ndarray:
     return VALID[index]
 
 
-def forward(enc: GraphEncoding, ops: Sequence, params: PolicyParams) -> PolicyOutput:
+def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> PolicyOutput:
     """Per-edge transition distributions for one cell or a batch of same-size cells.
 
     One cell: ``enc`` holds a (V, V) adjacency and (V, F) features, ``ops``
-    the cell's K = 2(V - 3) operations, and the output's ``Z`` and ``masks``
-    are (K, c). A batch of B cells with V nodes each: the encodings are
-    stacked on a leading axis, (B, V, V) and (B, V, F), ``ops`` holds B
-    per-cell operation sequences, and ``Z`` and ``masks`` are (B, K, c).
-    Either way the graph convolutions are the same matmuls, the head maps
-    every intermediate node through ``fc`` in one stacked product, and the
-    output carries the backprop cache.
+    the cell's K = 2(V - 3) operation indices, and the output's ``Z`` and
+    ``masks`` are (K, c). A batch of B cells with V nodes each: the
+    encodings are stacked on a leading axis, (B, V, V) and (B, V, F), ``ops``
+    is (B, K), and ``Z`` and ``masks`` are (B, K, c). Either way the graph
+    convolutions are the same matmuls, the head maps every intermediate node
+    through ``fc`` in one stacked product, and the output carries the
+    backprop cache.
     """
     a, x = enc.adjacency, enc.features
-    batched = a.ndim == 3
-    index = np.array([[op.index for op in row] for row in (ops if batched else [ops])])
-    cells, k = index.shape
-    num_inter = k // 2
-    if (
-        k != 2 * num_inter
-        or num_inter != a.shape[-1] - 3
-        or cells != (a.shape[0] if batched else 1)
-    ):
+    index = np.asarray(ops)
+    num_inter = a.shape[-1] - 3
+    k = 2 * num_inter
+    if index.shape != a.shape[:-2] + (k,):
         raise ValueError("ops must list both slots of every intermediate node")
+    if index.dtype.kind not in "iu" or ((index < 0) | (index >= NUM_OPERATIONS)).any():
+        raise ValueError(f"ops must be operation indices in [0, {NUM_OPERATIONS})")
     if x.shape[-1] != params.gcn[0].shape[0]:
         raise ValueError(
             f"feature dim {x.shape[-1]} does not match controller input "
@@ -181,7 +183,7 @@ def forward(enc: GraphEncoding, ops: Sequence, params: PolicyParams) -> PolicyOu
 
     c = params.num_actions
     logits = (m[..., 2 : 2 + num_inter, :] @ params.fc).reshape(a.shape[:-2] + (k, c))
-    masks = _masks_for(params.mode, index if batched else index[0])
+    masks = _masks_for(params.mode, index)
     if params.mode == NAT:
         z = softmax(logits)
     else:
@@ -233,13 +235,45 @@ def total_entropy(out: PolicyOutput) -> float:
     return float(-terms.sum())
 
 
-def actions_to_ops(
-    mode: str, current_ops: Sequence[OperationKind], actions: np.ndarray
-) -> tuple[OperationKind, ...]:
-    """Translate action indices into per-edge target operations."""
+#: ``_NAT_TARGETS[src, a]`` is the operation index that NAT action a turns src into.
+_NAT_TARGETS = np.array([[op.index for op in nat_actions(src)] for src in OPERATIONS])
+
+
+def actions_to_ops(mode: str, current_ops: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Translate action indices into per-edge target operation indices."""
+    actions = np.asarray(actions)
     if mode == NAT:
-        return tuple(nat_actions(cur)[a] for cur, a in zip(current_ops, actions))
-    return tuple(OPERATIONS[a] for a in actions)
+        if ((actions < 0) | (actions >= _NAT_TARGETS.shape[1])).any():
+            raise ValueError("NAT actions must be in [0, 3)")
+        return _NAT_TARGETS[current_ops, actions]
+    return actions
+
+
+def reward_logit_grad(out: PolicyOutput, actions: np.ndarray, reward: float) -> np.ndarray:
+    """Per-edge gradient of reward * log pi(actions) in the logits, for one cell's (K, c) output."""
+    if not np.isfinite(reward):
+        raise ValueError("reward must be finite")
+    z = out.Z
+    rows = np.arange(z.shape[0])
+    if np.any(out.masks[rows, actions] == 0):
+        bad = int(np.argmax(out.masks[rows, actions] == 0))
+        raise ValueError(f"action at edge {bad} violates its transition mask")
+    grad_logp = -z
+    grad_logp[rows, actions] += 1.0
+    return reward * grad_logp
+
+
+def entropy_logit_grad(out: PolicyOutput) -> np.ndarray:
+    """Per-edge gradient of H(pi) in the logits; it depends on the cell only, not on a draw.
+
+    For a masked row the softmax Jacobian is zero at cleared bits, so the
+    gradient vanishes there.
+    """
+    z = out.Z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(z > 0, np.log(z), 0.0)
+    row_entropy = -(z * logp).sum(axis=1, keepdims=True)
+    return np.where(z > 0, -z * (logp + row_entropy), 0.0)
 
 
 def logit_grad(
@@ -247,25 +281,11 @@ def logit_grad(
 ) -> np.ndarray:
     """Per-edge gradient of reward * log pi(actions) + entropy_weight * H(pi) in the logits.
 
-    ``out`` is one cell's output, (K, c); the result has the same shape. For
-    a masked row the softmax Jacobian is zero at cleared bits, so both terms
-    vanish there.
+    ``out`` is one cell's output, (K, c); the result has the same shape. A
+    caller that scores many draws of one cell computes the entropy term once
+    and adds it to each draw's ``reward_logit_grad``, with the same result.
     """
-    if not np.isfinite(reward):
-        raise ValueError("reward must be finite")
-    z = out.Z
-    k, c = z.shape
-    rows = np.arange(k)
-    if np.any(out.masks[rows, actions] == 0):
-        bad = int(np.argmax(out.masks[rows, actions] == 0))
-        raise ValueError(f"action at edge {bad} violates its transition mask")
-    grad_logp = -z
-    grad_logp[rows, actions] += 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(z > 0, np.log(z), 0.0)
-    row_entropy = -(z * logp).sum(axis=1, keepdims=True)
-    grad_h = np.where(z > 0, -z * (logp + row_entropy), 0.0)
-    return reward * grad_logp + entropy_weight * grad_h
+    return reward_logit_grad(out, actions, reward) + entropy_weight * entropy_logit_grad(out)
 
 
 def _rows(x: np.ndarray) -> np.ndarray:

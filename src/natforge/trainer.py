@@ -21,14 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gcnpolicy
-from .archgraph import (
-    CellGraph,
-    EncodingConfig,
-    GraphEncoding,
-    apply_transitions,
-    encode,
-    sample_uniform,
-)
+from .archgraph import CellGraph, EncodingConfig, apply_transitions, encode, sample_uniform
 from .evaluator import (
     OracleProvider,
     PlantedOracle,
@@ -46,9 +39,10 @@ from .gcnpolicy import (
     actions_to_ops,
     argmax_actions,
     backprop,
+    entropy_logit_grad,
     forward,
     init_params,
-    logit_grad,
+    reward_logit_grad,
     sample_actions,
     total_entropy,
 )
@@ -122,21 +116,15 @@ class TrainResult:
     dataset: SyntheticDataset | None = None
 
 
-def _stack(encs: Sequence[GraphEncoding]) -> GraphEncoding:
-    """One batched encoding of same-size cells, stacked on a leading axis."""
-    return GraphEncoding(
-        adjacency=np.array([e.adjacency for e in encs]),
-        features=np.array([e.features for e in encs]),
-    )
-
-
 def run(cfg: TrainConfig) -> TrainResult:
     """Alternating supernet / policy training, fully deterministic under the seed.
 
     A θ step draws its m input cells first, runs one batched ``forward`` over
     them, and then, cell by cell, draws and scores the n rewrites. Each
     draw's ``logit_grad`` is added to its cell's row, and one ``backprop`` of
-    the stacked sum gives the step's gradient, scaled by 1/(m·n). With m = 1
+    the stacked sum gives the step's gradient, scaled by 1/(m·n). The
+    entropy term of ``logit_grad`` depends on the cell only, so it is
+    computed once per cell and added to each draw's reward term. With m = 1
     the generator is consumed in the same order as one forward per cell;
     with m > 1 all m cells come off the generator before their draws.
     """
@@ -183,26 +171,24 @@ def run(cfg: TrainConfig) -> TrainResult:
 
         for _ in range(cfg.iters_theta):
             betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
-            enc = _stack([encode(b, layout) for b in betas])
-            out = forward(enc, [b.ops() for b in betas], policy)
+            out = forward(encode(betas, layout), np.array([b.ops for b in betas]), policy)
             g_u = np.zeros_like(out.Z)
             rewards = []
             entropies = []
             for i, beta in enumerate(betas):
                 cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
                 entropies.append(total_entropy(cell))
+                h_term = cfg.entropy_weight * entropy_logit_grad(cell)
                 # Rewrites keep beta's topology, so each reward is
                 # score(alpha) - score(beta) with beta scored once.
                 base = provider.score(beta)
                 for _j in range(cfg.n):
                     actions, _logp = sample_actions(cell, rng)
-                    alpha = apply_transitions(
-                        beta, actions_to_ops(cfg.mode, beta.ops(), actions)
-                    )
+                    alpha = apply_transitions(beta, actions_to_ops(cfg.mode, beta.ops, actions))
                     r = provider.score(alpha) - base
                     rewards.append(r)
                     r_eff = r - baseline if cfg.use_baseline else r
-                    g_u[i] += logit_grad(cell, actions, r_eff, cfg.entropy_weight)
+                    g_u[i] += reward_logit_grad(cell, actions, r_eff) + h_term
             total = backprop(out, policy, g_u)
             total.scale_(1.0 / (cfg.m * cfg.n))
             if not all(np.isfinite(g).all() for g in total.gcn + [total.fc]):
@@ -252,30 +238,30 @@ def infer_many(
     if decode == "sample" and rng is None:
         raise ValueError("sampling decode requires an rng")
     layout = layout or EncodingConfig(i_max=policy.i_max)
+    c = policy.num_actions
     optimized = []
     for start in range(0, len(graphs), INFER_CHUNK):
         chunk = graphs[start : start + INFER_CHUNK]
+        current = np.concatenate([g.ops for g in chunk])
+        sizes = np.array([len(g.ops) for g in chunk])
+        offsets = np.cumsum(sizes) - sizes
         groups: dict[int, list[int]] = {}
         for i, g in enumerate(chunk):
-            groups.setdefault(g.num_intermediate, []).append(i)
-        z = [None] * len(chunk)
-        masks = [None] * len(chunk)
+            groups.setdefault(g.num_nodes, []).append(i)
+        rows = PolicyOutput(
+            Z=np.empty((len(current), c)), masks=np.empty((len(current), c), dtype=int)
+        )
         for members in groups.values():
-            enc = _stack([encode(chunk[i], layout) for i in members])
-            out = forward(enc, [chunk[i].ops() for i in members], policy)
-            for i, zi, mi in zip(members, out.Z, out.masks):
-                z[i], masks[i] = zi, mi
-        rows = PolicyOutput(Z=np.concatenate(z), masks=np.concatenate(masks))
+            cells = [chunk[i] for i in members]
+            out = forward(encode(cells, layout), np.array([g.ops for g in cells]), policy)
+            edge_rows = (offsets[members][:, None] + np.arange(out.Z.shape[1])).ravel()
+            rows.Z[edge_rows] = out.Z.reshape(-1, c)
+            rows.masks[edge_rows] = out.masks.reshape(-1, c)
         if decode == "argmax":
             actions = argmax_actions(rows)
         else:
             actions, _ = sample_actions(rows, rng)
-        pos = 0
-        for g in chunk:
-            ops = g.ops()
-            step = actions[pos : pos + len(ops)]
-            optimized.append(apply_transitions(g, actions_to_ops(policy.mode, ops, step)))
-            pos += len(ops)
+        optimized += apply_transitions(chunk, actions_to_ops(policy.mode, current, actions))
     return optimized
 
 
@@ -304,15 +290,14 @@ def edge_match_rate(
     measures search behavior (the rate at which drawn transitions land on
     the optimum), which is the right comparison against random search.
     """
+    optimum = oracle.table.argmax(axis=1)
     matches = 0
     total = 0
     for _ in range(num_graphs):
         beta = sample_uniform(num_intermediate, rng)
         alpha = infer(policy, beta, decode=decode, rng=rng)
-        for e, ea in enumerate(alpha.edges):
-            if ea.op is oracle.planted_optimum(e):
-                matches += 1
-            total += 1
+        matches += int((alpha.ops == optimum[: alpha.num_edges]).sum())
+        total += alpha.num_edges
     return matches / total
 
 

@@ -130,11 +130,11 @@ def test_criterion_04_gradient_fidelity():
         params = init_params(mode, layout.feature_dim, rng, hidden_dim=8)
         g = sample_uniform(num_inter, rng)
         enc = encode(g, layout)
-        out = forward(enc, g.ops(), params)
+        out = forward(enc, g.ops, params)
         actions, _ = sample_actions(out, rng)
         reward = float(rng.standard_normal())
         lam = float(rng.uniform(0, 0.1))
-        grads = policy_gradient(forward(enc, g.ops(), params), params, actions, reward, lam)
+        grads = policy_gradient(forward(enc, g.ops, params), params, actions, reward, lam)
 
         def objective(flat, params=params, enc=enc, g=g, actions=actions, reward=reward, lam=lam):
             probe = params.copy()
@@ -143,7 +143,7 @@ def test_criterion_04_gradient_fidelity():
                 w[:] = flat[offset : offset + w.size].reshape(w.shape)
                 offset += w.size
             probe.fc[:] = flat[offset:].reshape(probe.fc.shape)
-            o = forward(enc, g.ops(), probe)
+            o = forward(enc, g.ops, probe)
             return reward * log_prob_of(o, actions) + lam * total_entropy(o)
 
         flat = np.concatenate([w.ravel() for w in params.gcn] + [params.fc.ravel()])
@@ -281,7 +281,7 @@ def test_criterion_08b_high_entropy_weight_is_random_search():
         entropies = []
         for _ in range(50):
             beta = sample_uniform(4, ent_rng)
-            out = forward(encode(beta, layout), beta.ops(), result.policy)
+            out = forward(encode(beta, layout), beta.ops, result.policy)
             entropies.append(total_entropy(out))
         ratios.append(float(np.mean(entropies)) / uniform_h)
         match_rng = np.random.default_rng(40_000 + seed)

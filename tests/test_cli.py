@@ -137,8 +137,10 @@ class TestOptimize:
 
         monkeypatch.setattr(trainer, "infer_many", rewired)
         result = runner.invoke(main, ["optimize", "--in", graphs, "--policy", policy, "--out", out])
-        assert isinstance(result.exception, ValueError)
-        assert "share topology" in str(result.exception)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: optimized graph failed the cost audit"]
         assert not os.path.exists(out)
 
 

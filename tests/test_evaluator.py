@@ -109,10 +109,10 @@ class TestSupernetForward:
         rng = np.random.default_rng(5)
         w = init_shared(rng, 4)
         a = chain_cell(OperationKind.CONV_3X3)
-        b = apply_transitions(a, tuple(
-            OperationKind.CONV_3X3 if e % 2 == 0 else OperationKind.SKIP
+        b = apply_transitions(a, [
+            (OperationKind.CONV_3X3 if e % 2 == 0 else OperationKind.SKIP).index
             for e in range(8)
-        ))
+        ])
         # both graphs use the same bank entry object for shared (slot, op) pairs
         for e in range(0, 8, 2):
             assert w.bank[(e, a.edges[e].op)] is w.bank[(e, b.edges[e].op)]
@@ -221,7 +221,7 @@ class TestOracle:
 
         provider = OracleProvider(PlantedOracle(table=table))
         beta = chain_cell(OperationKind.NULL)
-        alpha = apply_transitions(beta, (OperationKind.SKIP,) * 8)
+        alpha = apply_transitions(beta, [OperationKind.SKIP.index] * 8)
         assert provider.reward(alpha, beta) == 8.0
 
 
@@ -245,8 +245,8 @@ class TestProviders:
         actions = []
         for e in beta.edges:
             ops = transition_mask(e.op).ops()
-            actions.append(ops[int(rng.integers(len(ops)))])
-        alpha = apply_transitions(beta, tuple(actions))
+            actions.append(ops[int(rng.integers(len(ops)))].index)
+        alpha = apply_transitions(beta, actions)
         for p in providers:
             assert p.reward(alpha, beta) == pytest.approx(-p.reward(beta, alpha))
 
@@ -268,8 +268,8 @@ class TestProviders:
             actions = []
             for e in beta.edges:
                 ops = transition_mask(e.op).ops()
-                actions.append(ops[int(rng.integers(len(ops)))])
-            alpha = apply_transitions(beta, tuple(actions))
+                actions.append(ops[int(rng.integers(len(ops)))].index)
+            alpha = apply_transitions(beta, actions)
             for p in providers:
                 assert p.reward(alpha, beta) == p.score(alpha) - p.score(beta)
 

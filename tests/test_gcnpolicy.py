@@ -23,12 +23,14 @@ from natforge.gcnpolicy import (
     argmax_actions,
     ascend_,
     backprop,
+    entropy_logit_grad,
     forward,
     init_params,
     load_policy,
     log_prob_of,
     logit_grad,
     policy_gradient,
+    reward_logit_grad,
     sample_actions,
     save_policy,
     total_entropy,
@@ -50,15 +52,15 @@ def zero_params(mode: str, depth: int = 2, hidden: int = 64) -> PolicyParams:
 class TestForward:
     def test_zero_params_nat_uniform(self):
         g = sample_uniform(4, np.random.default_rng(1))
-        out = forward(encode(g, LAYOUT), g.ops(), zero_params(NAT))
+        out = forward(encode(g, LAYOUT), g.ops, zero_params(NAT))
         assert out.Z.shape == (8, 3)
         assert np.allclose(out.Z, 1 / 3)
 
     def test_zero_params_natpp_mask_uniform(self):
         g = sample_uniform(4, np.random.default_rng(2))
-        out = forward(encode(g, LAYOUT), g.ops(), zero_params(NATPP))
-        for e, op in enumerate(g.ops()):
-            mask = transition_mask(op)
+        out = forward(encode(g, LAYOUT), g.ops, zero_params(NATPP))
+        for e, op in enumerate(g.edges):
+            mask = transition_mask(op.op)
             expected = np.array(mask.bits, dtype=float) / mask.popcount()
             assert np.allclose(out.Z[e], expected)
 
@@ -66,10 +68,10 @@ class TestForward:
         rng = np.random.default_rng(3)
         while True:
             g = sample_uniform(4, rng)
-            if OperationKind.CONV_1X1 in g.ops():
+            if OperationKind.CONV_1X1.index in g.ops:
                 break
-        e = g.ops().index(OperationKind.CONV_1X1)
-        out = forward(encode(g, LAYOUT), g.ops(), zero_params(NATPP))
+        e = g.ops.tolist().index(OperationKind.CONV_1X1.index)
+        out = forward(encode(g, LAYOUT), g.ops, zero_params(NATPP))
         assert np.isclose(out.Z[e].max(), 1 / 3)
         assert np.isclose(out.Z[e].sum(), 1.0)
 
@@ -78,10 +80,10 @@ class TestForward:
         params = init_params(NATPP, LAYOUT.feature_dim, rng)
         while True:
             g = sample_uniform(4, rng)
-            if OperationKind.SKIP in g.ops():
+            if OperationKind.SKIP.index in g.ops:
                 break
-        e = g.ops().index(OperationKind.SKIP)
-        out = forward(encode(g, LAYOUT), g.ops(), params)
+        e = g.ops.tolist().index(OperationKind.SKIP.index)
+        out = forward(encode(g, LAYOUT), g.ops, params)
         for op in OPERATIONS:
             if op.kernel is not None:
                 assert out.Z[e, op.index] == 0.0
@@ -91,7 +93,7 @@ class TestForward:
         params = init_params(NATPP, LAYOUT.feature_dim, rng)
         for _ in range(20):
             g = sample_uniform(4, rng)
-            out = forward(encode(g, LAYOUT), g.ops(), params)
+            out = forward(encode(g, LAYOUT), g.ops, params)
             assert np.abs(out.Z.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_depth_configurable(self):
@@ -100,7 +102,7 @@ class TestForward:
             params = init_params(NATPP, LAYOUT.feature_dim, rng, depth=depth)
             assert params.depth == depth
             g = sample_uniform(4, rng)
-            out = forward(encode(g, LAYOUT), g.ops(), params)
+            out = forward(encode(g, LAYOUT), g.ops, params)
             assert out.Z.shape == (8, 13)
 
     def test_shape_mismatch_rejected(self):
@@ -108,7 +110,15 @@ class TestForward:
         params = init_params(NATPP, 20, rng)
         g = sample_uniform(4, rng)
         with pytest.raises(ValueError, match="feature dim"):
-            forward(encode(g, LAYOUT), g.ops(), params)
+            forward(encode(g, LAYOUT), g.ops, params)
+
+    @pytest.mark.parametrize("bad", [-1, 13])
+    def test_out_of_range_ops_rejected(self, bad):
+        g = sample_uniform(2, np.random.default_rng(8))
+        ops = g.ops.copy()
+        ops[1] = bad
+        with pytest.raises(ValueError, match="operation indices"):
+            forward(encode(g, LAYOUT), ops, zero_params(NATPP))
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -142,7 +152,7 @@ class TestSampling:
         params = init_params(NATPP, LAYOUT.feature_dim, rng)
         for _ in range(50):
             g = sample_uniform(4, rng)
-            out = forward(encode(g, LAYOUT), g.ops(), params)
+            out = forward(encode(g, LAYOUT), g.ops, params)
             actions, _ = sample_actions(out, rng)
             assert (out.masks[np.arange(8), actions] == 1).all()
 
@@ -150,7 +160,7 @@ class TestSampling:
         rng = np.random.default_rng(11)
         params = init_params(NAT, LAYOUT.feature_dim, rng)
         g = sample_uniform(4, rng)
-        out = forward(encode(g, LAYOUT), g.ops(), params)
+        out = forward(encode(g, LAYOUT), g.ops, params)
         actions, logp = sample_actions(out, rng)
         assert logp == pytest.approx(log_prob_of(out, actions))
 
@@ -176,14 +186,20 @@ class TestArgmax:
 
 class TestActionsToOps:
     def test_nat_translation(self):
-        current = (OperationKind.CONV_3X3, OperationKind.MAX_POOL_5X5)
+        current = np.array([OperationKind.CONV_3X3.index, OperationKind.MAX_POOL_5X5.index])
         ops = actions_to_ops(NAT, current, np.array([0, 2]))
-        assert ops == (OperationKind.CONV_3X3, OperationKind.SKIP)
+        assert ops.tolist() == [OperationKind.CONV_3X3.index, OperationKind.SKIP.index]
 
     def test_natpp_translation(self):
-        current = (OperationKind.CONV_3X3,)
+        current = np.array([OperationKind.CONV_3X3.index])
         ops = actions_to_ops(NATPP, current, np.array([OperationKind.SEP_CONV_3X3.index]))
-        assert ops == (OperationKind.SEP_CONV_3X3,)
+        assert ops.tolist() == [OperationKind.SEP_CONV_3X3.index]
+
+    @pytest.mark.parametrize("action", [-1, 3])
+    def test_nat_action_out_of_range_rejected(self, action):
+        current = np.array([OperationKind.CONV_3X3.index])
+        with pytest.raises(ValueError, match="NAT actions"):
+            actions_to_ops(NAT, current, np.array([action]))
 
 
 class TestGradient:
@@ -191,9 +207,9 @@ class TestGradient:
         rng = np.random.default_rng(12)
         params = init_params(NATPP, LAYOUT.feature_dim, rng)
         g = sample_uniform(4, rng)
-        out = forward(encode(g, LAYOUT), g.ops(), params)
+        out = forward(encode(g, LAYOUT), g.ops, params)
         actions, _ = sample_actions(out, rng)
-        grads = policy_gradient(forward(encode(g, LAYOUT), g.ops(), params), params, actions, 0.0, 0.0)
+        grads = policy_gradient(forward(encode(g, LAYOUT), g.ops, params), params, actions, 0.0, 0.0)
         assert all(np.all(gw == 0) for gw in grads.gcn)
         assert np.all(grads.fc == 0)
 
@@ -202,20 +218,20 @@ class TestGradient:
         params = init_params(NATPP, LAYOUT.feature_dim, rng)
         while True:
             g = sample_uniform(4, rng)
-            if OperationKind.SKIP in g.ops():
+            if OperationKind.SKIP.index in g.ops:
                 break
-        e = g.ops().index(OperationKind.SKIP)
-        actions = np.array([op.index for op in g.ops()])
+        e = g.ops.tolist().index(OperationKind.SKIP.index)
+        actions = g.ops.copy()
         actions[e] = OperationKind.CONV_3X3.index
         with pytest.raises(ValueError, match="mask"):
-            policy_gradient(forward(encode(g, LAYOUT), g.ops(), params), params, actions, 1.0, 0.0)
+            policy_gradient(forward(encode(g, LAYOUT), g.ops, params), params, actions, 1.0, 0.0)
 
     def test_non_finite_reward_rejected(self):
         rng = np.random.default_rng(14)
         params = init_params(NAT, LAYOUT.feature_dim, rng)
         g = sample_uniform(4, rng)
         with pytest.raises(ValueError, match="finite"):
-            policy_gradient(forward(encode(g, LAYOUT), g.ops(), params), params, np.zeros(8, dtype=int), float("inf"), 0.0)
+            policy_gradient(forward(encode(g, LAYOUT), g.ops, params), params, np.zeros(8, dtype=int), float("inf"), 0.0)
 
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_matches_finite_differences(self, mode):
@@ -223,10 +239,10 @@ class TestGradient:
         params = init_params(mode, LAYOUT.feature_dim, rng, hidden_dim=8)
         g = sample_uniform(4, rng)
         enc = encode(g, LAYOUT)
-        out = forward(enc, g.ops(), params)
+        out = forward(enc, g.ops, params)
         actions, _ = sample_actions(out, rng)
         reward, lam = 0.7, 0.05
-        grads = policy_gradient(forward(enc, g.ops(), params), params, actions, reward, lam)
+        grads = policy_gradient(forward(enc, g.ops, params), params, actions, reward, lam)
 
         def objective(flat):
             probe = params.copy()
@@ -235,7 +251,7 @@ class TestGradient:
                 w[:] = flat[offset : offset + w.size].reshape(w.shape)
                 offset += w.size
             probe.fc[:] = flat[offset:].reshape(probe.fc.shape)
-            o = forward(enc, g.ops(), probe)
+            o = forward(enc, g.ops, probe)
             return reward * log_prob_of(o, actions) + lam * total_entropy(o)
 
         flat = np.concatenate([w.ravel() for w in params.gcn] + [params.fc.ravel()])
@@ -247,12 +263,12 @@ class TestGradient:
         params = init_params(NATPP, LAYOUT.feature_dim, rng)
         g = sample_uniform(4, rng)
         enc = encode(g, LAYOUT)
-        out = forward(enc, g.ops(), params)
+        out = forward(enc, g.ops, params)
         actions, _ = sample_actions(out, rng)
         before = total_entropy(out)
-        grads = policy_gradient(forward(enc, g.ops(), params), params, actions, 0.0, 1.0)
+        grads = policy_gradient(forward(enc, g.ops, params), params, actions, 0.0, 1.0)
         ascend_(params, grads, 1e-4)
-        after = total_entropy(forward(enc, g.ops(), params))
+        after = total_entropy(forward(enc, g.ops, params))
         assert after >= before - 1e-12
 
 
@@ -277,11 +293,11 @@ class TestEstimator:
             params = init_params(mode, LAYOUT.feature_dim, rng, hidden_dim=16)
             params.fc *= scale
             beta = sample_uniform(num_inter, rng)
-            out = forward(encode(beta, LAYOUT), beta.ops(), params)
+            out = forward(encode(beta, LAYOUT), beta.ops, params)
             z = out.Z
             k = z.shape[0]
             if mode == NAT:
-                targets = np.array([[op.index for op in nat_actions(cur)] for cur in beta.ops()])
+                targets = np.array([[op.index for op in nat_actions(e.op)] for e in beta.edges])
             else:
                 targets = np.tile(np.arange(len(OPERATIONS)), (k, 1))
             t = oracle.table[np.arange(k)[:, None], targets]
@@ -295,7 +311,7 @@ class TestEstimator:
             flat = []
             for s in range(self.DRAWS):
                 actions, _ = sample_actions(out, rng)
-                alpha = apply_transitions(beta, actions_to_ops(mode, beta.ops(), actions))
+                alpha = apply_transitions(beta, actions_to_ops(mode, beta.ops, actions))
                 draws[s] = logit_grad(out, actions, provider.score(alpha) - base - baseline, lam)
                 flat.append(flat_grads(backprop(out, params, draws[s])))
             self.assert_within_clt(draws, exact)
@@ -370,7 +386,7 @@ def random_outputs(count, seed):
         params = init_params(mode, LAYOUT.feature_dim, rng, depth=int(rng.integers(1, 4)))
         params.fc *= float(rng.choice([0.1, 1.0, 30.0]))
         g = sample_uniform(int(rng.integers(1, 5)), rng)
-        yield params, forward(encode(g, LAYOUT), g.ops(), params)
+        yield params, forward(encode(g, LAYOUT), g.ops, params)
 
 
 def one_hot_outputs():
@@ -424,6 +440,14 @@ class TestReferenceEquivalence:
             checked += 1
         assert checked == 60
 
+    def test_logit_grad_is_reward_plus_entropy_terms(self):
+        rng = np.random.default_rng(27)
+        for params, out in random_outputs(20, 28):
+            actions, _ = sample_actions(out, rng)
+            reward, lam = float(rng.standard_normal()), float(rng.choice([0.0, 0.1, 1.0]))
+            split = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
+            assert np.array_equal(logit_grad(out, actions, reward, lam), split)
+
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_batched_forward_matches_per_cell(self, mode):
         rng = np.random.default_rng(24)
@@ -436,13 +460,13 @@ class TestReferenceEquivalence:
                 adjacency=np.stack([e.adjacency for e in encs]),
                 features=np.stack([e.features for e in encs]),
             )
-            out = forward(batch, [g.ops() for g in cells], params)
+            out = forward(batch, [g.ops for g in cells], params)
             assert out.cache is not None
             assert out.Z.shape == (len(cells), cells[0].num_edges, params.num_actions)
             g_u = rng.standard_normal(out.Z.shape) * (out.masks > 0)
             summed = 0.0
             for g, enc, z, masks, g_cell in zip(cells, encs, out.Z, out.masks, g_u):
-                single = forward(enc, g.ops(), params)
+                single = forward(enc, g.ops, params)
                 assert single.cache is not None
                 np.testing.assert_allclose(z, single.Z, rtol=1e-12, atol=0)
                 assert np.array_equal(masks, single.masks)
@@ -458,7 +482,7 @@ class TestReferenceEquivalence:
             features=np.stack([encode(g, LAYOUT).features for g in cells]),
         )
         with pytest.raises(ValueError, match="slots"):
-            forward(batch, [g.ops() for g in cells[:2]], params)
+            forward(batch, [g.ops for g in cells[:2]], params)
 
     def test_gradient_rejects_output_without_cache(self):
         params = init_params(NAT, LAYOUT.feature_dim, np.random.default_rng(23))
@@ -469,7 +493,7 @@ class TestReferenceEquivalence:
     def test_backprop_rejects_mismatched_logit_gradient(self):
         params = init_params(NAT, LAYOUT.feature_dim, np.random.default_rng(26))
         g = sample_uniform(3, np.random.default_rng(26))
-        out = forward(encode(g, LAYOUT), g.ops(), params)
+        out = forward(encode(g, LAYOUT), g.ops, params)
         with pytest.raises(ValueError, match="shape"):
             backprop(out, params, np.zeros((8, 3)))
 

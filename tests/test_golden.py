@@ -1,0 +1,132 @@
+"""Golden bytes: the CLI's artifacts must keep the sha256 pinned here.
+
+Each case runs a short, seeded command and compares the digest of every
+artifact it writes with the value recorded when the case was added. A change
+that alters the text format, the generator stream, the policy or supernet
+numerics, or the training log shows up here as a digest mismatch. A
+deliberate byte change must update the pinned value and say why.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from natforge.archgraph import sample_uniform, serialize_many
+from natforge.cli import main
+
+#: sha256 of ``natforge sample --nodes 7 --count 50 --seed 11``.
+SAMPLE = "7ad58577c3de9b01e4b5240b8bb45b1896f49e7cadb151569a57a1a1a05c61ab"
+
+#: sha256 of (policy.json, train_log.jsonl) for ``natforge train`` on 3 epochs.
+TRAIN = {
+    "nat++-m1": (
+        "abc1c15890041763007b9ab4e7e757a352d94f3a1fa849472d2fc4eb7b6c020d",
+        "7d78a55907f521065f2f3fc641f2addefd93f1a966628f8ce6564c0ab5329e08",
+    ),
+    "nat++-m2": (
+        "b9f97864f3fdbadbcb7e002e758475a94efcba8aaab13b2a33760f02bc6ca5f4",
+        "c41d12f10ef92ca8cfad41c71ef3579aac2c0f493777984974c2724ef29512e6",
+    ),
+    "nat-m1": (
+        "95a64e2eddccd422fc6d914e87e2cafda43dac89daa20dbd2a03c5ef6e0d3ea8",
+        "a9eab112fb34ade6fc8f9d76a6fca8b0087f0e1b4963f22b21e7ee60f8e43632",
+    ),
+}
+TRAIN_FLAGS = {
+    "nat++-m1": ["--mode", "nat++", "--m", "1"],
+    "nat++-m2": ["--mode", "nat++", "--m", "2", "--n", "2"],
+    "nat-m1": ["--mode", "nat", "--m", "1"],
+}
+
+#: sha256 of (policy.json, train_log.jsonl, supernet.json) for one supernet epoch.
+SUPERNET = (
+    "2ba452900e16067d47b8d75556be00414c9fe9c53fa3d639679f75ab99b27bdf",
+    "5b5dbbfd2e89c8d6b07d115bd6c90ac4c3ae5a11140070c470546bc7b86516ab",
+    "cbf661f921e2a8bcf28ff524b5387ecdae8b04d2646c68f4f1a1d98b873d4fa8",
+)
+
+#: sha256 of the mixed 1-4 intermediate input file.
+MIXED = "eafce8fbf495e9089bb68abb8b9de597024d9afa2cab30f17a4e167a6e8f61ed"
+
+#: sha256 of ``natforge optimize`` on the mixed file, by (training run, decode).
+OPTIMIZE = {
+    ("nat++-m1", "sample"): (
+        "e83ac7b9d47c731671bb85bb10e412b1538f20e7d761c89639758d60d8388e73"
+    ),
+    ("nat++-m1", "argmax"): (
+        "141fa0b1d938e86be88dc150d993ab6283d0ba6395674ce5f86b9978294b1b98"
+    ),
+    ("nat-m1", "sample"): (
+        "8bd43f7fd47e44edd06477973f391137dde04d462a1e0fb2ecc510440919c228"
+    ),
+}
+
+
+def sha(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def invoke(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return result
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    out = {}
+    for name, flags in TRAIN_FLAGS.items():
+        run_dir = str(root / name)
+        invoke(["train", *flags, "--epochs", "3", "--seed", "4", "--out", run_dir])
+        out[name] = run_dir
+    return out
+
+
+@pytest.fixture(scope="module")
+def mixed_cells(tmp_path_factory):
+    rng = np.random.default_rng(21)
+    cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(300)]
+    path = str(tmp_path_factory.mktemp("mixed") / "cells.txt")
+    with open(path, "w") as fh:
+        fh.write(serialize_many(cells))
+    return path
+
+
+def test_sample_bytes(tmp_path):
+    path = str(tmp_path / "graphs.txt")
+    invoke(["sample", "--nodes", "7", "--count", "50", "--seed", "11", "--out", path])
+    assert sha(path) == SAMPLE
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN))
+def test_oracle_train_bytes(runs, name):
+    run_dir = runs[name]
+    digests = tuple(sha(os.path.join(run_dir, f)) for f in ("policy.json", "train_log.jsonl"))
+    assert digests == TRAIN[name]
+
+
+def test_supernet_train_bytes(tmp_path):
+    run_dir = str(tmp_path / "run")
+    invoke(["train", "--provider", "supernet", "--epochs", "1", "--seed", "2", "--out", run_dir])
+    files = ("policy.json", "train_log.jsonl", "supernet.json")
+    assert tuple(sha(os.path.join(run_dir, f)) for f in files) == SUPERNET
+
+
+def test_mixed_input_bytes(mixed_cells):
+    assert sha(mixed_cells) == MIXED
+
+
+@pytest.mark.parametrize("name,decode", sorted(OPTIMIZE))
+def test_optimize_bytes(runs, mixed_cells, tmp_path, name, decode):
+    out = str(tmp_path / "optimized.txt")
+    policy = os.path.join(runs[name], "policy.json")
+    invoke(
+        ["optimize", "--in", mixed_cells, "--policy", policy, "--decode", decode,
+         "--seed", "5", "--out", out]
+    )
+    assert sha(out) == OPTIMIZE[(name, decode)]

@@ -165,12 +165,12 @@ class TestInfer:
 
 def reference_infer(policy, beta, decode, rng):
     """Per-cell inference that ``infer_many`` must reproduce: encode, forward, decode, apply."""
-    out = forward(encode(beta, EncodingConfig(i_max=policy.i_max)), beta.ops(), policy)
+    out = forward(encode(beta, EncodingConfig(i_max=policy.i_max)), beta.ops, policy)
     if decode == "argmax":
         actions = out.Z.argmax(axis=1)
     else:
         actions, _ = sample_actions(out, rng)
-    return apply_transitions(beta, actions_to_ops(policy.mode, beta.ops(), actions))
+    return apply_transitions(beta, actions_to_ops(policy.mode, beta.ops, actions))
 
 
 def reference_run(cfg):
@@ -198,11 +198,11 @@ def reference_run(cfg):
         total = None
         rewards = []
         for beta in betas:
-            out = forward(encode(beta, layout), beta.ops(), policy)
+            out = forward(encode(beta, layout), beta.ops, policy)
             base = provider.score(beta)
             for _ in range(cfg.n):
                 actions, _ = sample_actions(out, rng)
-                alpha = apply_transitions(beta, actions_to_ops(cfg.mode, beta.ops(), actions))
+                alpha = apply_transitions(beta, actions_to_ops(cfg.mode, beta.ops, actions))
                 r = provider.score(alpha) - base
                 rewards.append(r)
                 grads = policy_gradient(out, policy, actions, r - baseline, cfg.entropy_weight)
