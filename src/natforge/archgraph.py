@@ -381,8 +381,10 @@ def apply_transitions(
     if new.dtype.kind not in "iu":
         raise ValueError(f"operations must be integer indices, got dtype {new.dtype}")
     in_range = (new >= 0) & (new < NUM_OPERATIONS)
-    ok = in_range & VALID[current, np.where(in_range, new, 0)].astype(bool)
-    if not ok.all():
+    # The table is indexed directly once the range holds; the masked lookup
+    # below only runs to name the first bad edge.
+    if not (in_range.all() and VALID[current, new].all()):
+        ok = in_range & VALID[current, np.where(in_range, new, 0)].astype(bool)
         idx = int(ok.argmin())
         where = f"edge {idx}"
         if not single:

@@ -16,12 +16,20 @@ policy convergence can be measured against ground truth.
 Both providers expose ``score(graph)`` and define the reward of a rewrite as
 ``score(alpha) - score(beta)``. Scores are pure, so a caller that draws many
 rewrites of one input cell scores that cell once.
+
+The supernet kernels work on a cell's operation indices, the form
+``CellGraph.ops`` stores. They dispatch through per-index tuples of type
+class and kernel size, read once from ``opspace``, and read parameters
+through ``SharedWeights.slots[e][o]``, which holds the same entry dicts as
+``bank``. The dilated rotation and its inverse are gathers through cached
+index arrays. None of this changes a bit of the results.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -90,22 +98,38 @@ def make_dataset(
 # ---------------------------------------------------------------------------
 # Shared-weight supernet
 
-# Circular window indices per kernel size, keyed by (feature_dim, k).
-_WINDOW_CACHE: dict[tuple[int, int], np.ndarray] = {}
+#: Per operation index, its type class and kernel size, read once from
+#: ``opspace``'s table so the per-edge loops never hash an ``OperationKind``.
+_TYPE = tuple(op.type_class for op in OPERATIONS)
+_KERNEL = tuple(op.kernel for op in OPERATIONS)
+_NULL = OperationKind.NULL.index
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
 def _windows(feature_dim: int, k: int) -> np.ndarray:
-    key = (feature_dim, k)
-    if key not in _WINDOW_CACHE:
-        _WINDOW_CACHE[key] = np.array(
-            [[(i + j) % feature_dim for j in range(k)] for i in range(feature_dim)]
-        )
-    return _WINDOW_CACHE[key]
+    """Circular window indices: row i holds coordinates i, i + 1, ..., i + k - 1 mod d."""
+    return _read_only((np.arange(feature_dim)[:, None] + np.arange(k)) % feature_dim)
+
+
+@lru_cache(maxsize=64)
+def _roll(feature_dim: int, k: int) -> np.ndarray:
+    """Gather index of a circular shift: ``x[:, _roll(d, k)]`` copies ``np.roll(x, k, axis=1)``."""
+    return _read_only((np.arange(feature_dim) - k) % feature_dim)
 
 
 @dataclass
 class SharedWeights:
-    """Parameter bank indexed by (edge slot index, operation) plus the head."""
+    """Parameter bank indexed by (edge slot index, operation) plus the head.
+
+    ``bank`` is the one store of the entries. ``slots[e][o]`` is the same
+    entry dict as ``bank[(e, OPERATIONS[o])]``, or None for an operation
+    without parameters, so the supernet kernels index it by operation index.
+    """
 
     feature_dim: int
     num_intermediate: int
@@ -113,7 +137,14 @@ class SharedWeights:
     bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]]
     head_w: np.ndarray
     head_b: np.ndarray
-    usage_counts: dict[tuple[int, OperationKind], int]
+    slots: list[list[dict[str, np.ndarray] | None]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.slots = [
+            [self.bank.get((e, op)) for op in OPERATIONS] for e in range(self.num_edges)
+        ]
 
     @property
     def num_edges(self) -> int:
@@ -128,10 +159,8 @@ def init_shared(
 ) -> SharedWeights:
     """Allocate one bank entry per (edge slot, learnable operation)."""
     bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]] = {}
-    usage = {}
     for e in range(2 * num_intermediate):
         for op in OPERATIONS:
-            usage[(e, op)] = 0
             if op.type_class is TypeClass.CONV:
                 bank[(e, op)] = {"mix": glorot_uniform(rng, feature_dim, feature_dim)}
             elif op.type_class in (TypeClass.SEP_CONV, TypeClass.DIL_SEP_CONV):
@@ -148,15 +177,15 @@ def init_shared(
         bank=bank,
         head_w=head_w,
         head_b=head_b,
-        usage_counts=usage,
     )
 
 
-def _edge_forward(op: OperationKind, x: np.ndarray, entry: dict | None):
-    """Apply one toy operation; returns (output, cache-for-backward)."""
-    tc = op.type_class
-    if tc is TypeClass.NULL:
-        return np.zeros_like(x), None
+def _edge_forward(o: int, x: np.ndarray, entry: dict | None):
+    """Apply toy operation ``OPERATIONS[o]``; returns (output, cache-for-backward).
+
+    Null is not handled: its output is zero, and ``_forward_graph`` skips it.
+    """
+    tc = _TYPE[o]
     if tc is TypeClass.SKIP:
         return x, None
     if tc is TypeClass.CONV:
@@ -165,26 +194,28 @@ def _edge_forward(op: OperationKind, x: np.ndarray, entry: dict | None):
         u = x * entry["diag"]
         return u @ entry["mix"], (x, u)
     if tc is TypeClass.DIL_SEP_CONV:
-        xr = np.roll(x, op.kernel, axis=1)
+        # A gather through the cached permutation copies exactly what np.roll would.
+        xr = x[:, _roll(x.shape[1], _KERNEL[o])]
         u = xr * entry["diag"]
         return u @ entry["mix"], (xr, u)
-    win = _windows(x.shape[1], op.kernel)
+    win = _windows(x.shape[1], _KERNEL[o])
     vals = x[:, win]  # (B, d, k)
     if tc is TypeClass.MAX_POOL:
         # The argmax is taken in backward, so a read-only forward skips it.
-        return vals.max(axis=2), (win, vals)
-    return vals.mean(axis=2), (win,)
+        return np.maximum.reduce(vals, axis=2), (win, vals)
+    # ``vals.mean(axis=2)`` without its Python wrapper: the same sum and division.
+    return np.add.reduce(vals, axis=2) / win.shape[1], None
 
 
 def _edge_backward(
-    op: OperationKind,
+    o: int,
     gy: np.ndarray,
     entry: dict | None,
     cache,
     grad_entry: dict | None,
 ) -> np.ndarray:
-    """Gradient of one toy operation; accumulates into grad_entry, returns dx."""
-    tc = op.type_class
+    """Gradient of toy operation ``OPERATIONS[o]``; accumulates into grad_entry, returns dx."""
+    tc = _TYPE[o]
     if tc is TypeClass.NULL:
         return np.zeros_like(gy)
     if tc is TypeClass.SKIP:
@@ -204,7 +235,7 @@ def _edge_backward(
         grad_entry["mix"] += u.T @ gy
         gu = gy @ entry["mix"].T
         grad_entry["diag"] += (gu * xr).sum(axis=0)
-        return np.roll(gu * entry["diag"], -op.kernel, axis=1)
+        return (gu * entry["diag"])[:, _roll(gy.shape[1], -_KERNEL[o])]
     gx = np.zeros_like(gy)
     if tc is TypeClass.MAX_POOL:
         win, vals = cache
@@ -212,38 +243,49 @@ def _edge_backward(
         # One input coordinate can be the max of several windows: accumulate.
         np.add.at(gx, (np.arange(gy.shape[0])[:, None], cols), gy)
         return gx
-    (win,) = cache
-    k = win.shape[1]
-    # Column j of the circular windows is a permutation of the coordinates,
-    # so each fancy-indexed += touches every coordinate exactly once.
+    k = _KERNEL[o]
+    d = gy.shape[1]
+    # Window i feeds coordinate i + j (mod d) from its column j, so column j's
+    # share of the gradient is g rolled by j: one gather per column, added in
+    # the column order a per-coordinate scatter would use.
     g = gy / k
     for j in range(k):
-        gx[:, win[:, j]] += g
+        gx += g[:, _roll(d, j)]
     return gx
 
 
-def _edge_lists(graph: CellGraph) -> tuple[list[int], list[OperationKind]]:
-    """The cell's per-edge sources and operations as lists, for the per-edge loops."""
-    return graph.sources.tolist(), [OPERATIONS[o] for o in graph.ops.tolist()]
+def _edge_lists(graph: CellGraph) -> tuple[list[int], list[int]]:
+    """The cell's per-edge sources and operation indices as lists, for the per-edge loops."""
+    return graph.sources.tolist(), graph.ops.tolist()
 
 
-def _forward_graph(
-    sources: list[int], ops: list[OperationKind], w: SharedWeights, x: np.ndarray
-):
-    """Supernet forward over a batch; returns (logits, caches)."""
+def _forward_graph(sources: list[int], ops: list[int], w: SharedWeights, x: np.ndarray):
+    """Supernet forward over a batch; returns (logits, caches).
+
+    Node l is ``tanh(0 + y_2l + y_2l+1)``, the sum of its two edge outputs
+    started from zeros. A null edge's output is zero, so it is skipped; the
+    start from zeros only turns a -0.0 sum into +0.0, and adding 0.0 to the
+    tanh does the same, so the nodes keep their exact bits.
+    """
     num_inter = len(ops) // 2
+    slots = w.slots
     nodes: dict[int, np.ndarray] = {-2: x, -1: x}
     edge_caches: list = [None] * len(ops)
     # Edges are in canonical (target, slot) order, so node l's edges are 2l
     # and 2l + 1, and sources precede targets, so their inputs are computed.
     for l in range(num_inter):
-        pre = np.zeros_like(x)
+        pre = None
         for e_idx in (2 * l, 2 * l + 1):
-            op = ops[e_idx]
-            y, cache = _edge_forward(op, nodes[sources[e_idx]], w.bank.get((e_idx, op)))
-            edge_caches[e_idx] = cache
-            pre = pre + y
-        nodes[l] = np.tanh(pre)
+            o = ops[e_idx]
+            if o == _NULL:
+                continue
+            y, edge_caches[e_idx] = _edge_forward(o, nodes[sources[e_idx]], slots[e_idx][o])
+            pre = y if pre is None else pre + y
+        if pre is None:
+            nodes[l] = np.zeros_like(x)
+        else:
+            node = nodes[l] = np.tanh(pre)
+            node += 0.0
     feats = np.concatenate([nodes[l] for l in range(num_inter)], axis=1)
     logits = feats @ w.head_w + w.head_b
     return logits, (nodes, edge_caches, feats)
@@ -260,7 +302,8 @@ def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarra
 def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the batch classified correctly by the shared-weight forward pass."""
     logits = graph_logits(graph, w, x)
-    return float((logits.argmax(axis=1) == labels).mean())
+    # The count over the batch size: the same float as the mean of the hits.
+    return np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
 
 
 def supernet_train_step(
@@ -276,7 +319,9 @@ def supernet_train_step(
     them are left untouched. Returns the mean cross-entropy before the step.
     """
     d = w.feature_dim
-    grad_bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]] = {}
+    slots = w.slots
+    # Gradients by (edge slot index, operation index), summed over the graphs.
+    grad_bank: dict[tuple[int, int], dict[str, np.ndarray]] = {}
     grad_head_w = np.zeros_like(w.head_w)
     grad_head_b = np.zeros_like(w.head_b)
     total_loss = 0.0
@@ -299,24 +344,26 @@ def supernet_train_step(
         for l in range(graph.num_intermediate - 1, -1, -1):
             gpre = node_grads[l] * (1.0 - nodes[l] ** 2)
             for e_idx in (2 * l, 2 * l + 1):
-                key = (e_idx, ops[e_idx])
-                w.usage_counts[key] += 1
-                entry = w.bank.get(key)
+                o = ops[e_idx]
+                entry = slots[e_idx][o]
                 gentry = None
                 if entry is not None:
-                    gentry = grad_bank.setdefault(
-                        key, {name: np.zeros_like(arr) for name, arr in entry.items()}
-                    )
-                gx = _edge_backward(ops[e_idx], gpre, entry, edge_caches[e_idx], gentry)
+                    gentry = grad_bank.get((e_idx, o))
+                    if gentry is None:
+                        gentry = grad_bank[(e_idx, o)] = {
+                            name: np.zeros_like(arr) for name, arr in entry.items()
+                        }
+                gx = _edge_backward(o, gpre, entry, edge_caches[e_idx], gentry)
                 if sources[e_idx] >= 0:
                     node_grads[sources[e_idx]] += gx
 
     scale = 1.0 / len(graphs)
     w.head_w -= lr * scale * grad_head_w
     w.head_b -= lr * scale * grad_head_b
-    for key, gentry in grad_bank.items():
+    for (e_idx, o), gentry in grad_bank.items():
+        entry = slots[e_idx][o]
         for name, g in gentry.items():
-            w.bank[key][name] -= lr * scale * g
+            entry[name] -= lr * scale * g
     return total_loss * scale
 
 
@@ -383,7 +430,6 @@ def load_shared(path: str) -> SharedWeights:
     if len(stored) != len(bank):
         extra = sorted(set(stored) - {f"{e}:{op.value}" for e, op in bank})
         raise ValueError(f"bank: unexpected entry {extra[0]!r}")
-    usage = {(e, op): 0 for e in range(2 * num_intermediate) for op in OPERATIONS}
     return SharedWeights(
         feature_dim=d,
         num_intermediate=num_intermediate,
@@ -391,7 +437,6 @@ def load_shared(path: str) -> SharedWeights:
         bank=bank,
         head_w=head_w,
         head_b=head_b,
-        usage_counts=usage,
     )
 
 

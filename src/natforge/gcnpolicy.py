@@ -204,12 +204,14 @@ def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndar
     the generator exactly as the per-edge ``choice`` calls would.
     """
     k = out.num_edges
-    p = out.Z / out.Z.sum(axis=1, keepdims=True)
-    if not np.isfinite(p).all():
-        raise ValueError("probabilities contain NaN or inf")
-    if (p < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if (np.abs(p.sum(axis=1) - 1.0) > _SUM_ATOL).any():
+    p = out.Z / np.add.reduce(out.Z, axis=1, keepdims=True)
+    # Non-negative rows whose sums are within tolerance are also finite, so
+    # one pass accepts valid rows; the checks below name what is wrong.
+    if not ((p >= 0).all() and (np.abs(np.add.reduce(p, axis=1) - 1.0) <= _SUM_ATOL).all()):
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities contain NaN or inf")
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum(axis=1)
     cdf /= cdf[:, -1:]
@@ -250,13 +252,24 @@ def actions_to_ops(mode: str, current_ops: np.ndarray, actions: np.ndarray) -> n
 
 
 def reward_logit_grad(out: PolicyOutput, actions: np.ndarray, reward: float) -> np.ndarray:
-    """Per-edge gradient of reward * log pi(actions) in the logits, for one cell's (K, c) output."""
+    """Per-edge gradient of reward * log pi(actions) in the logits, for one cell's (K, c) output.
+
+    Raises ValueError naming the first edge whose action is outside [0, c)
+    or cleared by its transition mask.
+    """
     if not np.isfinite(reward):
         raise ValueError("reward must be finite")
     z = out.Z
+    c = z.shape[1]
+    actions = np.asarray(actions)
+    # Checked before any indexing, where a negative action would wrap around.
+    if actions.size and (actions.min() < 0 or actions.max() >= c):
+        bad = int(np.argmax((actions < 0) | (actions >= c)))
+        raise ValueError(f"action {actions[bad]} at edge {bad} is not in [0, {c})")
     rows = np.arange(z.shape[0])
-    if np.any(out.masks[rows, actions] == 0):
-        bad = int(np.argmax(out.masks[rows, actions] == 0))
+    allowed = out.masks[rows, actions]
+    if not allowed.all():
+        bad = int(allowed.argmin())
         raise ValueError(f"action at edge {bad} violates its transition mask")
     grad_logp = -z
     grad_logp[rows, actions] += 1.0

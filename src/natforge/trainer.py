@@ -116,17 +116,35 @@ class TrainResult:
     dataset: SyntheticDataset | None = None
 
 
+def _per_draw(a: np.ndarray, n: int) -> np.ndarray:
+    """A step's (m, K, ...) per-cell rows as (m·n·K, ...): each cell's K rows n times over.
+
+    Row block i·n + j is draw j of cell i. With n = 1 this is a view.
+    """
+    if n > 1:
+        a = np.repeat(a, n, axis=0)
+    return a.reshape((-1,) + a.shape[2:])
+
+
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` without its Python wrapper: the same sum and division."""
+    return float(np.add.reduce(values) / len(values))
+
+
 def run(cfg: TrainConfig) -> TrainResult:
     """Alternating supernet / policy training, fully deterministic under the seed.
 
-    A θ step draws its m input cells first, runs one batched ``forward`` over
-    them, and then, cell by cell, draws and scores the n rewrites. Each
-    draw's ``logit_grad`` is added to its cell's row, and one ``backprop`` of
-    the stacked sum gives the step's gradient, scaled by 1/(m·n). The
-    entropy term of ``logit_grad`` depends on the cell only, so it is
-    computed once per cell and added to each draw's reward term. With m = 1
-    the generator is consumed in the same order as one forward per cell;
-    with m > 1 all m cells come off the generator before their draws.
+    A θ step draws its m input cells first and runs one batched ``forward``
+    over them. One ``sample_actions`` call over each cell's rows repeated n
+    times then draws all m·n rewrites, which takes the same uniforms as n
+    calls per cell, cell by cell, and one group ``apply_transitions`` builds
+    them. Cell by cell, the n rewrites are scored, each draw's
+    ``logit_grad`` is added to its cell's row, and one ``backprop`` of the
+    stacked sum gives the step's gradient, scaled by 1/(m·n). The entropy
+    term of ``logit_grad`` depends on the cell only, so it is computed once
+    per cell and added to each draw's reward term. With m = 1 the generator
+    is consumed in the same order as one forward per cell; with m > 1 all m
+    cells come off the generator before their draws.
     """
     rng = np.random.default_rng(cfg.seed)
     layout = EncodingConfig(i_max=cfg.i_max)
@@ -171,7 +189,15 @@ def run(cfg: TrainConfig) -> TrainResult:
 
         for _ in range(cfg.iters_theta):
             betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
-            out = forward(encode(betas, layout), np.array([b.ops for b in betas]), policy)
+            ops = np.array([b.ops for b in betas])
+            out = forward(encode(betas, layout), ops, policy)
+            rows = PolicyOutput(Z=_per_draw(out.Z, cfg.n), masks=_per_draw(out.masks, cfg.n))
+            drawn, _logp = sample_actions(rows, rng)
+            alphas = apply_transitions(
+                [beta for beta in betas for _j in range(cfg.n)],
+                actions_to_ops(cfg.mode, _per_draw(ops, cfg.n), drawn),
+            )
+            actions = drawn.reshape(cfg.m * cfg.n, -1)
             g_u = np.zeros_like(out.Z)
             rewards = []
             entropies = []
@@ -182,20 +208,18 @@ def run(cfg: TrainConfig) -> TrainResult:
                 # Rewrites keep beta's topology, so each reward is
                 # score(alpha) - score(beta) with beta scored once.
                 base = provider.score(beta)
-                for _j in range(cfg.n):
-                    actions, _logp = sample_actions(cell, rng)
-                    alpha = apply_transitions(beta, actions_to_ops(cfg.mode, beta.ops, actions))
-                    r = provider.score(alpha) - base
+                for j in range(i * cfg.n, (i + 1) * cfg.n):
+                    r = provider.score(alphas[j]) - base
                     rewards.append(r)
                     r_eff = r - baseline if cfg.use_baseline else r
-                    g_u[i] += reward_logit_grad(cell, actions, r_eff) + h_term
+                    g_u[i] += reward_logit_grad(cell, actions[j], r_eff) + h_term
             total = backprop(out, policy, g_u)
             total.scale_(1.0 / (cfg.m * cfg.n))
             if not all(np.isfinite(g).all() for g in total.gcn + [total.fc]):
                 raise FloatingPointError(f"non-finite policy gradient at iteration {step + 1}")
             gcnpolicy.ascend_(policy, total, cfg.eta_theta)
-            mean_reward = float(np.mean(rewards))
-            mean_entropy = float(np.mean(entropies))
+            mean_reward = _mean(rewards)
+            mean_entropy = _mean(entropies)
             if cfg.use_baseline:
                 baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * mean_reward
             step += 1

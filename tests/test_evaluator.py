@@ -2,12 +2,13 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from natforge import trainer
+from natforge import evaluator, trainer
 from natforge.archgraph import EdgeSlot, apply_transitions, make_cell, sample_uniform
 from natforge.evaluator import (
     OracleProvider,
@@ -173,14 +174,12 @@ class TestSupernetTraining:
         assert accuracy(chain_cell(OperationKind.CONV_3X3), w, x_val, y_val) > 0.5
 
     def test_usage_counts_uniform_under_uniform_sampling(self):
+        # A supernet step trains bank entry (e, ops[e]) of each of its cells, so
+        # the (slot, op) usage under uniform sampling is counted from the cells.
         rng = np.random.default_rng(9)
-        w = init_shared(rng, 4)
-        ds = make_dataset(9)
-        for _ in range(800):
-            g = sample_uniform(4, rng)
-            x, y = ds.train_batch(rng, 16)
-            supernet_train_step(w, [g], x, y, 0.01)
-        counts = np.array([w.usage_counts[(e, op)] for e in range(8) for op in OPERATIONS])
+        ops = np.stack([sample_uniform(4, rng).ops for _ in range(800)])
+        counts = np.bincount((np.arange(8) * len(OPERATIONS) + ops).ravel())
+        assert counts.shape == (8 * len(OPERATIONS),)
         _, p = stats.chisquare(counts)
         assert p > 0.001
 
@@ -493,6 +492,78 @@ class TestReferenceEquivalence:
             assert loss == _ref_train_step(ref, graphs, x, y, 0.05)
             assert _same_weights(w, ref)
 
+    @pytest.mark.parametrize("feature_dim", [16, 7])
+    def test_every_slot_and_op_matches_reference(self, feature_dim):
+        # At d = 7 a 5-wide window and the dilated shift by 5 wrap past the end.
+        rng = np.random.default_rng(50 + feature_dim)
+        ds = make_dataset(50, feature_dim=feature_dim)
+        w = init_shared(rng, 4, feature_dim=feature_dim)
+        x_val, _ = ds.val_batch(64)
+        covered = set()
+        for trial in range(3):
+            topology = sample_uniform(4, rng)
+            cells = [
+                make_cell(topology.num_nodes, [replace(e, op=op) for e in topology.edges])
+                for op in OPERATIONS
+            ]
+            cells += [sample_uniform(4, rng) for _ in range(13)]
+            for g in cells:
+                covered.update(enumerate(g.ops.tolist()))
+                assert np.array_equal(graph_logits(g, w, x_val), _ref_forward_graph(g, w, x_val)[0])
+                x, y = ds.train_batch(rng, 32)
+                graphs = [g] if trial < 2 else [g, sample_uniform(4, rng)]
+                ref = copy.deepcopy(w)
+                loss = supernet_train_step(w, graphs, x, y, 0.05)
+                assert loss == _ref_train_step(ref, graphs, x, y, 0.05)
+                assert _same_weights(w, ref)
+        assert covered == {(e, op.index) for e in range(8) for op in OPERATIONS}
+
+    def test_slots_are_the_bank_entries(self, tmp_path):
+        w = init_shared(np.random.default_rng(41), 2)
+        path = str(tmp_path / "w.json")
+        save_shared(w, path)
+        learnable = (TypeClass.CONV, TypeClass.SEP_CONV, TypeClass.DIL_SEP_CONV)
+        for shared in (w, load_shared(path), copy.deepcopy(w)):
+            assert len(shared.slots) == 4
+            for e, row in enumerate(shared.slots):
+                for entry, op in zip(row, OPERATIONS, strict=True):
+                    assert entry is shared.bank.get((e, op))
+                    assert (entry is None) == (op.type_class not in learnable)
+
+    def test_deep_copy_trains_its_own_bank(self):
+        rng = np.random.default_rng(42)
+        ds = make_dataset(42)
+        w = init_shared(rng, 4)
+        before = copy.deepcopy(w)
+        trained = copy.deepcopy(w)
+        x, y = ds.train_batch(rng, 32)
+        cells = [chain_cell(op) for op in OPERATIONS]
+        for g in cells:
+            supernet_train_step(trained, [g], x, y, 0.05)
+        assert _same_weights(w, before)
+        ref = copy.deepcopy(w)
+        for g in cells:
+            _ref_train_step(ref, [g], x, y, 0.05)
+        assert _same_weights(trained, ref)
+        assert not _same_weights(trained, w)
+
+    def test_negative_zero_inputs_keep_reference_bits(self):
+        # A node summed from zeros is never -0.0, even when an edge passes -0.0 through.
+        w = init_shared(np.random.default_rng(43), 2)
+        x, _ = make_dataset(43).val_batch(16)
+        x[:, 3] = -0.0
+        g = make_cell(
+            5,
+            (
+                EdgeSlot(0, 0, -2, OperationKind.SKIP),
+                EdgeSlot(0, 1, -1, OperationKind.NULL),
+                EdgeSlot(1, 0, 0, OperationKind.MAX_POOL_3X3),
+                EdgeSlot(1, 1, -1, OperationKind.SKIP),
+            ),
+        )
+        feats = evaluator._forward_graph(g.sources.tolist(), g.ops.tolist(), w, x)[1][2]
+        assert feats.tobytes() == _ref_forward_graph(g, w, x)[1][2].tobytes()
+
     def test_pool_ties_match_reference(self):
         # A node fed only by null edges is all zeros, so pooling it ties everywhere.
         rng = np.random.default_rng(40)
@@ -519,7 +590,8 @@ class TestTrainerScoring:
     @pytest.mark.parametrize("provider", ["oracle", "supernet"])
     def test_beta_scored_once_per_draw_set(self, monkeypatch, provider):
         base = OracleProvider if provider == "oracle" else SupernetProvider
-        counts = {"score": 0, "reward": 0, "forward": 0, "backprop": 0}
+        counted = ("forward", "sample_actions", "apply_transitions", "backprop")
+        counts = dict.fromkeys(("score", "reward") + counted, 0)
 
         class Counting(base):
             def score(self, graph):
@@ -540,12 +612,13 @@ class TestTrainerScoring:
             return call
 
         monkeypatch.setattr(trainer, base.__name__, Counting)
-        for name in ("forward", "backprop"):
+        for name in counted:
             monkeypatch.setattr(trainer, name, counting(name))
         cfg = TrainConfig(provider=provider, m=2, n=3, epochs=2, iters_theta=3, iters_w=1)
         trainer.run(cfg)
         theta_steps = cfg.epochs * cfg.iters_theta
         assert counts["score"] == theta_steps * cfg.m * (cfg.n + 1)
         assert counts["reward"] == 0
-        assert counts["forward"] == theta_steps
-        assert counts["backprop"] == theta_steps
+        # One forward, one draw call, one group rewrite and one backprop per θ step.
+        for name in counted:
+            assert counts[name] == theta_steps, name

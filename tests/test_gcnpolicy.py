@@ -226,6 +226,28 @@ class TestGradient:
         with pytest.raises(ValueError, match="mask"):
             policy_gradient(forward(encode(g, LAYOUT), g.ops, params), params, actions, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", ["-1", "c"])
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_out_of_range_action_rejected_not_wrapped(self, mode, bad):
+        rng = np.random.default_rng(15)
+        params = init_params(mode, LAYOUT.feature_dim, rng)
+        g = sample_uniform(4, rng)
+        out = forward(encode(g, LAYOUT), g.ops, params)
+        c = params.num_actions
+        action = -1 if bad == "-1" else c
+        actions, _ = sample_actions(out, rng)
+        actions[5] = action
+        message = rf"action {action} at edge 5 is not in \[0, {c}\)"
+        with pytest.raises(ValueError, match=message):
+            reward_logit_grad(out, actions, 1.0)
+        with pytest.raises(ValueError, match=message):
+            logit_grad(out, actions, 1.0, 0.1)
+        with pytest.raises(ValueError, match=message):
+            policy_gradient(out, params, actions, 1.0, 0.1)
+        # Every edge at -1 (or c) would index the last (or no) column.
+        with pytest.raises(ValueError, match="at edge 0 is not in"):
+            reward_logit_grad(out, np.full(8, action), 1.0)
+
     def test_non_finite_reward_rejected(self):
         rng = np.random.default_rng(14)
         params = init_params(NAT, LAYOUT.feature_dim, rng)
@@ -412,14 +434,21 @@ class TestReferenceEquivalence:
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize(
-        "z", [[[0.5, np.nan, 0.5]], [[-0.5, 1.0, 0.5]]], ids=["nan", "negative"]
+        "z, message",
+        [
+            ([[0.5, np.nan, 0.5]], "contain NaN or inf"),
+            ([[-0.5, 1.0, 0.5]], "are not non-negative"),
+            ([[0.2, 0.3, 0.5], [1e308, 1e308, 1.0]], "do not sum to 1"),
+        ],
+        ids=["nan", "negative", "overflowing-sum"],
     )
-    def test_sampler_rejects_invalid_rows_like_choice(self, z):
-        out = PolicyOutput(Z=np.array(z), masks=np.ones((1, 3), dtype=int))
-        with pytest.raises(ValueError):
-            reference_sample_actions(out, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="probabilities"):
-            sample_actions(out, np.random.default_rng(0))
+    def test_sampler_rejects_invalid_rows_like_choice(self, z, message):
+        out = PolicyOutput(Z=np.array(z), masks=np.ones((len(z), 3), dtype=int))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError):
+                reference_sample_actions(out, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=f"^probabilities {message}$"):
+                sample_actions(out, np.random.default_rng(0))
 
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_gradient_matches_per_row_loop(self, mode):

@@ -16,6 +16,14 @@ from click.testing import CliRunner
 
 from natforge.archgraph import sample_uniform, serialize_many
 from natforge.cli import main
+from natforge.evaluator import (
+    accuracy,
+    graph_logits,
+    init_shared,
+    make_dataset,
+    save_shared,
+    supernet_train_step,
+)
 
 #: sha256 of ``natforge sample --nodes 7 --count 50 --seed 11``.
 SAMPLE = "7ad58577c3de9b01e4b5240b8bb45b1896f49e7cadb151569a57a1a1a05c61ab"
@@ -47,6 +55,19 @@ SUPERNET = (
     "5b5dbbfd2e89c8d6b07d115bd6c90ac4c3ae5a11140070c470546bc7b86516ab",
     "cbf661f921e2a8bcf28ff524b5387ecdae8b04d2646c68f4f1a1d98b873d4fa8",
 )
+
+#: sha256 of ``save_shared`` after 300 ``supernet_train_step``s on m uniform cells per step.
+PRETRAIN = {
+    1: "3a74aaa0dd519a091a135326a9fa11cb1b8f80e2b7a93a872871d172c8d35beb",
+    2: "8e43690ed04d3f1871d9e5a219b548261c5ffc395edb5013b6006a43a4779ef0",
+}
+
+#: ``accuracy`` of 16 fixed cells under the m = 1 supernet, and sha256 of their logits.
+PRETRAIN_ACCURACY = [
+    0.5, 0.3671875, 0.1875, 0.3125, 0.39453125, 0.20703125, 0.45703125, 0.37890625,
+    0.49609375, 0.30078125, 0.41015625, 0.375, 0.57421875, 0.4921875, 0.35546875, 0.28125,
+]
+PRETRAIN_LOGITS = "bcf24c10ddd8e302164354d409c831cbbb5b9162c804dcac7fe911a419f57169"
 
 #: sha256 of the mixed 1-4 intermediate input file.
 MIXED = "eafce8fbf495e9089bb68abb8b9de597024d9afa2cab30f17a4e167a6e8f61ed"
@@ -130,3 +151,32 @@ def test_optimize_bytes(runs, mixed_cells, tmp_path, name, decode):
          "--seed", "5", "--out", out]
     )
     assert sha(out) == OPTIMIZE[(name, decode)]
+
+
+def pretrained_supernet(m):
+    rng = np.random.default_rng(6)
+    ds = make_dataset(6)
+    w = init_shared(rng, 4)
+    for _ in range(300):
+        graphs = [sample_uniform(4, rng) for _ in range(m)]
+        x, y = ds.train_batch(rng, 32)
+        supernet_train_step(w, graphs, x, y, 0.05)
+    return w, ds
+
+
+@pytest.mark.parametrize("m", sorted(PRETRAIN))
+def test_supernet_pretrain_bytes(tmp_path, m):
+    w, _ = pretrained_supernet(m)
+    path = str(tmp_path / "supernet.json")
+    save_shared(w, path)
+    assert sha(path) == PRETRAIN[m]
+
+
+def test_supernet_accuracy_values():
+    w, ds = pretrained_supernet(1)
+    x, y = ds.val_batch(256)
+    rng = np.random.default_rng(16)
+    cells = [sample_uniform(4, rng) for _ in range(16)]
+    assert [accuracy(g, w, x, y) for g in cells] == PRETRAIN_ACCURACY
+    logits = hashlib.sha256(b"".join(graph_logits(g, w, x).tobytes() for g in cells))
+    assert logits.hexdigest() == PRETRAIN_LOGITS

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natforge import trainer
 from natforge.archgraph import (
@@ -19,6 +21,7 @@ from natforge.gcnpolicy import (
     NAT,
     NATPP,
     ParamGrads,
+    PolicyOutput,
     actions_to_ops,
     ascend_,
     forward,
@@ -269,6 +272,45 @@ class TestReferenceEquivalence:
 
     def test_empty_input(self, trained):
         assert infer_many(trained.policy, [], rng=np.random.default_rng(0)) == []
+
+
+class TestDrawSet:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([NAT, NATPP]),
+        m=st.integers(1, 3),
+        n=st.sampled_from([1, 3, 8]),
+        num_intermediate=st.integers(1, 4),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+    )
+    def test_one_draw_call_equals_per_draw_calls(self, seed, mode, m, n, num_intermediate, scale):
+        rng = np.random.default_rng(seed)
+        layout = EncodingConfig(i_max=4)
+        policy = init_params(mode, layout.feature_dim, rng)
+        policy.fc *= scale
+        betas = [sample_uniform(num_intermediate, rng) for _ in range(m)]
+        ops = np.array([b.ops for b in betas])
+        out = forward(encode(betas, layout), ops, policy)
+
+        fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        rows = PolicyOutput(Z=trainer._per_draw(out.Z, n), masks=trainer._per_draw(out.masks, n))
+        drawn, _ = sample_actions(rows, fast_rng)
+        alphas = apply_transitions(
+            [b for b in betas for _ in range(n)],
+            actions_to_ops(mode, trainer._per_draw(ops, n), drawn),
+        )
+
+        ref_actions, ref_alphas = [], []
+        for i, beta in enumerate(betas):
+            cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
+            for _ in range(n):
+                actions, _ = sample_actions(cell, ref_rng)
+                ref_actions.append(actions)
+                ref_alphas.append(apply_transitions(beta, actions_to_ops(mode, beta.ops, actions)))
+        assert np.array_equal(drawn.reshape(m * n, -1), np.stack(ref_actions))
+        assert alphas == ref_alphas
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMatchRates:
