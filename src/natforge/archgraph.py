@@ -90,10 +90,6 @@ class CellGraph:
         return self.num_nodes - 3
 
     @property
-    def output_node(self) -> int:
-        return self.num_nodes - 3
-
-    @property
     def num_edges(self) -> int:
         return len(self.ops)
 
@@ -530,8 +526,8 @@ def _line_record(raw: str) -> tuple[str | None, object, str | None]:
     return None, None, f"unknown record {tokens[0]!r}"
 
 
-def _parse_records(text: str) -> tuple[list[int], list[CellGraph]]:
-    """Parse all cell records in a document; returns their first line numbers and cells.
+def parse_many(text: str) -> list[CellGraph]:
+    """Parse all cell records in a document; raises ParseError naming the first bad line.
 
     The lines are tokenized in order, up to the first malformed one; each
     distinct line is tokenized once. The cells read before that point are
@@ -585,7 +581,7 @@ def _parse_records(text: str) -> tuple[list[int], list[CellGraph]]:
     graphs = _validated_cells(heads, edges)
     if stop is not None:
         raise stop
-    return [h[0] for h in heads], graphs
+    return graphs
 
 
 def _validated_cells(
@@ -623,17 +619,3 @@ def _validated_cells(
         _cell(h[1], sources[lo:hi], ops[lo:hi])
         for h, lo, hi in zip(heads, starts[:-1], starts[1:])
     ]
-
-
-def parse(text: str) -> CellGraph:
-    """Parse one cell; raises ParseError on malformed input or extra records."""
-    lines, graphs = _parse_records(text)
-    if not graphs:
-        raise ParseError("line 1: no cell record found")
-    if len(graphs) > 1:
-        raise ParseError(f"line {lines[1]}: expected a single cell record")
-    return graphs[0]
-
-
-def parse_many(text: str) -> list[CellGraph]:
-    return _parse_records(text)[1]

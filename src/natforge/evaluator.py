@@ -44,15 +44,7 @@ from .numkernel import (
     cross_entropy_logits,
     glorot_uniform,
 )
-from .opspace import (
-    NUM_OPERATIONS,
-    OPERATIONS,
-    OperationKind,
-    TypeClass,
-    transition_mask,
-)
-
-_LEARNABLE = (TypeClass.CONV, TypeClass.SEP_CONV, TypeClass.DIL_SEP_CONV)
+from .opspace import NUM_OPERATIONS, OPERATIONS, OperationKind, TypeClass
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +90,8 @@ def make_dataset(
 # ---------------------------------------------------------------------------
 # Shared-weight supernet
 
-#: Per operation index, its type class and kernel size, read once from
-#: ``opspace``'s table so the per-edge loops never hash an ``OperationKind``.
+#: Per operation index, its type class and kernel size, read once from the
+#: ``OperationKind`` members so the per-edge loops index plain tuples.
 _TYPE = tuple(op.type_class for op in OPERATIONS)
 _KERNEL = tuple(op.kernel for op in OPERATIONS)
 _NULL = OperationKind.NULL.index
@@ -151,22 +143,37 @@ class SharedWeights:
         return 2 * self.num_intermediate
 
 
+def _entry_shapes(op: OperationKind, d: int) -> dict[str, tuple[int, ...]]:
+    """Array shapes of ``op``'s bank entry at feature dim ``d``, in storage order.
+
+    Convolutions hold a dense ``mix``; separable ones (plain or dilated) a
+    ``diag`` first, then a ``mix``. Other operations have no entry.
+    """
+    if op.type_class is TypeClass.CONV:
+        return {"mix": (d, d)}
+    if op.type_class in (TypeClass.SEP_CONV, TypeClass.DIL_SEP_CONV):
+        return {"diag": (d,), "mix": (d, d)}
+    return {}
+
+
 def init_shared(
     rng: np.random.Generator,
     num_intermediate: int = 4,
     feature_dim: int = 16,
     num_classes: int = 8,
 ) -> SharedWeights:
-    """Allocate one bank entry per (edge slot, learnable operation)."""
+    """Allocate one bank entry per (edge slot, learnable operation).
+
+    A ``diag`` starts at ones and a ``mix`` is Glorot-uniform.
+    """
     bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]] = {}
     for e in range(2 * num_intermediate):
         for op in OPERATIONS:
-            if op.type_class is TypeClass.CONV:
-                bank[(e, op)] = {"mix": glorot_uniform(rng, feature_dim, feature_dim)}
-            elif op.type_class in (TypeClass.SEP_CONV, TypeClass.DIL_SEP_CONV):
+            shapes = _entry_shapes(op, feature_dim)
+            if shapes:
                 bank[(e, op)] = {
-                    "diag": np.ones(feature_dim),
-                    "mix": glorot_uniform(rng, feature_dim, feature_dim),
+                    name: np.ones(shape) if name == "diag" else glorot_uniform(rng, *shape)
+                    for name, shape in shapes.items()
                 }
     head_w = glorot_uniform(rng, num_intermediate * feature_dim, num_classes)
     head_b = np.zeros(num_classes)
@@ -412,14 +419,12 @@ def load_shared(path: str) -> SharedWeights:
     bank = {}
     for e in range(2 * num_intermediate):
         for op in OPERATIONS:
-            if op.type_class not in _LEARNABLE:
+            shapes = _entry_shapes(op, d)
+            if not shapes:
                 continue
             key = f"{e}:{op.value}"
             if key not in stored:
                 raise ValueError(f"bank: missing entry {key!r}")
-            shapes = {"mix": (d, d)}
-            if op.type_class is not TypeClass.CONV:
-                shapes["diag"] = (d,)
             entry = stored[key]
             if not isinstance(entry, dict) or set(entry) != set(shapes):
                 raise ValueError(f"bank[{key!r}]: expected arrays {sorted(shapes)}")
@@ -465,13 +470,6 @@ class PlantedOracle:
 
     def planted_optimum(self, edge_index: int) -> OperationKind:
         return OPERATIONS[int(self.table[edge_index].argmax())]
-
-    def best_reachable(self, edge_index: int, source: OperationKind) -> OperationKind:
-        """Highest-scoring target among the source's valid transitions."""
-        mask = transition_mask(source)
-        candidates = mask.ops()
-        scores = [self.table[edge_index, op.index] for op in candidates]
-        return candidates[int(np.argmax(scores))]
 
 
 def make_oracle(seed: int, num_edges: int = 8, scale: float = 0.1) -> PlantedOracle:

@@ -3,10 +3,12 @@
 The controller embeds a cell's (adjacency, features) pair through a stack of
 graph convolutions (two by default; the last one is linear) and maps each
 intermediate node's embedding through a fully-connected head to two blocks of
-logits, one per incoming slot. In the 3-action mode every edge shares the
-vocabulary {keep, to-null, to-skip} under a standard softmax; in the 13-action
-mode the logits go through the masked softmax so that only rule-valid target
-operations receive probability.
+logits, one per incoming slot. Both modes go through the one Binary-Masked
+Softmax (BMSoftmax). In the 13-action mode (NAT++) each source operation's
+row of ``VALID`` is its mask, so only rule-valid target operations receive
+probability. The 3-action mode (NAT) shares the vocabulary {keep, to-null,
+to-skip}, all three always allowed: its mask is all ones, which makes
+BMSoftmax the plain softmax, bit for bit.
 
 ``forward`` takes one cell or a stack of same-size cells and maps every
 intermediate node through the head in one stacked product. Its output always
@@ -47,14 +49,15 @@ from .numkernel import (
     checkpoint_dim,
     checkpoint_fields,
     glorot_uniform,
-    softmax,
 )
 from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, nat_actions
 
 NAT = "nat"
 NATPP = "nat++"
 
-_NUM_ACTIONS = {NAT: 3, NATPP: NUM_OPERATIONS}
+#: Per mode, the transition mask of each source operation, indexed by its index.
+_MASKS = {NAT: np.ones((NUM_OPERATIONS, 3), dtype=int), NATPP: VALID}
+_NUM_ACTIONS = {mode: table.shape[1] for mode, table in _MASKS.items()}
 
 
 @dataclass
@@ -138,13 +141,6 @@ def init_params(
     return PolicyParams(mode=mode, gcn=gcn, fc=fc, i_max=i_max)
 
 
-def _masks_for(mode: str, index: np.ndarray) -> np.ndarray:
-    """Masks for an array of source-operation indices, one row per entry."""
-    if mode == NAT:
-        return np.ones(index.shape + (3,), dtype=int)
-    return VALID[index]
-
-
 def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> PolicyOutput:
     """Per-edge transition distributions for one cell or a batch of same-size cells.
 
@@ -183,12 +179,10 @@ def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> Policy
 
     c = params.num_actions
     logits = (m[..., 2 : 2 + num_inter, :] @ params.fc).reshape(a.shape[:-2] + (k, c))
-    masks = _masks_for(params.mode, index)
-    if params.mode == NAT:
-        z = softmax(logits)
-    else:
-        z = bmsoftmax(logits, masks)
-    return PolicyOutput(Z=z, masks=masks, cache=BackpropCache(a, ahs, pres, m))
+    masks = _MASKS[params.mode][index]
+    return PolicyOutput(
+        Z=bmsoftmax(logits, masks), masks=masks, cache=BackpropCache(a, ahs, pres, m)
+    )
 
 
 #: Tolerance on a row's probability sum, the one ``Generator.choice`` applies.

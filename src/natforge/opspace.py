@@ -8,6 +8,18 @@ kernel; skip and null are reachable from everything and form a sink pair.
 Validity implies cost never increases, with the single deliberate exception
 null -> skip, which buys representation ability for a small copy cost and
 is whitelisted in every audit.
+
+Each rule is stated once, and everything else is derived from it:
+
+* the vocabulary: the ``OperationKind`` members, each with its name, type
+  class, kernel and index;
+* validity: ``is_valid_transition_natpp``, tabulated as ``VALID`` and as
+  the per-source ``transition_mask``;
+* the cost audit: ``non_increasing_table`` (params and madds do not grow)
+  plus ``WHITELISTED_TRANSITIONS``. A violation is a valid transition the
+  table rejects.
+
+Costs are Python ints, exact at any geometry, also beyond the int64 range.
 """
 
 from __future__ import annotations
@@ -41,75 +53,47 @@ _STAGE = {
 
 
 class OperationKind(Enum):
-    CONV_1X1 = "conv_1x1"
-    CONV_3X3 = "conv_3x3"
-    CONV_5X5 = "conv_5x5"
-    SEP_CONV_3X3 = "sep_conv_3x3"
-    SEP_CONV_5X5 = "sep_conv_5x5"
-    DIL_SEP_CONV_3X3 = "dil_sep_conv_3x3"
-    DIL_SEP_CONV_5X5 = "dil_sep_conv_5x5"
-    MAX_POOL_3X3 = "max_pool_3x3"
-    MAX_POOL_5X5 = "max_pool_5x5"
-    AVG_POOL_3X3 = "avg_pool_3x3"
-    AVG_POOL_5X5 = "avg_pool_5x5"
-    SKIP = "skip"
-    NULL = "null"
+    """One operation of the vocabulary, stated once with every fact about it.
 
-    @property
-    def type_class(self) -> TypeClass:
-        return _TYPE_OF[self]
+    ``value`` is the serialized name, ``type_class`` and ``kernel`` (None for
+    skip and null) feed the transition rule and the cost model, and
+    ``index`` is the position in declaration order, set as each member is
+    created.
+    """
 
-    @property
-    def kernel(self) -> int | None:
-        """Kernel size, or None for skip and null."""
-        return _KERNEL_OF[self]
+    type_class: TypeClass
+    kernel: int | None
+    index: int
 
-    @property
-    def index(self) -> int:
-        return _INDEX_OF[self]
+    CONV_1X1 = ("conv_1x1", TypeClass.CONV, 1)
+    CONV_3X3 = ("conv_3x3", TypeClass.CONV, 3)
+    CONV_5X5 = ("conv_5x5", TypeClass.CONV, 5)
+    SEP_CONV_3X3 = ("sep_conv_3x3", TypeClass.SEP_CONV, 3)
+    SEP_CONV_5X5 = ("sep_conv_5x5", TypeClass.SEP_CONV, 5)
+    DIL_SEP_CONV_3X3 = ("dil_sep_conv_3x3", TypeClass.DIL_SEP_CONV, 3)
+    DIL_SEP_CONV_5X5 = ("dil_sep_conv_5x5", TypeClass.DIL_SEP_CONV, 5)
+    MAX_POOL_3X3 = ("max_pool_3x3", TypeClass.MAX_POOL, 3)
+    MAX_POOL_5X5 = ("max_pool_5x5", TypeClass.MAX_POOL, 5)
+    AVG_POOL_3X3 = ("avg_pool_3x3", TypeClass.AVG_POOL, 3)
+    AVG_POOL_5X5 = ("avg_pool_5x5", TypeClass.AVG_POOL, 5)
+    SKIP = ("skip", TypeClass.SKIP, None)
+    NULL = ("null", TypeClass.NULL, None)
+
+    def __new__(cls, name: str, type_class: TypeClass, kernel: int | None):
+        op = object.__new__(cls)
+        op._value_ = name
+        op.type_class = type_class
+        op.kernel = kernel
+        op.index = len(cls.__members__)
+        return op
 
     def __repr__(self) -> str:
         return f"OperationKind.{self.name}"
 
 
-_TYPE_OF = {
-    OperationKind.CONV_1X1: TypeClass.CONV,
-    OperationKind.CONV_3X3: TypeClass.CONV,
-    OperationKind.CONV_5X5: TypeClass.CONV,
-    OperationKind.SEP_CONV_3X3: TypeClass.SEP_CONV,
-    OperationKind.SEP_CONV_5X5: TypeClass.SEP_CONV,
-    OperationKind.DIL_SEP_CONV_3X3: TypeClass.DIL_SEP_CONV,
-    OperationKind.DIL_SEP_CONV_5X5: TypeClass.DIL_SEP_CONV,
-    OperationKind.MAX_POOL_3X3: TypeClass.MAX_POOL,
-    OperationKind.MAX_POOL_5X5: TypeClass.MAX_POOL,
-    OperationKind.AVG_POOL_3X3: TypeClass.AVG_POOL,
-    OperationKind.AVG_POOL_5X5: TypeClass.AVG_POOL,
-    OperationKind.SKIP: TypeClass.SKIP,
-    OperationKind.NULL: TypeClass.NULL,
-}
-
-_KERNEL_OF = {
-    OperationKind.CONV_1X1: 1,
-    OperationKind.CONV_3X3: 3,
-    OperationKind.CONV_5X5: 5,
-    OperationKind.SEP_CONV_3X3: 3,
-    OperationKind.SEP_CONV_5X5: 5,
-    OperationKind.DIL_SEP_CONV_3X3: 3,
-    OperationKind.DIL_SEP_CONV_5X5: 5,
-    OperationKind.MAX_POOL_3X3: 3,
-    OperationKind.MAX_POOL_5X5: 5,
-    OperationKind.AVG_POOL_3X3: 3,
-    OperationKind.AVG_POOL_5X5: 5,
-    OperationKind.SKIP: None,
-    OperationKind.NULL: None,
-}
-
 #: All operations in canonical index order.
 OPERATIONS: tuple[OperationKind, ...] = tuple(OperationKind)
 NUM_OPERATIONS = len(OPERATIONS)
-
-_INDEX_OF = {op: i for i, op in enumerate(OPERATIONS)}
-_BY_NAME = {op.value: op for op in OPERATIONS}
 
 #: The one valid transition allowed to increase madds (copy traffic).
 WHITELISTED_TRANSITIONS = frozenset({(OperationKind.NULL, OperationKind.SKIP)})
@@ -118,25 +102,9 @@ WHITELISTED_TRANSITIONS = frozenset({(OperationKind.NULL, OperationKind.SKIP)})
 def op_from_name(name: str) -> OperationKind:
     """Look up an operation by its snake-case serialized name."""
     try:
-        return _BY_NAME[name]
-    except KeyError:
+        return OperationKind(name)
+    except ValueError:
         raise ValueError(f"unknown operation name: {name!r}") from None
-
-
-def make_op(type_class: TypeClass, kernel: int | None = None) -> OperationKind:
-    """Build an operation from its type class and kernel size.
-
-    Skip and null take no kernel; pairing them with one is rejected, as is
-    any (type, kernel) combination outside the 13-entry vocabulary.
-    """
-    if type_class in (TypeClass.SKIP, TypeClass.NULL):
-        if kernel is not None:
-            raise ValueError(f"{type_class.value} carries no kernel, got {kernel}")
-        return OperationKind.SKIP if type_class is TypeClass.SKIP else OperationKind.NULL
-    for op in OPERATIONS:
-        if op.type_class is type_class and op.kernel == kernel:
-            return op
-    raise ValueError(f"no operation with type {type_class.value} and kernel {kernel}")
 
 
 @dataclass(frozen=True)
@@ -253,9 +221,6 @@ class TransitionMask:
         if not any(self.bits):
             raise ValueError("mask must have at least one set bit")
 
-    def allows(self, op: OperationKind) -> bool:
-        return bool(self.bits[op.index])
-
     def ops(self) -> tuple[OperationKind, ...]:
         return tuple(op for op in OPERATIONS if self.bits[op.index])
 
@@ -318,33 +283,24 @@ def audit_rows(cfg: CostConfig) -> list[dict]:
     """All 169 ordered transition rows with validity and cost deltas.
 
     Each row carries ``from``, ``to``, ``valid``, ``whitelisted``,
-    ``params_delta``, and ``madds_delta``; a valid, non-whitelisted row with
-    a positive delta is a rule violation.
+    ``params_delta``, and ``madds_delta``, in ``VALID``'s row-major order.
     """
-    rows = []
-    for src in OPERATIONS:
-        src_cost = cost_of_op(src, cfg)
-        for dst in OPERATIONS:
-            dst_cost = cost_of_op(dst, cfg)
-            rows.append(
-                {
-                    "from": src.value,
-                    "to": dst.value,
-                    "valid": int(is_valid_transition_natpp(src, dst)),
-                    "whitelisted": int((src, dst) in WHITELISTED_TRANSITIONS),
-                    "params_delta": dst_cost.params - src_cost.params,
-                    "madds_delta": dst_cost.madds - src_cost.madds,
-                }
-            )
-    return rows
+    costs = [cost_of_op(op, cfg) for op in OPERATIONS]
+    return [
+        {
+            "from": src.value,
+            "to": dst.value,
+            "valid": int(VALID[src.index, dst.index]),
+            "whitelisted": int((src, dst) in WHITELISTED_TRANSITIONS),
+            "params_delta": cd.params - cs.params,
+            "madds_delta": cd.madds - cs.madds,
+        }
+        for src, cs in zip(OPERATIONS, costs)
+        for dst, cd in zip(OPERATIONS, costs)
+    ]
 
 
 def audit_violations(cfg: CostConfig) -> list[dict]:
-    """Valid, non-whitelisted transitions whose cost increases (should be empty)."""
-    return [
-        r
-        for r in audit_rows(cfg)
-        if r["valid"]
-        and not r["whitelisted"]
-        and (r["params_delta"] > 0 or r["madds_delta"] > 0)
-    ]
+    """Rows of the valid transitions that ``non_increasing_table`` rejects (should be empty)."""
+    rows = audit_rows(cfg)
+    return [rows[i] for i in np.flatnonzero(VALID & ~non_increasing_table(cfg))]

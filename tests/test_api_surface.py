@@ -1,0 +1,99 @@
+"""No public name of the package exists for the tests alone.
+
+Every public top-level function and class of ``src/natforge/*.py``, and every
+public method of those classes, must be reached from product code (the
+package outside the name's own definition), from the benchmark in
+``perfbench/``, or from the acceptance suite. Click commands count as
+reached: the command line dispatches them by registration, not by name.
+
+A reference is an identifier in code (a name, an attribute, an imported
+name) or a string literal that is a whole dotted name, such as
+``"OracleProvider.reward"``, since the benchmark's tracer names what it
+patches in strings. Prose in messages and docstrings does not count.
+Matching is by name only, so a method shares its name with every attribute
+of that spelling: the check can miss dead code, but it never flags a name
+that is in use.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "natforge"
+USERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Identifiers a tree refers to, counted once per occurrence."""
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED_NAME.fullmatch(node.value):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def _is_click_command(fn: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in fn.decorator_list
+    )
+
+
+def _public_definitions():
+    """(module, qualified name, definition node) of every public name in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not _is_click_command(node):
+                if not node.name.startswith("_"):
+                    yield path.stem, node.name, node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield path.stem, node.name, node
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path.stem, f"{node.name}.{item.name}", item
+
+
+def unreached_names() -> list[str]:
+    package_refs = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        package_refs += _references(ast.parse(path.read_text()))
+    user_refs = Counter()
+    for path in USERS:
+        user_refs += _references(ast.parse(path.read_text()))
+    unreached = []
+    for module, qualname, node in _public_definitions():
+        name = qualname.rsplit(".", 1)[-1]
+        # References inside the definition itself (recursion, a class naming
+        # itself) do not reach it.
+        outside = package_refs[name] - _references(node)[name]
+        if outside <= 0 and not user_refs[name]:
+            unreached.append(f"{module}.{qualname}")
+    return unreached
+
+
+def test_every_public_name_is_reached_outside_the_unit_tests():
+    assert unreached_names() == []
+
+
+def test_the_scan_sees_definitions_and_references():
+    names = {f"{m}.{q}" for m, q, _ in _public_definitions()}
+    assert {"archgraph.CellGraph", "archgraph.CellGraph.edges", "opspace.audit_rows"} <= names
+    # Click commands are entry points, not names to reach.
+    assert "cli.audit" not in names
+    refs = _references(ast.parse('"""A doc."""\nx = f("a.b", f"c {y.z}", "d e")\n'))
+    assert refs["doc"] == refs["c"] == refs["d"] == 0
+    assert refs["a"] == refs["b"] == refs["y"] == refs["z"] == 1

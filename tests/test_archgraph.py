@@ -20,7 +20,6 @@ from natforge.archgraph import (
     cost_of,
     encode,
     make_cell,
-    parse,
     parse_many,
     same_topology,
     sample_uniform,
@@ -226,6 +225,14 @@ class TestCosting:
         assert report.total_params == sum(c.params for c in report.per_edge)
         assert report.total_madds == sum(c.madds for c in report.per_edge)
 
+    def test_costs_stay_exact_beyond_int64(self):
+        # 8 conv_5x5 edges at 10^6 channels and 10^4 x 10^4 pixels: 2 * 10^22 madds.
+        cfg = CostConfig(10**6, 10**6, 10**4, 10**4)
+        report = cost_of(chain_cell(OperationKind.CONV_5X5), cfg)
+        assert report.total_madds == 8 * 5 * 5 * 10**6 * 10**6 * 10**4 * 10**4
+        assert report.total_madds > 2**63
+        assert report.total_params == 8 * 5 * 5 * 10**6 * 10**6
+
     def test_all_null_costs_zero(self):
         g = chain_cell(OperationKind.NULL)
         report = cost_of(g, CFG)
@@ -311,7 +318,7 @@ class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1), num_intermediate=st.integers(1, 6))
     def test_parse_inverts_serialize(self, seed, num_intermediate):
         g = sample_uniform(num_intermediate, np.random.default_rng(seed))
-        assert parse(serialize(g)) == g
+        assert parse_many(serialize(g)) == [g]
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_intermediate=st.integers(1, 6))
@@ -329,7 +336,7 @@ class TestSerialization:
         rng = np.random.default_rng(6)
         for _ in range(20):
             g = sample_uniform(4, rng)
-            assert parse(serialize(g)) == g
+            assert parse_many(serialize(g)) == [g]
 
     def test_many_round_trip(self):
         rng = np.random.default_rng(7)
@@ -338,12 +345,12 @@ class TestSerialization:
 
     def test_comments_and_blanks_ignored(self):
         text = "# header comment\n\ncell v=4\nedge t=0 s=0 f=-2 op=skip  # inline\nedge t=0 s=1 f=-1 op=null\n"
-        g = parse(text)
+        (g,) = parse_many(text)
         assert g.num_nodes == 4
 
     def test_malformed_line_reported(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse("cell v=4\nedge t=0 s=0 f=-2\nedge t=0 s=1 f=-1 op=null\n")
+            parse_many("cell v=4\nedge t=0 s=0 f=-2\nedge t=0 s=1 f=-1 op=null\n")
 
     @pytest.mark.parametrize(
         "text,message",
@@ -372,7 +379,7 @@ class TestSerialization:
 
     def test_unknown_op_reported(self):
         with pytest.raises(ParseError, match="unknown operation"):
-            parse("cell v=4\nedge t=0 s=0 f=-2 op=conv_9x9\nedge t=0 s=1 f=-1 op=null\n")
+            parse_many("cell v=4\nedge t=0 s=0 f=-2 op=conv_9x9\nedge t=0 s=1 f=-1 op=null\n")
 
 
 def reference_sample_uniform(num_intermediate, rng):
@@ -393,7 +400,7 @@ def reference_encode(graph, layout):
     for e in graph.edges:
         i, j = e.source_node + 2, e.target_node + 2
         adj[i, j] = adj[j, i] = 1.0
-    out = graph.output_node + 2
+    out = graph.num_nodes - 1
     for l in range(graph.num_intermediate):
         adj[l + 2, out] = adj[out, l + 2] = 1.0
     adj = adj + np.eye(n)
@@ -406,7 +413,7 @@ def reference_encode(graph, layout):
             x[row, 0] = 1.0
         elif node == -1:
             x[row, 1] = 1.0
-        elif node == graph.output_node:
+        elif node == graph.num_nodes - 3:
             x[row, 3] = 1.0
         else:
             x[row, 2] = 1.0
@@ -464,7 +471,7 @@ class TestArrayReferences:
         header, *edge_lines = serialize(g).splitlines()
         shuffled = [edge_lines[i] for i in rng.permutation(len(edge_lines))]
         text = "\n".join([header] + shuffled) + "\n"
-        assert parse(text) == g
+        assert parse_many(text) == [g]
         assert parse_many(serialize(other) + "\n" + text) == [other, g]
 
     @settings(deadline=None, max_examples=50)
@@ -509,7 +516,7 @@ class TestArrayCells:
         for g in (
             sample_uniform(3, rng),
             chain_cell(OperationKind.SKIP),
-            parse(serialize(sample_uniform(2, rng))),
+            parse_many(serialize(sample_uniform(2, rng)))[0],
         ):
             for arr in (g.sources, g.ops):
                 with pytest.raises(ValueError):
@@ -517,7 +524,7 @@ class TestArrayCells:
 
     def test_equality_and_hash(self):
         a = chain_cell(OperationKind.CONV_3X3)
-        b = parse(serialize(a))
+        (b,) = parse_many(serialize(a))
         assert a == b and hash(a) == hash(b)
         assert a != apply_transitions(a, [OperationKind.NULL.index] * 8)
         assert a != chain_cell(OperationKind.CONV_3X3, num_intermediate=3)

@@ -85,6 +85,14 @@ OPTIMIZE = {
     ),
 }
 
+#: sha256 of the CSV of ``natforge audit`` at (--channels, --hw); the last
+#: geometry has conv madds beyond the int64 range.
+AUDIT = {
+    (128, 32): "d97d214238299e6f67f7c675801053083253b56eddcb1ad6436341e547a8304d",
+    (2, 1): "1dfea13597842d001b2b69fb69b6c53d6dc2222da91dcbeca27451972cd5cb45",
+    (1000000, 10000): "4e7b838eb15445d16f67bad86aeb9e33c342f3f7df5a9d86d2b1fcc9a1656ca6",
+}
+
 
 def sha(path):
     with open(path, "rb") as fh:
@@ -122,6 +130,13 @@ def test_sample_bytes(tmp_path):
     path = str(tmp_path / "graphs.txt")
     invoke(["sample", "--nodes", "7", "--count", "50", "--seed", "11", "--out", path])
     assert sha(path) == SAMPLE
+
+
+@pytest.mark.parametrize("channels,hw", sorted(AUDIT))
+def test_audit_bytes(tmp_path, channels, hw):
+    path = str(tmp_path / "audit.csv")
+    invoke(["audit", "--channels", str(channels), "--hw", str(hw), "--out", path])
+    assert sha(path) == AUDIT[(channels, hw)]
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN))

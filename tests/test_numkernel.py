@@ -28,10 +28,15 @@ class TestBmsoftmax:
         assert np.allclose(out, [2 / 3, 1 / 3, 0.0])
 
     def test_all_ones_reduces_to_softmax(self):
+        # Bit for bit: the NAT policy is BMSoftmax under an all-ones mask, and
+        # its checkpoints keep their bytes only if this holds exactly.
         rng = np.random.default_rng(0)
         for _ in range(50):
             u = rng.standard_normal(7) * 5
-            assert np.abs(bmsoftmax(u, np.ones(7)) - softmax(u)).max() <= 1e-12
+            assert np.array_equal(bmsoftmax(u, np.ones(7)), softmax(u))
+        scale = np.exp(rng.uniform(np.log(1e-3), np.log(700.0), size=(2000, 1)))
+        u = rng.standard_normal((2000, 3)) * scale
+        assert np.array_equal(bmsoftmax(u, np.ones(u.shape, dtype=int)), softmax(u))
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
