@@ -37,7 +37,6 @@ from .opspace import (
     NUM_OPERATIONS,
     OPERATIONS,
     CostConfig,
-    OpCost,
     OperationKind,
     VALID,
     cost_of_op,
@@ -419,16 +418,14 @@ def same_topology(a: CellGraph, b: CellGraph) -> bool:
 class CostReport:
     total_params: int
     total_madds: int
-    per_edge: tuple[OpCost, ...]
 
 
 def cost_of(graph: CellGraph, cfg: CostConfig = CostConfig()) -> CostReport:
     """Sum the per-edge analytic costs of a cell."""
-    per_edge = tuple(cost_of_op(OPERATIONS[o], cfg) for o in graph.ops.tolist())
+    costs = [cost_of_op(OPERATIONS[o], cfg) for o in graph.ops.tolist()]
     return CostReport(
-        total_params=sum(c.params for c in per_edge),
-        total_madds=sum(c.madds for c in per_edge),
-        per_edge=per_edge,
+        total_params=sum(c.params for c in costs),
+        total_madds=sum(c.madds for c in costs),
     )
 
 

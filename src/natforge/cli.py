@@ -19,7 +19,6 @@ import numpy as np
 
 from . import trainer
 from .archgraph import (
-    EncodingConfig,
     cost_non_increasing,
     cost_of,
     parse_many,
@@ -104,7 +103,7 @@ def audit(channels: int, hw: int, out_path: str) -> None:
     show_default=True,
     help="Total node count |V|: two inputs, at least one intermediate, one output.",
 )
-@click.option("--count", type=int, default=1, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=1, show_default=True)
 @_seed_option
 @click.option("--out", "out_path", default="graphs.txt", show_default=True)
 def sample(nodes: int, count: int, seed: int, out_path: str) -> None:
@@ -167,7 +166,7 @@ def train(
     out_dir: str,
 ) -> None:
     """Run the alternating training loop; write checkpoints and the log."""
-    cfg = TrainConfig(
+    flags = dict(
         mode=mode,
         provider=provider,
         m=m,
@@ -178,6 +177,14 @@ def train(
         epochs=epochs,
         seed=seed,
     )
+    # Each flag is checked on its own, so a rejected value is a usage error naming its flag.
+    options = {p.name: p.opts[0] for p in click.get_current_context().command.params}
+    for name, value in flags.items():
+        try:
+            TrainConfig(**{name: value})
+        except ValueError as exc:
+            raise click.UsageError(f"{options[name]} {value}: {exc}") from None
+    cfg = TrainConfig(**flags)
     result = trainer.run(cfg)
     os.makedirs(out_dir, exist_ok=True)
     policy_path = os.path.join(out_dir, "policy.json")

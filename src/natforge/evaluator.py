@@ -69,22 +69,19 @@ class SyntheticDataset:
         return self.inputs[self.split : stop], self.labels[self.split : stop]
 
 
-def make_dataset(
-    seed: int,
-    num_train: int = 2000,
-    num_val: int = 1000,
-    feature_dim: int = 16,
-    num_classes: int = 8,
-    radius: float = 3.0,
-) -> SyntheticDataset:
-    """Class means on a sphere of the given radius, unit-covariance clusters."""
+#: The synthetic data's feature dimension and class count, the supernet's defaults.
+_FEATURE_DIM = 16
+_NUM_CLASSES = 8
+
+
+def make_dataset(seed: int) -> SyntheticDataset:
+    """Class means on a sphere of radius 3, unit-covariance clusters: 2,000 train, 1,000 val."""
     rng = np.random.default_rng(seed)
-    means = rng.standard_normal((num_classes, feature_dim))
-    means *= radius / np.linalg.norm(means, axis=1, keepdims=True)
-    total = num_train + num_val
-    labels = np.arange(total) % num_classes
-    inputs = means[labels] + rng.standard_normal((total, feature_dim))
-    return SyntheticDataset(inputs=inputs, labels=labels, split=num_train)
+    means = rng.standard_normal((_NUM_CLASSES, _FEATURE_DIM))
+    means *= 3.0 / np.linalg.norm(means, axis=1, keepdims=True)
+    labels = np.arange(3000) % _NUM_CLASSES
+    inputs = means[labels] + rng.standard_normal((3000, _FEATURE_DIM))
+    return SyntheticDataset(inputs=inputs, labels=labels, split=2000)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +156,7 @@ def _entry_shapes(op: OperationKind, d: int) -> dict[str, tuple[int, ...]]:
 def init_shared(
     rng: np.random.Generator,
     num_intermediate: int = 4,
-    feature_dim: int = 16,
-    num_classes: int = 8,
+    feature_dim: int = _FEATURE_DIM,
 ) -> SharedWeights:
     """Allocate one bank entry per (edge slot, learnable operation).
 
@@ -175,12 +171,12 @@ def init_shared(
                     name: np.ones(shape) if name == "diag" else glorot_uniform(rng, *shape)
                     for name, shape in shapes.items()
                 }
-    head_w = glorot_uniform(rng, num_intermediate * feature_dim, num_classes)
-    head_b = np.zeros(num_classes)
+    head_w = glorot_uniform(rng, num_intermediate * feature_dim, _NUM_CLASSES)
+    head_b = np.zeros(_NUM_CLASSES)
     return SharedWeights(
         feature_dim=feature_dim,
         num_intermediate=num_intermediate,
-        num_classes=num_classes,
+        num_classes=_NUM_CLASSES,
         bank=bank,
         head_w=head_w,
         head_b=head_b,
@@ -472,7 +468,7 @@ class PlantedOracle:
         return OPERATIONS[int(self.table[edge_index].argmax())]
 
 
-def make_oracle(seed: int, num_edges: int = 8, scale: float = 0.1) -> PlantedOracle:
+def make_oracle(seed: int, num_edges: int = 8) -> PlantedOracle:
     """Continuous i.i.d. scores with the per-edge optimum boosted into {skip, null}.
 
     Continuity makes every per-mask argmax unique almost surely; the boost
@@ -481,6 +477,7 @@ def make_oracle(seed: int, num_edges: int = 8, scale: float = 0.1) -> PlantedOra
     scale keeps rewards in the same range as validation-accuracy differences,
     so entropy weights behave comparably across providers.
     """
+    scale = 0.1
     rng = np.random.default_rng(seed)
     table = scale * rng.standard_normal((num_edges, NUM_OPERATIONS))
     pair = [OperationKind.SKIP, OperationKind.NULL]
@@ -498,8 +495,6 @@ def make_oracle(seed: int, num_edges: int = 8, scale: float = 0.1) -> PlantedOra
 class OracleProvider:
     """Reward from the planted score table: score(alpha) - score(beta)."""
 
-    name = "oracle"
-
     def __init__(self, oracle: PlantedOracle):
         self.oracle = oracle
 
@@ -514,8 +509,6 @@ class OracleProvider:
 
 class SupernetProvider:
     """Reward as validation-accuracy improvement under shared weights."""
-
-    name = "supernet"
 
     def __init__(self, w: SharedWeights, x_val: np.ndarray, y_val: np.ndarray):
         self.w = w

@@ -128,9 +128,8 @@ def init_params(
     rng: np.random.Generator,
     hidden_dim: int = 64,
     depth: int = 2,
-    i_max: int = 4,
 ) -> PolicyParams:
-    """Glorot-initialized controller of the given depth."""
+    """Glorot-initialized controller of the given depth, for cells of the default ``i_max``."""
     if mode not in _NUM_ACTIONS:
         raise ValueError(f"mode must be one of {sorted(_NUM_ACTIONS)}, got {mode!r}")
     if depth < 1:
@@ -138,7 +137,7 @@ def init_params(
     dims = [feature_dim] + [hidden_dim] * depth
     gcn = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(depth)]
     fc = glorot_uniform(rng, hidden_dim, 2 * _NUM_ACTIONS[mode])
-    return PolicyParams(mode=mode, gcn=gcn, fc=fc, i_max=i_max)
+    return PolicyParams(mode=mode, gcn=gcn, fc=fc, i_max=EncodingConfig.i_max)
 
 
 def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> PolicyOutput:

@@ -58,7 +58,7 @@ def cross_entropy_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
     return loss, grad / n
 
 
-def grad_check(f, analytic_grad: np.ndarray, point: np.ndarray, step: float = 1e-5) -> float:
+def grad_check(f, analytic_grad: np.ndarray, point: np.ndarray) -> float:
     """Max relative error between ``analytic_grad`` and central differences of ``f``.
 
     The per-coordinate denominator is max(|analytic|, |numeric|, 1e-8), so the
@@ -67,6 +67,7 @@ def grad_check(f, analytic_grad: np.ndarray, point: np.ndarray, step: float = 1e
     point = np.asarray(point, dtype=float)
     analytic = np.asarray(analytic_grad, dtype=float).ravel()
     flat = point.ravel()
+    step = 1e-5
     worst = 0.0
     for i in range(flat.size):
         saved = flat[i]

@@ -27,7 +27,6 @@ from .evaluator import (
     PlantedOracle,
     SharedWeights,
     SupernetProvider,
-    SyntheticDataset,
     init_shared,
     make_dataset,
     make_oracle,
@@ -60,18 +59,20 @@ class TrainConfig:
     eta_w: float = 0.05
     eta_theta: float = 0.01
     epochs: int = 200
-    iters_w: int = 10
-    iters_theta: int = 10
     seed: int = 0
-    num_intermediate: int = 4
-    hidden_dim: int = 64
     depth: int = 2
-    i_max: int = 4
-    train_batch: int = 64
-    reward_batch: int = 256
     # Optional moving-average reward baseline; off by default.
     use_baseline: bool = False
-    baseline_decay: float = 0.9
+
+    # Constants of the one trained setting: un-annotated, so not fields.
+    iters_w = 10
+    iters_theta = 10
+    num_intermediate = 4
+    hidden_dim = 64
+    i_max = EncodingConfig.i_max
+    train_batch = 64
+    reward_batch = 256
+    baseline_decay = 0.9
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -80,10 +81,10 @@ class TrainConfig:
             raise ValueError("entropy weight must be >= 0")
         if self.eta_w <= 0 or self.eta_theta <= 0:
             raise ValueError("learning rates must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.provider not in ("oracle", "supernet"):
             raise ValueError(f"unknown provider {self.provider!r}")
-        if self.num_intermediate > self.i_max:
-            raise ValueError("num_intermediate exceeds i_max")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -113,7 +114,6 @@ class TrainResult:
     log: TrainLog
     shared: SharedWeights | None = None
     oracle: PlantedOracle | None = None
-    dataset: SyntheticDataset | None = None
 
 
 def _per_draw(a: np.ndarray, n: int) -> np.ndarray:
@@ -154,7 +154,6 @@ def run(cfg: TrainConfig) -> TrainResult:
         rng,
         hidden_dim=cfg.hidden_dim,
         depth=cfg.depth,
-        i_max=cfg.i_max,
     )
 
     shared = oracle = dataset = None
@@ -234,7 +233,7 @@ def run(cfg: TrainConfig) -> TrainResult:
                     "entropy": mean_entropy,
                 }
             )
-    return TrainResult(policy=policy, log=log, shared=shared, oracle=oracle, dataset=dataset)
+    return TrainResult(policy=policy, log=log, shared=shared, oracle=oracle)
 
 
 #: Cells per batched policy application in ``infer_many``. It bounds the
@@ -247,7 +246,6 @@ def infer_many(
     graphs: Sequence[CellGraph],
     decode: str = "sample",
     rng: np.random.Generator | None = None,
-    layout: EncodingConfig | None = None,
 ) -> list[CellGraph]:
     """Optimize every input cell with one policy application each, in input order.
 
@@ -261,7 +259,7 @@ def infer_many(
         raise ValueError(f"decode must be 'sample' or 'argmax', got {decode!r}")
     if decode == "sample" and rng is None:
         raise ValueError("sampling decode requires an rng")
-    layout = layout or EncodingConfig(i_max=policy.i_max)
+    layout = EncodingConfig(i_max=policy.i_max)
     c = policy.num_actions
     optimized = []
     for start in range(0, len(graphs), INFER_CHUNK):
@@ -294,10 +292,9 @@ def infer(
     beta: CellGraph,
     decode: str = "sample",
     rng: np.random.Generator | None = None,
-    layout: EncodingConfig | None = None,
 ) -> CellGraph:
     """Optimize one input cell with a single policy application (``infer_many`` of one)."""
-    return infer_many(policy, [beta], decode=decode, rng=rng, layout=layout)[0]
+    return infer_many(policy, [beta], decode=decode, rng=rng)[0]
 
 
 def edge_match_rate(
@@ -305,11 +302,11 @@ def edge_match_rate(
     oracle: PlantedOracle,
     rng: np.random.Generator,
     num_graphs: int = 50,
-    num_intermediate: int = 4,
     decode: str = "argmax",
 ) -> float:
     """Fraction of edges whose decoded transition hits the planted optimum.
 
+    The sampled cells have one intermediate node per two edges of the oracle.
     Argmax decode measures the policy's single best guess; sampling decode
     measures search behavior (the rate at which drawn transitions land on
     the optimum), which is the right comparison against random search.
@@ -318,7 +315,7 @@ def edge_match_rate(
     matches = 0
     total = 0
     for _ in range(num_graphs):
-        beta = sample_uniform(num_intermediate, rng)
+        beta = sample_uniform(oracle.num_edges // 2, rng)
         alpha = infer(policy, beta, decode=decode, rng=rng)
         matches += int((alpha.ops == optimum[: alpha.num_edges]).sum())
         total += alpha.num_edges
@@ -336,7 +333,7 @@ def random_policy_match_rate() -> float:
     return float(np.mean(rates))
 
 
-def uniform_policy_entropy(num_edges: int = 8) -> float:
-    """Expected summed masked-uniform entropy over a random input cell."""
+def uniform_policy_entropy() -> float:
+    """Expected summed masked-uniform entropy over a random input cell of the trained size."""
     per_source = [math.log(transition_mask(op).popcount()) for op in OperationKind]
-    return num_edges * float(np.mean(per_source))
+    return 2 * TrainConfig.num_intermediate * float(np.mean(per_source))

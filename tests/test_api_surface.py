@@ -13,12 +13,21 @@ patches in strings. Prose in messages and docstrings does not count.
 Matching is by name only, so a method shares its name with every attribute
 of that spelling: the check can miss dead code, but it never flags a name
 that is in use.
+
+Likewise every ``TrainConfig`` field must be set by the same code: it must
+appear as a keyword of a ``TrainConfig(...)`` call or of a ``dict(...)``
+call, which covers recipes splatted into the config. A value nothing but
+its default and the unit tests sets is a constant, not a field. This check
+too can miss a dead field, but it never flags a field that is set.
 """
 
 import ast
 import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from natforge.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "natforge"
@@ -85,8 +94,31 @@ def unreached_names() -> list[str]:
     return unreached
 
 
+def _config_keywords(tree: ast.AST) -> set[str]:
+    """Keywords of every ``TrainConfig(...)`` or ``dict(...)`` call in a tree."""
+    keywords = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("TrainConfig", "dict"):
+                keywords.update(k.arg for k in node.keywords if k.arg is not None)
+    return keywords
+
+
+def unset_config_fields() -> list[str]:
+    keywords = set()
+    for path in sorted(PACKAGE.glob("*.py")) + USERS:
+        keywords |= _config_keywords(ast.parse(path.read_text()))
+    return [f.name for f in fields(TrainConfig) if f.name not in keywords]
+
+
 def test_every_public_name_is_reached_outside_the_unit_tests():
     assert unreached_names() == []
+
+
+def test_every_train_config_field_is_set_outside_the_unit_tests():
+    assert unset_config_fields() == []
 
 
 def test_the_scan_sees_definitions_and_references():
@@ -97,3 +129,5 @@ def test_the_scan_sees_definitions_and_references():
     refs = _references(ast.parse('"""A doc."""\nx = f("a.b", f"c {y.z}", "d e")\n'))
     assert refs["doc"] == refs["c"] == refs["d"] == 0
     assert refs["a"] == refs["b"] == refs["y"] == refs["z"] == 1
+    calls = "TrainConfig(a=1, **r)\nt.TrainConfig(b=2)\nr = dict(c=3)\nf(d=4)\n{'e': 5}\n"
+    assert _config_keywords(ast.parse(calls)) == {"a", "b", "c"}

@@ -220,10 +220,13 @@ class TestTransitions:
 
 class TestCosting:
     def test_totals_sum_per_edge(self):
-        g = chain_cell(OperationKind.SEP_CONV_5X5)
-        report = cost_of(g, CFG)
-        assert report.total_params == sum(c.params for c in report.per_edge)
-        assert report.total_madds == sum(c.madds for c in report.per_edge)
+        rng = np.random.default_rng(6)
+        cells = [chain_cell(OperationKind.SEP_CONV_5X5)]
+        cells += [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(20)]
+        for g in cells:
+            report = cost_of(g, CFG)
+            assert report.total_params == sum(cost_of_op(e.op, CFG).params for e in g.edges)
+            assert report.total_madds == sum(cost_of_op(e.op, CFG).madds for e in g.edges)
 
     def test_costs_stay_exact_beyond_int64(self):
         # 8 conv_5x5 edges at 10^6 channels and 10^4 x 10^4 pixels: 2 * 10^22 madds.

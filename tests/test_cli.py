@@ -90,6 +90,38 @@ class TestSample:
         assert isinstance(result.exception, SystemExit)
         assert "x>=4" in result.output
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_count_is_usage_error(self, runner, tmp_path, count):
+        out = str(tmp_path / "g.txt")
+        result = runner.invoke(main, ["sample", "--count", count, "--out", out])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "'--count'" in result.output and "x>=1" in result.output
+        assert not os.path.exists(out)
+
+
+class TestTrain:
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--m", "0"),
+            ("--n", "0"),
+            ("--lambda", "-1"),
+            ("--eta-w", "0"),
+            ("--eta-theta", "0"),
+            ("--epochs", "0"),
+            ("--epochs", "-2"),
+        ],
+    )
+    def test_rejected_value_is_usage_error_naming_flag(self, runner, tmp_path, flag, value):
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["train", flag, value, "--out", str(run_dir)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"Error: {flag} ")
+        assert not run_dir.exists()
+
 
 class TestOptimize:
     def test_cell_beyond_policy_i_max_names_limit(self, runner, tmp_path):

@@ -495,9 +495,8 @@ class TestReferenceEquivalence:
     def test_every_slot_and_op_matches_reference(self, feature_dim):
         # At d = 7 a 5-wide window and the dilated shift by 5 wrap past the end.
         rng = np.random.default_rng(50 + feature_dim)
-        ds = make_dataset(50, feature_dim=feature_dim)
         w = init_shared(rng, 4, feature_dim=feature_dim)
-        x_val, _ = ds.val_batch(64)
+        x_val = rng.standard_normal((64, feature_dim))
         covered = set()
         for trial in range(3):
             topology = sample_uniform(4, rng)
@@ -509,7 +508,7 @@ class TestReferenceEquivalence:
             for g in cells:
                 covered.update(enumerate(g.ops.tolist()))
                 assert np.array_equal(graph_logits(g, w, x_val), _ref_forward_graph(g, w, x_val)[0])
-                x, y = ds.train_batch(rng, 32)
+                x, y = rng.standard_normal((32, feature_dim)), rng.integers(0, w.num_classes, 32)
                 graphs = [g] if trial < 2 else [g, sample_uniform(4, rng)]
                 ref = copy.deepcopy(w)
                 loss = supernet_train_step(w, graphs, x, y, 0.05)
@@ -613,7 +612,7 @@ class TestTrainerScoring:
         monkeypatch.setattr(trainer, base.__name__, Counting)
         for name in counted:
             monkeypatch.setattr(trainer, name, counting(name))
-        cfg = TrainConfig(provider=provider, m=2, n=3, epochs=2, iters_theta=3, iters_w=1)
+        cfg = TrainConfig(provider=provider, m=2, n=3, epochs=1)
         trainer.run(cfg)
         theta_steps = cfg.epochs * cfg.iters_theta
         assert counts["score"] == theta_steps * cfg.m * (cfg.n + 1)

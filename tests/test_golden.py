@@ -8,6 +8,7 @@ deliberate byte change must update the pinned value and say why.
 """
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -55,6 +56,15 @@ SUPERNET = (
     "5b5dbbfd2e89c8d6b07d115bd6c90ac4c3ae5a11140070c470546bc7b86516ab",
     "cbf661f921e2a8bcf28ff524b5387ecdae8b04d2646c68f4f1a1d98b873d4fa8",
 )
+
+#: ``config_hash`` of ``run.manifest.json`` for each ``TRAIN`` run and the
+#: supernet run: the hash of the flag set, so it pins which values are flags.
+CONFIG_HASH = {
+    "nat++-m1": "510050b960e28ba557de1caddbccd9fe883989233d9ea4ad9c2bbaafc1586c4a",
+    "nat++-m2": "ac68e1c820ce3bc9029be0f68410c9bb2a990d3ceaaa00c2bc22f91b77795b3f",
+    "nat-m1": "1aef3c7b8354db41526ff7816552ed3b048136700e855a2fe4fe9a46059006a4",
+    "supernet": "d717378e7d95418418c7919a67b40c940e606f2e4a8d84e8a5ad60ca90b03ffc",
+}
 
 #: sha256 of ``save_shared`` after 300 ``supernet_train_step``s on m uniform cells per step.
 PRETRAIN = {
@@ -113,6 +123,11 @@ def runs(tmp_path_factory):
         run_dir = str(root / name)
         invoke(["train", *flags, "--epochs", "3", "--seed", "4", "--out", run_dir])
         out[name] = run_dir
+    out["supernet"] = str(root / "supernet")
+    invoke(
+        ["train", "--provider", "supernet", "--epochs", "1", "--seed", "2",
+         "--out", out["supernet"]]
+    )
     return out
 
 
@@ -146,11 +161,15 @@ def test_oracle_train_bytes(runs, name):
     assert digests == TRAIN[name]
 
 
-def test_supernet_train_bytes(tmp_path):
-    run_dir = str(tmp_path / "run")
-    invoke(["train", "--provider", "supernet", "--epochs", "1", "--seed", "2", "--out", run_dir])
+def test_supernet_train_bytes(runs):
     files = ("policy.json", "train_log.jsonl", "supernet.json")
-    assert tuple(sha(os.path.join(run_dir, f)) for f in files) == SUPERNET
+    assert tuple(sha(os.path.join(runs["supernet"], f)) for f in files) == SUPERNET
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_HASH))
+def test_train_config_hash(runs, name):
+    with open(os.path.join(runs[name], "run.manifest.json")) as fh:
+        assert json.load(fh)["config_hash"] == CONFIG_HASH[name]
 
 
 def test_mixed_input_bytes(mixed_cells):

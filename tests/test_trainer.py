@@ -40,7 +40,7 @@ from natforge.trainer import (
     uniform_policy_entropy,
 )
 
-FAST = dict(epochs=10, iters_w=2, iters_theta=2)
+FAST = dict(epochs=2)
 
 
 class TestConfig:
@@ -62,6 +62,8 @@ class TestConfig:
             TrainConfig(entropy_weight=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(eta_theta=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(provider="real")
 
@@ -191,7 +193,6 @@ def reference_run(cfg):
         rng,
         hidden_dim=cfg.hidden_dim,
         depth=cfg.depth,
-        i_max=cfg.i_max,
     )
     provider = OracleProvider(make_oracle(cfg.seed, num_edges=2 * cfg.num_intermediate))
     baseline = 0.0
@@ -229,8 +230,7 @@ class TestReferenceEquivalence:
             n=3,
             use_baseline=True,
             entropy_weight=0.1,
-            epochs=3,
-            iters_theta=4,
+            epochs=4,
             seed=7,
         )
         generators = []
