@@ -19,6 +19,7 @@ import numpy as np
 
 from . import trainer
 from .archgraph import (
+    CellGraph,
     cost_non_increasing,
     cost_of,
     parse_many,
@@ -33,11 +34,17 @@ from .opspace import CostConfig, audit_rows, audit_violations
 from .trainer import TrainConfig
 
 
-def _write_manifest(out_path: str, command: str, flags: dict) -> str:
-    """Record the flag set (seed included) and a stable hash of it."""
+def _flags() -> dict:
+    """The running command's flags, keyed by long option name (``--data-seed``: ``data_seed``)."""
+    ctx = click.get_current_context()
+    return {p.opts[0][2:].replace("-", "_"): ctx.params[p.name] for p in ctx.command.params}
+
+
+def _write_manifest(out_path: str, flags: dict) -> str:
+    """Record the running command, its flag set (seed included) and a stable hash of it."""
     canon = json.dumps(flags, sort_keys=True)
     manifest = {
-        "command": command,
+        "command": click.get_current_context().command.name,
         "flags": flags,
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
     }
@@ -62,23 +69,39 @@ def _cost_config(channels: int, hw: int) -> CostConfig:
         raise click.UsageError(f"--channels {channels} --hw {hw}: {exc}") from None
 
 
+def _read(path: str, load):
+    """``load(path)``; a malformed file is an error naming it, not a traceback."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: {exc}") from None
+
+
+def _cells(path: str) -> list[CellGraph]:
+    with open(path) as fh:
+        return parse_many(fh.read())
+
+
 #: An input file that must exist: a missing path is a usage error, not a traceback.
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
-_seed_option = click.option(
-    "--seed", type=int, default=0, envvar="NATFORGE_SEED", show_default=True
-)
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, envvar="NATFORGE_SEED")
 
 
-@click.group()
+def _geometry_options(command):
+    """The --channels/--hw flags of the square geometry that costs are taken at."""
+    command = click.option("--hw", type=int, default=32)(command)
+    return click.option("--channels", type=int, default=128)(command)
+
+
+@click.group(context_settings={"show_default": True})
 def main() -> None:
     """Optimize cell-graph architectures under cost-non-increasing transitions."""
 
 
 @main.command()
-@click.option("--channels", type=int, default=128, show_default=True)
-@click.option("--hw", type=int, default=32, show_default=True)
-@click.option("--out", "out_path", default="audit.csv", show_default=True)
+@_geometry_options
+@click.option("--out", "out_path", default="audit.csv")
 def audit(channels: int, hw: int, out_path: str) -> None:
     """Write the 13x13 transition matrix with validity and cost deltas.
 
@@ -88,7 +111,7 @@ def audit(channels: int, hw: int, out_path: str) -> None:
     rows = audit_rows(cfg)
     header = ["from", "to", "valid", "whitelisted", "params_delta", "madds_delta"]
     atomic_write(out_path, _csv_text(header, [[r[h] for h in header] for r in rows]))
-    _write_manifest(out_path, "audit", {"channels": channels, "hw": hw, "out": out_path})
+    _write_manifest(out_path, _flags())
     violations = audit_violations(cfg)
     click.echo(f"wrote {len(rows)} rows to {out_path}; {len(violations)} violations")
     if violations:
@@ -100,59 +123,48 @@ def audit(channels: int, hw: int, out_path: str) -> None:
     "--nodes",
     type=click.IntRange(min=4),
     default=7,
-    show_default=True,
     help="Total node count |V|: two inputs, at least one intermediate, one output.",
 )
-@click.option("--count", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=1)
 @_seed_option
-@click.option("--out", "out_path", default="graphs.txt", show_default=True)
+@click.option("--out", "out_path", default="graphs.txt")
 def sample(nodes: int, count: int, seed: int, out_path: str) -> None:
     """Sample cells uniformly and write them in the text format."""
     rng = np.random.default_rng(seed)
     graphs = [sample_uniform(nodes - 3, rng) for _ in range(count)]
     atomic_write(out_path, serialize_many(graphs))
-    _write_manifest(
-        out_path, "sample", {"nodes": nodes, "count": count, "seed": seed, "out": out_path}
-    )
+    _write_manifest(out_path, _flags())
     click.echo(f"wrote {count} graphs to {out_path}")
 
 
 @main.command()
 @click.option("--in", "in_path", type=_INPUT_FILE, required=True)
-@click.option("--channels", type=int, default=128, show_default=True)
-@click.option("--hw", type=int, default=32, show_default=True)
-@click.option("--out", "out_path", default="costs.csv", show_default=True)
+@_geometry_options
+@click.option("--out", "out_path", default="costs.csv")
 def cost(in_path: str, channels: int, hw: int, out_path: str) -> None:
     """Write per-graph cost reports for a graph file."""
     cfg = _cost_config(channels, hw)
-    with open(in_path) as fh:
-        graphs = parse_many(fh.read())
+    graphs = _read(in_path, _cells)
     rows = []
     for i, g in enumerate(graphs):
         report = cost_of(g, cfg)
         rows.append([i, report.total_params, report.total_madds])
     atomic_write(out_path, _csv_text(["graph", "total_params", "total_madds"], rows))
-    _write_manifest(
-        out_path,
-        "cost",
-        {"in": in_path, "channels": channels, "hw": hw, "out": out_path},
-    )
+    _write_manifest(out_path, _flags())
     click.echo(f"wrote costs for {len(graphs)} graphs to {out_path}")
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["nat", "nat++"]), default="nat++", show_default=True)
-@click.option(
-    "--provider", type=click.Choice(["oracle", "supernet"]), default="oracle", show_default=True
-)
-@click.option("--lambda", "entropy_weight", type=float, default=0.003, show_default=True)
-@click.option("--eta-w", type=float, default=0.05, show_default=True)
-@click.option("--eta-theta", type=float, default=0.01, show_default=True)
-@click.option("--epochs", type=int, default=200, show_default=True)
-@click.option("--m", "m", type=int, default=1, show_default=True)
-@click.option("--n", "n", type=int, default=1, show_default=True)
+@click.option("--mode", type=click.Choice(["nat", "nat++"]), default=TrainConfig.mode)
+@click.option("--provider", type=click.Choice(["oracle", "supernet"]), default=TrainConfig.provider)
+@click.option("--lambda", "entropy_weight", type=float, default=TrainConfig.entropy_weight)
+@click.option("--eta-w", type=float, default=TrainConfig.eta_w)
+@click.option("--eta-theta", type=float, default=TrainConfig.eta_theta)
+@click.option("--epochs", type=int, default=TrainConfig.epochs)
+@click.option("--m", "m", type=int, default=TrainConfig.m)
+@click.option("--n", "n", type=int, default=TrainConfig.n)
 @_seed_option
-@click.option("--out", "out_dir", default="run", show_default=True, help="Output directory.")
+@click.option("--out", "out_dir", default="run", help="Output directory.")
 def train(
     mode: str,
     provider: str,
@@ -196,7 +208,7 @@ def train(
         shared_path = os.path.join(out_dir, "supernet.json")
         save_shared(result.shared, shared_path)
         artifacts.append(shared_path)
-    manifest = _write_manifest(os.path.join(out_dir, "run"), "train", cfg.to_dict())
+    manifest = _write_manifest(os.path.join(out_dir, "run"), cfg.to_dict())
     click.echo(f"trained {mode} with {provider} provider; wrote {', '.join(artifacts)}")
     click.echo(f"manifest: {manifest}")
 
@@ -204,19 +216,13 @@ def train(
 @main.command()
 @click.option("--in", "in_path", type=_INPUT_FILE, required=True)
 @click.option("--policy", "policy_path", type=_INPUT_FILE, required=True)
-@click.option(
-    "--decode", type=click.Choice(["sample", "argmax"]), default="argmax", show_default=True
-)
+@click.option("--decode", type=click.Choice(["sample", "argmax"]), default="argmax")
 @_seed_option
-@click.option("--out", "out_path", default="optimized.txt", show_default=True)
+@click.option("--out", "out_path", default="optimized.txt")
 def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: str) -> None:
     """Optimize every graph in a file with a trained policy."""
-    try:
-        policy = load_policy(policy_path)
-    except ValueError as exc:
-        raise click.ClickException(f"{policy_path}: {exc}") from None
-    with open(in_path) as fh:
-        graphs = parse_many(fh.read())
+    policy = _read(policy_path, load_policy)
+    graphs = _read(in_path, _cells)
     for i, g in enumerate(graphs):
         if g.num_intermediate > policy.i_max:
             raise click.ClickException(
@@ -230,17 +236,7 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
     if not cost_non_increasing(graphs, optimized):
         raise click.ClickException("optimized graph failed the cost audit")
     atomic_write(out_path, serialize_many(optimized))
-    _write_manifest(
-        out_path,
-        "optimize",
-        {
-            "in": in_path,
-            "policy": policy_path,
-            "decode": decode,
-            "seed": seed,
-            "out": out_path,
-        },
-    )
+    _write_manifest(out_path, _flags())
     click.echo(f"optimized {len(graphs)} graphs to {out_path}")
 
 
@@ -250,10 +246,9 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
     "--optimized", "opt_path", type=_INPUT_FILE, required=True, help="Optimized graph file."
 )
 @click.option("--supernet", "supernet_path", type=_INPUT_FILE, required=True)
-@click.option("--data-seed", type=int, default=0, show_default=True)
-@click.option("--channels", type=int, default=128, show_default=True)
-@click.option("--hw", type=int, default=32, show_default=True)
-@click.option("--out", "out_path", default="report.csv", show_default=True)
+@click.option("--data-seed", type=int, default=0)
+@_geometry_options
+@click.option("--out", "out_path", default="report.csv")
 def report(
     in_path: str,
     opt_path: str,
@@ -265,16 +260,14 @@ def report(
 ) -> None:
     """Join original-vs-optimized cost and reward statistics into a CSV."""
     cfg = _cost_config(channels, hw)
-    with open(in_path) as fh:
-        originals = parse_many(fh.read())
-    with open(opt_path) as fh:
-        optimized = parse_many(fh.read())
+    originals = _read(in_path, _cells)
+    optimized = _read(opt_path, _cells)
+    for flag, path, graphs in (("--in", in_path, originals), ("--optimized", opt_path, optimized)):
+        if not graphs:
+            raise click.UsageError(f"{flag} {path}: contains no cells")
     if len(originals) != len(optimized):
         raise click.ClickException("original and optimized graph counts differ")
-    try:
-        shared = load_shared(supernet_path)
-    except ValueError as exc:
-        raise click.ClickException(f"{supernet_path}: {exc}") from None
+    shared = _read(supernet_path, load_shared)
     for i, (orig, opt) in enumerate(zip(originals, optimized)):
         if not same_topology(orig, opt):
             raise click.ClickException(
@@ -293,64 +286,27 @@ def report(
             f"the validation data has feature dimension {x_val.shape[1]}"
         )
 
-    def stats(graphs, baselines=None):
+    def columns(graphs, baselines=None):
+        """A set's per-graph params, madds, accuracy and reward (accuracy over the baseline)."""
         costs = [cost_of(g, cfg) for g in graphs]
-        params = [c.total_params for c in costs]
-        madds = [c.total_madds for c in costs]
         accs = [accuracy(g, shared, x_val, y_val) for g in graphs]
         if baselines is None:
             rewards = [0.0] * len(graphs)
         else:
             rewards = [a - b for a, b in zip(accs, baselines)]
-        return params, madds, accs, rewards
+        return [c.total_params for c in costs], [c.total_madds for c in costs], accs, rewards
 
-    orig_params, orig_madds, orig_accs, orig_rewards = stats(originals)
-    opt_params, opt_madds, opt_accs, opt_rewards = stats(optimized, baselines=orig_accs)
-
-    def row(label, params, madds, accs, rewards):
-        return [
-            label,
-            len(params),
-            float(np.mean(params)),
-            float(np.std(params)),
-            float(np.mean(madds)),
-            float(np.std(madds)),
-            float(np.mean(accs)),
-            float(np.std(accs)),
-            float(np.mean(rewards)),
-            float(np.std(rewards)),
-        ]
-
-    header = [
-        "set",
-        "count",
-        "params_mean",
-        "params_std",
-        "madds_mean",
-        "madds_std",
-        "accuracy_mean",
-        "accuracy_std",
-        "reward_mean",
-        "reward_std",
-    ]
+    original = columns(originals)
+    sets = {"original": original, "optimized": columns(optimized, baselines=original[2])}
+    names = ("params", "madds", "accuracy", "reward")
+    header = ["set", "count"] + [f"{name}_{stat}" for name in names for stat in ("mean", "std")]
     rows = [
-        row("original", orig_params, orig_madds, orig_accs, orig_rewards),
-        row("optimized", opt_params, opt_madds, opt_accs, opt_rewards),
+        [label, len(cols[0])]
+        + [stat for col in cols for stat in (float(np.mean(col)), float(np.std(col)))]
+        for label, cols in sets.items()
     ]
     atomic_write(out_path, _csv_text(header, rows))
-    _write_manifest(
-        out_path,
-        "report",
-        {
-            "in": in_path,
-            "optimized": opt_path,
-            "supernet": supernet_path,
-            "data_seed": data_seed,
-            "channels": channels,
-            "hw": hw,
-            "out": out_path,
-        },
-    )
+    _write_manifest(out_path, _flags())
     click.echo(f"wrote report to {out_path}")
 
 

@@ -77,10 +77,6 @@ class PolicyParams:
     def num_actions(self) -> int:
         return _NUM_ACTIONS[self.mode]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.gcn[-1].shape[1]
-
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.mode, [w.copy() for w in self.gcn], self.fc.copy(), self.i_max)
 

@@ -123,6 +123,28 @@ class TestTrain:
         assert not run_dir.exists()
 
 
+class TestSeed:
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["sample", "--seed", "-1"], {}),
+            (["train", "--epochs", "1", "--seed", "-1"], {}),
+            (["optimize", "--in", "{empty}", "--policy", "{empty}", "--seed", "-1"], {}),
+            (["sample"], {"NATFORGE_SEED": "-1"}),
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, runner, tmp_path, args, env):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = tmp_path / "out"
+        args = [a.format(empty=empty) for a in args]
+        result = runner.invoke(main, [*args, "--out", str(out)], env=env)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "'--seed'" in result.output and "x>=0" in result.output
+        assert not out.exists()
+
+
 class TestOptimize:
     def test_cell_beyond_policy_i_max_names_limit(self, runner, tmp_path):
         graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
@@ -210,6 +232,37 @@ class TestMissingInput:
         result = runner.invoke(main, ["cost", "--in", str(tmp_path)])
         assert result.exit_code == 2
         assert "is a directory" in result.output
+
+
+class TestMalformedCells:
+    @pytest.mark.parametrize(
+        "command, bad",
+        [("cost", "--in"), ("optimize", "--in"), ("report", "--in"), ("report", "--optimized")],
+    )
+    def test_malformed_cell_file_is_error_naming_it(self, artifacts, tmp_path, command, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text("cell v=7\nedge t=0 s=0 f=-1 op=bogus\n")
+        inputs = {
+            "cost": {"--in": artifacts["graphs"]},
+            "optimize": {
+                "--in": artifacts["graphs"],
+                "--policy": os.path.join(artifacts["run"], "policy.json"),
+            },
+            "report": {
+                "--in": artifacts["graphs"],
+                "--optimized": artifacts["opt"],
+                "--supernet": os.path.join(artifacts["run"], "supernet.json"),
+            },
+        }[command]
+        inputs[bad] = str(path)
+        out = tmp_path / "out.txt"
+        args = [command, *(x for item in inputs.items() for x in item), "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: {path}: line 2: unknown operation name: 'bogus'"]
+        assert not out.exists()
 
 
 class TestCost:
@@ -328,6 +381,19 @@ class TestTrainOptimizeReport:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "optimized graph 3 does not have the topology of original graph 3" in result.output
+
+    @pytest.mark.parametrize("empty", [("--in",), ("--optimized",), ("--in", "--optimized")])
+    def test_report_rejects_empty_input(self, artifacts, tmp_path, empty):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        originals = str(path) if "--in" in empty else artifacts["graphs"]
+        optimized = str(path) if "--optimized" in empty else artifacts["opt"]
+        result = self._report(artifacts, tmp_path, optimized, originals=originals)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: {empty[0]} {path}: contains no cells"]
+        assert not os.path.exists(str(tmp_path / "report.csv"))
 
     def test_report_rejects_bad_supernet(self, artifacts, tmp_path):
         payload = json.load(open(os.path.join(artifacts["run"], "supernet.json")))

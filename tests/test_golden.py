@@ -10,6 +10,7 @@ deliberate byte change must update the pinned value and say why.
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -104,6 +105,27 @@ AUDIT = {
 }
 
 
+#: sha256 of the ``.manifest.json`` of each command that records its flags,
+#: run as ``MANIFEST_ARGS`` with relative paths in an empty directory: it pins
+#: the flag names and values each manifest records.
+MANIFEST = {
+    "audit": "93f9d79eb1459c4391559021a2df0926727113e89954891a23fa2c2addde6a89",
+    "sample": "58770bd09c917a9a3244c6d8c8b3dbfd2b2ba153586e65c3e2119ca4ea7f9efd",
+    "cost": "a783c957201c5156ecfe6375677a9b83bc22258c134cb6489a72f7e7223db4de",
+    "optimize": "4dc3c254c96badffa8716fd6fcb735c2f9df8f49793085a4b693c9f7caa670fe",
+    "report": "947c85a66de7c6d3341115a32969647a41d09aa1304e221cf40d47e1ad01b766",
+}
+MANIFEST_ARGS = {
+    "audit": ["--out", "audit.csv"],
+    "sample": ["--count", "5", "--seed", "1", "--out", "graphs.txt"],
+    "cost": ["--in", "graphs.txt", "--out", "costs.csv"],
+    "optimize": ["--in", "graphs.txt", "--policy", "policy.json", "--decode", "sample",
+                 "--seed", "5", "--out", "optimized.txt"],
+    "report": ["--in", "graphs.txt", "--optimized", "optimized.txt",
+               "--supernet", "supernet.json", "--out", "report.csv"],
+}
+
+
 def sha(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -185,6 +207,18 @@ def test_optimize_bytes(runs, mixed_cells, tmp_path, name, decode):
          "--seed", "5", "--out", out]
     )
     assert sha(out) == OPTIMIZE[(name, decode)]
+
+
+def test_manifest_bytes(runs):
+    runner = CliRunner()
+    digests = {}
+    with runner.isolated_filesystem():
+        for name in ("policy.json", "supernet.json"):
+            shutil.copy(os.path.join(runs["supernet"], name), name)
+        for command, args in MANIFEST_ARGS.items():
+            invoke([command, *args])
+            digests[command] = sha(args[-1] + ".manifest.json")
+    assert digests == MANIFEST
 
 
 def pretrained_supernet(m):
