@@ -35,9 +35,9 @@ from .trainer import TrainConfig
 
 
 def _flags() -> dict:
-    """The running command's flags, keyed by long option name (``--data-seed``: ``data_seed``)."""
+    """The running command's flags, keyed by long option name (``--in``: ``in``)."""
     ctx = click.get_current_context()
-    return {p.opts[0][2:].replace("-", "_"): ctx.params[p.name] for p in ctx.command.params}
+    return {p.opts[0][2:]: ctx.params[p.name] for p in ctx.command.params}
 
 
 def _write_manifest(out_path: str, flags: dict) -> str:
@@ -206,7 +206,7 @@ def train(
     artifacts = [policy_path, log_path]
     if result.shared is not None:
         shared_path = os.path.join(out_dir, "supernet.json")
-        save_shared(result.shared, shared_path)
+        save_shared(result.shared, cfg.seed, shared_path)
         artifacts.append(shared_path)
     manifest = _write_manifest(os.path.join(out_dir, "run"), cfg.to_dict())
     click.echo(f"trained {mode} with {provider} provider; wrote {', '.join(artifacts)}")
@@ -246,14 +246,12 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
     "--optimized", "opt_path", type=_INPUT_FILE, required=True, help="Optimized graph file."
 )
 @click.option("--supernet", "supernet_path", type=_INPUT_FILE, required=True)
-@click.option("--data-seed", type=int, default=0)
 @_geometry_options
 @click.option("--out", "out_path", default="report.csv")
 def report(
     in_path: str,
     opt_path: str,
     supernet_path: str,
-    data_seed: int,
     channels: int,
     hw: int,
     out_path: str,
@@ -267,7 +265,7 @@ def report(
             raise click.UsageError(f"{flag} {path}: contains no cells")
     if len(originals) != len(optimized):
         raise click.ClickException("original and optimized graph counts differ")
-    shared = _read(supernet_path, load_shared)
+    shared, data_seed = _read(supernet_path, load_shared)
     for i, (orig, opt) in enumerate(zip(originals, optimized)):
         if not same_topology(orig, opt):
             raise click.ClickException(
@@ -278,13 +276,8 @@ def report(
                 f"graph {i} has {orig.num_intermediate} intermediate nodes; "
                 f"the supernet has {shared.num_intermediate}"
             )
-    dataset = make_dataset(data_seed)
-    x_val, y_val = dataset.val_batch()
-    if shared.feature_dim != x_val.shape[1]:
-        raise click.ClickException(
-            f"{supernet_path}: the supernet has feature_dim {shared.feature_dim}; "
-            f"the validation data has feature dimension {x_val.shape[1]}"
-        )
+    # The cells are measured on the data the supernet was trained on.
+    x_val, y_val = make_dataset(data_seed).val_batch()
 
     def columns(graphs, baselines=None):
         """A set's per-graph params, madds, accuracy and reward (accuracy over the baseline)."""

@@ -69,7 +69,7 @@ class SyntheticDataset:
         return self.inputs[self.split : stop], self.labels[self.split : stop]
 
 
-#: The synthetic data's feature dimension and class count, the supernet's defaults.
+#: The synthetic data's feature dimension and class count, which the supernet shares.
 _FEATURE_DIM = 16
 _NUM_CLASSES = 8
 
@@ -118,11 +118,13 @@ class SharedWeights:
     ``bank`` is the one store of the entries. ``slots[e][o]`` is the same
     entry dict as ``bank[(e, OPERATIONS[o])]``, or None for an operation
     without parameters, so the supernet kernels index it by operation index.
+    The feature dimension and class count are the synthetic data's.
     """
 
-    feature_dim: int
+    feature_dim = _FEATURE_DIM
+    num_classes = _NUM_CLASSES
+
     num_intermediate: int
-    num_classes: int
     bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]]
     head_w: np.ndarray
     head_b: np.ndarray
@@ -140,12 +142,13 @@ class SharedWeights:
         return 2 * self.num_intermediate
 
 
-def _entry_shapes(op: OperationKind, d: int) -> dict[str, tuple[int, ...]]:
-    """Array shapes of ``op``'s bank entry at feature dim ``d``, in storage order.
+def _entry_shapes(op: OperationKind) -> dict[str, tuple[int, ...]]:
+    """Array shapes of ``op``'s bank entry, in storage order.
 
     Convolutions hold a dense ``mix``; separable ones (plain or dilated) a
     ``diag`` first, then a ``mix``. Other operations have no entry.
     """
+    d = _FEATURE_DIM
     if op.type_class is TypeClass.CONV:
         return {"mix": (d, d)}
     if op.type_class in (TypeClass.SEP_CONV, TypeClass.DIL_SEP_CONV):
@@ -153,11 +156,7 @@ def _entry_shapes(op: OperationKind, d: int) -> dict[str, tuple[int, ...]]:
     return {}
 
 
-def init_shared(
-    rng: np.random.Generator,
-    num_intermediate: int = 4,
-    feature_dim: int = _FEATURE_DIM,
-) -> SharedWeights:
+def init_shared(rng: np.random.Generator, num_intermediate: int) -> SharedWeights:
     """Allocate one bank entry per (edge slot, learnable operation).
 
     A ``diag`` starts at ones and a ``mix`` is Glorot-uniform.
@@ -165,22 +164,15 @@ def init_shared(
     bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]] = {}
     for e in range(2 * num_intermediate):
         for op in OPERATIONS:
-            shapes = _entry_shapes(op, feature_dim)
+            shapes = _entry_shapes(op)
             if shapes:
                 bank[(e, op)] = {
                     name: np.ones(shape) if name == "diag" else glorot_uniform(rng, *shape)
                     for name, shape in shapes.items()
                 }
-    head_w = glorot_uniform(rng, num_intermediate * feature_dim, _NUM_CLASSES)
+    head_w = glorot_uniform(rng, num_intermediate * _FEATURE_DIM, _NUM_CLASSES)
     head_b = np.zeros(_NUM_CLASSES)
-    return SharedWeights(
-        feature_dim=feature_dim,
-        num_intermediate=num_intermediate,
-        num_classes=_NUM_CLASSES,
-        bank=bank,
-        head_w=head_w,
-        head_b=head_b,
-    )
+    return SharedWeights(num_intermediate=num_intermediate, bank=bank, head_w=head_w, head_b=head_b)
 
 
 def _edge_forward(o: int, x: np.ndarray, entry: dict | None):
@@ -370,10 +362,12 @@ def supernet_train_step(
     return total_loss * scale
 
 
-def save_shared(w: SharedWeights, path: str) -> None:
-    """Write the supernet bank and head as a versioned JSON checkpoint."""
+def save_shared(w: SharedWeights, data_seed: int, path: str) -> None:
+    """Write the supernet bank, its head and the ``make_dataset`` seed of the data the
+    weights were trained on as a versioned JSON checkpoint."""
     payload = {
         "format_version": FORMAT_VERSION,
+        "data_seed": data_seed,
         "feature_dim": w.feature_dim,
         "num_intermediate": w.num_intermediate,
         "num_classes": w.num_classes,
@@ -389,25 +383,34 @@ def save_shared(w: SharedWeights, path: str) -> None:
     atomic_write(path, json.dumps(payload) + "\n")
 
 
-_SHARED_FIELDS = ("feature_dim", "num_intermediate", "num_classes", "head_w", "head_b", "bank")
+_SHARED_FIELDS = (
+    "data_seed", "feature_dim", "num_intermediate", "num_classes", "head_w", "head_b", "bank"
+)
 
 
-def load_shared(path: str) -> SharedWeights:
-    """Read a ``save_shared`` checkpoint, validating every field.
+def load_shared(path: str) -> tuple[SharedWeights, int]:
+    """Read a ``save_shared`` checkpoint, validating every field; returns (weights, data_seed).
 
-    The bank must hold exactly the entries ``init_shared`` allocates, each
-    with its arrays' shapes. Raises ValueError naming the first field that is
-    missing, malformed, of the wrong shape, or not finite, or an unknown
-    ``format_version``.
+    ``feature_dim`` and ``num_classes`` must be the synthetic data's, and the
+    bank must hold exactly the entries ``init_shared`` allocates, each with
+    its arrays' shapes. Raises ValueError naming the first field that is
+    missing, malformed, of the wrong value or shape, or not finite, or an
+    unknown ``format_version``.
     """
     with open(path) as fh:
         payload = json.load(fh)
     checkpoint_fields(payload, _SHARED_FIELDS)
-    d = checkpoint_dim(payload["feature_dim"], "feature_dim")
+    data_seed = payload["data_seed"]
+    if type(data_seed) is not int or data_seed < 0:
+        raise ValueError(f"data_seed: expected a non-negative integer, got {data_seed!r}")
+    for name, value in (("feature_dim", _FEATURE_DIM), ("num_classes", _NUM_CLASSES)):
+        if type(payload[name]) is not int or payload[name] != value:
+            raise ValueError(f"{name}: expected {value}, got {payload[name]!r}")
     num_intermediate = checkpoint_dim(payload["num_intermediate"], "num_intermediate")
-    num_classes = checkpoint_dim(payload["num_classes"], "num_classes")
-    head_w = checkpoint_array(payload["head_w"], (num_intermediate * d, num_classes), "head_w")
-    head_b = checkpoint_array(payload["head_b"], (num_classes,), "head_b")
+    head_w = checkpoint_array(
+        payload["head_w"], (num_intermediate * _FEATURE_DIM, _NUM_CLASSES), "head_w"
+    )
+    head_b = checkpoint_array(payload["head_b"], (_NUM_CLASSES,), "head_b")
 
     stored = payload["bank"]
     if not isinstance(stored, dict):
@@ -415,7 +418,7 @@ def load_shared(path: str) -> SharedWeights:
     bank = {}
     for e in range(2 * num_intermediate):
         for op in OPERATIONS:
-            shapes = _entry_shapes(op, d)
+            shapes = _entry_shapes(op)
             if not shapes:
                 continue
             key = f"{e}:{op.value}"
@@ -431,14 +434,8 @@ def load_shared(path: str) -> SharedWeights:
     if len(stored) != len(bank):
         extra = sorted(set(stored) - {f"{e}:{op.value}" for e, op in bank})
         raise ValueError(f"bank: unexpected entry {extra[0]!r}")
-    return SharedWeights(
-        feature_dim=d,
-        num_intermediate=num_intermediate,
-        num_classes=num_classes,
-        bank=bank,
-        head_w=head_w,
-        head_b=head_b,
-    )
+    w = SharedWeights(num_intermediate=num_intermediate, bank=bank, head_w=head_w, head_b=head_b)
+    return w, data_seed
 
 
 # ---------------------------------------------------------------------------

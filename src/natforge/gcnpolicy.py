@@ -17,14 +17,13 @@ forward pass once.
 
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
-central finite differences. They come in two parts: ``logit_grad`` is the
-per-edge gradient with respect to the logits of one sampled draw, and
-``backprop`` carries a logit gradient through the cached GCN. The objective
-is linear in the logit gradient, so the trainer sums the draws of every cell
-and backprops once per step; ``policy_gradient`` is the two composed for a
-single draw. ``logit_grad`` is itself the sum of a draw's
-``reward_logit_grad`` and the weighted ``entropy_logit_grad``, which depends
-on the cell only, so the trainer computes it once per cell.
+central finite differences. They come in two parts: one draw's per-edge
+gradient in the logits, the sum of its ``reward_logit_grad`` and the
+weighted ``entropy_logit_grad`` (which depends on the cell only, so the
+trainer computes it once per cell), and ``backprop``, which carries a logit
+gradient through the cached GCN. The objective is linear in the logit
+gradient, so the trainer sums the draws of every cell and backprops once per
+step; ``policy_gradient`` is the two composed for a single draw.
 
 Operations enter as index arrays into ``OPERATIONS``, the form a
 ``CellGraph`` stores them in.
@@ -278,18 +277,6 @@ def entropy_logit_grad(out: PolicyOutput) -> np.ndarray:
     return np.where(z > 0, -z * (logp + row_entropy), 0.0)
 
 
-def logit_grad(
-    out: PolicyOutput, actions: np.ndarray, reward: float, entropy_weight: float
-) -> np.ndarray:
-    """Per-edge gradient of reward * log pi(actions) + entropy_weight * H(pi) in the logits.
-
-    ``out`` is one cell's output, (K, c); the result has the same shape. A
-    caller that scores many draws of one cell computes the entropy term once
-    and adds it to each draw's ``reward_logit_grad``, with the same result.
-    """
-    return reward_logit_grad(out, actions, reward) + entropy_weight * entropy_logit_grad(out)
-
-
 def _rows(x: np.ndarray) -> np.ndarray:
     """Merge the leading axes of a per-node array into one row axis."""
     return x.reshape(-1, x.shape[-1])
@@ -336,9 +323,10 @@ def policy_gradient(
 ) -> ParamGrads:
     """Exact gradient of reward * log pi(actions) + entropy_weight * H(pi) for one cell.
 
-    The composition of ``logit_grad`` and ``backprop``, with their checks.
+    ``backprop`` of the draw's two logit-gradient terms, with their checks.
     """
-    return backprop(out, params, logit_grad(out, actions, reward, entropy_weight))
+    g_u = reward_logit_grad(out, actions, reward) + entropy_weight * entropy_logit_grad(out)
+    return backprop(out, params, g_u)
 
 
 def ascend_(params: PolicyParams, grads: ParamGrads, lr: float) -> None:

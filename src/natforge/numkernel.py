@@ -116,7 +116,7 @@ def checkpoint_array(values, shape: tuple[int, ...], field: str) -> np.ndarray:
 
 
 #: The ``format_version`` every checkpoint writer records and every loader requires.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def checkpoint_fields(payload, fields: tuple[str, ...]) -> None:

@@ -139,10 +139,10 @@ def run(cfg: TrainConfig) -> TrainResult:
     times then draws all m·n rewrites, which takes the same uniforms as n
     calls per cell, cell by cell, and one group ``apply_transitions`` builds
     them. Cell by cell, the n rewrites are scored, each draw's
-    ``logit_grad`` is added to its cell's row, and one ``backprop`` of the
-    stacked sum gives the step's gradient, scaled by 1/(m·n). The entropy
-    term of ``logit_grad`` depends on the cell only, so it is computed once
-    per cell and added to each draw's reward term. With m = 1 the generator
+    ``reward_logit_grad`` plus the weighted ``entropy_logit_grad`` is added
+    to its cell's row, and one ``backprop`` of the stacked sum gives the
+    step's gradient, scaled by 1/(m·n). The entropy term depends on the cell
+    only, so it is computed once per cell. With m = 1 the generator
     is consumed in the same order as one forward per cell; with m > 1 all m
     cells come off the generator before their draws.
     """

@@ -19,6 +19,11 @@ appear as a keyword of a ``TrainConfig(...)`` call or of a ``dict(...)``
 call, which covers recipes splatted into the config. A value nothing but
 its default and the unit tests sets is a constant, not a field. This check
 too can miss a dead field, but it never flags a field that is set.
+
+For the same reason every defaulted parameter of a public function or method
+must be passed by that code, by keyword or by position, in some call to a
+name of its spelling. A call that splats ``*args`` or ``**kwargs`` counts as
+passing every parameter it could reach.
 """
 
 import ast
@@ -113,12 +118,58 @@ def unset_config_fields() -> list[str]:
     return [f.name for f in fields(TrainConfig) if f.name not in keywords]
 
 
+def _passed_arguments(trees) -> dict[str, tuple[float, set[str]]]:
+    """Per called name, the most positional arguments of any call and every keyword passed.
+
+    A ``*args`` splat counts as unboundedly many positional arguments, and a
+    ``**kwargs`` splat as the keyword ``**``.
+    """
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            splat = any(isinstance(a, ast.Starred) for a in node.args)
+            count, keywords = passed.get(name, (0, set()))
+            keywords |= {"**" if k.arg is None else k.arg for k in node.keywords}
+            passed[name] = (max(count, float("inf") if splat else len(node.args)), keywords)
+    return passed
+
+
+def unpassed_defaults() -> list[str]:
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py")) + USERS]
+    passed = _passed_arguments(trees)
+    unpassed = []
+    for module, qualname, node in _public_definitions():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        count, keywords = passed.get(node.name, (0, set()))
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if "." in qualname and positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+            (float("inf"), a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
+        ]
+        for i, arg in defaulted:
+            if i >= count and arg not in keywords and "**" not in keywords:
+                unpassed.append(f"{module}.{qualname}({arg})")
+    return unpassed
+
+
 def test_every_public_name_is_reached_outside_the_unit_tests():
     assert unreached_names() == []
 
 
 def test_every_train_config_field_is_set_outside_the_unit_tests():
     assert unset_config_fields() == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
+    assert unpassed_defaults() == []
 
 
 def test_the_scan_sees_definitions_and_references():
@@ -131,3 +182,5 @@ def test_the_scan_sees_definitions_and_references():
     assert refs["a"] == refs["b"] == refs["y"] == refs["z"] == 1
     calls = "TrainConfig(a=1, **r)\nt.TrainConfig(b=2)\nr = dict(c=3)\nf(d=4)\n{'e': 5}\n"
     assert _config_keywords(ast.parse(calls)) == {"a", "b", "c"}
+    passed = _passed_arguments([ast.parse("f(1, b=2)\nf(1, 2, 3)\no.g(*a)\nh(**k)\n")])
+    assert passed == {"f": (3, {"b"}), "g": (float("inf"), set()), "h": (0, {"**"})}

@@ -13,7 +13,6 @@ from click.testing import CliRunner
 from natforge import trainer
 from natforge.archgraph import EncodingConfig, make_cell
 from natforge.cli import main
-from natforge.evaluator import init_shared, save_shared
 from natforge.gcnpolicy import NATPP, init_params, save_policy
 
 
@@ -309,7 +308,6 @@ def artifacts(tmp_path_factory):
             "--in", graphs,
             "--optimized", opt,
             "--supernet", os.path.join(run_dir, "supernet.json"),
-            "--data-seed", "1",
             "--out", report,
         ],
     )
@@ -406,13 +404,15 @@ class TestTrainOptimizeReport:
         assert "head_b: contains NaN or infinity" in result.output
 
     def test_report_rejects_supernet_feature_dim_mismatch(self, artifacts, tmp_path):
-        path = str(tmp_path / "supernet.json")
-        save_shared(init_shared(np.random.default_rng(0), 4, feature_dim=8), path)
-        result = self._report(artifacts, tmp_path, artifacts["opt"], supernet=path)
+        with open(os.path.join(artifacts["run"], "supernet.json")) as fh:
+            payload = json.load(fh)
+        payload["feature_dim"] = 8
+        path = tmp_path / "supernet.json"
+        path.write_text(json.dumps(payload))
+        result = self._report(artifacts, tmp_path, artifacts["opt"], supernet=str(path))
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "feature_dim 8" in result.output
-        assert "feature dimension 16" in result.output
+        assert f"{path}: feature_dim: expected 16" in result.output
         assert not os.path.exists(str(tmp_path / "report.csv"))
 
     def test_checkpoints_are_streamed_json_bytes(self, artifacts):
@@ -429,3 +429,28 @@ class TestTrainOptimizeReport:
         result = self._report(artifacts, tmp_path, graphs, originals=graphs)
         assert result.exit_code == 1
         assert "graph 0 has 3 intermediate nodes; the supernet has 4" in result.output
+
+
+def test_report_measures_cells_on_the_supernets_training_data(tmp_path):
+    """A supernet trained at seed 3 is scored on ``make_dataset(3)``, read from its checkpoint."""
+    runner = CliRunner()
+    graphs, run_dir = str(tmp_path / "graphs.txt"), str(tmp_path / "run")
+    opt, report = str(tmp_path / "optimized.txt"), str(tmp_path / "report.csv")
+    commands = [
+        ["train", "--provider", "supernet", "--seed", "3", "--epochs", "20", "--out", run_dir],
+        ["sample", "--count", "30", "--seed", "3", "--out", graphs],
+        ["optimize", "--in", graphs, "--policy", os.path.join(run_dir, "policy.json"),
+         "--out", opt],
+        ["report", "--in", graphs, "--optimized", opt,
+         "--supernet", os.path.join(run_dir, "supernet.json"), "--out", report],
+    ]
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    original = read_csv(report)[0]
+    assert original["set"] == "original"
+    # Twice chance (1/8), the floor the supernet-pretrain benchmark workload checks.
+    assert float(original["accuracy_mean"]) >= 2 / 8
+    result = runner.invoke(main, commands[-1] + ["--data-seed", "0"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--data-seed" in result.output

@@ -28,7 +28,6 @@ from natforge.gcnpolicy import (
     init_params,
     load_policy,
     log_prob_of,
-    logit_grad,
     policy_gradient,
     reward_logit_grad,
     sample_actions,
@@ -241,8 +240,6 @@ class TestGradient:
         with pytest.raises(ValueError, match=message):
             reward_logit_grad(out, actions, 1.0)
         with pytest.raises(ValueError, match=message):
-            logit_grad(out, actions, 1.0, 0.1)
-        with pytest.raises(ValueError, match=message):
             policy_gradient(out, params, actions, 1.0, 0.1)
         # Every edge at -1 (or c) would index the last (or no) column.
         with pytest.raises(ValueError, match="at edge 0 is not in"):
@@ -334,7 +331,8 @@ class TestEstimator:
             for s in range(self.DRAWS):
                 actions, _ = sample_actions(out, rng)
                 alpha = apply_transitions(beta, actions_to_ops(mode, beta.ops, actions))
-                draws[s] = logit_grad(out, actions, provider.score(alpha) - base - baseline, lam)
+                reward = provider.score(alpha) - base - baseline
+                draws[s] = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
                 flat.append(flat_grads(backprop(out, params, draws[s])))
             self.assert_within_clt(draws, exact)
             self.assert_within_clt(np.array(flat), flat_grads(backprop(out, params, exact)))
@@ -366,7 +364,8 @@ def reference_sample_actions(out, rng):
 def reference_policy_gradient(out, params, actions, reward, entropy_weight):
     """Per-row ``g_u`` loop and per-node head backprop, the gradient before the split.
 
-    ``logit_grad`` must reproduce its ``g_u`` bit for bit; ``backprop`` sums
+    ``reward_logit_grad`` plus the weighted ``entropy_logit_grad`` must
+    reproduce its ``g_u`` bit for bit; ``backprop`` sums
     the head in another order, so its parameter gradients agree to rounding.
     """
     a, ahs, pres, m = out.cache
@@ -460,7 +459,7 @@ class TestReferenceEquivalence:
             actions, _ = sample_actions(out, rng)
             reward = float(rng.standard_normal())
             lam = float(rng.choice([0.0, 0.003, 0.1, 1.0]))
-            g_u = logit_grad(out, actions, reward, lam)
+            g_u = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
             grads = policy_gradient(out, params, actions, reward, lam)
             ref_g_u, ref_gcn, ref_fc = reference_policy_gradient(out, params, actions, reward, lam)
             assert np.array_equal(g_u, ref_g_u)
@@ -470,12 +469,14 @@ class TestReferenceEquivalence:
         assert checked == 60
 
     def test_logit_grad_is_reward_plus_entropy_terms(self):
+        """``policy_gradient`` backprops exactly the draw's reward and entropy terms."""
         rng = np.random.default_rng(27)
         for params, out in random_outputs(20, 28):
             actions, _ = sample_actions(out, rng)
             reward, lam = float(rng.standard_normal()), float(rng.choice([0.0, 0.1, 1.0]))
             split = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
-            assert np.array_equal(logit_grad(out, actions, reward, lam), split)
+            got = flat_grads(policy_gradient(out, params, actions, reward, lam))
+            assert np.array_equal(got, flat_grads(backprop(out, params, split)))
 
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_batched_forward_matches_per_cell(self, mode):
@@ -575,17 +576,17 @@ class TestCheckpoint:
         "edit, found",
         [
             (lambda p: p.pop("format_version"), "missing"),
-            (lambda p: p.update(format_version=2), "2"),
-            (lambda p: p.update(format_version="1"), "'1'"),
+            (lambda p: p.update(format_version=1), "1"),
+            (lambda p: p.update(format_version="2"), "'2'"),
         ],
-        ids=["missing", "2", "string"],
+        ids=["missing", "1", "string"],
     )
     def test_format_version_named(self, payload, tmp_path, edit, found):
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         edit(payload)
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(ValueError) as info:
             load_policy(path)
-        assert str(info.value) == f"format_version: expected 1, found {found}"
+        assert str(info.value) == f"format_version: expected 2, found {found}"

@@ -33,15 +33,15 @@ SAMPLE = "7ad58577c3de9b01e4b5240b8bb45b1896f49e7cadb151569a57a1a1a05c61ab"
 #: sha256 of (policy.json, train_log.jsonl) for ``natforge train`` on 3 epochs.
 TRAIN = {
     "nat++-m1": (
-        "abc1c15890041763007b9ab4e7e757a352d94f3a1fa849472d2fc4eb7b6c020d",
+        "7daf564a015fbc581b06069ea0bd337f9723a8b92ba715e13b2ee1e5efb8986f",
         "7d78a55907f521065f2f3fc641f2addefd93f1a966628f8ce6564c0ab5329e08",
     ),
     "nat++-m2": (
-        "b9f97864f3fdbadbcb7e002e758475a94efcba8aaab13b2a33760f02bc6ca5f4",
+        "fa87845ecba3cd6d581f589255dc18bf6830d7fa6b1530090f0dafd29df1c3d8",
         "c41d12f10ef92ca8cfad41c71ef3579aac2c0f493777984974c2724ef29512e6",
     ),
     "nat-m1": (
-        "95a64e2eddccd422fc6d914e87e2cafda43dac89daa20dbd2a03c5ef6e0d3ea8",
+        "26aa614300a4e6994219236ef6e64a1018c05c43fae545b5d2bb50baf43a0f9c",
         "a9eab112fb34ade6fc8f9d76a6fca8b0087f0e1b4963f22b21e7ee60f8e43632",
     ),
 }
@@ -53,9 +53,9 @@ TRAIN_FLAGS = {
 
 #: sha256 of (policy.json, train_log.jsonl, supernet.json) for one supernet epoch.
 SUPERNET = (
-    "2ba452900e16067d47b8d75556be00414c9fe9c53fa3d639679f75ab99b27bdf",
+    "2e905177357a376c2fe13812be7355bd48df64c687e43a725fa7399abc1f6327",
     "5b5dbbfd2e89c8d6b07d115bd6c90ac4c3ae5a11140070c470546bc7b86516ab",
-    "cbf661f921e2a8bcf28ff524b5387ecdae8b04d2646c68f4f1a1d98b873d4fa8",
+    "e2f151ada7848af7593db00684ef0a55140188da80f4a112e6bbf7fdb3b8ff94",
 )
 
 #: ``config_hash`` of ``run.manifest.json`` for each ``TRAIN`` run and the
@@ -69,8 +69,8 @@ CONFIG_HASH = {
 
 #: sha256 of ``save_shared`` after 300 ``supernet_train_step``s on m uniform cells per step.
 PRETRAIN = {
-    1: "3a74aaa0dd519a091a135326a9fa11cb1b8f80e2b7a93a872871d172c8d35beb",
-    2: "8e43690ed04d3f1871d9e5a219b548261c5ffc395edb5013b6006a43a4779ef0",
+    1: "904603e8e8f5eb5997e2a3b2915a5f79fc001626690072d8410e4fa565c613b0",
+    2: "a6a495a8335f512542793f874a2595bc4dcf2f54fedb3707aa440b92f1eb6097",
 }
 
 #: ``accuracy`` of 16 fixed cells under the m = 1 supernet, and sha256 of their logits.
@@ -113,7 +113,7 @@ MANIFEST = {
     "sample": "58770bd09c917a9a3244c6d8c8b3dbfd2b2ba153586e65c3e2119ca4ea7f9efd",
     "cost": "a783c957201c5156ecfe6375677a9b83bc22258c134cb6489a72f7e7223db4de",
     "optimize": "4dc3c254c96badffa8716fd6fcb735c2f9df8f49793085a4b693c9f7caa670fe",
-    "report": "947c85a66de7c6d3341115a32969647a41d09aa1304e221cf40d47e1ad01b766",
+    "report": "6dd3d01d1240d011366acc59a3eee52fc62276cec36a5afa864c018d177ff672",
 }
 MANIFEST_ARGS = {
     "audit": ["--out", "audit.csv"],
@@ -236,7 +236,7 @@ def pretrained_supernet(m):
 def test_supernet_pretrain_bytes(tmp_path, m):
     w, _ = pretrained_supernet(m)
     path = str(tmp_path / "supernet.json")
-    save_shared(w, path)
+    save_shared(w, 6, path)
     assert sha(path) == PRETRAIN[m]
 
 
