@@ -27,7 +27,7 @@ from .archgraph import (
     sample_uniform,
     serialize_many,
 )
-from .evaluator import accuracy, load_shared, make_dataset, save_shared
+from .evaluator import accuracy_many, load_shared, make_dataset, save_shared
 from .gcnpolicy import load_policy, save_policy
 from .numkernel import atomic_write
 from .opspace import CostConfig, audit_rows, audit_violations
@@ -282,7 +282,8 @@ def report(
     def columns(graphs, baselines=None):
         """A set's per-graph params, madds, accuracy and reward (accuracy over the baseline)."""
         costs = [cost_of(g, cfg) for g in graphs]
-        accs = [accuracy(g, shared, x_val, y_val) for g in graphs]
+        # Input-fed edge outputs do not depend on topology: one call per file.
+        accs = accuracy_many(graphs, shared, x_val, y_val)
         if baselines is None:
             rewards = [0.0] * len(graphs)
         else:

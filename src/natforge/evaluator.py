@@ -13,9 +13,14 @@ The planted oracle scores each (edge, operation) pair with a fixed random
 table, so the best reachable transition for every edge is known exactly and
 policy convergence can be measured against ground truth.
 
-Both providers expose ``score(graph)`` and define the reward of a rewrite as
-``score(alpha) - score(beta)``. Scores are pure, so a caller that draws many
-rewrites of one input cell scores that cell once.
+Both providers score a draw set in one call, ``score_many(graphs)``, and
+define the reward of a rewrite as ``score(alpha) - score(beta)``. Scores are
+pure, so a caller that draws n rewrites of one input cell scores the cell and
+its rewrites together, and the cell once. Under the supernet, an edge fed by
+an input node computes the same output for every cell of a call, so
+``accuracy_many`` computes each such (edge, operation) output once per call
+and drops it when the call returns: no output computed under older weights
+is ever reused.
 
 The supernet kernels work on a cell's operation indices, the form
 ``CellGraph.ops`` stores. They dispatch through per-index tuples of type
@@ -231,15 +236,17 @@ def _edge_backward(
         gu = gy @ entry["mix"].T
         grad_entry["diag"] += (gu * xr).sum(axis=0)
         return (gu * entry["diag"])[:, _roll(gy.shape[1], -_KERNEL[o])]
-    gx = np.zeros_like(gy)
+    b, d = gy.shape
     if tc is TypeClass.MAX_POOL:
         win, vals = cache
-        cols = win[np.arange(win.shape[0])[None, :], vals.argmax(axis=2)]
+        cols = win[np.arange(d)[None, :], vals.argmax(axis=2)]
         # One input coordinate can be the max of several windows: accumulate.
-        np.add.at(gx, (np.arange(gy.shape[0])[:, None], cols), gy)
-        return gx
+        # ``bincount`` adds the flat (row, column) targets in input order from
+        # 0.0, the same sums in the same order as ``np.add.at``.
+        flat = (cols + d * np.arange(b)[:, None]).ravel()
+        return np.bincount(flat, weights=gy.ravel(), minlength=b * d).reshape(b, d)
     k = _KERNEL[o]
-    d = gy.shape[1]
+    gx = np.zeros_like(gy)
     # Window i feeds coordinate i + j (mod d) from its column j, so column j's
     # share of the gradient is g rolled by j: one gather per column, added in
     # the column order a per-coordinate scatter would use.
@@ -254,13 +261,24 @@ def _edge_lists(graph: CellGraph) -> tuple[list[int], list[int]]:
     return graph.sources.tolist(), graph.ops.tolist()
 
 
-def _forward_graph(sources: list[int], ops: list[int], w: SharedWeights, x: np.ndarray):
+def _forward_graph(
+    sources: list[int],
+    ops: list[int],
+    w: SharedWeights,
+    x: np.ndarray,
+    memo: dict[tuple[int, int], np.ndarray] | None = None,
+):
     """Supernet forward over a batch; returns (logits, caches).
 
     Node l is ``tanh(0 + y_2l + y_2l+1)``, the sum of its two edge outputs
     started from zeros. A null edge's output is zero, so it is skipped; the
     start from zeros only turns a -0.0 sum into +0.0, and adding 0.0 to the
     tanh does the same, so the nodes keep their exact bits.
+
+    With a ``memo``, the forward is read-only: an edge whose source is an
+    input node reads its output from ``memo[(edge index, operation index)]``,
+    computing and storing it on a miss, and keeps no backward cache. The
+    caller must pass the same weights and batch with every use of one memo.
     """
     num_inter = len(ops) // 2
     slots = w.slots
@@ -274,7 +292,14 @@ def _forward_graph(sources: list[int], ops: list[int], w: SharedWeights, x: np.n
             o = ops[e_idx]
             if o == _NULL:
                 continue
-            y, edge_caches[e_idx] = _edge_forward(o, nodes[sources[e_idx]], slots[e_idx][o])
+            src = sources[e_idx]
+            if memo is None or src >= 0:
+                y, edge_caches[e_idx] = _edge_forward(o, nodes[src], slots[e_idx][o])
+            else:
+                # Both input nodes are x, so the output depends on (edge, op) only.
+                y = memo.get((e_idx, o))
+                if y is None:
+                    y = memo[e_idx, o] = _edge_forward(o, x, slots[e_idx][o])[0]
             pre = y if pre is None else pre + y
         if pre is None:
             nodes[l] = np.zeros_like(x)
@@ -286,19 +311,43 @@ def _forward_graph(sources: list[int], ops: list[int], w: SharedWeights, x: np.n
     return logits, (nodes, edge_caches, feats)
 
 
-def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarray:
-    """Pure read-only forward pass."""
+def graph_logits(
+    graph: CellGraph,
+    w: SharedWeights,
+    x: np.ndarray,
+    memo: dict[tuple[int, int], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Pure read-only forward pass.
+
+    Cells forwarded on the same weights and batch may share one ``memo`` of
+    input-fed edge outputs (see ``_forward_graph``); ``accuracy_many`` makes
+    one per call. Without one, the call uses a memo of its own.
+    """
     if graph.num_intermediate != w.num_intermediate:
         raise ValueError("graph and shared weights disagree on intermediate count")
-    logits, _ = _forward_graph(*_edge_lists(graph), w, x)
+    logits, _ = _forward_graph(*_edge_lists(graph), w, x, {} if memo is None else memo)
     return logits
+
+
+def accuracy_many(
+    graphs: Sequence[CellGraph], w: SharedWeights, x: np.ndarray, labels: np.ndarray
+) -> list[float]:
+    """Each cell's ``accuracy``, in order, with each input-fed edge output computed once.
+
+    The memo of those outputs lives for this call only, so the scores are
+    exactly those of one ``accuracy`` call per cell.
+    """
+    memo: dict[tuple[int, int], np.ndarray] = {}
+    # The count over the batch size: the same float as the mean of the hits.
+    return [
+        np.count_nonzero(graph_logits(g, w, x, memo).argmax(axis=1) == labels) / len(labels)
+        for g in graphs
+    ]
 
 
 def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the batch classified correctly by the shared-weight forward pass."""
-    logits = graph_logits(graph, w, x)
-    # The count over the batch size: the same float as the mean of the hits.
-    return np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
+    return accuracy_many([graph], w, x, labels)[0]
 
 
 def supernet_train_step(
@@ -495,13 +544,15 @@ class OracleProvider:
     def __init__(self, oracle: PlantedOracle):
         self.oracle = oracle
 
-    def score(self, graph: CellGraph) -> float:
-        return self.oracle.score(graph)
+    def score_many(self, graphs: Sequence[CellGraph]) -> list[float]:
+        """Each cell's planted score, in order."""
+        return [self.oracle.score(g) for g in graphs]
 
     def reward(self, alpha: CellGraph, beta: CellGraph) -> float:
         if not same_topology(alpha, beta):
             raise ValueError("architectures must share topology")
-        return self.score(alpha) - self.score(beta)
+        score_alpha, score_beta = self.score_many([alpha, beta])
+        return score_alpha - score_beta
 
 
 class SupernetProvider:
@@ -512,11 +563,12 @@ class SupernetProvider:
         self.x_val = x_val
         self.y_val = y_val
 
-    def score(self, graph: CellGraph) -> float:
-        """Validation accuracy of the cell under the current shared weights."""
-        return accuracy(graph, self.w, self.x_val, self.y_val)
+    def score_many(self, graphs: Sequence[CellGraph]) -> list[float]:
+        """Each cell's validation accuracy under the current shared weights, in order."""
+        return accuracy_many(graphs, self.w, self.x_val, self.y_val)
 
     def reward(self, alpha: CellGraph, beta: CellGraph) -> float:
         if not same_topology(alpha, beta):
             raise ValueError("architectures must share topology")
-        return self.score(alpha) - self.score(beta)
+        score_alpha, score_beta = self.score_many([alpha, beta])
+        return score_alpha - score_beta

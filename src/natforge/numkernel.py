@@ -42,20 +42,22 @@ def bmsoftmax(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    shifted = u - u.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def cross_entropy_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and its gradient w.r.t. the logits."""
-    logp = log_softmax(logits)
-    n = logits.shape[0]
-    loss = float(-logp[np.arange(n), labels].mean())
-    grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    """Mean cross-entropy over a batch and its gradient w.r.t. the logits.
+
+    One max shift, ``exp`` and row sum serve both: the labels' log-probabilities
+    are ``shifted - log(sum)`` and the gradient is ``softmax - onehot``, with
+    the softmax ``exp(shifted) / sum``, the same floats as ``softmax``.
+    """
+    logits = np.asarray(logits, dtype=float)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(logits.shape[0])
+    loss = float(-(shifted[rows, labels] - np.log(total[:, 0])).mean())
+    grad = e / total
+    grad[rows, labels] -= 1.0
+    return loss, grad / logits.shape[0]
 
 
 def grad_check(f, analytic_grad: np.ndarray, point: np.ndarray) -> float:

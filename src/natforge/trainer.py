@@ -138,13 +138,16 @@ def run(cfg: TrainConfig) -> TrainResult:
     over them. One ``sample_actions`` call over each cell's rows repeated n
     times then draws all m·n rewrites, which takes the same uniforms as n
     calls per cell, cell by cell, and one group ``apply_transitions`` builds
-    them. Cell by cell, the n rewrites are scored, each draw's
-    ``reward_logit_grad`` plus the weighted ``entropy_logit_grad`` is added
-    to its cell's row, and one ``backprop`` of the stacked sum gives the
-    step's gradient, scaled by 1/(m·n). The entropy term depends on the cell
-    only, so it is computed once per cell. With m = 1 the generator
-    is consumed in the same order as one forward per cell; with m > 1 all m
-    cells come off the generator before their draws.
+    them. Cell by cell, one ``provider.score_many`` call scores the draw set,
+    the cell and its n rewrites; each reward is a rewrite's score minus the
+    cell's, the first of the call (the supernet computes each input-fed edge
+    output once per call). Each draw's ``reward_logit_grad`` plus the
+    weighted ``entropy_logit_grad`` is added to its cell's row, and one
+    ``backprop`` of the stacked sum gives the step's gradient, scaled by
+    1/(m·n). The entropy term depends on the cell only, so it is computed
+    once per cell. With m = 1 the generator is consumed in the same order as
+    one forward per cell; with m > 1 all m cells come off the generator
+    before their draws.
     """
     rng = np.random.default_rng(cfg.seed)
     layout = EncodingConfig(i_max=cfg.i_max)
@@ -205,10 +208,12 @@ def run(cfg: TrainConfig) -> TrainResult:
                 entropies.append(total_entropy(cell))
                 h_term = cfg.entropy_weight * entropy_logit_grad(cell)
                 # Rewrites keep beta's topology, so each reward is
-                # score(alpha) - score(beta) with beta scored once.
-                base = provider.score(beta)
-                for j in range(i * cfg.n, (i + 1) * cfg.n):
-                    r = provider.score(alphas[j]) - base
+                # score(alpha) - score(beta), with beta and its n rewrites
+                # scored in one call.
+                first = i * cfg.n
+                base, *scores = provider.score_many([beta] + alphas[first : first + cfg.n])
+                for j, score in enumerate(scores, start=first):
+                    r = score - base
                     rewards.append(r)
                     r_eff = r - baseline if cfg.use_baseline else r
                     g_u[i] += reward_logit_grad(cell, actions[j], r_eff) + h_term

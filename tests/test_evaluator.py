@@ -9,12 +9,19 @@ import pytest
 from scipy import stats
 
 from natforge import evaluator, trainer
-from natforge.archgraph import EdgeSlot, apply_transitions, make_cell, sample_uniform
+from natforge.archgraph import (
+    EdgeSlot,
+    apply_transitions,
+    make_cell,
+    same_topology,
+    sample_uniform,
+)
 from natforge.evaluator import (
     OracleProvider,
     SupernetProvider,
     _windows,
     accuracy,
+    accuracy_many,
     graph_logits,
     init_shared,
     load_shared,
@@ -34,6 +41,15 @@ def chain_cell(op: OperationKind, num_intermediate: int = 4):
         edges.append(EdgeSlot(l, 0, -2 if l == 0 else l - 1, op))
         edges.append(EdgeSlot(l, 1, -1, op))
     return make_cell(num_intermediate + 3, edges)
+
+
+def _random_rewrite(beta, rng):
+    """``beta`` with a uniformly drawn valid transition on every edge."""
+    actions = []
+    for e in beta.edges:
+        ops = transition_mask(e.op).ops()
+        actions.append(ops[int(rng.integers(len(ops)))].index)
+    return apply_transitions(beta, actions)
 
 
 class TestDataset:
@@ -241,11 +257,7 @@ class TestProviders:
     def test_reward_antisymmetry(self, providers):
         rng = np.random.default_rng(13)
         beta = sample_uniform(4, rng)
-        actions = []
-        for e in beta.edges:
-            ops = transition_mask(e.op).ops()
-            actions.append(ops[int(rng.integers(len(ops)))].index)
-        alpha = apply_transitions(beta, actions)
+        alpha = _random_rewrite(beta, rng)
         for p in providers:
             assert p.reward(alpha, beta) == pytest.approx(-p.reward(beta, alpha))
 
@@ -264,13 +276,10 @@ class TestProviders:
         rng = np.random.default_rng(15)
         for _ in range(20):
             beta = sample_uniform(4, rng)
-            actions = []
-            for e in beta.edges:
-                ops = transition_mask(e.op).ops()
-                actions.append(ops[int(rng.integers(len(ops)))].index)
-            alpha = apply_transitions(beta, actions)
+            alpha = _random_rewrite(beta, rng)
             for p in providers:
-                assert p.reward(alpha, beta) == p.score(alpha) - p.score(beta)
+                [score_alpha], [score_beta] = p.score_many([alpha]), p.score_many([beta])
+                assert p.reward(alpha, beta) == score_alpha - score_beta
 
 
 class TestSharedCheckpointValidation:
@@ -589,18 +598,100 @@ class TestReferenceEquivalence:
             assert supernet_train_step(w, [g], x, y, 0.05) == _ref_train_step(ref, [g], x, y, 0.05)
             assert _same_weights(w, ref)
 
+    @pytest.mark.parametrize("pool", [OperationKind.MAX_POOL_3X3, OperationKind.MAX_POOL_5X5])
+    def test_max_pool_backward_matches_add_at(self, pool):
+        # Rounded inputs tie inside most windows; NaN takes the argmax of its windows.
+        rng = np.random.default_rng(44)
+        x = np.round(rng.standard_normal((64, 16)))
+        x[3, 5] = x[9, 2] = x[9, 3] = np.nan
+        x[7] = 0.0
+        gy = rng.standard_normal((64, 16))
+        gy[11, 4] = np.nan
+        gy[12] = -0.0
+        y, cache = evaluator._edge_forward(pool.index, x, None)
+        ref_y, ref_cache = _ref_edge_forward(pool, x, None)
+        assert y.tobytes() == ref_y.tobytes()
+        got = evaluator._edge_backward(pool.index, gy, None, cache, None)
+        assert got.tobytes() == _ref_edge_backward(pool, gy, None, ref_cache, None).tobytes()
+
+
+class TestDrawSetScoring:
+    @pytest.mark.parametrize("num_intermediate", [1, 2, 3, 4])
+    def test_accuracy_many_is_one_cell_accuracy(self, num_intermediate):
+        rng = np.random.default_rng(60 + num_intermediate)
+        ds = make_dataset(60)
+        w = init_shared(rng, num_intermediate)
+        for _ in range(20):
+            x, y = ds.train_batch(rng, 64)
+            supernet_train_step(w, [sample_uniform(num_intermediate, rng)], x, y, 0.05)
+        x_val, y_val = ds.val_batch(128)
+        topology = sample_uniform(num_intermediate, rng)
+        pools = (OperationKind.MAX_POOL_3X3, OperationKind.MAX_POOL_5X5)
+        pools += (OperationKind.AVG_POOL_3X3, OperationKind.AVG_POOL_5X5)
+        cells = [sample_uniform(num_intermediate, rng) for _ in range(50)]
+        cells += [
+            make_cell(topology.num_nodes, [replace(e, op=pool) for e in topology.edges])
+            for pool in pools
+        ]
+        beta = sample_uniform(num_intermediate, rng)
+        draw_set = [beta] + [_random_rewrite(beta, rng) for _ in range(8)]
+        # Rounded inputs tie inside the pooling windows.
+        for x in (x_val, np.round(x_val)):
+            for graphs in (cells, draw_set):
+                want = [accuracy(g, w, x, y_val) for g in graphs]
+                assert accuracy_many(graphs, w, x, y_val) == want
+                memo = {}
+                for g in graphs:
+                    got = graph_logits(g, w, x, memo)
+                    assert got.tobytes() == _ref_forward_graph(g, w, x)[0].tobytes()
+                # The memo holds exactly the non-null edges fed by an input node.
+                fed = {
+                    (e, o)
+                    for g in graphs
+                    for e, (src, o) in enumerate(zip(g.sources.tolist(), g.ops.tolist()))
+                    if src < 0 and o != OperationKind.NULL.index
+                }
+                assert set(memo) == fed
+
+    def test_intermediate_count_mismatch_rejected(self):
+        w = init_shared(np.random.default_rng(61), 2)
+        x, y = make_dataset(61).val_batch(16)
+        cells = [sample_uniform(2, np.random.default_rng(62)), chain_cell(OperationKind.SKIP)]
+        with pytest.raises(ValueError, match="intermediate count"):
+            accuracy_many(cells, w, x, y)
+
+    def test_scores_follow_the_weights(self):
+        # No output computed under older weights is reused by a later call.
+        rng = np.random.default_rng(63)
+        ds = make_dataset(63)
+        w = init_shared(rng, 4)
+        x_val, y_val = ds.val_batch(256)
+        provider = SupernetProvider(w, x_val, y_val)
+        beta = sample_uniform(4, rng)
+        draw_set = [beta] + [_random_rewrite(beta, rng) for _ in range(8)]
+        before = provider.score_many(draw_set)
+        for _ in range(30):
+            x, y = ds.train_batch(rng, 64)
+            supernet_train_step(w, [sample_uniform(4, rng)], x, y, 0.1)
+            after = provider.score_many(draw_set)
+            assert after == [accuracy(g, w, x_val, y_val) for g in draw_set]
+        assert after != before
+
 
 class TestTrainerScoring:
     @pytest.mark.parametrize("provider", ["oracle", "supernet"])
     def test_beta_scored_once_per_draw_set(self, monkeypatch, provider):
         base = OracleProvider if provider == "oracle" else SupernetProvider
         counted = ("forward", "sample_actions", "apply_transitions", "backprop")
-        counts = dict.fromkeys(("score", "reward") + counted, 0)
+        counts = dict.fromkeys(("score_many", "scored", "reward") + counted, 0)
 
         class Counting(base):
-            def score(self, graph):
-                counts["score"] += 1
-                return super().score(graph)
+            def score_many(self, graphs):
+                # One call per draw set: a cell, then its n rewrites.
+                counts["score_many"] += 1
+                counts["scored"] += len(graphs)
+                assert all(same_topology(g, graphs[0]) for g in graphs)
+                return super().score_many(graphs)
 
             def reward(self, alpha, beta):
                 counts["reward"] += 1
@@ -621,7 +712,8 @@ class TestTrainerScoring:
         cfg = TrainConfig(provider=provider, m=2, n=3, epochs=1)
         trainer.run(cfg)
         theta_steps = cfg.epochs * cfg.iters_theta
-        assert counts["score"] == theta_steps * cfg.m * (cfg.n + 1)
+        assert counts["score_many"] == theta_steps * cfg.m
+        assert counts["scored"] == theta_steps * cfg.m * (cfg.n + 1)
         assert counts["reward"] == 0
         # One forward, one draw call, one group rewrite and one backprop per θ step.
         for name in counted:

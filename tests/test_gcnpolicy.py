@@ -325,13 +325,13 @@ class TestEstimator:
             grad_h = np.where(z > 0, -z * (logz - (z * logz).sum(axis=1, keepdims=True)), 0.0)
             exact = z * (t - (z * t).sum(axis=1, keepdims=True)) + lam * grad_h
 
-            base = provider.score(beta)
+            [base] = provider.score_many([beta])
             draws = np.empty((self.DRAWS,) + z.shape)
             flat = []
             for s in range(self.DRAWS):
                 actions, _ = sample_actions(out, rng)
                 alpha = apply_transitions(beta, actions_to_ops(mode, beta.ops, actions))
-                reward = provider.score(alpha) - base - baseline
+                reward = provider.score_many([alpha])[0] - base - baseline
                 draws[s] = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
                 flat.append(flat_grads(backprop(out, params, draws[s])))
             self.assert_within_clt(draws, exact)

@@ -179,7 +179,8 @@ def reference_infer(policy, beta, decode, rng):
 
 
 def reference_run(cfg):
-    """Oracle θ steps with one forward and one ``policy_gradient`` per cell and draw.
+    """Oracle θ steps with one forward per cell, and a one-cell score and one
+    ``policy_gradient`` per draw.
 
     The m cells of a step are drawn before their rewrites; with m = 1 this is
     the order of one forward per cell. Returns the policy, the per-step mean
@@ -203,11 +204,11 @@ def reference_run(cfg):
         rewards = []
         for beta in betas:
             out = forward(encode(beta, layout), beta.ops, policy)
-            base = provider.score(beta)
+            [base] = provider.score_many([beta])
             for _ in range(cfg.n):
                 actions, _ = sample_actions(out, rng)
                 alpha = apply_transitions(beta, actions_to_ops(cfg.mode, beta.ops, actions))
-                r = provider.score(alpha) - base
+                r = provider.score_many([alpha])[0] - base
                 rewards.append(r)
                 grads = policy_gradient(out, policy, actions, r - baseline, cfg.entropy_weight)
                 parts = grads.gcn + [grads.fc]
