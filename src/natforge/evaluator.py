@@ -311,22 +311,24 @@ def _forward_graph(
     return logits, (nodes, edge_caches, feats)
 
 
-def graph_logits(
-    graph: CellGraph,
-    w: SharedWeights,
-    x: np.ndarray,
-    memo: dict[tuple[int, int], np.ndarray] | None = None,
+def _read_logits(
+    graph: CellGraph, w: SharedWeights, x: np.ndarray, memo: dict[tuple[int, int], np.ndarray]
 ) -> np.ndarray:
-    """Pure read-only forward pass.
-
-    Cells forwarded on the same weights and batch may share one ``memo`` of
-    input-fed edge outputs (see ``_forward_graph``); ``accuracy_many`` makes
-    one per call. Without one, the call uses a memo of its own.
-    """
+    """Read-only forward of one cell, sharing ``memo`` as ``_forward_graph`` describes."""
     if graph.num_intermediate != w.num_intermediate:
         raise ValueError("graph and shared weights disagree on intermediate count")
-    logits, _ = _forward_graph(*_edge_lists(graph), w, x, {} if memo is None else memo)
+    logits, _ = _forward_graph(*_edge_lists(graph), w, x, memo)
     return logits
+
+
+def _fraction_correct(logits: np.ndarray, labels: np.ndarray) -> float:
+    # The count over the batch size: the same float as the mean of the hits.
+    return np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
+
+
+def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarray:
+    """Pure read-only forward pass."""
+    return _read_logits(graph, w, x, {})
 
 
 def accuracy_many(
@@ -338,16 +340,12 @@ def accuracy_many(
     exactly those of one ``accuracy`` call per cell.
     """
     memo: dict[tuple[int, int], np.ndarray] = {}
-    # The count over the batch size: the same float as the mean of the hits.
-    return [
-        np.count_nonzero(graph_logits(g, w, x, memo).argmax(axis=1) == labels) / len(labels)
-        for g in graphs
-    ]
+    return [_fraction_correct(_read_logits(g, w, x, memo), labels) for g in graphs]
 
 
 def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the batch classified correctly by the shared-weight forward pass."""
-    return accuracy_many([graph], w, x, labels)[0]
+    return _fraction_correct(graph_logits(graph, w, x), labels)
 
 
 def supernet_train_step(

@@ -642,7 +642,7 @@ class TestDrawSetScoring:
                 assert accuracy_many(graphs, w, x, y_val) == want
                 memo = {}
                 for g in graphs:
-                    got = graph_logits(g, w, x, memo)
+                    got = evaluator._read_logits(g, w, x, memo)
                     assert got.tobytes() == _ref_forward_graph(g, w, x)[0].tobytes()
                 # The memo holds exactly the non-null edges fed by an input node.
                 fed = {
