@@ -28,6 +28,14 @@ class and kernel size, read once from ``opspace``, and read parameters
 through ``SharedWeights.slots[e][o]``, which holds the same entry dicts as
 ``bank``. The dilated rotation and its inverse are gathers through cached
 index arrays. None of this changes a bit of the results.
+
+``supernet_train_step`` computes only what its SGD update reads. An edge
+computes its input gradient only when its source is an intermediate node;
+the gradient of an input node is never read, so an edge fed by input -2 or
+-1 computes its parameter gradients alone, and its pooling or skip backward
+does nothing. A null edge has no backward, and the step fills no gradient
+with zeros before writing it. The weights keep every bit, signed zeros
+included.
 """
 
 from __future__ import annotations
@@ -207,35 +215,34 @@ def _edge_forward(o: int, x: np.ndarray, entry: dict | None):
     return np.add.reduce(vals, axis=2) / win.shape[1], None
 
 
-def _edge_backward(
-    o: int,
-    gy: np.ndarray,
-    entry: dict | None,
-    cache,
-    grad_entry: dict | None,
-) -> np.ndarray:
-    """Gradient of toy operation ``OPERATIONS[o]``; accumulates into grad_entry, returns dx."""
+def _edge_backward(o: int, gy: np.ndarray, entry: dict | None, cache, need_dx: bool):
+    """Gradient of toy operation ``OPERATIONS[o]``; returns (param_grads, dx).
+
+    ``param_grads`` holds fresh arrays keyed like ``entry``, or is None for an
+    operation without parameters. ``dx`` is None unless ``need_dx``, so an
+    edge whose input gradient is not read skips its work: pooling and skip do
+    nothing, and a separable convolution keeps only the ``gu`` its ``diag``
+    gradient needs. Null is not handled: its gradients are zero, and
+    ``supernet_train_step`` skips it.
+    """
     tc = _TYPE[o]
-    if tc is TypeClass.NULL:
-        return np.zeros_like(gy)
-    if tc is TypeClass.SKIP:
-        return gy
     if tc is TypeClass.CONV:
         (x,) = cache
-        grad_entry["mix"] += x.T @ gy
-        return gy @ entry["mix"].T
-    if tc is TypeClass.SEP_CONV:
+        return {"mix": x.T @ gy}, (gy @ entry["mix"].T if need_dx else None)
+    if tc is TypeClass.SEP_CONV or tc is TypeClass.DIL_SEP_CONV:
+        # A dilated edge caches its rotated input, so both read the same way.
         x, u = cache
-        grad_entry["mix"] += u.T @ gy
         gu = gy @ entry["mix"].T
-        grad_entry["diag"] += (gu * x).sum(axis=0)
-        return gu * entry["diag"]
-    if tc is TypeClass.DIL_SEP_CONV:
-        xr, u = cache
-        grad_entry["mix"] += u.T @ gy
-        gu = gy @ entry["mix"].T
-        grad_entry["diag"] += (gu * xr).sum(axis=0)
-        return (gu * entry["diag"])[:, _roll(gy.shape[1], -_KERNEL[o])]
+        grads = {"diag": np.add.reduce(gu * x, axis=0), "mix": u.T @ gy}
+        if not need_dx:
+            return grads, None
+        if tc is TypeClass.SEP_CONV:
+            return grads, gu * entry["diag"]
+        return grads, (gu * entry["diag"])[:, _roll(gy.shape[1], -_KERNEL[o])]
+    if not need_dx:
+        return None, None
+    if tc is TypeClass.SKIP:
+        return None, gy
     b, d = gy.shape
     if tc is TypeClass.MAX_POOL:
         win, vals = cache
@@ -244,7 +251,7 @@ def _edge_backward(
         # ``bincount`` adds the flat (row, column) targets in input order from
         # 0.0, the same sums in the same order as ``np.add.at``.
         flat = (cols + d * np.arange(b)[:, None]).ravel()
-        return np.bincount(flat, weights=gy.ravel(), minlength=b * d).reshape(b, d)
+        return None, np.bincount(flat, weights=gy.ravel(), minlength=b * d).reshape(b, d)
     k = _KERNEL[o]
     gx = np.zeros_like(gy)
     # Window i feeds coordinate i + j (mod d) from its column j, so column j's
@@ -253,7 +260,7 @@ def _edge_backward(
     g = gy / k
     for j in range(k):
         gx += g[:, _roll(d, j)]
-    return gx
+    return None, gx
 
 
 def _edge_lists(graph: CellGraph) -> tuple[list[int], list[int]]:
@@ -348,6 +355,23 @@ def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarr
     return _fraction_correct(graph_logits(graph, w, x), labels)
 
 
+def _sum_into(
+    acc: dict[str, np.ndarray] | None, grads: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """``acc`` with ``grads`` added in place; with no ``acc``, the fresh ``grads`` plus 0.0.
+
+    Adding 0.0 turns -0.0 into +0.0 and changes no other bits, so the first
+    graph's gradients are exactly a sum started from zeros.
+    """
+    if acc is None:
+        for g in grads.values():
+            g += 0.0
+        return grads
+    for name, g in grads.items():
+        acc[name] += g
+    return acc
+
+
 def supernet_train_step(
     w: SharedWeights,
     graphs: Sequence[CellGraph],
@@ -359,13 +383,18 @@ def supernet_train_step(
 
     The gradient is averaged over the graphs; bank entries not used by any of
     them are left untouched. Returns the mean cross-entropy before the step.
+
+    The backward computes only what the update reads. An edge passes an input
+    gradient on only when its source is an intermediate node, so an edge fed
+    by an input node computes its parameter gradients alone, and a null edge
+    has no backward. The first graph to touch a gradient stores its fresh
+    arrays and later graphs add to them in order, as ``_sum_into`` describes.
     """
     d = w.feature_dim
     slots = w.slots
     # Gradients by (edge slot index, operation index), summed over the graphs.
     grad_bank: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-    grad_head_w = np.zeros_like(w.head_w)
-    grad_head_b = np.zeros_like(w.head_b)
+    grad_head: dict[str, np.ndarray] | None = None
     total_loss = 0.0
     for graph in graphs:
         if graph.num_intermediate != w.num_intermediate:
@@ -374,34 +403,34 @@ def supernet_train_step(
         logits, (nodes, edge_caches, feats) = _forward_graph(sources, ops, w, x)
         loss, dlogits = cross_entropy_logits(logits, labels)
         total_loss += loss
-        grad_head_w += feats.T @ dlogits
-        grad_head_b += dlogits.sum(axis=0)
+        grad_head = _sum_into(
+            grad_head, {"head_w": feats.T @ dlogits, "head_b": np.add.reduce(dlogits, axis=0)}
+        )
         dfeats = dlogits @ w.head_w.T
-
-        node_grads = {
-            l: dfeats[:, l * d : (l + 1) * d].copy()
-            for l in range(graph.num_intermediate)
-        }
+        # Contiguous copies: each ufunc on a strided column block of ``dfeats``
+        # costs about three times as much as on a copy, and a node's gradient
+        # meets one to three of them.
+        node_grads = [dfeats[:, l * d : (l + 1) * d].copy() for l in range(graph.num_intermediate)]
         # Walk intermediates in reverse so downstream credit arrives first.
         for l in range(graph.num_intermediate - 1, -1, -1):
             gpre = node_grads[l] * (1.0 - nodes[l] ** 2)
             for e_idx in (2 * l, 2 * l + 1):
                 o = ops[e_idx]
-                entry = slots[e_idx][o]
-                gentry = None
-                if entry is not None:
-                    gentry = grad_bank.get((e_idx, o))
-                    if gentry is None:
-                        gentry = grad_bank[(e_idx, o)] = {
-                            name: np.zeros_like(arr) for name, arr in entry.items()
-                        }
-                gx = _edge_backward(o, gpre, entry, edge_caches[e_idx], gentry)
-                if sources[e_idx] >= 0:
-                    node_grads[sources[e_idx]] += gx
+                src = sources[e_idx]
+                if o == _NULL:
+                    # Its input gradient is zeros: adding 0.0 gives their bits, -0.0 → +0.0.
+                    if src >= 0:
+                        node_grads[src] += 0.0
+                    continue
+                grads, dx = _edge_backward(o, gpre, slots[e_idx][o], edge_caches[e_idx], src >= 0)
+                if grads is not None:
+                    grad_bank[e_idx, o] = _sum_into(grad_bank.get((e_idx, o)), grads)
+                if dx is not None:
+                    node_grads[src] += dx
 
     scale = 1.0 / len(graphs)
-    w.head_w -= lr * scale * grad_head_w
-    w.head_b -= lr * scale * grad_head_b
+    w.head_w -= lr * scale * grad_head["head_w"]
+    w.head_b -= lr * scale * grad_head["head_b"]
     for (e_idx, o), gentry in grad_bank.items():
         entry = slots[e_idx][o]
         for name, g in gentry.items():

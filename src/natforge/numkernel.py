@@ -50,14 +50,17 @@ def cross_entropy_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
     the softmax ``exp(shifted) / sum``, the same floats as ``softmax``.
     """
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    n = logits.shape[0]
+    # The ufunc reductions are what ``max``, ``sum`` and ``mean`` call, without
+    # their Python wrappers: the same floats.
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    rows = np.arange(logits.shape[0])
-    loss = float(-(shifted[rows, labels] - np.log(total[:, 0])).mean())
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    rows = np.arange(n)
+    loss = float(-(np.add.reduce(shifted[rows, labels] - np.log(total[:, 0])) / n))
     grad = e / total
     grad[rows, labels] -= 1.0
-    return loss, grad / logits.shape[0]
+    return loss, grad / n
 
 
 def grad_check(f, analytic_grad: np.ndarray, point: np.ndarray) -> float:

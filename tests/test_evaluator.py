@@ -478,16 +478,26 @@ def _ref_train_step(w, graphs, x, labels, lr):
 
 
 def _same_weights(a, b):
+    # Bytes, not values: -0.0 and +0.0 must not pass for each other.
     return (
-        np.array_equal(a.head_w, b.head_w)
-        and np.array_equal(a.head_b, b.head_b)
+        a.head_w.tobytes() == b.head_w.tobytes()
+        and a.head_b.tobytes() == b.head_b.tobytes()
         and a.bank.keys() == b.bank.keys()
         and all(
-            np.array_equal(a.bank[key][name], b.bank[key][name])
+            a.bank[key][name].tobytes() == b.bank[key][name].tobytes()
             for key in a.bank
             for name in a.bank[key]
         )
     )
+
+
+def _steps_match_reference(w, graphs, x, y, steps=1):
+    """Train ``w`` and a copy of it, by the product step and by the reference, in lockstep."""
+    ref = copy.deepcopy(w)
+    for _ in range(steps):
+        loss = supernet_train_step(w, graphs, x, y, 0.05)
+        assert loss == _ref_train_step(ref, graphs, x, y, 0.05)
+        assert _same_weights(w, ref)
 
 
 class TestReferenceEquivalence:
@@ -611,8 +621,110 @@ class TestReferenceEquivalence:
         y, cache = evaluator._edge_forward(pool.index, x, None)
         ref_y, ref_cache = _ref_edge_forward(pool, x, None)
         assert y.tobytes() == ref_y.tobytes()
-        got = evaluator._edge_backward(pool.index, gy, None, cache, None)
-        assert got.tobytes() == _ref_edge_backward(pool, gy, None, ref_cache, None).tobytes()
+        grads, dx = evaluator._edge_backward(pool.index, gy, None, cache, True)
+        assert grads is None
+        assert dx.tobytes() == _ref_edge_backward(pool, gy, None, ref_cache, None).tobytes()
+        assert evaluator._edge_backward(pool.index, gy, None, cache, False) == (None, None)
+
+    @pytest.mark.parametrize("op", OPERATIONS, ids=lambda op: op.value)
+    def test_parameter_gradients_do_not_depend_on_need_dx(self, monkeypatch, op):
+        # Chain node l > 0 takes edge 2l from node l - 1; every other edge is input-fed.
+        w = init_shared(np.random.default_rng(45), 4)
+        x, y = make_dataset(45).train_batch(np.random.default_rng(46), 32)
+        backward = evaluator._edge_backward
+        asked = []
+
+        def both_ways(o, gy, entry, cache, need_dx):
+            asked.append(need_dx)
+            (grads, dx), (bare, no_dx) = (backward(o, gy, entry, cache, n) for n in (True, False))
+            assert dx is not None and no_dx is None
+            if grads is None:
+                assert bare is None
+            else:
+                assert {k: g.tobytes() for k, g in bare.items()} == {
+                    k: g.tobytes() for k, g in grads.items()
+                }
+            return backward(o, gy, entry, cache, need_dx)
+
+        monkeypatch.setattr(evaluator, "_edge_backward", both_ways)
+        _steps_match_reference(w, [chain_cell(op)], x, y)
+        # Null edges have no backward; the others are walked from the last node.
+        assert asked == ([] if op is OperationKind.NULL else [True, False] * 3 + [False, False])
+
+    def test_cells_sharing_entries_accumulate_like_reference(self):
+        # Three rewrites of one cell share most (edge, op) entries, so later cells add in place.
+        rng = np.random.default_rng(47)
+        ds = make_dataset(47)
+        w = init_shared(rng, 4)
+        shared = 0
+        for _ in range(40):
+            beta = sample_uniform(4, rng)
+            graphs = [beta, _random_rewrite(beta, rng), _random_rewrite(beta, rng)]
+            keys = [(e, o) for g in graphs for e, o in enumerate(g.ops.tolist())]
+            shared += len(keys) - len(set(keys))
+            x, y = ds.train_batch(rng, 32)
+            _steps_match_reference(w, graphs, x, y)
+        assert shared > 100
+
+    def test_saturated_nodes_feeding_null_edges_keep_reference_bits(self, monkeypatch):
+        # Scaled weights drive tanh to exactly +-1.0, where gpre = node gradient * 0.0 is a
+        # signed zero; nodes 0, 1 and 2 each feed a null edge.
+        w = init_shared(np.random.default_rng(48), 4)
+        for entry in w.bank.values():
+            entry["mix"] *= 40.0
+        x, y = make_dataset(48).train_batch(np.random.default_rng(49), 32)
+        x *= 10.0
+        g = make_cell(
+            7,
+            (
+                EdgeSlot(0, 0, -2, OperationKind.CONV_3X3),
+                EdgeSlot(0, 1, -1, OperationKind.SEP_CONV_3X3),
+                EdgeSlot(1, 0, 0, OperationKind.NULL),
+                EdgeSlot(1, 1, -1, OperationKind.DIL_SEP_CONV_5X5),
+                EdgeSlot(2, 0, 0, OperationKind.CONV_1X1),
+                EdgeSlot(2, 1, 1, OperationKind.NULL),
+                EdgeSlot(3, 0, 2, OperationKind.NULL),
+                EdgeSlot(3, 1, 0, OperationKind.MAX_POOL_3X3),
+            ),
+        )
+        nodes = evaluator._forward_graph(g.sources.tolist(), g.ops.tolist(), w, x)[1][0]
+        assert all((np.abs(nodes[l]) == 1.0).any() for l in range(3))
+        backward = evaluator._edge_backward
+        signed_zeros = []
+
+        def spy(o, gy, entry, cache, need_dx):
+            signed_zeros.append(np.count_nonzero((gy == 0.0) & np.signbit(gy)))
+            return backward(o, gy, entry, cache, need_dx)
+
+        monkeypatch.setattr(evaluator, "_edge_backward", spy)
+        _steps_match_reference(w, [g], x, y, steps=5)
+        assert sum(signed_zeros) > 0
+
+    def test_first_gradient_is_a_sum_from_zeros(self):
+        first = {"g": np.array([-0.0, 0.0, 2.0, np.nan])}
+        acc = evaluator._sum_into(None, first)
+        assert acc is first
+        assert acc["g"].tobytes() == (np.zeros(4) + [-0.0, 0.0, 2.0, np.nan]).tobytes()
+        assert evaluator._sum_into(acc, {"g": np.array([-0.0, -0.0, 1.0, 0.0])}) is acc
+        assert acc["g"].tobytes() == np.array([0.0, 0.0, 3.0, np.nan]).tobytes()
+
+    def test_every_op_on_input_fed_and_intermediate_fed_edges(self):
+        # Node l > 0 takes OPERATIONS[l % 13] from node l - 1 and every node takes
+        # OPERATIONS[(l + 5) % 13] from input -1, so each operation sits on both kinds of edge.
+        edges = []
+        for l in range(14):
+            edges.append(EdgeSlot(l, 0, l - 1 if l else -2, OPERATIONS[l % 13]))
+            edges.append(EdgeSlot(l, 1, -1, OPERATIONS[(l + 5) % 13]))
+        g = make_cell(17, edges)
+        fed = {True: set(), False: set()}
+        for src, o in zip(g.sources.tolist(), g.ops.tolist(), strict=True):
+            fed[src >= 0].add(o)
+        assert fed[True] == fed[False] == set(range(13))
+        rng = np.random.default_rng(50)
+        w = init_shared(rng, 14)
+        x, y = make_dataset(50).train_batch(rng, 32)
+        assert np.array_equal(graph_logits(g, w, x), _ref_forward_graph(g, w, x)[0])
+        _steps_match_reference(w, [g], x, y, steps=5)
 
 
 class TestDrawSetScoring:
