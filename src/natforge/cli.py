@@ -27,7 +27,7 @@ from .archgraph import (
     sample_uniform,
     serialize_many,
 )
-from .evaluator import accuracy_many, load_shared, make_dataset, save_shared
+from .evaluator import SupernetProvider, load_shared, make_dataset, save_shared
 from .gcnpolicy import load_policy, save_policy
 from .numkernel import atomic_write
 from .opspace import CostConfig, audit_rows, audit_violations
@@ -276,14 +276,14 @@ def report(
                 f"graph {i} has {orig.num_intermediate} intermediate nodes; "
                 f"the supernet has {shared.num_intermediate}"
             )
-    # The cells are measured on the data the supernet was trained on.
-    x_val, y_val = make_dataset(data_seed).val_batch()
+    # The cells are measured on the data the supernet was trained on. Input-fed
+    # edge outputs do not depend on topology: one provider scores both files.
+    provider = SupernetProvider(shared, *make_dataset(data_seed).val_batch())
 
     def columns(graphs, baselines=None):
         """A set's per-graph params, madds, accuracy and reward (accuracy over the baseline)."""
         costs = [cost_of(g, cfg) for g in graphs]
-        # Input-fed edge outputs do not depend on topology: one call per file.
-        accs = accuracy_many(graphs, shared, x_val, y_val)
+        accs = provider.score_many(graphs)
         if baselines is None:
             rewards = [0.0] * len(graphs)
         else:

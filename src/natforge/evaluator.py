@@ -17,10 +17,14 @@ Both providers score a draw set in one call, ``score_many(graphs)``, and
 define the reward of a rewrite as ``score(alpha) - score(beta)``. Scores are
 pure, so a caller that draws n rewrites of one input cell scores the cell and
 its rewrites together, and the cell once. Under the supernet, an edge fed by
-an input node computes the same output for every cell of a call, so
-``accuracy_many`` computes each such (edge, operation) output once per call
-and drops it when the call returns: no output computed under older weights
-is ever reused.
+an input node computes the same output for every cell scored under the same
+weights, so a ``SupernetProvider`` keeps each such (edge, operation) output
+from one ``score_many`` call to the next. It drops them all when the weights
+have changed: ``supernet_train_step`` counts its writes in ``SharedWeights``,
+and the provider starts a new memo when that count has moved. In training,
+the memo so lasts one θ phase. No output computed under older weights is
+ever reused. Writing into ``bank`` or the ``head_*`` arrays directly does not
+move the count, so scoring after such a write needs a new provider.
 
 The supernet kernels work on a cell's operation indices, the form
 ``CellGraph.ops`` stores. They dispatch through per-index tuples of type
@@ -132,6 +136,9 @@ class SharedWeights:
     entry dict as ``bank[(e, OPERATIONS[o])]``, or None for an operation
     without parameters, so the supernet kernels index it by operation index.
     The feature dimension and class count are the synthetic data's.
+    ``_writes`` counts the ``supernet_train_step`` updates, so a
+    ``SupernetProvider`` can tell when its memo is stale; it is not a
+    constructor argument, not compared and not checkpointed.
     """
 
     feature_dim = _FEATURE_DIM
@@ -144,6 +151,7 @@ class SharedWeights:
     slots: list[list[dict[str, np.ndarray] | None]] = field(
         init=False, repr=False, compare=False
     )
+    _writes: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.slots = [
@@ -285,7 +293,8 @@ def _forward_graph(
     With a ``memo``, the forward is read-only: an edge whose source is an
     input node reads its output from ``memo[(edge index, operation index)]``,
     computing and storing it on a miss, and keeps no backward cache. The
-    caller must pass the same weights and batch with every use of one memo.
+    caller must pass the same batch with every use of one memo, and weights
+    that have not been written since its first use.
     """
     num_inter = len(ops) // 2
     slots = w.slots
@@ -338,18 +347,6 @@ def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarra
     return _read_logits(graph, w, x, {})
 
 
-def accuracy_many(
-    graphs: Sequence[CellGraph], w: SharedWeights, x: np.ndarray, labels: np.ndarray
-) -> list[float]:
-    """Each cell's ``accuracy``, in order, with each input-fed edge output computed once.
-
-    The memo of those outputs lives for this call only, so the scores are
-    exactly those of one ``accuracy`` call per cell.
-    """
-    memo: dict[tuple[int, int], np.ndarray] = {}
-    return [_fraction_correct(_read_logits(g, w, x, memo), labels) for g in graphs]
-
-
 def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the batch classified correctly by the shared-weight forward pass."""
     return _fraction_correct(graph_logits(graph, w, x), labels)
@@ -389,6 +386,9 @@ def supernet_train_step(
     by an input node computes its parameter gradients alone, and a null edge
     has no backward. The first graph to touch a gradient stores its fresh
     arrays and later graphs add to them in order, as ``_sum_into`` describes.
+
+    The step counts itself in ``w._writes`` before it writes a weight, which
+    ends the input-fed edge memo of every ``SupernetProvider`` on ``w``.
     """
     d = w.feature_dim
     slots = w.slots
@@ -429,6 +429,7 @@ def supernet_train_step(
                     node_grads[src] += dx
 
     scale = 1.0 / len(graphs)
+    w._writes += 1
     w.head_w -= lr * scale * grad_head["head_w"]
     w.head_b -= lr * scale * grad_head["head_b"]
     for (e_idx, o), gentry in grad_bank.items():
@@ -583,16 +584,33 @@ class OracleProvider:
 
 
 class SupernetProvider:
-    """Reward as validation-accuracy improvement under shared weights."""
+    """Reward as validation-accuracy improvement under shared weights.
+
+    The provider keeps the output of each input-fed (edge, operation) it has
+    computed until ``supernet_train_step`` next writes ``w``: every call
+    first compares ``w._writes`` with the count its memo was made under, and
+    starts a new memo when the count has moved. The memo holds at most one
+    (batch, feature) array per non-null (edge, operation). Scores are exactly
+    those of one ``accuracy`` call per cell. Weights written other than by
+    ``supernet_train_step``, or a new ``x_val``, need a new provider.
+    """
 
     def __init__(self, w: SharedWeights, x_val: np.ndarray, y_val: np.ndarray):
         self.w = w
         self.x_val = x_val
         self.y_val = y_val
+        self._memo: dict[tuple[int, int], np.ndarray] = {}
+        self._memo_writes = w._writes
 
     def score_many(self, graphs: Sequence[CellGraph]) -> list[float]:
         """Each cell's validation accuracy under the current shared weights, in order."""
-        return accuracy_many(graphs, self.w, self.x_val, self.y_val)
+        if self._memo_writes != self.w._writes:
+            self._memo = {}
+            self._memo_writes = self.w._writes
+        return [
+            _fraction_correct(_read_logits(g, self.w, self.x_val, self._memo), self.y_val)
+            for g in graphs
+        ]
 
     def reward(self, alpha: CellGraph, beta: CellGraph) -> float:
         if not same_topology(alpha, beta):

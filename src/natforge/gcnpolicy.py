@@ -183,8 +183,8 @@ def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> Policy
 _SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One independent categorical draw per edge; returns (indices, joint log-prob).
+def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> np.ndarray:
+    """One independent categorical draw per edge; returns the action indices.
 
     Edge e's action is the draw ``rng.choice(c, p=Z[e] / Z[e].sum())`` would
     make: one uniform variate per edge, in edge order, located in the row's
@@ -204,17 +204,12 @@ def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndar
     cdf = p.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     u = rng.random(k)
-    actions = (cdf <= u[:, None]).sum(axis=1)
-    return actions, log_prob_of(out, actions)
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def argmax_actions(out: PolicyOutput) -> np.ndarray:
     """Per-row argmax; ties break toward the lowest action index."""
     return out.Z.argmax(axis=1)
-
-
-def log_prob_of(out: PolicyOutput, actions: np.ndarray) -> float:
-    return float(np.log(out.Z[np.arange(out.num_edges), actions]).sum())
 
 
 def total_entropy(out: PolicyOutput) -> float:

@@ -140,8 +140,10 @@ def run(cfg: TrainConfig) -> TrainResult:
     calls per cell, cell by cell, and one group ``apply_transitions`` builds
     them. Cell by cell, one ``provider.score_many`` call scores the draw set,
     the cell and its n rewrites; each reward is a rewrite's score minus the
-    cell's, the first of the call (the supernet computes each input-fed edge
-    output once per call). Each draw's ``reward_logit_grad`` plus the
+    cell's, the first of the call. The run has one provider. The supernet's
+    keeps each input-fed (edge, op) output it computes until the next
+    ``supernet_train_step``, so its memo lasts one θ phase, within which each
+    such output is computed once. Each draw's ``reward_logit_grad`` plus the
     weighted ``entropy_logit_grad`` is added to its cell's row, and one
     ``backprop`` of the stacked sum gives the step's gradient, scaled by
     1/(m·n). The entropy term depends on the cell only, so it is computed
@@ -194,7 +196,7 @@ def run(cfg: TrainConfig) -> TrainResult:
             ops = np.array([b.ops for b in betas])
             out = forward(encode(betas, layout), ops, policy)
             rows = PolicyOutput(Z=_per_draw(out.Z, cfg.n), masks=_per_draw(out.masks, cfg.n))
-            drawn, _logp = sample_actions(rows, rng)
+            drawn = sample_actions(rows, rng)
             alphas = apply_transitions(
                 [beta for beta in betas for _j in range(cfg.n)],
                 actions_to_ops(cfg.mode, _per_draw(ops, cfg.n), drawn),
@@ -287,7 +289,7 @@ def infer_many(
         if decode == "argmax":
             actions = argmax_actions(rows)
         else:
-            actions, _ = sample_actions(rows, rng)
+            actions = sample_actions(rows, rng)
         optimized += apply_transitions(chunk, actions_to_ops(policy.mode, current, actions))
     return optimized
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from natforge.evaluator import (
     SupernetProvider,
     _windows,
     accuracy,
-    accuracy_many,
     graph_logits,
     init_shared,
     load_shared,
@@ -50,6 +50,33 @@ def _random_rewrite(beta, rng):
         ops = transition_mask(e.op).ops()
         actions.append(ops[int(rng.integers(len(ops)))].index)
     return apply_transitions(beta, actions)
+
+
+def _input_fed_pairs(graphs):
+    """The distinct non-null (edge index, operation index) pairs of ``graphs`` fed by an input node."""
+    return {
+        (e, o)
+        for g in graphs
+        for e, (src, o) in enumerate(zip(g.sources.tolist(), g.ops.tolist()))
+        if src < 0 and o != OperationKind.NULL.index
+    }
+
+
+def _spy_input_fed_forwards(monkeypatch, x, calls):
+    """Append to ``calls`` the operation index of each ``_edge_forward`` on ``x`` itself.
+
+    A read-only forward passes its batch itself only to the edges fed by an
+    input node, so with the validation batch as ``x`` these are the scoring
+    memo's misses.
+    """
+    real = evaluator._edge_forward
+
+    def spy(o, inputs, entry):
+        if inputs is x:
+            calls.append(o)
+        return real(o, inputs, entry)
+
+    monkeypatch.setattr(evaluator, "_edge_forward", spy)
 
 
 class TestDataset:
@@ -751,26 +778,20 @@ class TestDrawSetScoring:
         for x in (x_val, np.round(x_val)):
             for graphs in (cells, draw_set):
                 want = [accuracy(g, w, x, y_val) for g in graphs]
-                assert accuracy_many(graphs, w, x, y_val) == want
+                assert SupernetProvider(w, x, y_val).score_many(graphs) == want
                 memo = {}
                 for g in graphs:
                     got = evaluator._read_logits(g, w, x, memo)
                     assert got.tobytes() == _ref_forward_graph(g, w, x)[0].tobytes()
                 # The memo holds exactly the non-null edges fed by an input node.
-                fed = {
-                    (e, o)
-                    for g in graphs
-                    for e, (src, o) in enumerate(zip(g.sources.tolist(), g.ops.tolist()))
-                    if src < 0 and o != OperationKind.NULL.index
-                }
-                assert set(memo) == fed
+                assert set(memo) == _input_fed_pairs(graphs)
 
     def test_intermediate_count_mismatch_rejected(self):
         w = init_shared(np.random.default_rng(61), 2)
         x, y = make_dataset(61).val_batch(16)
         cells = [sample_uniform(2, np.random.default_rng(62)), chain_cell(OperationKind.SKIP)]
         with pytest.raises(ValueError, match="intermediate count"):
-            accuracy_many(cells, w, x, y)
+            SupernetProvider(w, x, y).score_many(cells)
 
     def test_scores_follow_the_weights(self):
         # No output computed under older weights is reused by a later call.
@@ -788,6 +809,51 @@ class TestDrawSetScoring:
             after = provider.score_many(draw_set)
             assert after == [accuracy(g, w, x_val, y_val) for g in draw_set]
         assert after != before
+
+    def test_memo_kept_across_calls_under_unchanged_weights(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        ds = make_dataset(64)
+        w = init_shared(rng, 4)
+        x_val, y_val = ds.val_batch(256)
+        provider = SupernetProvider(w, x_val, y_val)
+        draw_sets = []
+        for _ in range(2):
+            beta = sample_uniform(4, rng)
+            draw_sets.append([beta] + [_random_rewrite(beta, rng) for _ in range(8)])
+        first, second = (_input_fed_pairs(d) for d in draw_sets)
+        # The second call needs some outputs the first computed, and some it did not.
+        assert first & second and second - first
+        calls = []
+        _spy_input_fed_forwards(monkeypatch, x_val, calls)
+        scores = [provider.score_many(d) for d in draw_sets]
+        # Each non-null input-fed (edge, op) is computed once over both calls.
+        assert Counter(calls) == Counter(o for _, o in first | second)
+        assert scores == [[accuracy(g, w, x_val, y_val) for g in d] for d in draw_sets]
+
+    def test_memo_ends_when_the_weights_change(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        ds = make_dataset(65)
+        w = init_shared(rng, 4)
+        x_val, y_val = ds.val_batch(256)
+        provider = SupernetProvider(w, x_val, y_val)
+        beta = sample_uniform(4, rng)
+        draw_set = [beta] + [_random_rewrite(beta, rng) for _ in range(8)]
+        want = Counter(o for _, o in _input_fed_pairs(draw_set))
+        calls = []
+        _spy_input_fed_forwards(monkeypatch, x_val, calls)
+        for _ in range(3):
+            provider.score_many(draw_set)
+            assert Counter(calls) == want
+            calls.clear()
+            provider.score_many(draw_set)
+            assert calls == []
+            x, y = ds.train_batch(rng, 64)
+            supernet_train_step(w, [sample_uniform(4, rng)], x, y, 0.1)
+            # The step's own forward runs on its training batch, not on x_val.
+            assert calls == []
+        after = provider.score_many(draw_set)
+        assert Counter(calls) == want
+        assert after == [accuracy(g, w, x_val, y_val) for g in draw_set]
 
 
 class TestTrainerScoring:
@@ -830,3 +896,37 @@ class TestTrainerScoring:
         # One forward, one draw call, one group rewrite and one backprop per θ step.
         for name in counted:
             assert counts[name] == theta_steps, name
+
+    def test_one_input_fed_forward_per_pair_and_theta_phase(self, monkeypatch):
+        # The input-fed forwards in call order, and per θ phase the index of
+        # its first forward and the cells it scored.
+        forwards, phases = [], []
+        after_w_step = [True]
+
+        class Recording(SupernetProvider):
+            def __init__(self, w, x_val, y_val):
+                super().__init__(w, x_val, y_val)
+                _spy_input_fed_forwards(monkeypatch, x_val, forwards)
+
+            def score_many(self, graphs):
+                if after_w_step[0]:
+                    phases.append((len(forwards), []))
+                    after_w_step[0] = False
+                phases[-1][1].extend(graphs)
+                return super().score_many(graphs)
+
+        real_step = trainer.supernet_train_step
+
+        def step(*args):
+            after_w_step[0] = True
+            return real_step(*args)
+
+        monkeypatch.setattr(trainer, "SupernetProvider", Recording)
+        monkeypatch.setattr(trainer, "supernet_train_step", step)
+        cfg = TrainConfig(mode="nat++", provider="supernet", n=8, epochs=2)
+        trainer.run(cfg)
+        assert len(phases) == cfg.epochs
+        ends = [start for start, _ in phases[1:]] + [len(forwards)]
+        for (start, scored), end in zip(phases, ends):
+            assert len(scored) == cfg.iters_theta * (cfg.n + 1)
+            assert Counter(forwards[start:end]) == Counter(o for _, o in _input_fed_pairs(scored))

@@ -27,7 +27,6 @@ from natforge.gcnpolicy import (
     forward,
     init_params,
     load_policy,
-    log_prob_of,
     policy_gradient,
     reward_logit_grad,
     sample_actions,
@@ -38,6 +37,11 @@ from natforge.numkernel import grad_check
 from natforge.opspace import OPERATIONS, OperationKind, nat_actions, transition_mask
 
 LAYOUT = EncodingConfig(i_max=4)
+
+
+def log_prob_of(out: PolicyOutput, actions: np.ndarray) -> float:
+    """Joint log-probability of one action per edge: the REINFORCE objective's log term."""
+    return float(np.log(out.Z[np.arange(out.num_edges), actions]).sum())
 
 
 def zero_params(mode: str, depth: int = 2, hidden: int = 64) -> PolicyParams:
@@ -131,9 +135,8 @@ class TestSampling:
         out = PolicyOutput(Z=z, masks=np.ones((1, 3), dtype=int))
         rng = np.random.default_rng(8)
         for _ in range(20):
-            actions, logp = sample_actions(out, rng)
+            actions = sample_actions(out, rng)
             assert actions[0] == 0
-            assert logp == 0.0
 
     def test_uniform_rows_chi_square(self):
         z = np.full((1, 3), 1 / 3)
@@ -141,7 +144,7 @@ class TestSampling:
         rng = np.random.default_rng(9)
         counts = np.zeros(3)
         for _ in range(30_000):
-            actions, _ = sample_actions(out, rng)
+            actions = sample_actions(out, rng)
             counts[actions[0]] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.001
@@ -152,16 +155,8 @@ class TestSampling:
         for _ in range(50):
             g = sample_uniform(4, rng)
             out = forward(encode(g, LAYOUT), g.ops, params)
-            actions, _ = sample_actions(out, rng)
+            actions = sample_actions(out, rng)
             assert (out.masks[np.arange(8), actions] == 1).all()
-
-    def test_log_prob_consistency(self):
-        rng = np.random.default_rng(11)
-        params = init_params(NAT, LAYOUT.feature_dim, rng)
-        g = sample_uniform(4, rng)
-        out = forward(encode(g, LAYOUT), g.ops, params)
-        actions, logp = sample_actions(out, rng)
-        assert logp == pytest.approx(log_prob_of(out, actions))
 
 
 class TestArgmax:
@@ -207,7 +202,7 @@ class TestGradient:
         params = init_params(NATPP, LAYOUT.feature_dim, rng)
         g = sample_uniform(4, rng)
         out = forward(encode(g, LAYOUT), g.ops, params)
-        actions, _ = sample_actions(out, rng)
+        actions = sample_actions(out, rng)
         grads = policy_gradient(forward(encode(g, LAYOUT), g.ops, params), params, actions, 0.0, 0.0)
         assert all(np.all(gw == 0) for gw in grads.gcn)
         assert np.all(grads.fc == 0)
@@ -234,7 +229,7 @@ class TestGradient:
         out = forward(encode(g, LAYOUT), g.ops, params)
         c = params.num_actions
         action = -1 if bad == "-1" else c
-        actions, _ = sample_actions(out, rng)
+        actions = sample_actions(out, rng)
         actions[5] = action
         message = rf"action {action} at edge 5 is not in \[0, {c}\)"
         with pytest.raises(ValueError, match=message):
@@ -259,7 +254,7 @@ class TestGradient:
         g = sample_uniform(4, rng)
         enc = encode(g, LAYOUT)
         out = forward(enc, g.ops, params)
-        actions, _ = sample_actions(out, rng)
+        actions = sample_actions(out, rng)
         reward, lam = 0.7, 0.05
         grads = policy_gradient(forward(enc, g.ops, params), params, actions, reward, lam)
 
@@ -283,7 +278,7 @@ class TestGradient:
         g = sample_uniform(4, rng)
         enc = encode(g, LAYOUT)
         out = forward(enc, g.ops, params)
-        actions, _ = sample_actions(out, rng)
+        actions = sample_actions(out, rng)
         before = total_entropy(out)
         grads = policy_gradient(forward(enc, g.ops, params), params, actions, 0.0, 1.0)
         ascend_(params, grads, 1e-4)
@@ -329,7 +324,7 @@ class TestEstimator:
             draws = np.empty((self.DRAWS,) + z.shape)
             flat = []
             for s in range(self.DRAWS):
-                actions, _ = sample_actions(out, rng)
+                actions = sample_actions(out, rng)
                 alpha = apply_transitions(beta, actions_to_ops(mode, beta.ops, actions))
                 reward = provider.score_many([alpha])[0] - base - baseline
                 draws[s] = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
@@ -353,12 +348,10 @@ def reference_sample_actions(out, rng):
     """Per-edge ``rng.choice`` sampler that ``sample_actions`` must reproduce exactly."""
     k, c = out.Z.shape
     actions = np.empty(k, dtype=int)
-    log_prob = 0.0
     for e in range(k):
         p = out.Z[e] / out.Z[e].sum()
         actions[e] = rng.choice(c, p=p)
-        log_prob += float(np.log(out.Z[e, actions[e]]))
-    return actions, log_prob
+    return actions
 
 
 def reference_policy_gradient(out, params, actions, reward, entropy_weight):
@@ -426,10 +419,8 @@ class TestReferenceEquivalence:
         for i, out in enumerate(outs):
             fast_rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
             for _ in range(5):
-                actions, logp = sample_actions(out, fast_rng)
-                ref_actions, ref_logp = reference_sample_actions(out, ref_rng)
-                assert np.array_equal(actions, ref_actions)
-                assert logp == pytest.approx(ref_logp, rel=1e-12, abs=1e-12)
+                actions = sample_actions(out, fast_rng)
+                assert np.array_equal(actions, reference_sample_actions(out, ref_rng))
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -456,7 +447,7 @@ class TestReferenceEquivalence:
         for params, out in random_outputs(120, 22):
             if params.mode != mode:
                 continue
-            actions, _ = sample_actions(out, rng)
+            actions = sample_actions(out, rng)
             reward = float(rng.standard_normal())
             lam = float(rng.choice([0.0, 0.003, 0.1, 1.0]))
             g_u = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
@@ -472,7 +463,7 @@ class TestReferenceEquivalence:
         """``policy_gradient`` backprops exactly the draw's reward and entropy terms."""
         rng = np.random.default_rng(27)
         for params, out in random_outputs(20, 28):
-            actions, _ = sample_actions(out, rng)
+            actions = sample_actions(out, rng)
             reward, lam = float(rng.standard_normal()), float(rng.choice([0.0, 0.1, 1.0]))
             split = reward_logit_grad(out, actions, reward) + lam * entropy_logit_grad(out)
             got = flat_grads(policy_gradient(out, params, actions, reward, lam))

@@ -174,7 +174,7 @@ def reference_infer(policy, beta, decode, rng):
     if decode == "argmax":
         actions = out.Z.argmax(axis=1)
     else:
-        actions, _ = sample_actions(out, rng)
+        actions = sample_actions(out, rng)
     return apply_transitions(beta, actions_to_ops(policy.mode, beta.ops, actions))
 
 
@@ -206,7 +206,7 @@ def reference_run(cfg):
             out = forward(encode(beta, layout), beta.ops, policy)
             [base] = provider.score_many([beta])
             for _ in range(cfg.n):
-                actions, _ = sample_actions(out, rng)
+                actions = sample_actions(out, rng)
                 alpha = apply_transitions(beta, actions_to_ops(cfg.mode, beta.ops, actions))
                 r = provider.score_many([alpha])[0] - base
                 rewards.append(r)
@@ -296,7 +296,7 @@ class TestDrawSet:
 
         fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         rows = PolicyOutput(Z=trainer._per_draw(out.Z, n), masks=trainer._per_draw(out.masks, n))
-        drawn, _ = sample_actions(rows, fast_rng)
+        drawn = sample_actions(rows, fast_rng)
         alphas = apply_transitions(
             [b for b in betas for _ in range(n)],
             actions_to_ops(mode, trainer._per_draw(ops, n), drawn),
@@ -306,7 +306,7 @@ class TestDrawSet:
         for i, beta in enumerate(betas):
             cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
             for _ in range(n):
-                actions, _ = sample_actions(cell, ref_rng)
+                actions = sample_actions(cell, ref_rng)
                 ref_actions.append(actions)
                 ref_alphas.append(apply_transitions(beta, actions_to_ops(mode, beta.ops, actions)))
         assert np.array_equal(drawn.reshape(m * n, -1), np.stack(ref_actions))
