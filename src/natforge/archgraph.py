@@ -339,11 +339,11 @@ def encode(
     sources = np.array([g.sources for g in cells]) + 2
     ops = np.array([g.ops for g in cells])
     cell = np.arange(b)[:, None]
-    adj = np.repeat(adj0[None], b, axis=0)
+    adj = adj0[None].repeat(b, axis=0)
     adj[cell, sources, rows] = 1.0
     adj[cell, rows, sources] = 1.0
-    adj /= adj.sum(axis=2, keepdims=True)
-    x = np.repeat(x0[None], b, axis=0)
+    adj /= np.add.reduce(adj, axis=2, keepdims=True)
+    x = x0[None].repeat(b, axis=0)
     x[cell, rows, cols + ops] = 1.0
     if single:
         return GraphEncoding(adjacency=adj[0], features=x[0])
@@ -378,7 +378,7 @@ def apply_transitions(
     in_range = (new >= 0) & (new < NUM_OPERATIONS)
     # The table is indexed directly once the range holds; the masked lookup
     # below only runs to name the first bad edge.
-    if not (in_range.all() and VALID[current, new].all()):
+    if not (np.logical_and.reduce(in_range) and np.logical_and.reduce(VALID[current, new])):
         ok = in_range & VALID[current, np.where(in_range, new, 0)].astype(bool)
         idx = int(ok.argmin())
         where = f"edge {idx}"

@@ -197,7 +197,11 @@ def train(
         except ValueError as exc:
             raise click.UsageError(f"{options[name]} {value}: {exc}") from None
     cfg = TrainConfig(**flags)
-    result = trainer.run(cfg)
+    try:
+        with np.errstate(all="ignore"):  # a non-finite loss or gradient raises instead
+            result = trainer.run(cfg)
+    except FloatingPointError as exc:
+        raise click.ClickException(f"training diverged: {exc}; nothing was written") from None
     os.makedirs(out_dir, exist_ok=True)
     policy_path = os.path.join(out_dir, "policy.json")
     log_path = os.path.join(out_dir, "train_log.jsonl")

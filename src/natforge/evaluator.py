@@ -128,6 +128,11 @@ def _roll(feature_dim: int, k: int) -> np.ndarray:
     return _read_only((np.arange(feature_dim) - k) % feature_dim)
 
 
+@lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    return _read_only(np.arange(n))
+
+
 @dataclass
 class SharedWeights:
     """Parameter bank indexed by (edge slot index, operation) plus the head.
@@ -536,7 +541,7 @@ class PlantedOracle:
 
     def score(self, graph: CellGraph) -> float:
         # A sequential Python sum: ``np.sum`` adds pairwise, which changes the last bits.
-        return float(sum(self.table[np.arange(graph.num_edges), graph.ops].tolist()))
+        return float(sum(self.table[_arange(graph.num_edges), graph.ops].tolist()))
 
     def planted_optimum(self, edge_index: int) -> OperationKind:
         return OPERATIONS[int(self.table[edge_index].argmax())]

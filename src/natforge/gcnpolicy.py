@@ -18,12 +18,12 @@ forward pass once.
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
 central finite differences. They come in two parts: one draw's per-edge
-gradient in the logits, the sum of its ``reward_logit_grad`` and the
-weighted ``entropy_logit_grad`` (which depends on the cell only, so the
-trainer computes it once per cell), and ``backprop``, which carries a logit
-gradient through the cached GCN. The objective is linear in the logit
-gradient, so the trainer sums the draws of every cell and backprops once per
-step; ``policy_gradient`` is the two composed for a single draw.
+gradient in the logits, the sum of its ``reward_logit_grad`` and the weighted
+entropy gradient (one pass per cell gives the entropy and its gradient), and
+``backprop``, which carries a logit gradient through the cached GCN down to the
+first layer's weights and computes no gradient for the input features. The
+objective is linear in the logit gradient, so the trainer sums the draws of
+every cell and backprops once per step; ``policy_gradient`` is the two composed.
 
 Operations enter as index arrays into ``OPERATIONS``, the form a
 ``CellGraph`` stores them in.
@@ -34,6 +34,7 @@ Checkpoints carry ``format_version``; the loader rejects any other version.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -191,20 +192,20 @@ def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> np.ndarray:
     normalized CDF. The whole batch takes one ``rng.random(k)``, which consumes
     the generator exactly as the per-edge ``choice`` calls would.
     """
-    k = out.num_edges
     p = out.Z / np.add.reduce(out.Z, axis=1, keepdims=True)
     # Non-negative rows whose sums are within tolerance are also finite, so
     # one pass accepts valid rows; the checks below name what is wrong.
-    if not ((p >= 0).all() and (np.abs(np.add.reduce(p, axis=1) - 1.0) <= _SUM_ATOL).all()):
+    sums_ok = np.abs(np.add.reduce(p, axis=1) - 1.0) <= _SUM_ATOL
+    if not (np.logical_and.reduce(p >= 0, axis=None) and np.logical_and.reduce(sums_ok)):
         if not np.isfinite(p).all():
             raise ValueError("probabilities contain NaN or inf")
         if (p < 0).any():
             raise ValueError("probabilities are not non-negative")
         raise ValueError("probabilities do not sum to 1")
-    cdf = p.cumsum(axis=1)
+    cdf = np.add.accumulate(p, axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random(k)
-    return (cdf <= u[:, None]).sum(axis=1)
+    u = rng.random(out.num_edges)
+    return np.add.reduce(cdf <= u[:, None], axis=1)
 
 
 def argmax_actions(out: PolicyOutput) -> np.ndarray:
@@ -212,12 +213,22 @@ def argmax_actions(out: PolicyOutput) -> np.ndarray:
     return out.Z.argmax(axis=1)
 
 
+def _entropy_terms(z: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed row entropy of (K, c) probabilities and its logit gradient, from one ``log``.
+
+    An entry that is not positive takes ``log(1.0) = 0.0`` (so no warning is
+    raised), adds nothing to the entropy and gets a zero gradient."""
+    on = z > 0
+    logp = np.log(np.where(on, z, 1.0))
+    z_logp = z * logp
+    entropy = float(-np.add.reduce(np.where(on, z_logp, 0.0), axis=None))
+    row_entropy = -np.add.reduce(z_logp, axis=1, keepdims=True)
+    return entropy, np.where(on, -z * (logp + row_entropy), 0.0)
+
+
 def total_entropy(out: PolicyOutput) -> float:
     """Sum of per-edge row entropies (the policy factorizes over edges)."""
-    z = out.Z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(z > 0, z * np.log(z), 0.0)
-    return float(-terms.sum())
+    return _entropy_terms(out.Z)[0]
 
 
 #: ``_NAT_TARGETS[src, a]`` is the operation index that NAT action a turns src into.
@@ -240,7 +251,7 @@ def reward_logit_grad(out: PolicyOutput, actions: np.ndarray, reward: float) -> 
     Raises ValueError naming the first edge whose action is outside [0, c)
     or cleared by its transition mask.
     """
-    if not np.isfinite(reward):
+    if not math.isfinite(reward):
         raise ValueError("reward must be finite")
     z = out.Z
     c = z.shape[1]
@@ -251,7 +262,7 @@ def reward_logit_grad(out: PolicyOutput, actions: np.ndarray, reward: float) -> 
         raise ValueError(f"action {actions[bad]} at edge {bad} is not in [0, {c})")
     rows = np.arange(z.shape[0])
     allowed = out.masks[rows, actions]
-    if not allowed.all():
+    if not np.logical_and.reduce(allowed, axis=None):
         bad = int(allowed.argmin())
         raise ValueError(f"action at edge {bad} violates its transition mask")
     grad_logp = -z
@@ -265,11 +276,7 @@ def entropy_logit_grad(out: PolicyOutput) -> np.ndarray:
     For a masked row the softmax Jacobian is zero at cleared bits, so the
     gradient vanishes there.
     """
-    z = out.Z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(z > 0, np.log(z), 0.0)
-    row_entropy = -(z * logp).sum(axis=1, keepdims=True)
-    return np.where(z > 0, -z * (logp + row_entropy), 0.0)
+    return _entropy_terms(out.Z)[1]
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -284,7 +291,7 @@ def backprop(out: PolicyOutput, params: PolicyParams, g_u: np.ndarray) -> ParamG
     its cells are summed. ``out`` must come from ``forward`` with these same
     ``params``: the pass reads its backprop cache, which is valid only until
     ``params`` change (for example through ``ascend_``). An output with no
-    cache is rejected.
+    cache is rejected. No gradient for the input features is computed.
     """
     if out.cache is None:
         raise ValueError("policy output has no backprop cache; pass the output of forward()")
@@ -294,19 +301,18 @@ def backprop(out: PolicyOutput, params: PolicyParams, g_u: np.ndarray) -> ParamG
     c = params.num_actions
     node_grad = g_u.reshape(g_u.shape[:-2] + (-1, 2 * c))
     num_inter = node_grad.shape[-2]
-    g_m = np.zeros_like(m)
+    g_m = np.zeros(m.shape)
     g_m[..., 2 : 2 + num_inter, :] = node_grad @ params.fc.T
     grad_fc = _rows(m[..., 2 : 2 + num_inter, :]).T @ _rows(node_grad)
 
-    a_t = np.swapaxes(a, -1, -2)
-    grads = [None] * params.depth
-    grads[-1] = _rows(ahs[-1]).T @ _rows(g_m)
-    g_h = a_t @ (g_m @ params.gcn[-1].T)
+    a_t = a.swapaxes(-1, -2)
+    grads = [_rows(ahs[-1]).T @ _rows(g_m)]
+    g_pre = g_m
     for i in range(params.depth - 2, -1, -1):
+        g_h = a_t @ (g_pre @ params.gcn[i + 1].T)
         g_pre = g_h * (pres[i] > 0)
-        grads[i] = _rows(ahs[i]).T @ _rows(g_pre)
-        g_h = a_t @ (g_pre @ params.gcn[i].T)
-    return ParamGrads(gcn=grads, fc=grad_fc)
+        grads.append(_rows(ahs[i]).T @ _rows(g_pre))
+    return ParamGrads(gcn=grads[::-1], fc=grad_fc)
 
 
 def policy_gradient(

@@ -35,11 +35,12 @@ def bmsoftmax(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.shape != v.shape:
         raise ValueError(f"logit/mask shape mismatch: {u.shape} vs {v.shape}")
     on = v != 0
-    if not on.any(axis=-1).all():
+    if not np.logical_and.reduce(np.logical_or.reduce(on, axis=-1), axis=None):
         raise ValueError("mask must have at least one set bit")
-    shifted = u - np.where(on, u, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(on, np.exp(np.where(on, shifted, 0.0)), 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
+    shifted = u - np.maximum.reduce(np.where(on, u, -np.inf), axis=-1, keepdims=True)
+    # exp(-inf) is exactly 0.0, so cleared bits come out 0 from one ``where``.
+    e = np.exp(np.where(on, shifted, -np.inf))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def cross_entropy_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -35,15 +35,14 @@ from .evaluator import (
 from .gcnpolicy import (
     PolicyOutput,
     PolicyParams,
+    _entropy_terms,
     actions_to_ops,
     argmax_actions,
     backprop,
-    entropy_logit_grad,
     forward,
     init_params,
     reward_logit_grad,
     sample_actions,
-    total_entropy,
 )
 from .numkernel import atomic_write
 from .opspace import OperationKind, transition_mask
@@ -77,10 +76,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
-        if self.entropy_weight < 0:
-            raise ValueError("entropy weight must be >= 0")
-        if self.eta_w <= 0 or self.eta_theta <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 <= self.entropy_weight < math.inf):
+            raise ValueError("entropy weight must be finite and >= 0")
+        if not (0 < self.eta_w < math.inf and 0 < self.eta_theta < math.inf):
+            raise ValueError("learning rates must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.provider not in ("oracle", "supernet"):
@@ -144,10 +143,10 @@ def run(cfg: TrainConfig) -> TrainResult:
     keeps each input-fed (edge, op) output it computes until the next
     ``supernet_train_step``, so its memo lasts one θ phase, within which each
     such output is computed once. Each draw's ``reward_logit_grad`` plus the
-    weighted ``entropy_logit_grad`` is added to its cell's row, and one
-    ``backprop`` of the stacked sum gives the step's gradient, scaled by
-    1/(m·n). The entropy term depends on the cell only, so it is computed
-    once per cell. With m = 1 the generator is consumed in the same order as
+    weighted entropy gradient is added to its cell's row, and one ``backprop``
+    of the stacked sum gives the step's gradient, scaled by 1/(m·n) if m·n > 1.
+    The entropy and its gradient depend on the cell only: one pass per cell
+    gives both. With m = 1 the generator is consumed in the same order as
     one forward per cell; with m > 1 all m cells come off the generator
     before their draws.
     """
@@ -181,6 +180,8 @@ def run(cfg: TrainConfig) -> TrainResult:
                 x, y = dataset.train_batch(rng, cfg.train_batch)
                 loss = supernet_train_step(shared, graphs, x, y, cfg.eta_w)
                 step += 1
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"non-finite supernet loss at iteration {step}")
                 log.append(
                     {
                         "iter": step,
@@ -202,13 +203,14 @@ def run(cfg: TrainConfig) -> TrainResult:
                 actions_to_ops(cfg.mode, _per_draw(ops, cfg.n), drawn),
             )
             actions = drawn.reshape(cfg.m * cfg.n, -1)
-            g_u = np.zeros_like(out.Z)
+            g_u = np.zeros(out.Z.shape)
             rewards = []
             entropies = []
             for i, beta in enumerate(betas):
                 cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
-                entropies.append(total_entropy(cell))
-                h_term = cfg.entropy_weight * entropy_logit_grad(cell)
+                entropy, h_grad = _entropy_terms(cell.Z)
+                entropies.append(entropy)
+                h_term = cfg.entropy_weight * h_grad
                 # Rewrites keep beta's topology, so each reward is
                 # score(alpha) - score(beta), with beta and its n rewrites
                 # scored in one call.
@@ -220,8 +222,10 @@ def run(cfg: TrainConfig) -> TrainResult:
                     r_eff = r - baseline if cfg.use_baseline else r
                     g_u[i] += reward_logit_grad(cell, actions[j], r_eff) + h_term
             total = backprop(out, policy, g_u)
-            total.scale_(1.0 / (cfg.m * cfg.n))
-            if not all(np.isfinite(g).all() for g in total.gcn + [total.fc]):
+            if cfg.m * cfg.n > 1:  # scaling by 1.0 would change no bit
+                total.scale_(1.0 / (cfg.m * cfg.n))
+            grads = total.gcn + [total.fc]
+            if not all(np.logical_and.reduce(np.isfinite(g), axis=None) for g in grads):
                 raise FloatingPointError(f"non-finite policy gradient at iteration {step + 1}")
             gcnpolicy.ascend_(policy, total, cfg.eta_theta)
             mean_reward = _mean(rewards)

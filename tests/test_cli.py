@@ -108,6 +108,12 @@ class TestTrain:
             ("--lambda", "-1"),
             ("--eta-w", "0"),
             ("--eta-theta", "0"),
+            ("--lambda", "nan"),
+            ("--lambda", "inf"),
+            ("--eta-w", "nan"),
+            ("--eta-w", "inf"),
+            ("--eta-theta", "nan"),
+            ("--eta-theta", "inf"),
             ("--epochs", "0"),
             ("--epochs", "-2"),
         ],
@@ -119,6 +125,18 @@ class TestTrain:
         assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and errors[0].startswith(f"Error: {flag} ")
+        assert not run_dir.exists()
+
+    def test_diverging_run_is_one_line_error_writing_nothing(self, runner, tmp_path):
+        """A finite but huge ``--eta-w`` overflows the shared weights within three epochs."""
+        run_dir = tmp_path / "run"
+        args = ["train", "--provider", "supernet", "--eta-w", "1e100", "--epochs", "3"]
+        result = runner.invoke(main, [*args, "--out", str(run_dir)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: training diverged: non-finite supernet loss at iteration 21; "
+            "nothing was written"
+        ]
         assert not run_dir.exists()
 
 

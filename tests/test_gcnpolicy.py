@@ -1,6 +1,7 @@
 """Controller tests: forward distributions, sampling, and exact gradients."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from natforge.gcnpolicy import (
     NATPP,
     PolicyOutput,
     PolicyParams,
+    _entropy_terms,
     actions_to_ops,
     argmax_actions,
     ascend_,
@@ -517,6 +519,125 @@ class TestReferenceEquivalence:
         out = forward(encode(g, LAYOUT), g.ops, params)
         with pytest.raises(ValueError, match="shape"):
             backprop(out, params, np.zeros((8, 3)))
+
+
+def reference_backprop(out, params, g_u):
+    """``backprop`` as it was before it stopped at the first layer's weight gradient.
+
+    It also built the gradient for the input features, which nothing read.
+    """
+    a, ahs, pres, m = out.cache
+    c = params.num_actions
+    node_grad = g_u.reshape(g_u.shape[:-2] + (-1, 2 * c))
+    num_inter = node_grad.shape[-2]
+    g_m = np.zeros_like(m)
+    g_m[..., 2 : 2 + num_inter, :] = node_grad @ params.fc.T
+
+    def rows(x):
+        return x.reshape(-1, x.shape[-1])
+
+    grad_fc = rows(m[..., 2 : 2 + num_inter, :]).T @ rows(node_grad)
+    a_t = np.swapaxes(a, -1, -2)
+    grads = [None] * params.depth
+    grads[-1] = rows(ahs[-1]).T @ rows(g_m)
+    g_h = a_t @ (g_m @ params.gcn[-1].T)
+    for i in range(params.depth - 2, -1, -1):
+        g_pre = g_h * (pres[i] > 0)
+        grads[i] = rows(ahs[i]).T @ rows(g_pre)
+        g_h = a_t @ (g_pre @ params.gcn[i].T)
+    return grads, grad_fc
+
+
+def reference_entropy_terms(z):
+    """The two entropy formulas as they were, each with its own ``where(z > 0, log z, 0)``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(z > 0, z * np.log(z), 0.0)
+    total = float(-terms.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(z > 0, np.log(z), 0.0)
+    row_entropy = -(z * logp).sum(axis=1, keepdims=True)
+    return total, np.where(z > 0, -z * (logp + row_entropy), 0.0)
+
+
+def same_bytes(got, want):
+    """Equal bit for bit: signed zeros and NaN positions included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def hand_built_rows():
+    """Rows the policy never emits: NaN, negative, infinite and subnormal entries."""
+    nan, inf = np.nan, np.inf
+    return [
+        np.array([[0.5, nan, 0.5], [0.2, 0.3, 0.5]]),
+        np.array([[-0.5, 1.0, 0.5], [0.0, 0.0, 1.0]]),
+        np.array([[nan, nan, nan], [-1.0, -0.0, -2.0]]),
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        np.array([[5e-324, 1.0, 0.0], [inf, 0.0, 0.0]]),
+        np.array([[-inf, 0.5, 0.5]]),
+    ]
+
+
+class TestThetaStepRewrite:
+    """The rewritten θ-step math gives the bytes of the formulas it replaced."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_backprop_matches_full_loop(self, mode, depth):
+        rng = np.random.default_rng(40 + depth)
+        for trial in range(8):
+            params = init_params(mode, LAYOUT.feature_dim, rng, depth=depth)
+            params.fc *= float(rng.choice([0.1, 1.0, 30.0]))
+            cells = [sample_uniform(trial % 4 + 1, rng) for _ in range(int(rng.integers(1, 6)))]
+            outs = [forward(encode(cells[0], LAYOUT), cells[0].ops, params)]
+            outs.append(forward(encode(cells, LAYOUT), np.array([g.ops for g in cells]), params))
+            for out in outs:
+                g_u = rng.standard_normal(out.Z.shape) * (out.masks > 0)
+                got = backprop(out, params, g_u)
+                want_gcn, want_fc = reference_backprop(out, params, g_u)
+                assert len(got.gcn) == depth
+                for g, w in zip(got.gcn + [got.fc], want_gcn + [want_fc]):
+                    assert same_bytes(g, w)
+
+    def outputs(self):
+        natpp = [out for params, out in random_outputs(60, 41) if params.mode == NATPP]
+        nat = [out for params, out in random_outputs(60, 42) if params.mode == NAT]
+        assert any((out.Z == 0).any() for out in natpp)  # masked zeros are covered
+        assert all((out.masks == 1).all() for out in nat)
+        return [out.Z for out in natpp + nat + list(one_hot_outputs())]
+
+    def test_entropy_terms_match_both_formulas(self):
+        for z in self.outputs():
+            entropy, grad = _entropy_terms(z)
+            want_entropy, want_grad = reference_entropy_terms(z)
+            assert same_bytes(entropy, want_entropy) and same_bytes(grad, want_grad)
+            out = PolicyOutput(Z=z, masks=(z > 0).astype(int))
+            assert same_bytes(total_entropy(out), want_entropy)
+            assert same_bytes(entropy_logit_grad(out), want_grad)
+
+    @pytest.mark.parametrize("z", hand_built_rows(), ids=range(6))
+    def test_entropy_terms_match_on_invalid_rows(self, z):
+        with np.errstate(invalid="ignore"):
+            entropy, grad = _entropy_terms(z)
+            want_entropy, want_grad = reference_entropy_terms(z)
+        assert same_bytes(entropy, want_entropy) and same_bytes(grad, want_grad)
+        assert np.array_equal(np.isnan(grad), np.isnan(want_grad))
+
+    def test_entropy_terms_raise_no_warning(self):
+        # An infinite entry makes inf - inf in the gradient, as it always did.
+        rows = [z for z in hand_built_rows() if not np.isinf(z).any()] + self.outputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="warn", invalid="warn", over="warn"):
+                for z in rows:
+                    _entropy_terms(z)
+
+    def test_sampled_actions_are_int64(self):
+        rng = np.random.default_rng(43)
+        for _, out in random_outputs(10, 44):
+            assert sample_actions(out, rng).dtype == np.int64
+        batched = PolicyOutput(Z=np.full((6, 13), 1 / 13), masks=np.ones((6, 13), dtype=int))
+        assert sample_actions(batched, rng).dtype == np.int64
 
 
 class TestCheckpoint:

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 from natforge.archgraph import sample_uniform, serialize_many
 from natforge.cli import main
+from natforge.trainer import TrainConfig, run
 from natforge.evaluator import (
     accuracy,
     graph_logits,
@@ -49,6 +50,19 @@ TRAIN_FLAGS = {
     "nat++-m1": ["--mode", "nat++", "--m", "1"],
     "nat++-m2": ["--mode", "nat++", "--m", "2", "--n", "2"],
     "nat-m1": ["--mode", "nat", "--m", "1"],
+}
+
+#: sha256 of (policy weight bytes, ``to_jsonl()``) for the full default oracle run
+#: (200 epochs, 2,000 policy steps, seed 0), by mode.
+DEFAULT_RUN = {
+    "nat++": (
+        "cb9a3c7417cb44a67e0feea41656e81a60dc8fdc2ea476d002b23b4335f599c6",
+        "89fa9205b6b7e4e608f65ceea4d82fac817318d7ccfef2deaecf565859639636",
+    ),
+    "nat": (
+        "0f00b2f9b4a4f42507bb8b6b10f38b5e916173fb86480301631d225086cac24d",
+        "642ac1f673febdd7a66b3f5bb187b44bc0e0a8e1f7942304aab8c6e557c60c2e",
+    ),
 }
 
 #: sha256 of (policy.json, train_log.jsonl, supernet.json) for one supernet epoch.
@@ -181,6 +195,18 @@ def test_oracle_train_bytes(runs, name):
     run_dir = runs[name]
     digests = tuple(sha(os.path.join(run_dir, f)) for f in ("policy.json", "train_log.jsonl"))
     assert digests == TRAIN[name]
+
+
+@pytest.mark.parametrize("mode", sorted(DEFAULT_RUN))
+def test_default_oracle_run_bytes(mode):
+    result = run(TrainConfig(mode=mode))
+    assert len(result.log.records) == 2000
+    policy = b"".join(w.tobytes() for w in result.policy.gcn) + result.policy.fc.tobytes()
+    digests = (
+        hashlib.sha256(policy).hexdigest(),
+        hashlib.sha256(result.log.to_jsonl().encode()).hexdigest(),
+    )
+    assert digests == DEFAULT_RUN[mode]
 
 
 def test_supernet_train_bytes(runs):

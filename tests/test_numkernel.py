@@ -75,6 +75,27 @@ class TestBmsoftmax:
             assert (out[v == 0] == 0.0).all()
             assert (out >= 0.0).all()
 
+    def test_matches_two_where_formula_bit_for_bit(self):
+        """One ``where(on, shifted, -inf)`` before ``exp`` gives the bytes of the
+        formula that zeroed cleared bits after ``exp``, special logits included."""
+        rng = np.random.default_rng(4)
+        specials = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0])
+        for trial in range(400):
+            shape = (int(rng.integers(1, 9)), int(rng.integers(1, 14)))
+            u = rng.standard_normal(shape) * float(rng.choice([0.1, 1.0, 50.0]))
+            if trial % 2:
+                hit = rng.random(shape) < 0.2
+                u[hit] = rng.choice(specials, size=int(hit.sum()))
+            v = (rng.random(shape) < 0.6).astype(int)
+            v[np.arange(shape[0]), rng.integers(shape[1], size=shape[0])] = 1
+            with np.errstate(all="ignore"):
+                on = v != 0
+                shifted = u - np.where(on, u, -np.inf).max(axis=-1, keepdims=True)
+                e = np.where(on, np.exp(np.where(on, shifted, 0.0)), 0.0)
+                want = e / e.sum(axis=-1, keepdims=True)
+                got = bmsoftmax(u, v)
+            assert got.tobytes() == want.tobytes()
+
     def test_matches_embedded_subvector_softmax(self):
         rng = np.random.default_rng(3)
         u = rng.standard_normal(6)

@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(provider="real")
 
+    @pytest.mark.parametrize("field", ["entropy_weight", "eta_w", "eta_theta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
     def test_to_dict_round_trips_fields(self):
         cfg = TrainConfig(seed=5)
         d = cfg.to_dict()
@@ -120,6 +126,11 @@ class TestRun:
         result = trainer.run(TrainConfig(mode="nat", seed=0, **FAST))
         assert result.policy.mode == "nat"
         assert result.policy.fc.shape == (64, 6)
+
+    def test_non_finite_supernet_loss_raises(self, monkeypatch):
+        monkeypatch.setattr(trainer, "supernet_train_step", lambda *args: float("nan"))
+        with pytest.raises(FloatingPointError, match="non-finite supernet loss at iteration 1$"):
+            trainer.run(TrainConfig(provider="supernet", seed=0, **FAST))
 
     def test_baseline_option_changes_updates(self):
         a = trainer.run(TrainConfig(seed=1, **FAST))
