@@ -198,7 +198,7 @@ def train(
             raise click.UsageError(f"{options[name]} {value}: {exc}") from None
     cfg = TrainConfig(**flags)
     try:
-        with np.errstate(all="ignore"):  # a non-finite loss or gradient raises instead
+        with np.errstate(all="ignore"):  # a non-finite loss, policy output or weight raises
             result = trainer.run(cfg)
     except FloatingPointError as exc:
         raise click.ClickException(f"training diverged: {exc}; nothing was written") from None

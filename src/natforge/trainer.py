@@ -130,35 +130,85 @@ def _mean(values: list[float]) -> float:
     return float(np.add.reduce(values) / len(values))
 
 
+def _w_step(shared: SharedWeights, dataset, rng, cfg: TrainConfig, step: int) -> float:
+    """One ``supernet_train_step`` on m uniform cells; a non-finite loss raises."""
+    graphs = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
+    x, y = dataset.train_batch(rng, cfg.train_batch)
+    loss = supernet_train_step(shared, graphs, x, y, cfg.eta_w)
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"non-finite supernet loss at iteration {step}")
+    return loss
+
+
+def _draw(
+    betas: list[CellGraph], policy: PolicyParams, rng: np.random.Generator, n: int
+) -> tuple[PolicyOutput, list[CellGraph], np.ndarray]:
+    """One batched ``forward`` of same-size cells (a non-finite output raises), one
+    ``sample_actions`` call over each cell's rows repeated n times, with the uniforms of n
+    calls per cell, and one group ``apply_transitions``; rewrite i·n + j is cell i's draw j."""
+    ops = np.array([b.ops for b in betas])
+    out = forward(encode(betas, EncodingConfig(i_max=policy.i_max)), ops, policy)
+    if not np.logical_and.reduce(np.isfinite(out.Z), axis=None):
+        raise FloatingPointError("non-finite policy output")
+    rows = PolicyOutput(Z=_per_draw(out.Z, n), masks=_per_draw(out.masks, n))
+    drawn = sample_actions(rows, rng)
+    alphas = apply_transitions(
+        [beta for beta in betas for _j in range(n)],
+        actions_to_ops(policy.mode, _per_draw(ops, n), drawn),
+    )
+    return out, alphas, drawn.reshape(len(betas) * n, -1)
+
+
+def _score(provider, betas: list[CellGraph], alphas: list[CellGraph], n: int) -> list[float]:
+    """Each rewrite's score minus its cell's, from one ``score_many`` call per cell and its n
+    rewrites; the supernet provider's memo of input-fed edge outputs lasts one θ phase."""
+    rewards = []
+    for i, beta in enumerate(betas):
+        base, *scores = provider.score_many([beta] + alphas[i * n : (i + 1) * n])
+        rewards += [score - base for score in scores]
+    return rewards
+
+
+def _logit_grads(
+    out: PolicyOutput, actions: np.ndarray, rewards: list[float], baseline: float, cfg: TrainConfig
+) -> tuple[np.ndarray, list[float]]:
+    """The step's logit gradient and each cell's entropy. One pass per cell gives its entropy
+    and entropy gradient, and each draw adds its ``reward_logit_grad`` plus the weighted
+    entropy gradient to its cell's row."""
+    g_u = np.zeros(out.Z.shape)
+    entropies = []
+    for i in range(len(out.Z)):
+        cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
+        entropy, h_grad = _entropy_terms(cell.Z)
+        entropies.append(entropy)
+        h_term = cfg.entropy_weight * h_grad
+        for j in range(i * cfg.n, (i + 1) * cfg.n):
+            r_eff = rewards[j] - baseline if cfg.use_baseline else rewards[j]
+            g_u[i] += reward_logit_grad(cell, actions[j], r_eff) + h_term
+    return g_u, entropies
+
+
+def _ascend(out: PolicyOutput, policy: PolicyParams, g_u, cfg: TrainConfig, step: int) -> None:
+    """One ``backprop`` of ``g_u``, scaled by 1/(m·n), then ``ascend_``. Non-finite new weights,
+    from a non-finite gradient or an overflowing step, raise ``FloatingPointError``."""
+    total = backprop(out, policy, g_u)
+    if cfg.m * cfg.n > 1:  # scaling by 1.0 would change no bit
+        total.scale_(1.0 / (cfg.m * cfg.n))
+    gcnpolicy.ascend_(policy, total, cfg.eta_theta)
+    if not all(np.logical_and.reduce(np.isfinite(w), axis=None) for w in policy.gcn + [policy.fc]):
+        raise FloatingPointError(f"non-finite policy weights at iteration {step}")
+
+
 def run(cfg: TrainConfig) -> TrainResult:
     """Alternating supernet / policy training, fully deterministic under the seed.
 
-    A θ step draws its m input cells first and runs one batched ``forward``
-    over them. One ``sample_actions`` call over each cell's rows repeated n
-    times then draws all m·n rewrites, which takes the same uniforms as n
-    calls per cell, cell by cell, and one group ``apply_transitions`` builds
-    them. Cell by cell, one ``provider.score_many`` call scores the draw set,
-    the cell and its n rewrites; each reward is a rewrite's score minus the
-    cell's, the first of the call. The run has one provider. The supernet's
-    keeps each input-fed (edge, op) output it computes until the next
-    ``supernet_train_step``, so its memo lasts one θ phase, within which each
-    such output is computed once. Each draw's ``reward_logit_grad`` plus the
-    weighted entropy gradient is added to its cell's row, and one ``backprop``
-    of the stacked sum gives the step's gradient, scaled by 1/(m·n) if m·n > 1.
-    The entropy and its gradient depend on the cell only: one pass per cell
-    gives both. With m = 1 the generator is consumed in the same order as
-    one forward per cell; with m > 1 all m cells come off the generator
-    before their draws.
+    An epoch runs ``iters_w`` ``_w_step`` calls (supernet only), then ``iters_theta``
+    θ steps, each of which takes its m cells off the one generator before their stages,
+    ``_draw``, ``_score``, ``_logit_grads`` and ``_ascend``, whose docstrings say the rest.
     """
     rng = np.random.default_rng(cfg.seed)
-    layout = EncodingConfig(i_max=cfg.i_max)
-    policy = init_params(
-        cfg.mode,
-        layout.feature_dim,
-        rng,
-        hidden_dim=cfg.hidden_dim,
-        depth=cfg.depth,
-    )
+    feature_dim = EncodingConfig(i_max=cfg.i_max).feature_dim
+    policy = init_params(cfg.mode, feature_dim, rng, hidden_dim=cfg.hidden_dim, depth=cfg.depth)
 
     shared = oracle = dataset = None
     if cfg.provider == "oracle":
@@ -174,76 +224,26 @@ def run(cfg: TrainConfig) -> TrainResult:
     step = 0
     baseline = 0.0
     for _epoch in range(cfg.epochs):
-        if cfg.provider == "supernet":
-            for _ in range(cfg.iters_w):
-                graphs = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
-                x, y = dataset.train_batch(rng, cfg.train_batch)
-                loss = supernet_train_step(shared, graphs, x, y, cfg.eta_w)
-                step += 1
-                if not math.isfinite(loss):
-                    raise FloatingPointError(f"non-finite supernet loss at iteration {step}")
-                log.append(
-                    {
-                        "iter": step,
-                        "phase": "w",
-                        "loss": loss,
-                        "mean_reward": None,
-                        "entropy": None,
-                    }
-                )
-
-        for _ in range(cfg.iters_theta):
-            betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
-            ops = np.array([b.ops for b in betas])
-            out = forward(encode(betas, layout), ops, policy)
-            rows = PolicyOutput(Z=_per_draw(out.Z, cfg.n), masks=_per_draw(out.masks, cfg.n))
-            drawn = sample_actions(rows, rng)
-            alphas = apply_transitions(
-                [beta for beta in betas for _j in range(cfg.n)],
-                actions_to_ops(cfg.mode, _per_draw(ops, cfg.n), drawn),
+        for _ in range(cfg.iters_w if shared is not None else 0):
+            step += 1
+            loss = _w_step(shared, dataset, rng, cfg, step)
+            log.append(
+                {"iter": step, "phase": "w", "loss": loss, "mean_reward": None, "entropy": None}
             )
-            actions = drawn.reshape(cfg.m * cfg.n, -1)
-            g_u = np.zeros(out.Z.shape)
-            rewards = []
-            entropies = []
-            for i, beta in enumerate(betas):
-                cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
-                entropy, h_grad = _entropy_terms(cell.Z)
-                entropies.append(entropy)
-                h_term = cfg.entropy_weight * h_grad
-                # Rewrites keep beta's topology, so each reward is
-                # score(alpha) - score(beta), with beta and its n rewrites
-                # scored in one call.
-                first = i * cfg.n
-                base, *scores = provider.score_many([beta] + alphas[first : first + cfg.n])
-                for j, score in enumerate(scores, start=first):
-                    r = score - base
-                    rewards.append(r)
-                    r_eff = r - baseline if cfg.use_baseline else r
-                    g_u[i] += reward_logit_grad(cell, actions[j], r_eff) + h_term
-            total = backprop(out, policy, g_u)
-            if cfg.m * cfg.n > 1:  # scaling by 1.0 would change no bit
-                total.scale_(1.0 / (cfg.m * cfg.n))
-            grads = total.gcn + [total.fc]
-            if not all(np.logical_and.reduce(np.isfinite(g), axis=None) for g in grads):
-                raise FloatingPointError(f"non-finite policy gradient at iteration {step + 1}")
-            gcnpolicy.ascend_(policy, total, cfg.eta_theta)
+        for _ in range(cfg.iters_theta):
+            step += 1
+            betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
+            out, alphas, actions = _draw(betas, policy, rng, cfg.n)
+            rewards = _score(provider, betas, alphas, cfg.n)
+            g_u, entropies = _logit_grads(out, actions, rewards, baseline, cfg)
+            _ascend(out, policy, g_u, cfg, step)
             mean_reward = _mean(rewards)
             mean_entropy = _mean(entropies)
             if cfg.use_baseline:
                 baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * mean_reward
-            step += 1
-            if not math.isfinite(mean_reward):
-                raise FloatingPointError(f"non-finite reward at iteration {step}")
-            log.append(
-                {
-                    "iter": step,
-                    "phase": "theta",
-                    "loss": -(mean_reward + cfg.entropy_weight * mean_entropy),
-                    "mean_reward": mean_reward,
-                    "entropy": mean_entropy,
-                }
-            )
+            loss = -(mean_reward + cfg.entropy_weight * mean_entropy)
+            record = {"loss": loss, "mean_reward": mean_reward, "entropy": mean_entropy}
+            log.append({"iter": step, "phase": "theta", **record})
     return TrainResult(policy=policy, log=log, shared=shared, oracle=oracle)
 
 

@@ -139,6 +139,17 @@ class TestTrain:
         ]
         assert not run_dir.exists()
 
+    def test_overflowing_policy_is_one_line_error_writing_nothing(self, runner, tmp_path):
+        """``--eta-theta 1e300`` leaves finite weights whose next forward overflows."""
+        run_dir = tmp_path / "run"
+        args = ["train", "--eta-theta", "1e300", "--epochs", "3", "--out", str(run_dir)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: training diverged: non-finite policy output; nothing was written"
+        ]
+        assert not run_dir.exists()
+
 
 class TestSeed:
     @pytest.mark.parametrize(

@@ -132,6 +132,20 @@ class TestRun:
         with pytest.raises(FloatingPointError, match="non-finite supernet loss at iteration 1$"):
             trainer.run(TrainConfig(provider="supernet", seed=0, **FAST))
 
+    def test_overflowing_forward_raises(self):
+        # One step at this rate leaves weights near 1e299: finite, but the
+        # next forward overflows.
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="^non-finite policy output$"
+        ):
+            trainer.run(TrainConfig(eta_theta=1e300, seed=0, **FAST))
+
+    def test_non_finite_policy_weights_raise(self, monkeypatch):
+        # A NaN logit gradient gives NaN weights, caught after the update.
+        monkeypatch.setattr(trainer, "reward_logit_grad", lambda *args: np.nan)
+        with pytest.raises(FloatingPointError, match="^non-finite policy weights at iteration 1$"):
+            trainer.run(TrainConfig(seed=0, **FAST))
+
     def test_baseline_option_changes_updates(self):
         a = trainer.run(TrainConfig(seed=1, **FAST))
         b = trainer.run(TrainConfig(seed=1, use_baseline=True, **FAST))
@@ -323,6 +337,23 @@ class TestDrawSet:
         assert np.array_equal(drawn.reshape(m * n, -1), np.stack(ref_actions))
         assert alphas == ref_alphas
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestDrawIsSampledInference:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_draw_per_cell_equals_infer_many(self, seed, mode, scale):
+        """With n = 1, ``_draw`` of same-size cells is ``infer_many``'s sampling decode."""
+        rng = np.random.default_rng(seed)
+        policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        policy.fc *= scale
+        num_intermediate = int(rng.integers(1, 5))
+        betas = [sample_uniform(num_intermediate, rng) for _ in range(int(rng.integers(1, 9)))]
+        draw_rng, infer_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        _, alphas, _ = trainer._draw(betas, policy, draw_rng, 1)
+        assert alphas == infer_many(policy, betas, decode="sample", rng=infer_rng)
+        assert draw_rng.bit_generator.state == infer_rng.bit_generator.state
 
 
 class TestMatchRates:
