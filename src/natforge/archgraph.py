@@ -15,20 +15,25 @@ disagree with it. ``edges`` is a tuple of ``EdgeSlot`` views built on
 demand.
 
 A cell is validated exactly once, when it is built from outside data:
-``CellGraph(num_nodes, edges)`` and ``make_cell`` check one cell, and
-``parse_many`` checks a whole file with one array pass. Everything a valid
-cell passes through after that trusts it: ``sample_uniform`` draws sources
-inside their legal range, and ``apply_transitions`` reuses its input's
-topology and checks only the new operations against ``VALID``. So
-``encode``, ``serialize``, the cost audit and the reward providers never
-re-check a cell.
+``CellGraph(num_nodes, edges)`` and ``make_cell`` check one cell, and the
+parser checks a whole file with one array pass. Everything a valid cell
+passes through after that trusts it: ``sample_uniform`` draws sources inside
+their legal range, and a rewrite reuses its input's sources and checks only
+the new operations, for range and against ``VALID``. So encoding,
+serialization, the cost audit and the reward providers never re-check a cell.
+
+Parsing, encoding, rewriting, the cost audit and serialization each have a
+private core over the flat form of many cells, ``(nodes, bounds, sources,
+ops)``: node counts, per-cell edge offsets and the concatenated edge arrays.
+The public functions wrap them, and ``natforge optimize`` runs on that form
+from file read to file write without building a ``CellGraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -329,24 +334,29 @@ def encode(
     n = cells[0].num_nodes
     if any(g.num_nodes != n for g in cells):
         raise ValueError("encode takes a group of cells with one node count")
-    num_inter = n - 3
+    sources, ops = np.array([g.sources for g in cells]), np.array([g.ops for g in cells])
+    enc = _encode(n, sources, ops, layout)
+    return GraphEncoding(enc.adjacency[0], enc.features[0]) if single else enc
+
+
+def _encode(num_nodes: int, sources, ops, layout: EncodingConfig) -> GraphEncoding:
+    """The stacked (B, V, V) adjacencies and (B, V, F) features of B cells of V nodes,
+    from their (B, K) ``sources`` and ``ops``."""
+    num_inter = num_nodes - 3
     if num_inter > layout.i_max:
         raise GraphError(
             f"graph has {num_inter} intermediates, layout allows {layout.i_max}"
         )
-    adj0, x0, rows, cols = _template(n, layout.i_max)
-    b = len(cells)
-    sources = np.array([g.sources for g in cells]) + 2
-    ops = np.array([g.ops for g in cells])
+    adj0, x0, rows, cols = _template(num_nodes, layout.i_max)
+    b = len(sources)
     cell = np.arange(b)[:, None]
+    sources = sources + 2
     adj = adj0[None].repeat(b, axis=0)
     adj[cell, sources, rows] = 1.0
     adj[cell, rows, sources] = 1.0
     adj /= np.add.reduce(adj, axis=2, keepdims=True)
     x = x0[None].repeat(b, axis=0)
     x[cell, rows, cols + ops] = 1.0
-    if single:
-        return GraphEncoding(adjacency=adj[0], features=x[0])
     return GraphEncoding(adjacency=adj, features=x)
 
 
@@ -370,6 +380,18 @@ def apply_transitions(
             raise ValueError(f"expected 0 actions, got {len(ops)}")
         return []
     current = np.concatenate([g.ops for g in cells])
+    sizes = None if single else [len(g.ops) for g in cells]
+    new = _checked_ops(current, ops, sizes)
+    if single:
+        return _cell(graphs.num_nodes, graphs.sources, new)
+    starts = [0, *accumulate(sizes)]
+    return [_cell(g.num_nodes, g.sources, new[a:b]) for g, a, b in zip(cells, starts, starts[1:])]
+
+
+def _checked_ops(current: np.ndarray, ops, sizes: Sequence[int] | None) -> np.ndarray:
+    """``ops`` as a read-only int64 copy, each in range and a ``VALID`` transition from
+    ``current``; a ValueError names the first bad edge, and its cell if ``sizes`` gives
+    each cell's edge count."""
     new = np.array(ops)
     if new.shape != current.shape:
         raise ValueError(f"expected {len(current)} actions, got {new.size}")
@@ -382,10 +404,10 @@ def apply_transitions(
         ok = in_range & VALID[current, np.where(in_range, new, 0)].astype(bool)
         idx = int(ok.argmin())
         where = f"edge {idx}"
-        if not single:
-            bounds = np.cumsum([g.num_edges for g in cells])
-            c = int(np.searchsorted(bounds, idx, side="right"))
-            where = f"edge {idx - (bounds[c - 1] if c else 0)} of cell {c}"
+        if sizes is not None:
+            ends = np.cumsum(sizes)
+            c = int(np.searchsorted(ends, idx, side="right"))
+            where = f"edge {idx - (ends[c - 1] if c else 0)} of cell {c}"
         if not in_range[idx]:
             raise ValueError(
                 f"operation index {new[idx]} at {where} is not in [0, {NUM_OPERATIONS})"
@@ -394,14 +416,7 @@ def apply_transitions(
         raise ValueError(f"invalid transition {src.value} -> {dst.value} at {where}")
     new = new.astype(np.int64, copy=False)
     new.flags.writeable = False
-    if single:
-        return _cell(graphs.num_nodes, graphs.sources, new)
-    out, lo = [], 0
-    for g in cells:
-        hi = lo + len(g.ops)
-        out.append(_cell(g.num_nodes, g.sources, new[lo:hi]))
-        lo = hi
-    return out
+    return new
 
 
 def same_topology(a: CellGraph, b: CellGraph) -> bool:
@@ -448,9 +463,13 @@ def cost_non_increasing(
         return False
     if not before:
         return True
-    ops_before = np.concatenate([g.ops for g in before])
-    ops_after = np.concatenate([g.ops for g in after])
-    return bool(non_increasing_table(cfg)[ops_before, ops_after].all())
+    ops = [np.concatenate([g.ops for g in cells]) for cells in (before, after)]
+    return _ops_non_increasing(*ops, cfg)
+
+
+def _ops_non_increasing(before: np.ndarray, after: np.ndarray, cfg: CostConfig) -> bool:
+    """True iff no edge's rewrite ``before[i] -> after[i]`` costs more, by one table lookup."""
+    return bool(non_increasing_table(cfg)[before, after].all())
 
 
 def assignment_count(num_intermediate: int, vocab_size: int = NUM_OPERATIONS) -> int:
@@ -468,20 +487,42 @@ def assignment_count(num_intermediate: int, vocab_size: int = NUM_OPERATIONS) ->
 _OP_NAMES = tuple(op.value for op in OPERATIONS)
 
 
+def _flat(graphs: Sequence[CellGraph]) -> tuple[np.ndarray, ...]:
+    """The flat form ``(nodes, bounds, sources, ops)`` of cells: cell b has ``nodes[b]``
+    nodes and the edges ``bounds[b]:bounds[b + 1]`` of ``sources`` and ``ops``."""
+    nodes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(g.ops) for g in graphs])
+    empty = [np.zeros(0, np.int64)]
+    sources = np.concatenate(empty + [g.sources for g in graphs])
+    return nodes, bounds, sources, np.concatenate(empty + [g.ops for g in graphs])
+
+
 @lru_cache(maxsize=4096)
 def _edge_line(i: int, source: int, op: int) -> str:
     """Text of edge i of a cell; a cell file repeats few distinct lines."""
     return f"edge t={i >> 1} s={i & 1} f={source} op={_OP_NAMES[op]}\n"
 
 
-def serialize(graph: CellGraph) -> str:
-    """Render a cell in the line-oriented text format."""
-    edges = map(_edge_line, count(), graph.sources.tolist(), graph.ops.tolist())
-    return f"cell v={graph.num_nodes}\n" + "".join(edges)
+def _serialize(nodes, bounds, sources: np.ndarray, ops: np.ndarray) -> str:
+    """The text of flat cells: a header, then one line per edge, with a blank line between
+    cells. The cached edge lines and one text per distinct header are put in order and
+    joined once."""
+    heads = bounds[:-1] + np.arange(len(nodes))
+    texts = {n: f"\ncell v={n}\n" for n in set(nodes.tolist())}
+    pieces = np.empty(len(nodes) + len(ops), dtype=object)
+    pieces[heads] = [texts[n] for n in nodes.tolist()]
+    is_edge = np.ones(len(pieces), dtype=bool)
+    is_edge[heads] = False
+    pos = np.arange(len(ops)) - np.repeat(bounds[:-1], np.diff(bounds))
+    pieces[is_edge] = list(map(_edge_line, pos.tolist(), sources.tolist(), ops.tolist()))
+    if len(nodes):
+        pieces[0] = pieces[0][1:]  # no blank line before the first cell
+    return "".join(pieces.tolist())
 
 
 def serialize_many(graphs: Sequence[CellGraph]) -> str:
-    return "\n".join(map(serialize, graphs))
+    """Render cells in the line-oriented text format."""
+    return _serialize(*_flat(graphs))
 
 
 def _parse_field(token: str, key: str) -> str:
@@ -524,95 +565,65 @@ def _line_record(raw: str) -> tuple[str | None, object, str | None]:
 
 
 def parse_many(text: str) -> list[CellGraph]:
-    """Parse all cell records in a document; raises ParseError naming the first bad line.
+    """Parse all cell records in a document; raises ParseError naming the first bad line."""
+    nodes, bounds, sources, ops = _parse(text)
+    starts = bounds.tolist()
+    return [_cell(n, sources[a:b], ops[a:b]) for n, a, b in zip(nodes.tolist(), starts, starts[1:])]
 
-    The lines are tokenized in order, up to the first malformed one; each
-    distinct line is tokenized once. The cells read before that point are
-    then validated together by one array pass, and a cell's structural
-    fault is reported before a later malformed line, as a line-by-line
-    reader would.
+
+def _parse(text: str) -> tuple[np.ndarray, ...]:
+    """The flat form of a cell document; raises ParseError naming the first bad line.
+
+    Each distinct line is tokenized once; array ops then find where a line-by-line
+    reader stops: at the first malformed line or edge before any header, or at an
+    empty cell, reported on reaching the next header (before that header's own
+    error) or the end of the text. The cells closed before the stop are validated
+    together first, so a cell's structural fault is reported before the stop.
     """
-    cache: dict[str, tuple] = {}
-    heads: list[tuple[int, int, int]] = []  # (first line, num_nodes, first edge) per cell
-    edges: list[tuple[int, int, int, int]] = []
-    open_head = None
-
-    def close_cell() -> ParseError | None:
-        nonlocal open_head
-        if open_head is not None:
-            if len(edges) == open_head[2]:
-                return ParseError(
-                    f"line {open_head[0]}: cell declares intermediates but has no edges"
-                )
-            heads.append(open_head)
-            open_head = None
-        return None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        rec = cache.get(raw)
-        if rec is None:
-            rec = cache[raw] = _line_record(raw)
-        kind, value, error = rec
-        if kind == "edge":
-            if open_head is None:
-                error = "edge before any cell header"
-            elif error is None:
-                edges.append(value)
-                continue
-        elif kind == "cell":
-            stop = close_cell()
-            if stop is not None:
-                break
-            if error is None:
-                open_head = (lineno, value, len(edges))
-                continue
-        elif error is None:
-            continue
-        stop = ParseError(f"line {lineno}: {error}")
-        break
-    else:
-        stop = close_cell()
-    if open_head is not None:
-        del edges[open_head[2] :]
-
-    graphs = _validated_cells(heads, edges)
-    if stop is not None:
-        raise stop
-    return graphs
-
-
-def _validated_cells(
-    heads: list[tuple[int, int, int]], edges: list[tuple[int, int, int, int]]
-) -> list[CellGraph]:
-    """Canonicalize and validate every tokenized cell at once; build the cells.
-
-    Raises ParseError at the first line of the first faulty cell.
-    """
-    if not heads:
-        return []
-    cells = _int_rows(heads, 3)
-    nodes = cells[:, 1]
-    bounds = np.append(cells[:, 2], len(edges))
-    flat = _int_rows(edges, 4)
+    lines = text.splitlines()
+    distinct = {raw: i for i, raw in enumerate(dict.fromkeys(lines))}
+    # One record per distinct line, plus one that keeps the tables typed for an empty text.
+    records = list(map(_line_record, distinct)) + [(None, None, None)]
+    ids = np.fromiter(map(distinct.__getitem__, lines), np.intp, len(lines))
+    kind = np.array([(None, "cell", "edge").index(k) for k, _, _ in records], np.int8)[ids]
+    bad = np.array([e is not None for _, _, e in records])[ids]
+    # Per record: an edge's (t, s, f, op), a header's (node count, 0, 0, 0), else zeros.
+    rows = [(0,) * 4 if e or not k else v if k == "edge" else (v, 0, 0, 0) for k, v, e in records]
+    values = _int_rows(rows, 4)
+    heads = np.flatnonzero(kind == 1)
+    is_edge = kind == 2
+    first = heads[0] if len(heads) else len(lines)
+    bad[:first] |= is_edge[:first]
+    stop = int(bad.argmax()) if bad.any() else len(lines)
+    ends = np.append(heads[1:], len(lines))  # where each cell is closed
+    edges_before = np.append(0, np.cumsum(is_edge))
+    counts = edges_before[ends] - edges_before[heads]
+    closed = int(np.searchsorted(ends, stop, side="right"))
+    empty = np.flatnonzero(counts[:closed] == 0)
+    error = None
+    if len(empty):
+        closed = int(empty[0])
+        error = f"line {heads[closed] + 1}: cell declares intermediates but has no edges"
+    elif stop < len(lines):
+        orphan = stop < first and is_edge[stop]
+        message = "edge before any cell header" if orphan else records[ids[stop]][2]
+        error = f"line {stop + 1}: {message}"
+    edge_lines = np.flatnonzero(is_edge[: ends[closed - 1] if closed else 0])
+    flat = values[ids[edge_lines]]
+    nodes = values[ids[heads[:closed]], 0]
+    bounds = np.append(0, np.cumsum(counts[:closed]))
     bad = _faulty_cells(nodes, bounds, flat[:, 0], flat[:, 1], flat[:, 2])
     if bad.any():
         # Some cells are faulty or only list their edges out of order: sort
         # every cell's edges by (target, slot) and check again.
-        cell_of = np.repeat(np.arange(len(heads)), np.diff(bounds))
+        cell_of = np.repeat(np.arange(closed), counts[:closed])
         flat = flat[np.lexsort((flat[:, 1], flat[:, 0], cell_of))]
         bad = _faulty_cells(nodes, bounds, flat[:, 0], flat[:, 1], flat[:, 2])
     if bad.any():
         c = int(bad.argmax())
-        line, num_nodes, first = heads[c]
-        cell_edges = sorted(edges[first : bounds[c + 1]], key=lambda e: (e[0], e[1]))
-        message = _fault_message(num_nodes, [e[:3] for e in cell_edges])
-        raise ParseError(f"line {line}: {message}")
-    sources = np.ascontiguousarray(flat[:, 2])
-    ops = np.ascontiguousarray(flat[:, 3])
-    sources.flags.writeable = False
-    ops.flags.writeable = False
-    starts = bounds.tolist()
-    return [
-        _cell(h[1], sources[lo:hi], ops[lo:hi])
-        for h, lo, hi in zip(heads, starts[:-1], starts[1:])
-    ]
+        exact = [records[i][1] for i in ids[edge_lines[bounds[c] : bounds[c + 1]]]]
+        exact = sorted((e[:3] for e in exact), key=lambda e: (e[0], e[1]))
+        raise ParseError(f"line {heads[c] + 1}: {_fault_message(records[ids[heads[c]]][1], exact)}")
+    if error is not None:
+        raise ParseError(error)
+    return nodes, bounds, _frozen(flat[:, 2]), _frozen(flat[:, 3])

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import trainer
 from .archgraph import (
-    CellGraph,
-    cost_non_increasing,
+    _ops_non_increasing,
+    _parse,
+    _serialize,
     cost_of,
     parse_many,
     same_topology,
@@ -69,17 +70,18 @@ def _cost_config(channels: int, hw: int) -> CostConfig:
         raise click.UsageError(f"--channels {channels} --hw {hw}: {exc}") from None
 
 
-def _read(path: str, load):
-    """``load(path)``; a malformed file is an error naming it, not a traceback."""
+def _read(path: str, load, *args):
+    """``load(path, *args)``; a malformed file is an error naming it, not a traceback."""
     try:
-        return load(path)
+        return load(path, *args)
     except ValueError as exc:
         raise click.ClickException(f"{path}: {exc}") from None
 
 
-def _cells(path: str) -> list[CellGraph]:
+def _cells(path: str, parse=parse_many):
+    """The cells of a file, read by ``parse``."""
     with open(path) as fh:
-        return parse_many(fh.read())
+        return parse(fh.read())
 
 
 #: An input file that must exist: a missing path is a usage error, not a traceback.
@@ -226,22 +228,27 @@ def train(
 def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: str) -> None:
     """Optimize every graph in a file with a trained policy."""
     policy = _read(policy_path, load_policy)
-    graphs = _read(in_path, _cells)
-    for i, g in enumerate(graphs):
-        if g.num_intermediate > policy.i_max:
-            raise click.ClickException(
-                f"graph {i} has {g.num_intermediate} intermediate nodes; "
-                f"the policy handles at most i_max={policy.i_max}"
-            )
+    # The file stays in its flat form (nodes, bounds, sources, ops) from read to write.
+    flat = nodes, bounds, sources, ops = _read(in_path, _cells, _parse)
+    too_big = np.flatnonzero(nodes - 3 > policy.i_max)
+    if len(too_big):
+        i = int(too_big[0])
+        raise click.ClickException(
+            f"graph {i} has {nodes[i] - 3} intermediate nodes; "
+            f"the policy handles at most i_max={policy.i_max}"
+        )
     rng = np.random.default_rng(seed)
-    optimized = trainer.infer_many(policy, graphs, decode=decode, rng=rng)
-    # Each rewrite shares its input's validated topology; the audit fails a
-    # result whose topology differs before it compares costs.
-    if not cost_non_increasing(graphs, optimized):
+    try:
+        with np.errstate(all="ignore"):  # a non-finite policy output raises
+            new = trainer._infer_ops(policy, flat, decode, rng)
+    except FloatingPointError as exc:
+        raise click.ClickException(f"{policy_path}: {exc}; nothing was written") from None
+    # Each rewrite keeps its input's sources, so the audit compares operations only.
+    if not _ops_non_increasing(ops, new, CostConfig()):
         raise click.ClickException("optimized graph failed the cost audit")
-    atomic_write(out_path, serialize_many(optimized))
+    atomic_write(out_path, _serialize(nodes, bounds, sources, new))
     _write_manifest(out_path, _flags())
-    click.echo(f"optimized {len(graphs)} graphs to {out_path}")
+    click.echo(f"optimized {len(nodes)} graphs to {out_path}")
 
 
 @main.command()

@@ -192,7 +192,12 @@ def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> np.ndarray:
     normalized CDF. The whole batch takes one ``rng.random(k)``, which consumes
     the generator exactly as the per-edge ``choice`` calls would.
     """
-    p = out.Z / np.add.reduce(out.Z, axis=1, keepdims=True)
+    return _sample_rows(out.Z, rng.random(out.num_edges))
+
+
+def _sample_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The action of each (N, c) row of ``z`` at its uniform variate ``u[i]``."""
+    p = z / np.add.reduce(z, axis=1, keepdims=True)
     # Non-negative rows whose sums are within tolerance are also finite, so
     # one pass accepts valid rows; the checks below name what is wrong.
     sums_ok = np.abs(np.add.reduce(p, axis=1) - 1.0) <= _SUM_ATOL
@@ -204,13 +209,12 @@ def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdf = np.add.accumulate(p, axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random(out.num_edges)
     return np.add.reduce(cdf <= u[:, None], axis=1)
 
 
 def argmax_actions(out: PolicyOutput) -> np.ndarray:
-    """Per-row argmax; ties break toward the lowest action index."""
-    return out.Z.argmax(axis=1)
+    """Per-row argmax over the last axis; ties break toward the lowest action index."""
+    return out.Z.argmax(axis=-1)
 
 
 def _entropy_terms(z: np.ndarray) -> tuple[float, np.ndarray]:

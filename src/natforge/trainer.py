@@ -22,6 +22,7 @@ import numpy as np
 
 from . import gcnpolicy
 from .archgraph import CellGraph, EncodingConfig, apply_transitions, encode, sample_uniform
+from .archgraph import GraphEncoding, _cell, _checked_ops, _encode, _flat
 from .evaluator import (
     OracleProvider,
     PlantedOracle,
@@ -41,6 +42,7 @@ from .gcnpolicy import (
     backprop,
     forward,
     init_params,
+    _sample_rows,
     reward_logit_grad,
     sample_actions,
 )
@@ -140,6 +142,14 @@ def _w_step(shared: SharedWeights, dataset, rng, cfg: TrainConfig, step: int) ->
     return loss
 
 
+def _policy_output(enc: GraphEncoding, ops: np.ndarray, policy: PolicyParams) -> PolicyOutput:
+    """``forward``; a non-finite output (the policy overflows) raises ``FloatingPointError``."""
+    out = forward(enc, ops, policy)
+    if not np.logical_and.reduce(np.isfinite(out.Z), axis=None):
+        raise FloatingPointError("non-finite policy output")
+    return out
+
+
 def _draw(
     betas: list[CellGraph], policy: PolicyParams, rng: np.random.Generator, n: int
 ) -> tuple[PolicyOutput, list[CellGraph], np.ndarray]:
@@ -147,9 +157,7 @@ def _draw(
     ``sample_actions`` call over each cell's rows repeated n times, with the uniforms of n
     calls per cell, and one group ``apply_transitions``; rewrite i·n + j is cell i's draw j."""
     ops = np.array([b.ops for b in betas])
-    out = forward(encode(betas, EncodingConfig(i_max=policy.i_max)), ops, policy)
-    if not np.logical_and.reduce(np.isfinite(out.Z), axis=None):
-        raise FloatingPointError("non-finite policy output")
+    out = _policy_output(encode(betas, EncodingConfig(i_max=policy.i_max)), ops, policy)
     rows = PolicyOutput(Z=_per_draw(out.Z, n), masks=_per_draw(out.masks, n))
     drawn = sample_actions(rows, rng)
     alphas = apply_transitions(
@@ -260,42 +268,51 @@ def infer_many(
 ) -> list[CellGraph]:
     """Optimize every input cell with one policy application each, in input order.
 
-    The cells are taken in chunks of ``INFER_CHUNK``. Within a chunk, the
-    cells of each intermediate count share one batched ``forward``; their
-    rows of ``Z`` are then put back in input order and decoded together. One
-    ``sample_actions`` call per chunk draws one uniform per edge in input
-    order, which consumes the generator exactly as one call per cell would.
+    ``_infer_ops`` on the cells' flat form; each result keeps its input's ``sources``.
+    """
+    flat = _flat(graphs)
+    new = _infer_ops(policy, flat, decode, rng)
+    starts = flat[1].tolist()
+    return [_cell(g.num_nodes, g.sources, new[a:b]) for g, a, b in zip(graphs, starts, starts[1:])]
+
+
+def _infer_ops(
+    policy: PolicyParams, flat: tuple[np.ndarray, ...], decode: str, rng: np.random.Generator | None
+) -> np.ndarray:
+    """The new operations of cells in the flat form ``(nodes, bounds, sources, ops)``, checked
+    for range and against ``VALID``; a non-finite policy output raises ``FloatingPointError``.
+
+    The cells are taken in chunks of ``INFER_CHUNK``. Within a chunk, the cells
+    of each node count share one batched ``forward`` and are decoded together.
+    A cell's rows do not depend on the other cells of its group, and one
+    ``rng.random`` call per chunk draws one uniform per edge in input order, so
+    the results and the generator stream are those of one call per cell.
     """
     if decode not in ("sample", "argmax"):
         raise ValueError(f"decode must be 'sample' or 'argmax', got {decode!r}")
     if decode == "sample" and rng is None:
         raise ValueError("sampling decode requires an rng")
-    layout = EncodingConfig(i_max=policy.i_max)
-    c = policy.num_actions
-    optimized = []
-    for start in range(0, len(graphs), INFER_CHUNK):
-        chunk = graphs[start : start + INFER_CHUNK]
-        current = np.concatenate([g.ops for g in chunk])
-        sizes = np.array([len(g.ops) for g in chunk])
-        offsets = np.cumsum(sizes) - sizes
-        groups: dict[int, list[int]] = {}
-        for i, g in enumerate(chunk):
-            groups.setdefault(g.num_nodes, []).append(i)
-        rows = PolicyOutput(
-            Z=np.empty((len(current), c)), masks=np.empty((len(current), c), dtype=int)
-        )
-        for members in groups.values():
-            cells = [chunk[i] for i in members]
-            out = forward(encode(cells, layout), np.array([g.ops for g in cells]), policy)
-            edge_rows = (offsets[members][:, None] + np.arange(out.Z.shape[1])).ravel()
-            rows.Z[edge_rows] = out.Z.reshape(-1, c)
-            rows.masks[edge_rows] = out.masks.reshape(-1, c)
-        if decode == "argmax":
-            actions = argmax_actions(rows)
-        else:
-            actions = sample_actions(rows, rng)
-        optimized += apply_transitions(chunk, actions_to_ops(policy.mode, current, actions))
-    return optimized
+    nodes, bounds, sources, ops = flat
+    new = np.empty_like(ops)
+    for start in range(0, len(nodes), INFER_CHUNK):
+        chunk = nodes[start : start + INFER_CHUNK]
+        first = bounds[start]
+        if decode == "sample":
+            u = rng.random(bounds[start + len(chunk)] - first)
+        # Groups in order of first appearance; the peak heap depends on the order of sizes.
+        _, at = np.unique(chunk, return_index=True)
+        for n in chunk[np.sort(at)].tolist():
+            k = 2 * (n - 3)
+            edges = (bounds[start + np.flatnonzero(chunk == n)][:, None] + np.arange(k)).ravel()
+            current = ops[edges].reshape(-1, k)
+            enc = _encode(n, sources[edges].reshape(-1, k), current, EncodingConfig(policy.i_max))
+            out = _policy_output(enc, current, policy)
+            if decode == "argmax":
+                actions = argmax_actions(out).ravel()
+            else:
+                actions = _sample_rows(out.Z.reshape(-1, policy.num_actions), u[edges - first])
+            new[edges] = actions_to_ops(policy.mode, current.ravel(), actions)
+    return _checked_ops(ops, new, np.diff(bounds))
 
 
 def infer(

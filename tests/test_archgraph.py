@@ -23,10 +23,10 @@ from natforge.archgraph import (
     parse_many,
     same_topology,
     sample_uniform,
-    serialize,
     serialize_many,
     validate,
 )
+from natforge.archgraph import _line_record
 from natforge.opspace import (
     NUM_OPERATIONS,
     OPERATIONS,
@@ -38,6 +38,11 @@ from natforge.opspace import (
 )
 
 CFG = CostConfig(channels_in=128, channels_out=128, height=32, width=32)
+
+
+def serialize(graph: CellGraph) -> str:
+    """One cell's text: ``serialize_many`` of one."""
+    return serialize_many([graph])
 
 
 def reference_cost_non_increasing(before, after, cfg):
@@ -383,6 +388,180 @@ class TestSerialization:
     def test_unknown_op_reported(self):
         with pytest.raises(ParseError, match="unknown operation"):
             parse_many("cell v=4\nedge t=0 s=0 f=-2 op=conv_9x9\nedge t=0 s=1 f=-1 op=null\n")
+
+
+def reference_parse_many(text):
+    """The line-by-line reader that ``parse_many`` must agree with, in cells and in messages.
+
+    Lines are read in order up to the first malformed one or edge before any
+    header; an empty cell is reported when the next header or the end of the
+    text is reached. The cells closed before that stop are then checked in
+    file order by ``make_cell``, whose first fault is reported before the stop.
+    """
+    heads, edges, open_head, stop = [], [], None, None
+
+    def close_cell():
+        nonlocal open_head
+        if open_head is not None:
+            if len(edges) == open_head[2]:
+                return ParseError(
+                    f"line {open_head[0]}: cell declares intermediates but has no edges"
+                )
+            heads.append(open_head)
+            open_head = None
+        return None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        kind, value, error = _line_record(raw)
+        if kind == "edge":
+            if open_head is None:
+                error = "edge before any cell header"
+            elif error is None:
+                edges.append(value)
+                continue
+        elif kind == "cell":
+            stop = close_cell()
+            if stop is not None:
+                break
+            if error is None:
+                open_head = (lineno, value, len(edges))
+                continue
+        elif error is None:
+            continue
+        stop = ParseError(f"line {lineno}: {error}")
+        break
+    else:
+        stop = close_cell()
+    if open_head is not None:
+        del edges[open_head[2] :]
+    graphs = []
+    ends = [h[2] for h in heads[1:]] + [len(edges)]
+    for (line, num_nodes, first), end in zip(heads, ends):
+        slots = [EdgeSlot(t, s, f, OPERATIONS[o]) for t, s, f, o in edges[first:end]]
+        try:
+            graphs.append(make_cell(num_nodes, slots))
+        except GraphError as exc:
+            raise ParseError(f"line {line}: {exc}") from None
+    if stop is not None:
+        raise stop
+    return graphs
+
+
+#: Corruptions of a multi-cell file, each applied at a random place by ``corrupt``.
+CORRUPTIONS = (
+    "bad token",
+    "unknown record",
+    "orphan edge",
+    "empty cell",
+    "empty last cell",
+    "bad header after empty cell",
+    "shuffle",
+    "comments",
+    "huge int",
+    "structural",
+)
+
+
+def corrupt(cells, kinds, rng):
+    """The text of ``cells`` with each corruption in ``kinds`` applied once."""
+    blocks = [serialize(g).splitlines() for g in cells]
+    for kind in kinds:
+        b = int(rng.integers(len(blocks)))
+        block = blocks[b]
+        e = int(rng.integers(1, len(block))) if len(block) > 1 else 0  # an edge line
+        if kind == "bad token":
+            line = int(rng.integers(len(block)))  # any line; 0 is the header
+            fields = block[line].split()
+            if len(fields) < 2:
+                continue
+            if rng.random() < 0.2:
+                del fields[-1]  # a record with a field missing
+            else:
+                token = ["t=x", "s=", "op=conv_9x9", "f=1.5", "q=0"][int(rng.integers(5))]
+                fields[int(rng.integers(1, len(fields)))] = token
+            block[line] = " ".join(fields)
+        elif kind == "unknown record":
+            block.insert(e, "node v=4")
+        elif kind == "orphan edge":
+            blocks.insert(0, ["# preamble", "edge t=0 s=0 f=-2 op=skip"])
+        elif kind == "empty cell":
+            blocks.insert(b, [f"cell v={int(rng.integers(4, 8))}", "# nothing here"])
+        elif kind == "empty last cell":
+            blocks.append(["cell v=5"])
+        elif kind == "bad header after empty cell":
+            header = ["cell v=abc", "cell", "cell v=4 x=1", "cell w=4"][int(rng.integers(4))]
+            blocks.insert(b, ["cell v=5", "", header])
+        elif kind == "shuffle":
+            blocks[b] = block[:1] + [block[1:][i] for i in rng.permutation(len(block) - 1)]
+        elif kind == "comments":
+            block.insert(e, ["# a comment", "", "   ", "#"][int(rng.integers(4))])
+            block[-1] += "  # trailing"
+        elif kind == "huge int":
+            huge = str(int(rng.choice([-1, 1])) * 10 ** int(rng.integers(19, 25)))
+            key = ["v=", "t=", "s=", "f="][int(rng.integers(4))]
+            line = block[0] if key == "v=" else block[e]
+            block[block.index(line)] = " ".join(
+                key + huge if tok.startswith(key) else tok for tok in line.split()
+            )
+        elif kind == "structural":
+            if len(block) > 1:
+                key = ["t=", "s=", "f="][int(rng.integers(3))]
+                value = int(rng.integers(-4, 6))
+                block[e] = " ".join(
+                    f"{key}{value}" if tok.startswith(key) else tok for tok in block[e].split()
+                )
+    return "\n".join("\n".join(block) for block in blocks) + "\n"
+
+
+class TestParseOrder:
+    @settings(deadline=None, max_examples=400)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=4),
+    )
+    def test_parse_matches_line_by_line_reader(self, seed, kinds):
+        """Equal cells, or a ParseError with the reference's message, on corrupted files."""
+        rng = np.random.default_rng(seed)
+        cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(int(rng.integers(1, 6)))]
+        text = corrupt(cells, kinds, rng)
+        try:
+            expected = reference_parse_many(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as caught:
+                parse_many(text)
+            assert str(caught.value) == str(exc)
+        else:
+            assert parse_many(text) == expected
+
+    def test_corruptions_reach_every_outcome(self):
+        """The corruptions above give valid files and every kind of parse error."""
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(2000):
+            cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(3)]
+            kinds = list(rng.choice(CORRUPTIONS, size=int(rng.integers(1, 4))))
+            try:
+                reference_parse_many(corrupt(cells, kinds, rng))
+                seen.add("valid")
+            except ParseError as exc:
+                seen.add(str(exc).split(": ", 1)[1])
+        for outcome in (
+            "valid",
+            "cell declares intermediates but has no edges",
+            "edge before any cell header",
+            "unknown record",
+            "malformed cell header",
+            "edge record needs",
+            "expected",
+            "not an integer",
+            "unknown operation",
+            "node count",
+            "slot count",
+            "duplicate slot",
+            "dangling node",
+            "acyclicity",
+        ):
+            assert any(message.startswith(outcome) for message in seen), outcome
 
 
 def reference_sample_uniform(num_intermediate, rng):

@@ -4,16 +4,16 @@ import csv
 import io
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from natforge import trainer
-from natforge.archgraph import EncodingConfig, make_cell
+from natforge.archgraph import EncodingConfig
 from natforge.cli import main
 from natforge.gcnpolicy import NATPP, init_params, save_policy
+from natforge.opspace import OperationKind
 
 
 @pytest.fixture()
@@ -200,30 +200,51 @@ class TestOptimize:
 
 
     def test_rewired_rewrite_rejected_by_audit(self, runner, tmp_path, monkeypatch):
+        """A rewrite that adds cost stops ``optimize`` before it writes. The inference
+        core returns operations only, so a rewired result cannot reach the audit."""
         graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
         out = str(tmp_path / "opt.txt")
         assert runner.invoke(main, ["sample", "--count", "3", "--out", graphs]).exit_code == 0
         params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
         save_policy(params, policy)
+        dearest = OperationKind.CONV_5X5.index
 
-        def rewired(policy, cells, decode, rng):
-            # Node 0's first slot swaps input -2 for input -1 or back: a valid
-            # cell with the same operations but another topology.
-            return [
-                make_cell(
-                    g.num_nodes,
-                    (replace(g.edges[0], source_node=-3 - g.edges[0].source_node),) + g.edges[1:],
-                )
-                for g in cells
-            ]
+        def costlier(policy, flat, decode, rng):
+            # The first edge that is not a 5x5 convolution, the dearest operation,
+            # becomes one: a rewrite that adds cost.
+            ops = flat[3]
+            new = ops.copy()
+            new[int(np.argmax(ops != dearest))] = dearest
+            return new
 
-        monkeypatch.setattr(trainer, "infer_many", rewired)
+        monkeypatch.setattr(trainer, "_infer_ops", costlier)
         result = runner.invoke(main, ["optimize", "--in", graphs, "--policy", policy, "--out", out])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert errors == ["Error: optimized graph failed the cost audit"]
         assert not os.path.exists(out)
+
+
+    @pytest.mark.parametrize("decode", ["argmax", "sample"])
+    def test_overflowing_policy_is_one_line_error_writing_nothing(self, runner, tmp_path, decode):
+        """A finite checkpoint whose forward overflows: argmax of its NaN rows would pick a
+        masked action, and sampling would reject them."""
+        graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
+        out = tmp_path / "opt.txt"
+        assert runner.invoke(main, ["sample", "--count", "5", "--out", graphs]).exit_code == 0
+        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        for w in params.gcn + [params.fc]:
+            w *= 1e299
+        save_policy(params, policy)
+        args = ["optimize", "--in", graphs, "--policy", policy, "--decode", decode]
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: {policy}: non-finite policy output; nothing was written"
+        ]
+        assert not out.exists()
 
 
 class TestMissingInput:

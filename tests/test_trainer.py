@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,10 @@ from natforge.archgraph import (
     cost_non_increasing,
     encode,
     sample_uniform,
+    serialize_many,
     validate,
 )
+from natforge.cli import main
 from natforge.evaluator import OracleProvider, make_oracle
 from natforge.gcnpolicy import (
     NAT,
@@ -26,8 +29,10 @@ from natforge.gcnpolicy import (
     ascend_,
     forward,
     init_params,
+    load_policy,
     policy_gradient,
     sample_actions,
+    save_policy,
 )
 from natforge.trainer import (
     INFER_CHUNK,
@@ -298,6 +303,47 @@ class TestReferenceEquivalence:
 
     def test_empty_input(self, trained):
         assert infer_many(trained.policy, [], rng=np.random.default_rng(0)) == []
+
+
+class TestOptimizeCommand:
+    @pytest.mark.parametrize("decode", ["sample", "argmax"])
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_output_is_per_cell_reference_inference(self, tmp_path, monkeypatch, mode, decode):
+        """``natforge optimize`` writes ``serialize_many`` of ``reference_infer`` cell by cell
+        and leaves its generator where the per-cell loop leaves one."""
+        rng = np.random.default_rng(40)
+        cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(2 * INFER_CHUNK + 37)]
+        blocks = []
+        for g in cells:
+            header, *edges = serialize_many([g]).splitlines()
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+            edges.insert(int(rng.integers(len(edges) + 1)), "# a comment")
+            blocks.append("\n".join([header] + edges))
+        in_path, policy_path, out_path = (str(tmp_path / n) for n in ("in.txt", "p.json", "o.txt"))
+        with open(in_path, "w") as fh:
+            fh.write("\n\n".join(blocks) + "\n")
+        params = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        params.fc *= 3.0
+        save_policy(params, policy_path)
+        policy = load_policy(policy_path)
+        ref_rng = np.random.default_rng(9)
+        expected = serialize_many([reference_infer(policy, g, decode, ref_rng) for g in cells])
+
+        made = []
+        real = np.random.default_rng
+
+        def spy(seed):
+            made.append(real(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        args = ["optimize", "--in", in_path, "--policy", policy_path, "--decode", decode]
+        result = CliRunner().invoke(main, args + ["--seed", "9", "--out", out_path])
+        assert result.exit_code == 0, result.output
+        with open(out_path) as fh:
+            assert fh.read() == expected
+        assert len(made) == 1
+        assert made[0].bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDrawSet:
