@@ -5,7 +5,8 @@ every (edge slot, operation) pair, features are plain vectors instead of
 spatial tensors, and each operation keeps its character — convolutions are
 dense mixes, separable convolutions factor into a learned diagonal followed
 by a dense mix, dilated ones first rotate coordinates by the kernel size,
-pooling takes max/mean over circular coordinate windows, skip is identity,
+pooling takes max/mean over circular coordinate windows (computed from the
+shifted column slices of one circularly padded copy), skip is identity,
 and null is zero. A node is tanh of the sum of its two incoming edges, and a
 linear head classifies the concatenated intermediate nodes.
 
@@ -17,21 +18,28 @@ Both providers score a draw set in one call, ``score_many(graphs)``, and
 define the reward of a rewrite as ``score(alpha) - score(beta)``. Scores are
 pure, so a caller that draws n rewrites of one input cell scores the cell and
 its rewrites together, and the cell once. Under the supernet, an edge fed by
-an input node computes the same output for every cell scored under the same
-weights, so a ``SupernetProvider`` keeps each such (edge, operation) output
-from one ``score_many`` call to the next. It drops them all when the weights
-have changed: ``supernet_train_step`` counts its writes in ``SharedWeights``,
-and the provider starts a new memo when that count has moved. In training,
-the memo so lasts one θ phase. No output computed under older weights is
-ever reused. Writing into ``bank`` or the ``head_*`` arrays directly does not
-move the count, so scoring after such a write needs a new provider.
+an input node computes the same output for every cell scored on the same
+batch, so a ``SupernetProvider`` keeps these outputs from one ``score_many``
+call to the next, with two lifetimes. An operation without weights (the four
+pools, and skip, which is its input) gives one output for every edge slot,
+kept under its operation for the provider's life. A weighted (edge,
+operation) output is kept until the weights change: ``supernet_train_step``
+counts its writes in ``SharedWeights``, and the provider drops its weighted
+outputs when that count has moved, so in training they last one θ phase. The
+memo holds at most one (batch, feature) array, (256, 16) in training, per
+non-null weighted (edge, operation), plus one per weight-free operation. No
+output computed under older weights is ever reused. Writing into ``bank`` or
+the ``head_*`` arrays directly does not move the count, so scoring after such
+a write needs a new provider.
 
 The supernet kernels work on a cell's operation indices, the form
 ``CellGraph.ops`` stores. They dispatch through per-index tuples of type
 class and kernel size, read once from ``opspace``, and read parameters
 through ``SharedWeights.slots[e][o]``, which holds the same entry dicts as
-``bank``. The dilated rotation and its inverse are gathers through cached
-index arrays. None of this changes a bit of the results.
+``bank``. The dilated rotation and its inverse, and the circular pad of the
+pools, are gathers through cached index arrays; the max-pool backward
+gathers its windows from the cached input. None of this changes a bit of the
+results.
 
 ``supernet_train_step`` computes only what its SGD update reads. An edge
 computes its input gradient only when its source is an intermediate node;
@@ -54,6 +62,8 @@ import numpy as np
 from .archgraph import CellGraph, same_topology
 from .numkernel import (
     FORMAT_VERSION,
+    _arange,
+    _read_only,
     atomic_write,
     checkpoint_array,
     checkpoint_dim,
@@ -111,11 +121,6 @@ _KERNEL = tuple(op.kernel for op in OPERATIONS)
 _NULL = OperationKind.NULL.index
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @lru_cache(maxsize=64)
 def _windows(feature_dim: int, k: int) -> np.ndarray:
     """Circular window indices: row i holds coordinates i, i + 1, ..., i + k - 1 mod d."""
@@ -129,8 +134,9 @@ def _roll(feature_dim: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _arange(n: int) -> np.ndarray:
-    return _read_only(np.arange(n))
+def _pad(feature_dim: int, k: int) -> np.ndarray:
+    """Gather index of a circular pad: ``x[:, _pad(d, k)]`` is x, then columns 0 .. k - 2 mod d."""
+    return _read_only(np.arange(feature_dim + k - 1) % feature_dim)
 
 
 @dataclass
@@ -219,13 +225,23 @@ def _edge_forward(o: int, x: np.ndarray, entry: dict | None):
         xr = x[:, _roll(x.shape[1], _KERNEL[o])]
         u = xr * entry["diag"]
         return u @ entry["mix"], (xr, u)
-    win = _windows(x.shape[1], _KERNEL[o])
-    vals = x[:, win]  # (B, d, k)
+    d, k = x.shape[1], _KERNEL[o]
+    # Column j of window i is column i + j of the padded input, so column j of
+    # every window is one shifted slice, combined in window order as the
+    # reductions over a (B, d, k) window gather would combine them.
+    xp = x[:, _pad(d, k)]
     if tc is TypeClass.MAX_POOL:
+        y = np.maximum(xp[:, :d], xp[:, 1 : 1 + d])
+        for j in range(2, k):
+            np.maximum(y, xp[:, j : j + d], out=y)
         # The argmax is taken in backward, so a read-only forward skips it.
-        return np.maximum.reduce(vals, axis=2), (win, vals)
-    # ``vals.mean(axis=2)`` without its Python wrapper: the same sum and division.
-    return np.add.reduce(vals, axis=2) / win.shape[1], None
+        return y, x
+    # ``np.add.reduce`` starts a short sum from +0.0, which turns an all -0.0 window into +0.0.
+    y = xp[:, :d] + 0.0
+    for j in range(1, k):
+        y += xp[:, j : j + d]
+    y /= k
+    return y, None
 
 
 def _edge_backward(o: int, gy: np.ndarray, entry: dict | None, cache, need_dx: bool):
@@ -257,15 +273,15 @@ def _edge_backward(o: int, gy: np.ndarray, entry: dict | None, cache, need_dx: b
     if tc is TypeClass.SKIP:
         return None, gy
     b, d = gy.shape
+    k = _KERNEL[o]
     if tc is TypeClass.MAX_POOL:
-        win, vals = cache
-        cols = win[np.arange(d)[None, :], vals.argmax(axis=2)]
+        win = _windows(d, k)
+        cols = win[np.arange(d)[None, :], cache[:, win].argmax(axis=2)]
         # One input coordinate can be the max of several windows: accumulate.
         # ``bincount`` adds the flat (row, column) targets in input order from
         # 0.0, the same sums in the same order as ``np.add.at``.
         flat = (cols + d * np.arange(b)[:, None]).ravel()
         return None, np.bincount(flat, weights=gy.ravel(), minlength=b * d).reshape(b, d)
-    k = _KERNEL[o]
     gx = np.zeros_like(gy)
     # Window i feeds coordinate i + j (mod d) from its column j, so column j's
     # share of the gradient is g rolled by j: one gather per column, added in
@@ -286,7 +302,7 @@ def _forward_graph(
     ops: list[int],
     w: SharedWeights,
     x: np.ndarray,
-    memo: dict[tuple[int, int], np.ndarray] | None = None,
+    memo: dict | None = None,
 ):
     """Supernet forward over a batch; returns (logits, caches).
 
@@ -295,11 +311,17 @@ def _forward_graph(
     start from zeros only turns a -0.0 sum into +0.0, and adding 0.0 to the
     tanh does the same, so the nodes keep their exact bits.
 
-    With a ``memo``, the forward is read-only: an edge whose source is an
-    input node reads its output from ``memo[(edge index, operation index)]``,
-    computing and storing it on a miss, and keeps no backward cache. The
-    caller must pass the same batch with every use of one memo, and weights
-    that have not been written since its first use.
+    With a ``memo``, the forward is read-only and keeps no backward cache. An
+    edge whose source is an input node reads its output from the memo,
+    computing and storing it on a miss. Both input nodes are ``x``, so a
+    weighted operation's output depends on (edge, operation) and is keyed
+    ``(edge index, operation index)``, and a weight-free one's (pooling,
+    skip) on its operation alone and is keyed by its index. The memo so holds
+    at most one (batch, feature) array per non-null weighted (edge, operation)
+    plus one per weight-free operation: (256, 16) arrays when scoring in
+    training. The caller must pass the same batch with every use of one memo.
+    Weighted entries live until the weights are next written, as
+    ``SupernetProvider`` does; weight-free ones as long as the batch.
     """
     num_inter = len(ops) // 2
     slots = w.slots
@@ -314,13 +336,15 @@ def _forward_graph(
             if o == _NULL:
                 continue
             src = sources[e_idx]
+            entry = slots[e_idx][o]
             if memo is None or src >= 0:
-                y, edge_caches[e_idx] = _edge_forward(o, nodes[src], slots[e_idx][o])
+                y, edge_caches[e_idx] = _edge_forward(o, nodes[src], entry)
             else:
-                # Both input nodes are x, so the output depends on (edge, op) only.
-                y = memo.get((e_idx, o))
+                # Both input nodes are x: a weight-free output depends on the op alone.
+                key = o if entry is None else (e_idx, o)
+                y = memo.get(key)
                 if y is None:
-                    y = memo[e_idx, o] = _edge_forward(o, x, slots[e_idx][o])[0]
+                    y = memo[key] = _edge_forward(o, x, entry)[0]
             pre = y if pre is None else pre + y
         if pre is None:
             nodes[l] = np.zeros_like(x)
@@ -332,9 +356,7 @@ def _forward_graph(
     return logits, (nodes, edge_caches, feats)
 
 
-def _read_logits(
-    graph: CellGraph, w: SharedWeights, x: np.ndarray, memo: dict[tuple[int, int], np.ndarray]
-) -> np.ndarray:
+def _read_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray, memo: dict) -> np.ndarray:
     """Read-only forward of one cell, sharing ``memo`` as ``_forward_graph`` describes."""
     if graph.num_intermediate != w.num_intermediate:
         raise ValueError("graph and shared weights disagree on intermediate count")
@@ -393,7 +415,8 @@ def supernet_train_step(
     arrays and later graphs add to them in order, as ``_sum_into`` describes.
 
     The step counts itself in ``w._writes`` before it writes a weight, which
-    ends the input-fed edge memo of every ``SupernetProvider`` on ``w``.
+    ends the weighted input-fed edge outputs kept by every ``SupernetProvider``
+    on ``w``.
     """
     d = w.feature_dim
     slots = w.slots
@@ -591,26 +614,31 @@ class OracleProvider:
 class SupernetProvider:
     """Reward as validation-accuracy improvement under shared weights.
 
-    The provider keeps the output of each input-fed (edge, operation) it has
-    computed until ``supernet_train_step`` next writes ``w``: every call
-    first compares ``w._writes`` with the count its memo was made under, and
-    starts a new memo when the count has moved. The memo holds at most one
-    (batch, feature) array per non-null (edge, operation). Scores are exactly
-    those of one ``accuracy`` call per cell. Weights written other than by
-    ``supernet_train_step``, or a new ``x_val``, need a new provider.
+    The provider keeps the input-fed edge outputs it has computed, with two
+    lifetimes. A weight-free operation's output (pooling, skip) depends only
+    on ``x_val`` and is kept for the provider's life. A weighted (edge,
+    operation) output is kept until ``supernet_train_step`` next writes
+    ``w``: every call first compares ``w._writes`` with the count its
+    weighted entries were made under, and drops them when the count has
+    moved. The memo so holds at most one (batch, feature) array, (256, 16) in
+    training, per non-null weighted (edge, operation), plus one per
+    weight-free operation. Scores are exactly those of one ``accuracy`` call
+    per cell. Weights written other than by ``supernet_train_step``, or a new
+    ``x_val``, need a new provider.
     """
 
     def __init__(self, w: SharedWeights, x_val: np.ndarray, y_val: np.ndarray):
         self.w = w
         self.x_val = x_val
         self.y_val = y_val
-        self._memo: dict[tuple[int, int], np.ndarray] = {}
+        # Weighted outputs keyed (edge, op); weight-free ones keyed by the op index alone.
+        self._memo: dict = {}
         self._memo_writes = w._writes
 
     def score_many(self, graphs: Sequence[CellGraph]) -> list[float]:
         """Each cell's validation accuracy under the current shared weights, in order."""
         if self._memo_writes != self.w._writes:
-            self._memo = {}
+            self._memo = {key: y for key, y in self._memo.items() if type(key) is int}
             self._memo_writes = self.w._writes
         return [
             _fraction_correct(_read_logits(g, self.w, self.x_val, self._memo), self.y_val)

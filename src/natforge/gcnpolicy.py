@@ -22,8 +22,10 @@ gradient in the logits, the sum of its ``reward_logit_grad`` and the weighted
 entropy gradient (one pass per cell gives the entropy and its gradient), and
 ``backprop``, which carries a logit gradient through the cached GCN down to the
 first layer's weights and computes no gradient for the input features. The
-objective is linear in the logit gradient, so the trainer sums the draws of
-every cell and backprops once per step; ``policy_gradient`` is the two composed.
+objective is linear in the logit gradient, so the trainer forms the reward
+terms of a cell's n draws in one stacked pass (the private core that
+``reward_logit_grad`` wraps), sums the draws of every cell and backprops once
+per step; ``policy_gradient`` is the two composed.
 
 Operations enter as index arrays into ``OPERATIONS``, the form a
 ``CellGraph`` stores them in.
@@ -36,13 +38,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .archgraph import EncodingConfig, GraphEncoding
 from .numkernel import (
     FORMAT_VERSION,
+    _arange,
     atomic_write,
     bmsoftmax,
     checkpoint_array,
@@ -255,23 +258,37 @@ def reward_logit_grad(out: PolicyOutput, actions: np.ndarray, reward: float) -> 
     Raises ValueError naming the first edge whose action is outside [0, c)
     or cleared by its transition mask.
     """
-    if not math.isfinite(reward):
+    return _reward_logit_grads(out.Z, out.masks, np.asarray(actions)[None], [reward])[0]
+
+
+def _reward_logit_grads(
+    z: np.ndarray, masks: np.ndarray, actions: np.ndarray, rewards: Sequence[float]
+) -> np.ndarray:
+    """``reward_logit_grad`` of n draws of one cell's (K, c) ``z`` and ``masks`` at once:
+    (n, K) actions and n rewards give the (n, K, c) gradients, draw j's block the same
+    floats as its own call.
+
+    Raises ValueError on a non-finite reward, or naming the edge of the first
+    draw-major action that is outside [0, c) or cleared by its transition mask.
+    """
+    if not all(map(math.isfinite, rewards)):
         raise ValueError("reward must be finite")
-    z = out.Z
-    c = z.shape[1]
-    actions = np.asarray(actions)
+    k, c = z.shape
     # Checked before any indexing, where a negative action would wrap around.
-    if actions.size and (actions.min() < 0 or actions.max() >= c):
+    if actions.size and (
+        np.minimum.reduce(actions, axis=None) < 0 or np.maximum.reduce(actions, axis=None) >= c
+    ):
         bad = int(np.argmax((actions < 0) | (actions >= c)))
-        raise ValueError(f"action {actions[bad]} at edge {bad} is not in [0, {c})")
-    rows = np.arange(z.shape[0])
-    allowed = out.masks[rows, actions]
-    if not np.logical_and.reduce(allowed, axis=None):
+        raise ValueError(f"action {actions.flat[bad]} at edge {bad % k} is not in [0, {c})")
+    rows = _arange(k)
+    allowed = masks[rows, actions]
+    if np.count_nonzero(allowed) < allowed.size:
         bad = int(allowed.argmin())
-        raise ValueError(f"action at edge {bad} violates its transition mask")
-    grad_logp = -z
-    grad_logp[rows, actions] += 1.0
-    return reward * grad_logp
+        raise ValueError(f"action at edge {bad % k} violates its transition mask")
+    grad_logp = np.negative(z, out=np.empty(actions.shape + (c,)))
+    grad_logp[_arange(len(actions))[:, None], rows, actions] += 1.0
+    grad_logp *= np.array(rewards, dtype=float)[:, None, None]
+    return grad_logp
 
 
 def entropy_logit_grad(out: PolicyOutput) -> np.ndarray:

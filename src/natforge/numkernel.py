@@ -12,8 +12,20 @@ exactly zero probability to cleared bits and renormalizes over the rest.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 import numpy as np
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    """``np.arange(n)``, cached and read-only, for the index arrays of per-step loops."""
+    return _read_only(np.arange(n))
 
 
 def softmax(u: np.ndarray) -> np.ndarray:

@@ -42,8 +42,8 @@ from .gcnpolicy import (
     backprop,
     forward,
     init_params,
+    _reward_logit_grads,
     _sample_rows,
-    reward_logit_grad,
     sample_actions,
 )
 from .numkernel import atomic_write
@@ -169,7 +169,8 @@ def _draw(
 
 def _score(provider, betas: list[CellGraph], alphas: list[CellGraph], n: int) -> list[float]:
     """Each rewrite's score minus its cell's, from one ``score_many`` call per cell and its n
-    rewrites; the supernet provider's memo of input-fed edge outputs lasts one θ phase."""
+    rewrites; the supernet provider keeps its weighted input-fed edge outputs for one θ phase
+    and its weight-free ones for the run."""
     rewards = []
     for i, beta in enumerate(betas):
         base, *scores = provider.score_many([beta] + alphas[i * n : (i + 1) * n])
@@ -181,18 +182,22 @@ def _logit_grads(
     out: PolicyOutput, actions: np.ndarray, rewards: list[float], baseline: float, cfg: TrainConfig
 ) -> tuple[np.ndarray, list[float]]:
     """The step's logit gradient and each cell's entropy. One pass per cell gives its entropy
-    and entropy gradient, and each draw adds its ``reward_logit_grad`` plus the weighted
-    entropy gradient to its cell's row."""
+    and entropy gradient, one ``_reward_logit_grads`` call its n draws' reward terms, and each
+    term plus the weighted entropy gradient is added to the cell's row in draw order."""
+    n = cfg.n
     g_u = np.zeros(out.Z.shape)
     entropies = []
-    for i in range(len(out.Z)):
-        cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
-        entropy, h_grad = _entropy_terms(cell.Z)
+    for i, z in enumerate(out.Z):
+        entropy, h_grad = _entropy_terms(z)
         entropies.append(entropy)
-        h_term = cfg.entropy_weight * h_grad
-        for j in range(i * cfg.n, (i + 1) * cfg.n):
-            r_eff = rewards[j] - baseline if cfg.use_baseline else rewards[j]
-            g_u[i] += reward_logit_grad(cell, actions[j], r_eff) + h_term
+        r_eff = rewards[i * n : (i + 1) * n]
+        if cfg.use_baseline:
+            r_eff = [r - baseline for r in r_eff]
+        terms = _reward_logit_grads(z, out.masks[i], actions[i * n : (i + 1) * n], r_eff)
+        terms += cfg.entropy_weight * h_grad
+        row = g_u[i]
+        for term in terms:
+            row += term
     return g_u, entropies
 
 

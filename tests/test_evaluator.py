@@ -62,6 +62,31 @@ def _input_fed_pairs(graphs):
     }
 
 
+#: Operations without weights: their output on an input node is the same on every edge slot.
+_WEIGHT_FREE = {
+    op.index
+    for op in OPERATIONS
+    if op.type_class in (TypeClass.MAX_POOL, TypeClass.AVG_POOL, TypeClass.SKIP)
+}
+_POOLS = (
+    OperationKind.MAX_POOL_3X3,
+    OperationKind.MAX_POOL_5X5,
+    OperationKind.AVG_POOL_3X3,
+    OperationKind.AVG_POOL_5X5,
+)
+
+
+def _memo_keys(graphs):
+    """The scoring memo's keys for ``graphs``: each weighted input-fed (edge, op) pair, and
+    each weight-free operation on an input-fed edge by its index alone."""
+    return {o if o in _WEIGHT_FREE else (e, o) for e, o in _input_fed_pairs(graphs)}
+
+
+def _forwards(keys):
+    """The operation of each ``_edge_forward`` that computes ``keys``, counted."""
+    return Counter(key if key in _WEIGHT_FREE else key[1] for key in keys)
+
+
 def _spy_input_fed_forwards(monkeypatch, x, calls):
     """Append to ``calls`` the operation index of each ``_edge_forward`` on ``x`` itself.
 
@@ -635,6 +660,34 @@ class TestReferenceEquivalence:
             assert supernet_train_step(w, [g], x, y, 0.05) == _ref_train_step(ref, [g], x, y, 0.05)
             assert _same_weights(w, ref)
 
+    @pytest.mark.parametrize(
+        "pool, feature_dim",
+        [(pool, d) for pool in _POOLS for d in (16, 7)]
+        + [(OperationKind.MAX_POOL_5X5, 3), (OperationKind.AVG_POOL_5X5, 3)],
+        ids=lambda v: v.value if isinstance(v, OperationKind) else f"d{v}",
+    )
+    def test_pool_slices_match_window_reductions(self, pool, feature_dim):
+        # The window gather and reductions the shifted slices replace; at d = 3 a 5-wide
+        # window wraps past its start. Rounded inputs tie; rows of -0.0 and of mixed
+        # signed zeros fill whole windows; NaN and infinities spread through their windows.
+        rng = np.random.default_rng(67)
+        x = np.round(rng.standard_normal((512, feature_dim)))
+        x[:32] = -0.0
+        x[32:64] = rng.choice([-0.0, 0.0], size=(32, feature_dim))
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        x[64:128] = rng.choice(specials + [1.0, -1.0], size=(64, feature_dim))
+        vals = x[:, _windows(feature_dim, pool.kernel)]
+        # inf - inf in a sum is NaN, as it should be.
+        with np.errstate(invalid="ignore"):
+            if pool.type_class is TypeClass.MAX_POOL:
+                want = np.maximum.reduce(vals, axis=2)
+            else:
+                want = np.add.reduce(vals, axis=2) / pool.kernel
+            y, _ = evaluator._edge_forward(pool.index, x, None)
+        assert y.tobytes() == want.tobytes()
+        # An all -0.0 window keeps its max, but averages to +0.0: the sum starts from +0.0.
+        assert np.signbit(y[:32]).all() == (pool.type_class is TypeClass.MAX_POOL)
+
     @pytest.mark.parametrize("pool", [OperationKind.MAX_POOL_3X3, OperationKind.MAX_POOL_5X5])
     def test_max_pool_backward_matches_add_at(self, pool):
         # Rounded inputs tie inside most windows; NaN takes the argmax of its windows.
@@ -783,8 +836,13 @@ class TestDrawSetScoring:
                 for g in graphs:
                     got = evaluator._read_logits(g, w, x, memo)
                     assert got.tobytes() == _ref_forward_graph(g, w, x)[0].tobytes()
-                # The memo holds exactly the non-null edges fed by an input node.
-                assert set(memo) == _input_fed_pairs(graphs)
+                # The memo holds exactly the non-null edges fed by an input node, each
+                # weight-free operation once under its index.
+                assert set(memo) == _memo_keys(graphs)
+                for key, y in memo.items():
+                    if key in _WEIGHT_FREE:
+                        want_y = _ref_edge_forward(OPERATIONS[key], x, None)[0]
+                        assert y.tobytes() == want_y.tobytes()
 
     def test_intermediate_count_mismatch_rejected(self):
         w = init_shared(np.random.default_rng(61), 2)
@@ -820,14 +878,14 @@ class TestDrawSetScoring:
         for _ in range(2):
             beta = sample_uniform(4, rng)
             draw_sets.append([beta] + [_random_rewrite(beta, rng) for _ in range(8)])
-        first, second = (_input_fed_pairs(d) for d in draw_sets)
+        first, second = (_memo_keys(d) for d in draw_sets)
         # The second call needs some outputs the first computed, and some it did not.
         assert first & second and second - first
         calls = []
         _spy_input_fed_forwards(monkeypatch, x_val, calls)
         scores = [provider.score_many(d) for d in draw_sets]
-        # Each non-null input-fed (edge, op) is computed once over both calls.
-        assert Counter(calls) == Counter(o for _, o in first | second)
+        # Each weighted input-fed (edge, op) and each weight-free op is computed once.
+        assert Counter(calls) == _forwards(first | second)
         assert scores == [[accuracy(g, w, x_val, y_val) for g in d] for d in draw_sets]
 
     def test_memo_ends_when_the_weights_change(self, monkeypatch):
@@ -838,9 +896,13 @@ class TestDrawSetScoring:
         provider = SupernetProvider(w, x_val, y_val)
         beta = sample_uniform(4, rng)
         draw_set = [beta] + [_random_rewrite(beta, rng) for _ in range(8)]
-        want = Counter(o for _, o in _input_fed_pairs(draw_set))
+        keys = _memo_keys(draw_set)
+        weighted = {key for key in keys if key not in _WEIGHT_FREE}
+        # Weight-free outputs are kept when the weights change, weighted ones are not.
+        assert weighted and keys - weighted
         calls = []
         _spy_input_fed_forwards(monkeypatch, x_val, calls)
+        want = _forwards(keys)
         for _ in range(3):
             provider.score_many(draw_set)
             assert Counter(calls) == want
@@ -851,9 +913,39 @@ class TestDrawSetScoring:
             supernet_train_step(w, [sample_uniform(4, rng)], x, y, 0.1)
             # The step's own forward runs on its training batch, not on x_val.
             assert calls == []
+            want = _forwards(weighted)
         after = provider.score_many(draw_set)
         assert Counter(calls) == want
         assert after == [accuracy(g, w, x_val, y_val) for g in draw_set]
+
+    def test_kept_pool_outputs_score_like_accuracy_after_weight_steps(self):
+        # Every input-fed edge of the pool cells takes a pool, so each later score reads
+        # the weight-free outputs kept from before the steps.
+        rng = np.random.default_rng(66)
+        ds = make_dataset(66)
+        w = init_shared(rng, 4)
+        x_val, y_val = ds.val_batch(256)
+        provider = SupernetProvider(w, x_val, y_val)
+        topology = sample_uniform(4, rng)
+        cells = [
+            make_cell(topology.num_nodes, [replace(e, op=pool) for e in topology.edges])
+            for pool in _POOLS
+        ]
+        cells += [sample_uniform(4, rng) for _ in range(8)]
+        before = provider.score_many(cells)
+        kept = {key: y for key, y in provider._memo.items() if key in _WEIGHT_FREE}
+        assert set(kept) >= {pool.index for pool in _POOLS}
+        for _ in range(5):
+            x, y = ds.train_batch(rng, 64)
+            supernet_train_step(w, [sample_uniform(4, rng)], x, y, 0.1)
+        after = provider.score_many(cells)
+        assert after == [accuracy(g, w, x_val, y_val) for g in cells]
+        assert after != before
+        for key, y in kept.items():
+            assert provider._memo[key] is y
+        for g in cells:
+            got = evaluator._read_logits(g, w, x_val, provider._memo)
+            assert got.tobytes() == _ref_forward_graph(g, w, x_val)[0].tobytes()
 
 
 class TestTrainerScoring:
@@ -927,6 +1019,28 @@ class TestTrainerScoring:
         trainer.run(cfg)
         assert len(phases) == cfg.epochs
         ends = [start for start, _ in phases[1:]] + [len(forwards)]
+        seen = set()
         for (start, scored), end in zip(phases, ends):
             assert len(scored) == cfg.iters_theta * (cfg.n + 1)
-            assert Counter(forwards[start:end]) == Counter(o for _, o in _input_fed_pairs(scored))
+            # Each weighted pair once per θ phase, each weight-free op once per run.
+            keys = _memo_keys(scored)
+            assert Counter(forwards[start:end]) == _forwards(keys - seen)
+            seen |= {key for key in keys if key in _WEIGHT_FREE}
+
+    def test_pool_forwards_per_supernet_train_run(self, monkeypatch):
+        # The benchmark's supernet-train recipe at seed 0: at most one forward per pool.
+        forwards = []
+
+        class Recording(SupernetProvider):
+            def __init__(self, w, x_val, y_val):
+                super().__init__(w, x_val, y_val)
+                _spy_input_fed_forwards(monkeypatch, x_val, forwards)
+
+        monkeypatch.setattr(trainer, "SupernetProvider", Recording)
+        cfg = TrainConfig(
+            mode="nat++", provider="supernet", n=8, use_baseline=True, entropy_weight=0.1,
+            epochs=10, seed=0,
+        )
+        trainer.run(cfg)
+        pools = Counter(o for o in forwards if o in {pool.index for pool in _POOLS})
+        assert set(pools.values()) == {1} and len(pools) <= 4

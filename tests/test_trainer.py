@@ -25,12 +25,14 @@ from natforge.gcnpolicy import (
     NATPP,
     ParamGrads,
     PolicyOutput,
+    _entropy_terms,
     actions_to_ops,
     ascend_,
     forward,
     init_params,
     load_policy,
     policy_gradient,
+    reward_logit_grad,
     sample_actions,
     save_policy,
 )
@@ -147,7 +149,10 @@ class TestRun:
 
     def test_non_finite_policy_weights_raise(self, monkeypatch):
         # A NaN logit gradient gives NaN weights, caught after the update.
-        monkeypatch.setattr(trainer, "reward_logit_grad", lambda *args: np.nan)
+        def nan_terms(z, masks, actions, rewards):
+            return np.full((len(actions),) + z.shape, np.nan)
+
+        monkeypatch.setattr(trainer, "_reward_logit_grads", nan_terms)
         with pytest.raises(FloatingPointError, match="^non-finite policy weights at iteration 1$"):
             trainer.run(TrainConfig(seed=0, **FAST))
 
@@ -383,6 +388,99 @@ class TestDrawSet:
         assert np.array_equal(drawn.reshape(m * n, -1), np.stack(ref_actions))
         assert alphas == ref_alphas
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_reward_logit_grad(z, actions, reward):
+    """One draw's reward term, with the arithmetic of a per-draw ``reward_logit_grad``."""
+    grad_logp = -z
+    grad_logp[np.arange(len(z)), actions] += 1.0
+    return reward * grad_logp
+
+
+def reference_logit_grads(out, actions, rewards, baseline, cfg):
+    """``trainer._logit_grads`` as one reward term per draw, each plus the weighted entropy
+    gradient added to its cell's row in draw order."""
+    g_u = np.zeros(out.Z.shape)
+    entropies = []
+    for i in range(len(out.Z)):
+        cell = PolicyOutput(Z=out.Z[i], masks=out.masks[i])
+        entropy, h_grad = _entropy_terms(cell.Z)
+        entropies.append(entropy)
+        h_term = cfg.entropy_weight * h_grad
+        for j in range(i * cfg.n, (i + 1) * cfg.n):
+            r_eff = rewards[j] - baseline if cfg.use_baseline else rewards[j]
+            g_u[i] += reference_reward_logit_grad(cell.Z, actions[j], r_eff) + h_term
+    return g_u, entropies
+
+
+class TestStackedLogitGrads:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([NAT, NATPP]),
+        m=st.integers(1, 3),
+        n=st.sampled_from([1, 3, 8]),
+        use_baseline=st.booleans(),
+        entropy_weight=st.sampled_from([0.0, 0.1]),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+    )
+    def test_equals_per_draw_reward_logit_grad(
+        self, seed, mode, m, n, use_baseline, entropy_weight, scale
+    ):
+        # With no entropy weight and a zero reward, a term can be -0.0, which the
+        # row's sum from +0.0 turns into +0.0.
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(
+            mode=mode, m=m, n=n, use_baseline=use_baseline, entropy_weight=entropy_weight
+        )
+        policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        policy.fc *= scale
+        betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(m)]
+        out, _, actions = trainer._draw(betas, policy, rng, n)
+        # Accuracy differences: multiples of 1/256 with signed zeros among them.
+        rewards = (rng.integers(-3, 4, size=m * n) / 256).tolist()
+        rewards[0] = -0.0
+        baseline = float(rng.choice([0.0, -0.0, 0.01]))
+        g_u, entropies = trainer._logit_grads(out, actions, rewards, baseline, cfg)
+        ref_g_u, ref_entropies = reference_logit_grads(out, actions, rewards, baseline, cfg)
+        assert g_u.tobytes() == ref_g_u.tobytes()
+        assert entropies == ref_entropies
+        cell = PolicyOutput(Z=out.Z[0], masks=out.masks[0])
+        for j in range(n):
+            want = reference_reward_logit_grad(cell.Z, actions[j], rewards[j])
+            assert reward_logit_grad(cell, actions[j], rewards[j]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_bad_draws_raise_reward_logit_grad_messages(self, mode):
+        rng = np.random.default_rng(33)
+        cfg = TrainConfig(mode=mode, m=2, n=3)
+        policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
+        out, _, actions = trainer._draw(betas, policy, rng, cfg.n)
+        rewards = [0.01] * (cfg.m * cfg.n)
+        c = policy.num_actions
+        bad = [("action", 4, 5, c, rf"^action {c} at edge 5 is not in \[0, {c}\)$")]
+        bad.append(("action", 2, 0, -1, rf"^action -1 at edge 0 is not in \[0, {c}\)$"))
+        bad.append(("reward", 1, None, float("nan"), "^reward must be finite$"))
+        bad.append(("reward", 5, None, float("inf"), "^reward must be finite$"))
+        if mode == NATPP:
+            # Draw 4 (cell 1) takes the first cleared bit of the first edge that has one.
+            edge = int(np.argmin(out.masks[1].min(axis=1)))
+            masked = int(np.argmin(out.masks[1, edge]))
+            assert not out.masks[1, edge, masked]
+            message = f"^action at edge {edge} violates its transition mask$"
+            bad.append(("action", 4, edge, masked, message))
+        for kind, j, edge, value, message in bad:
+            a, r = actions.copy(), list(rewards)
+            if kind == "action":
+                a[j, edge] = value
+            else:
+                r[j] = value
+            cell = PolicyOutput(Z=out.Z[j // cfg.n], masks=out.masks[j // cfg.n])
+            with pytest.raises(ValueError, match=message):
+                reward_logit_grad(cell, a[j], r[j])
+            with pytest.raises(ValueError, match=message):
+                trainer._logit_grads(out, a, r, 0.0, cfg)
 
 
 class TestDrawIsSampledInference:
