@@ -11,9 +11,11 @@ to-skip}, all three always allowed: its mask is all ones, which makes
 BMSoftmax the plain softmax, bit for bit.
 
 ``forward`` takes one cell or a stack of same-size cells and maps every
-intermediate node through the head in one stacked product. Its output always
+intermediate node through the head in one stacked product. Its output
 carries a backprop cache of the intermediates, so a policy step runs the
-forward pass once.
+forward pass once. Inference, which never backprops, runs the same private
+core without the cache: the same ``Z`` and ``masks`` bytes, and no activation
+outlives the call.
 
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
@@ -109,7 +111,8 @@ class PolicyOutput:
     """Per-edge action distributions and the masks that shaped them.
 
     ``cache`` holds the intermediates of the ``forward`` call that produced
-    the output; it is None only for an output built by hand.
+    the output; it is None for an output of inference's cache-free pass or
+    one built by hand.
     """
 
     Z: np.ndarray
@@ -151,6 +154,14 @@ def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> Policy
     through ``fc`` in one stacked product, and the output carries the
     backprop cache.
     """
+    return _forward(enc, ops, params, cache=True)
+
+
+def _forward(
+    enc: GraphEncoding, ops: np.ndarray, params: PolicyParams, cache: bool
+) -> PolicyOutput:
+    """``forward``'s checks and pass. With ``cache`` False the output's ``cache`` is None and
+    no activation outlives the call; ``Z`` and ``masks`` are the same bytes either way."""
     a, x = enc.adjacency, enc.features
     index = np.asarray(ops)
     num_inter = a.shape[-1] - 3
@@ -164,23 +175,33 @@ def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> Policy
             f"feature dim {x.shape[-1]} does not match controller input "
             f"{params.gcn[0].shape[0]}"
         )
+    # Each activation is dropped once the next one is computed, so without the
+    # cache at most two of them are alive at a time.
     h = x
     ahs = []
     pres = []
     for w in params.gcn[:-1]:
-        ahs.append(a @ h)
-        pre = ahs[-1] @ w
-        pres.append(pre)
+        ah = a @ h
+        pre = ah @ w
+        if cache:
+            ahs.append(ah)
+            pres.append(pre)
+        del ah
         h = np.maximum(pre, 0.0)
-    ahs.append(a @ h)
-    m = ahs[-1] @ params.gcn[-1]
+        del pre
+    ah = a @ h
+    del h
+    m = ah @ params.gcn[-1]
+    if cache:
+        ahs.append(ah)
+    del ah
+    kept = BackpropCache(a, ahs, pres, m) if cache else None
 
     c = params.num_actions
     logits = (m[..., 2 : 2 + num_inter, :] @ params.fc).reshape(a.shape[:-2] + (k, c))
+    del m
     masks = _MASKS[params.mode][index]
-    return PolicyOutput(
-        Z=bmsoftmax(logits, masks), masks=masks, cache=BackpropCache(a, ahs, pres, m)
-    )
+    return PolicyOutput(Z=bmsoftmax(logits, masks), masks=masks, cache=kept)
 
 
 #: Tolerance on a row's probability sum, the one ``Generator.choice`` applies.

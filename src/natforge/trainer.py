@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gcnpolicy
 from .archgraph import CellGraph, EncodingConfig, apply_transitions, encode, sample_uniform
-from .archgraph import GraphEncoding, _cell, _checked_ops, _encode, _flat
+from .archgraph import _cell, _checked_ops, _encode, _flat
 from .evaluator import (
     OracleProvider,
     PlantedOracle,
@@ -37,6 +37,7 @@ from .gcnpolicy import (
     PolicyOutput,
     PolicyParams,
     _entropy_terms,
+    _forward,
     actions_to_ops,
     argmax_actions,
     backprop,
@@ -142,9 +143,8 @@ def _w_step(shared: SharedWeights, dataset, rng, cfg: TrainConfig, step: int) ->
     return loss
 
 
-def _policy_output(enc: GraphEncoding, ops: np.ndarray, policy: PolicyParams) -> PolicyOutput:
-    """``forward``; a non-finite output (the policy overflows) raises ``FloatingPointError``."""
-    out = forward(enc, ops, policy)
+def _checked_output(out: PolicyOutput) -> PolicyOutput:
+    """``out``; a non-finite output (the policy overflows) raises ``FloatingPointError``."""
     if not np.logical_and.reduce(np.isfinite(out.Z), axis=None):
         raise FloatingPointError("non-finite policy output")
     return out
@@ -157,7 +157,7 @@ def _draw(
     ``sample_actions`` call over each cell's rows repeated n times, with the uniforms of n
     calls per cell, and one group ``apply_transitions``; rewrite i·n + j is cell i's draw j."""
     ops = np.array([b.ops for b in betas])
-    out = _policy_output(encode(betas, EncodingConfig(i_max=policy.i_max)), ops, policy)
+    out = _checked_output(forward(encode(betas, EncodingConfig(i_max=policy.i_max)), ops, policy))
     rows = PolicyOutput(Z=_per_draw(out.Z, n), masks=_per_draw(out.masks, n))
     drawn = sample_actions(rows, rng)
     alphas = apply_transitions(
@@ -273,7 +273,8 @@ def infer_many(
 ) -> list[CellGraph]:
     """Optimize every input cell with one policy application each, in input order.
 
-    ``_infer_ops`` on the cells' flat form; each result keeps its input's ``sources``.
+    ``_infer_ops`` on the cells' flat form, which runs the policy without a backprop
+    cache; each result keeps its input's ``sources``.
     """
     flat = _flat(graphs)
     new = _infer_ops(policy, flat, decode, rng)
@@ -288,7 +289,9 @@ def _infer_ops(
     for range and against ``VALID``; a non-finite policy output raises ``FloatingPointError``.
 
     The cells are taken in chunks of ``INFER_CHUNK``. Within a chunk, the cells
-    of each node count share one batched ``forward`` and are decoded together.
+    of each node count share one batched pass of ``forward``'s core that keeps
+    no backprop cache (the same ``Z`` bytes), and are decoded together; the
+    group's encoding and output are freed before the next group allocates.
     A cell's rows do not depend on the other cells of its group, and one
     ``rng.random`` call per chunk draws one uniform per edge in input order, so
     the results and the generator stream are those of one call per cell.
@@ -311,11 +314,14 @@ def _infer_ops(
             edges = (bounds[start + np.flatnonzero(chunk == n)][:, None] + np.arange(k)).ravel()
             current = ops[edges].reshape(-1, k)
             enc = _encode(n, sources[edges].reshape(-1, k), current, EncodingConfig(policy.i_max))
-            out = _policy_output(enc, current, policy)
+            out = _checked_output(_forward(enc, current, policy, cache=False))
             if decode == "argmax":
                 actions = argmax_actions(out).ravel()
             else:
                 actions = _sample_rows(out.Z.reshape(-1, policy.num_actions), u[edges - first])
+            # Freed before the next group allocates, so that group reuses these heap
+            # pages rather than faulting in fresh ones after glibc trims the heap.
+            del enc, out
             new[edges] = actions_to_ops(policy.mode, current.ravel(), actions)
     return _checked_ops(ops, new, np.diff(bounds))
 

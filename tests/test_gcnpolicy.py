@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from natforge.archgraph import (
@@ -21,6 +23,7 @@ from natforge.gcnpolicy import (
     PolicyOutput,
     PolicyParams,
     _entropy_terms,
+    _forward,
     actions_to_ops,
     argmax_actions,
     ascend_,
@@ -512,6 +515,33 @@ class TestReferenceEquivalence:
         out = PolicyOutput(Z=np.full((8, 3), 1 / 3), masks=np.ones((8, 3), dtype=int))
         with pytest.raises(ValueError, match="cache"):
             policy_gradient(out, params, np.zeros(8, dtype=int), 1.0, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([NAT, NATPP]),
+        depth=st.integers(1, 3),
+        num_intermediate=st.integers(1, 4),
+        count=st.integers(1, 40),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+    )
+    def test_cache_free_pass_is_forward_without_its_cache(
+        self, seed, mode, depth, num_intermediate, count, scale
+    ):
+        """Inference's pass gives ``forward``'s bytes on a stacked group and keeps no cache,
+        so ``backprop`` rejects its output."""
+        rng = np.random.default_rng(seed)
+        params = init_params(mode, LAYOUT.feature_dim, rng, depth=depth)
+        params.fc *= scale
+        cells = [sample_uniform(num_intermediate, rng) for _ in range(count)]
+        enc, ops = encode(cells, LAYOUT), np.array([g.ops for g in cells])
+        out = forward(enc, ops, params)
+        bare = _forward(enc, ops, params, cache=False)
+        assert same_bytes(bare.Z, out.Z)
+        assert same_bytes(bare.masks, out.masks)
+        assert out.cache is not None and bare.cache is None
+        with pytest.raises(ValueError, match="^policy output has no backprop cache"):
+            backprop(bare, params, np.zeros(bare.Z.shape))
 
     def test_backprop_rejects_mismatched_logit_gradient(self):
         params = init_params(NAT, LAYOUT.feature_dim, np.random.default_rng(26))

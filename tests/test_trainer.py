@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natforge import trainer
+from natforge import gcnpolicy, trainer
 from natforge.archgraph import (
     EncodingConfig,
     apply_transitions,
@@ -349,6 +349,48 @@ class TestOptimizeCommand:
             assert fh.read() == expected
         assert len(made) == 1
         assert made[0].bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestCacheFreeInference:
+    """Inference runs the policy's cache-free pass, never the training ``forward``."""
+
+    @pytest.mark.parametrize("decode", ["sample", "argmax"])
+    def test_inference_runs_without_forward(self, tmp_path, monkeypatch, decode):
+        rng = np.random.default_rng(41)
+        cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(2 * INFER_CHUNK + 37)]
+        in_path, policy_path, out_path = (str(tmp_path / n) for n in ("in.txt", "p.json", "o.txt"))
+        with open(in_path, "w") as fh:
+            fh.write(serialize_many(cells))
+        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, rng)
+        params.fc *= 3.0
+        save_policy(params, policy_path)
+        policy = load_policy(policy_path)
+        ref_rng = np.random.default_rng(9)
+        expected = [reference_infer(policy, g, decode, ref_rng) for g in cells]
+
+        def no_forward(*args):
+            raise AssertionError("inference called the training forward")
+
+        monkeypatch.setattr(gcnpolicy, "forward", no_forward)
+        monkeypatch.setattr(trainer, "forward", no_forward)
+        assert infer_many(policy, cells, decode=decode, rng=np.random.default_rng(9)) == expected
+        args = ["optimize", "--in", in_path, "--policy", policy_path, "--decode", decode]
+        result = CliRunner().invoke(main, args + ["--seed", "9", "--out", out_path])
+        assert result.exit_code == 0, result.output
+        with open(out_path) as fh:
+            assert fh.read() == serialize_many(expected)
+
+    @pytest.mark.parametrize("decode", ["sample", "argmax"])
+    def test_overflowing_policy_raises(self, decode):
+        rng = np.random.default_rng(42)
+        policy = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, rng)
+        for w in policy.gcn + [policy.fc]:
+            w *= 1e299
+        cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(20)]
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="^non-finite policy output$"
+        ):
+            infer_many(policy, cells, decode=decode, rng=rng)
 
 
 class TestDrawSet:
