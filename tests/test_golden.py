@@ -118,6 +118,12 @@ AUDIT = {
     (1000000, 10000): "4e7b838eb15445d16f67bad86aeb9e33c342f3f7df5a9d86d2b1fcc9a1656ca6",
 }
 
+#: sha256 of the CSV of ``natforge cost`` on the mixed file at (--channels, --hw);
+#: the last geometry has per-cell totals beyond the int64 range.
+COST = {
+    (128, 32): "d5aeb618b8d0d27c2a8d240d4ee5d1b870dcca5714b9f8668081dfe3bcb40357",
+    (1000000, 10000): "f3b070e410baae312168c93cf301a89d33a1acbb7e86cfa71387d7ee3e4b98bb",
+}
 
 #: sha256 of the ``.manifest.json`` of each command that records its flags,
 #: run as ``MANIFEST_ARGS`` with relative paths in an empty directory: it pins
@@ -233,6 +239,14 @@ def test_optimize_bytes(runs, mixed_cells, tmp_path, name, decode):
          "--seed", "5", "--out", out]
     )
     assert sha(out) == OPTIMIZE[(name, decode)]
+
+
+@pytest.mark.parametrize("channels,hw", sorted(COST))
+def test_cost_bytes(mixed_cells, tmp_path, channels, hw):
+    out = str(tmp_path / "costs.csv")
+    invoke(["cost", "--in", mixed_cells, "--channels", str(channels), "--hw", str(hw),
+            "--out", out])
+    assert sha(out) == COST[(channels, hw)]
 
 
 def test_manifest_bytes(runs):
