@@ -22,11 +22,11 @@ their legal range, and a rewrite reuses its input's sources and checks only
 the new operations, for range and against ``VALID``. So encoding,
 serialization, the cost audit and the reward providers never re-check a cell.
 
-Parsing, encoding, rewriting, the cost audit and serialization each have a
-private core over the flat form of many cells, ``(nodes, bounds, sources,
-ops)``: node counts, per-cell edge offsets and the concatenated edge arrays.
-The public functions wrap them, and ``natforge optimize`` runs on that form
-from file read to file write without building a ``CellGraph``.
+Parsing, encoding, rewriting and serialization each have a private core
+over the flat form of many cells, ``(nodes, bounds, sources, ops)``: node
+counts, per-cell edge offsets and the concatenated edge arrays. The public
+functions wrap them, and ``natforge optimize`` runs on that form from file
+read to file write without building a ``CellGraph``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .opspace import (
     CostConfig,
     OperationKind,
     VALID,
-    cost_of_op,
     non_increasing_table,
+    op_costs,
     op_from_name,
 )
 
@@ -437,39 +437,24 @@ class CostReport:
 
 def cost_of(graph: CellGraph, cfg: CostConfig = CostConfig()) -> CostReport:
     """Sum the per-edge analytic costs of a cell."""
-    costs = [cost_of_op(OPERATIONS[o], cfg) for o in graph.ops.tolist()]
-    return CostReport(
-        total_params=sum(c.params for c in costs),
-        total_madds=sum(c.madds for c in costs),
-    )
+    costs = op_costs(cfg)
+    params, madds = zip(*(costs[o] for o in graph.ops.tolist()))
+    return CostReport(total_params=sum(params), total_madds=sum(madds))
 
 
 def cost_non_increasing(
-    before: CellGraph | Sequence[CellGraph],
-    after: CellGraph | Sequence[CellGraph],
-    cfg: CostConfig = CostConfig(),
+    before: CellGraph, after: CellGraph, cfg: CostConfig = CostConfig()
 ) -> bool:
-    """Per-edge cost audit of transition results against their inputs.
+    """Per-edge cost audit of a transition result against its input.
 
-    Takes one pair of cells, or two equal-length sequences of cells paired
-    in order. True iff each pair shares a topology and every edge's params
-    and madds are non-increasing, except the whitelisted null->skip
-    replacement. A rewired result is not a rewrite of its input, so it
-    fails the audit. All edges are one lookup in ``non_increasing_table(cfg)``.
+    True iff both cells share a topology and every edge's params and madds
+    are non-increasing, except the whitelisted null->skip replacement. A
+    rewired result is not a rewrite of its input, so it fails the audit. All
+    edges are one lookup in ``non_increasing_table(cfg)``.
     """
-    if isinstance(before, CellGraph):
-        before, after = [before], [after]
-    if len(before) != len(after) or not all(map(same_topology, before, after)):
-        return False
-    if not before:
-        return True
-    ops = [np.concatenate([g.ops for g in cells]) for cells in (before, after)]
-    return _ops_non_increasing(*ops, cfg)
-
-
-def _ops_non_increasing(before: np.ndarray, after: np.ndarray, cfg: CostConfig) -> bool:
-    """True iff no edge's rewrite ``before[i] -> after[i]`` costs more, by one table lookup."""
-    return bool(non_increasing_table(cfg)[before, after].all())
+    return same_topology(before, after) and bool(
+        non_increasing_table(cfg)[before.ops, after.ops].all()
+    )
 
 
 def assignment_count(num_intermediate: int, vocab_size: int = NUM_OPERATIONS) -> int:

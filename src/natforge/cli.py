@@ -19,7 +19,6 @@ import numpy as np
 
 from . import trainer
 from .archgraph import (
-    _ops_non_increasing,
     _parse,
     _serialize,
     cost_of,
@@ -31,7 +30,7 @@ from .archgraph import (
 from .evaluator import SupernetProvider, load_shared, make_dataset, save_shared
 from .gcnpolicy import load_policy, save_policy
 from .numkernel import atomic_write
-from .opspace import CostConfig, audit_rows, audit_violations
+from .opspace import CostConfig, audit_rows, audit_violations, non_increasing_table
 from .trainer import TrainConfig
 
 
@@ -244,7 +243,7 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
     except FloatingPointError as exc:
         raise click.ClickException(f"{policy_path}: {exc}; nothing was written") from None
     # Each rewrite keeps its input's sources, so the audit compares operations only.
-    if not _ops_non_increasing(ops, new, CostConfig()):
+    if not non_increasing_table(CostConfig())[ops, new].all():
         raise click.ClickException("optimized graph failed the cost audit")
     atomic_write(out_path, _serialize(nodes, bounds, sources, new))
     _write_manifest(out_path, _flags())

@@ -13,8 +13,10 @@ Each rule is stated once, and everything else is derived from it:
 
 * the vocabulary: the ``OperationKind`` members, each with its name, type
   class, kernel and index;
-* validity: ``is_valid_transition_natpp``, tabulated as ``VALID`` and as
-  the per-source ``transition_mask``;
+* validity: ``is_valid_transition_natpp``, tabulated as ``VALID``, whose row
+  ``transition_mask(source)`` is one source's mask;
+* cost: ``params_of`` and ``madds_of``, tabulated per geometry as
+  ``op_costs``;
 * the cost audit: ``non_increasing_table`` (params and madds do not grow)
   plus ``WHITELISTED_TRANSITIONS``. A violation is a valid transition the
   table rejects.
@@ -135,18 +137,6 @@ class CostConfig:
             )
 
 
-@dataclass(frozen=True)
-class OpCost:
-    """Parameter and multiply-add counts for one operation instance."""
-
-    params: int
-    madds: int
-
-    def __post_init__(self) -> None:
-        if self.params < 0 or self.madds < 0:
-            raise ValueError("costs must be non-negative")
-
-
 def params_of(op: OperationKind, cfg: CostConfig) -> int:
     """Closed-form parameter count.
 
@@ -182,8 +172,14 @@ def madds_of(op: OperationKind, cfg: CostConfig) -> int:
     return 0
 
 
-def cost_of_op(op: OperationKind, cfg: CostConfig) -> OpCost:
-    return OpCost(params_of(op, cfg), madds_of(op, cfg))
+@lru_cache(maxsize=64)
+def op_costs(cfg: CostConfig) -> tuple[tuple[int, int], ...]:
+    """``(params_of(op, cfg), madds_of(op, cfg))`` of every operation, by its index.
+
+    Tables are cached by the (frozen, hashable) ``CostConfig``, for the 64
+    geometries used last.
+    """
+    return tuple((params_of(op, cfg), madds_of(op, cfg)) for op in OPERATIONS)
 
 
 def nat_actions(source: OperationKind) -> tuple[OperationKind, OperationKind, OperationKind]:
@@ -206,28 +202,6 @@ def is_valid_transition_natpp(src: OperationKind, dst: OperationKind) -> bool:
     return _STAGE[dst.type_class] >= _STAGE[src.type_class] and dst.kernel <= src.kernel
 
 
-@dataclass(frozen=True)
-class TransitionMask:
-    """Binary validity vector over the 13 operations for one source."""
-
-    source: OperationKind
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != NUM_OPERATIONS:
-            raise ValueError("mask must have one bit per operation")
-        if self.bits[self.source.index] != 1:
-            raise ValueError("staying unchanged must be valid")
-        if not any(self.bits):
-            raise ValueError("mask must have at least one set bit")
-
-    def ops(self) -> tuple[OperationKind, ...]:
-        return tuple(op for op in OPERATIONS if self.bits[op.index])
-
-    def popcount(self) -> int:
-        return sum(self.bits)
-
-
 def _validity_table() -> np.ndarray:
     table = np.array(
         [[int(is_valid_transition_natpp(src, dst)) for dst in OPERATIONS] for src in OPERATIONS],
@@ -242,16 +216,10 @@ def _validity_table() -> np.ndarray:
 #: stays the single definition of the rule.
 VALID = _validity_table()
 
-_MASKS = tuple(TransitionMask(op, tuple(int(b) for b in VALID[op.index])) for op in OPERATIONS)
 
-
-def transition_mask(source: OperationKind) -> TransitionMask:
-    """Validity mask for one source operation under the joint rule.
-
-    Masks are frozen and prebuilt from ``VALID``, so every call for the same
-    source returns the same shared object.
-    """
-    return _MASKS[source.index]
+def transition_mask(source: OperationKind) -> np.ndarray:
+    """Read-only 0/1 validity mask of one source operation: the row ``VALID[source.index]``."""
+    return VALID[source.index]
 
 
 @lru_cache(maxsize=64)
@@ -259,20 +227,17 @@ def non_increasing_table(cfg: CostConfig) -> np.ndarray:
     """Read-only 13x13 bool table of the per-edge cost audit at one geometry.
 
     ``table[src.index, dst.index]`` is True iff replacing src by dst keeps
-    both params and madds from growing under ``cost_of_op``, or the pair is in
-    ``WHITELISTED_TRANSITIONS``; those two stay the only rule definitions.
-    Tables are cached by the (frozen, hashable) ``CostConfig``, for the 64
-    geometries used last.
+    both params and madds in ``op_costs(cfg)`` from growing, or the pair is in
+    ``WHITELISTED_TRANSITIONS``. Tables are cached like ``op_costs``.
     """
-    costs = [cost_of_op(op, cfg) for op in OPERATIONS]
+    costs = op_costs(cfg)
     table = np.array(
         [
             [
-                (src, dst) in WHITELISTED_TRANSITIONS
-                or (cd.params <= cs.params and cd.madds <= cs.madds)
-                for dst, cd in zip(OPERATIONS, costs)
+                (src, dst) in WHITELISTED_TRANSITIONS or (pd <= ps and md <= ms)
+                for dst, (pd, md) in zip(OPERATIONS, costs)
             ]
-            for src, cs in zip(OPERATIONS, costs)
+            for src, (ps, ms) in zip(OPERATIONS, costs)
         ]
     )
     table.flags.writeable = False
@@ -285,18 +250,18 @@ def audit_rows(cfg: CostConfig) -> list[dict]:
     Each row carries ``from``, ``to``, ``valid``, ``whitelisted``,
     ``params_delta``, and ``madds_delta``, in ``VALID``'s row-major order.
     """
-    costs = [cost_of_op(op, cfg) for op in OPERATIONS]
+    costs = op_costs(cfg)
     return [
         {
             "from": src.value,
             "to": dst.value,
             "valid": int(VALID[src.index, dst.index]),
             "whitelisted": int((src, dst) in WHITELISTED_TRANSITIONS),
-            "params_delta": cd.params - cs.params,
-            "madds_delta": cd.madds - cs.madds,
+            "params_delta": pd - ps,
+            "madds_delta": md - ms,
         }
-        for src, cs in zip(OPERATIONS, costs)
-        for dst, cd in zip(OPERATIONS, costs)
+        for src, (ps, ms) in zip(OPERATIONS, costs)
+        for dst, (pd, md) in zip(OPERATIONS, costs)
     ]
 
 

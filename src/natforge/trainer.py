@@ -48,7 +48,7 @@ from .gcnpolicy import (
     sample_actions,
 )
 from .numkernel import atomic_write
-from .opspace import OperationKind, transition_mask
+from .opspace import VALID
 
 
 @dataclass(frozen=True)
@@ -365,14 +365,13 @@ def random_policy_match_rate() -> float:
     """Expected edge-match rate of uniform random valid transitions.
 
     The planted optimum is always inside the source's mask, so a uniform
-    choice among valid targets hits it with probability 1/popcount(mask),
-    averaged over the 13 source operations.
+    choice among valid targets hits it with probability one over the
+    source's row sum of ``VALID``, averaged over the 13 source operations.
     """
-    rates = [1.0 / transition_mask(op).popcount() for op in OperationKind]
-    return float(np.mean(rates))
+    return float(np.mean(1.0 / VALID.sum(axis=1)))
 
 
 def uniform_policy_entropy() -> float:
     """Expected summed masked-uniform entropy over a random input cell of the trained size."""
-    per_source = [math.log(transition_mask(op).popcount()) for op in OperationKind]
+    per_source = [math.log(n) for n in VALID.sum(axis=1).tolist()]
     return 2 * TrainConfig.num_intermediate * float(np.mean(per_source))

@@ -84,7 +84,8 @@ def test_criterion_02_search_space_cardinality():
     ops = (OperationKind.CONV_3X3,) * 8
     enumerated = len(set(itertools.product(*[nat_actions(op) for op in ops])))
     subset = all(
-        set(nat_actions(src)) <= set(transition_mask(src).ops()) for src in OPERATIONS
+        set(nat_actions(src)) <= {OPERATIONS[i] for i in np.flatnonzero(transition_mask(src))}
+        for src in OPERATIONS
     )
     ok = nat == 6_561 and natpp == 815_730_721 and enumerated == 6_561 and subset
     report(f"criterion 2 cardinality: {'PASS' if ok else 'FAIL'} "
@@ -307,7 +308,7 @@ def test_criterion_08b_high_entropy_weight_is_random_search():
         for _ in range(100):
             beta = sample_uniform(4, control_rng)
             for e, edge in enumerate(beta.edges):
-                ops = transition_mask(edge.op).ops()
+                ops = [OPERATIONS[i] for i in np.flatnonzero(transition_mask(edge.op))]
                 pick = ops[int(control_rng.integers(len(ops)))]
                 control_counts += pick is result.oracle.planted_optimum(e)
                 control_total += 1

@@ -33,7 +33,8 @@ from natforge.opspace import (
     WHITELISTED_TRANSITIONS,
     CostConfig,
     OperationKind,
-    cost_of_op,
+    madds_of,
+    params_of,
     transition_mask,
 )
 
@@ -46,14 +47,19 @@ def serialize(graph: CellGraph) -> str:
 
 
 def reference_cost_non_increasing(before, after, cfg):
-    """Per-edge ``cost_of_op`` audit loop that ``cost_non_increasing`` must agree with."""
+    """Per-edge cost audit loop that ``cost_non_increasing`` must agree with."""
     for eb, ea in zip(before.edges, after.edges):
         if (eb.op, ea.op) in WHITELISTED_TRANSITIONS:
             continue
-        cb, ca = cost_of_op(eb.op, cfg), cost_of_op(ea.op, cfg)
-        if ca.params > cb.params or ca.madds > cb.madds:
+        grows_params = params_of(ea.op, cfg) > params_of(eb.op, cfg)
+        if grows_params or madds_of(ea.op, cfg) > madds_of(eb.op, cfg):
             return False
     return True
+
+
+def valid_targets(src):
+    """The operations ``src`` may become, in index order, read from its mask."""
+    return [OPERATIONS[i] for i in np.flatnonzero(transition_mask(src))]
 
 
 def chain_cell(op: OperationKind, num_intermediate: int = 4) -> CellGraph:
@@ -211,13 +217,11 @@ class TestTransitions:
 
     def test_cost_never_increases_randomized(self):
         rng = np.random.default_rng(5)
-        from natforge.opspace import transition_mask
-
         for _ in range(500):
             g = sample_uniform(4, rng)
             actions = []
             for e in g.edges:
-                ops = transition_mask(e.op).ops()
+                ops = valid_targets(e.op)
                 actions.append(ops[int(rng.integers(len(ops)))].index)
             out = apply_transitions(g, actions)
             assert cost_non_increasing(g, out, CFG)
@@ -230,8 +234,8 @@ class TestCosting:
         cells += [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(20)]
         for g in cells:
             report = cost_of(g, CFG)
-            assert report.total_params == sum(cost_of_op(e.op, CFG).params for e in g.edges)
-            assert report.total_madds == sum(cost_of_op(e.op, CFG).madds for e in g.edges)
+            assert report.total_params == sum(params_of(e.op, CFG) for e in g.edges)
+            assert report.total_madds == sum(madds_of(e.op, CFG) for e in g.edges)
 
     def test_costs_stay_exact_beyond_int64(self):
         # 8 conv_5x5 edges at 10^6 channels and 10^4 x 10^4 pixels: 2 * 10^22 madds.
@@ -334,7 +338,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         g = sample_uniform(num_intermediate, rng)
         assert apply_transitions(g, g.ops) == g
-        rewrite = [transition_mask(e.op).ops() for e in g.edges]
+        rewrite = [valid_targets(e.op) for e in g.edges]
         alpha = apply_transitions(g, [ops[rng.integers(len(ops))].index for ops in rewrite])
         assert apply_transitions(alpha, alpha.ops) == alpha
 
@@ -737,13 +741,13 @@ class TestArrayCells:
         rng = np.random.default_rng(10)
         cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(30)]
         targets = [
-            [transition_mask(e.op).ops()[0].index if rng.integers(2) else OperationKind.NULL.index
+            [valid_targets(e.op)[0].index if rng.integers(2) else OperationKind.NULL.index
              for e in g.edges]
             for g in cells
         ]
         group = apply_transitions(cells, np.concatenate(targets))
         assert group == [apply_transitions(g, t) for g, t in zip(cells, targets)]
-        assert cost_non_increasing(cells, group, CFG)
+        assert all(cost_non_increasing(b, a, CFG) for b, a in zip(cells, group))
         assert apply_transitions([], []) == []
 
     def test_group_rewrite_names_cell_of_invalid_transition(self):
@@ -751,14 +755,3 @@ class TestArrayCells:
         sep = OperationKind.SEP_CONV_3X3.index
         with pytest.raises(ValueError, match="conv_1x1 -> sep_conv_3x3 at edge 0 of cell 2"):
             apply_transitions([g, g, g], [0, 0, 0, 0, sep, 0])
-
-    def test_group_cost_audit(self):
-        g = chain_cell(OperationKind.SKIP, num_intermediate=2)
-        moved = EdgeSlot(1, 0, -2, OperationKind.SKIP)
-        rewired = make_cell(5, g.edges[:2] + (moved,) + g.edges[3:])
-        costlier = chain_cell(OperationKind.CONV_3X3, num_intermediate=2)
-        assert cost_non_increasing([costlier, g], [g, g], CFG)
-        assert not cost_non_increasing([g, g], [g, costlier], CFG)
-        assert not cost_non_increasing([g, g], [g, rewired], CFG)
-        assert not cost_non_increasing([g, g], [g], CFG)
-        assert cost_non_increasing([], [], CFG)

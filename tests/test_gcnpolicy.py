@@ -69,7 +69,7 @@ class TestForward:
         out = forward(encode(g, LAYOUT), g.ops, zero_params(NATPP))
         for e, op in enumerate(g.edges):
             mask = transition_mask(op.op)
-            expected = np.array(mask.bits, dtype=float) / mask.popcount()
+            expected = mask.astype(float) / np.count_nonzero(mask)
             assert np.allclose(out.Z[e], expected)
 
     def test_conv_1x1_row_uniform_over_three(self):

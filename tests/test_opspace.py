@@ -14,16 +14,15 @@ from natforge.opspace import (
     VALID,
     WHITELISTED_TRANSITIONS,
     CostConfig,
-    OpCost,
     OperationKind,
     TypeClass,
     audit_rows,
     audit_violations,
-    cost_of_op,
     is_valid_transition_natpp,
     madds_of,
     nat_actions,
     non_increasing_table,
+    op_costs,
     op_from_name,
     params_of,
     transition_mask,
@@ -36,8 +35,13 @@ def reference_edge_ok(src, dst, cfg):
     """The per-edge cost audit rule that ``non_increasing_table`` must tabulate."""
     if (src, dst) in WHITELISTED_TRANSITIONS:
         return True
-    cs, cd = cost_of_op(src, cfg), cost_of_op(dst, cfg)
-    return not (cd.params > cs.params or cd.madds > cs.madds)
+    grows_params = params_of(dst, cfg) > params_of(src, cfg)
+    return not (grows_params or madds_of(dst, cfg) > madds_of(src, cfg))
+
+
+def valid_targets(src):
+    """The operations ``src`` may become, in index order, read from its mask."""
+    return [OPERATIONS[i] for i in np.flatnonzero(transition_mask(src))]
 
 
 class TestVocabulary:
@@ -106,7 +110,7 @@ class TestCostModel:
         assert madds_of(OperationKind.SKIP, CFG) == 131_072
 
     def test_null_costs_nothing(self):
-        assert cost_of_op(OperationKind.NULL, CFG) == OpCost(0, 0)
+        assert op_costs(CFG)[OperationKind.NULL.index] == (0, 0)
 
     def test_skip_costlier_than_null(self):
         assert madds_of(OperationKind.SKIP, CFG) > madds_of(OperationKind.NULL, CFG)
@@ -139,9 +143,9 @@ class TestNatActions:
 
     def test_nat_subset_of_natpp_masks(self):
         for src in OPERATIONS:
-            mask = transition_mask(src)
+            targets = valid_targets(src)
             for action in nat_actions(src):
-                assert action in mask.ops()
+                assert action in targets
 
 
 class TestTransitionRules:
@@ -173,7 +177,7 @@ class TestTransitionRules:
 
     def test_skip_null_form_a_sink(self):
         for src in (OperationKind.SKIP, OperationKind.NULL):
-            reachable = transition_mask(src).ops()
+            reachable = valid_targets(src)
             assert set(reachable) <= {OperationKind.SKIP, OperationKind.NULL}
 
     def test_kernel_never_grows(self):
@@ -195,11 +199,11 @@ class TestTransitionMask:
             OperationKind.SKIP,
             OperationKind.NULL,
         }
-        assert set(transition_mask(OperationKind.CONV_3X3).ops()) == expected
+        assert set(valid_targets(OperationKind.CONV_3X3)) == expected
 
     def test_conv_1x1_mask_set(self):
         expected = {OperationKind.CONV_1X1, OperationKind.SKIP, OperationKind.NULL}
-        assert set(transition_mask(OperationKind.CONV_1X1).ops()) == expected
+        assert set(valid_targets(OperationKind.CONV_1X1)) == expected
 
     def test_max_pool_5x5_mask_set(self):
         expected = {
@@ -210,16 +214,15 @@ class TestTransitionMask:
             OperationKind.SKIP,
             OperationKind.NULL,
         }
-        assert set(transition_mask(OperationKind.MAX_POOL_5X5).ops()) == expected
+        assert set(valid_targets(OperationKind.MAX_POOL_5X5)) == expected
 
     def test_reflexivity(self):
         for op in OPERATIONS:
-            assert transition_mask(op).bits[op.index] == 1
+            assert transition_mask(op)[op.index] == 1
 
-    def test_popcount_matches_ops(self):
+    def test_row_sum_matches_targets(self):
         for op in OPERATIONS:
-            mask = transition_mask(op)
-            assert mask.popcount() == len(mask.ops())
+            assert transition_mask(op).sum() == len(valid_targets(op))
 
 
     def test_table_matches_predicate(self):
@@ -231,7 +234,9 @@ class TestTransitionMask:
     def test_table_is_read_only(self):
         with pytest.raises(ValueError):
             VALID[0, 1] = 1
-        assert np.array_equal(VALID[0], transition_mask(OPERATIONS[0]).bits)
+        assert np.array_equal(VALID[0], transition_mask(OPERATIONS[0]))
+        with pytest.raises(ValueError):
+            transition_mask(OPERATIONS[0])[1] = 1
 
 
 class TestAudit:
@@ -277,6 +282,13 @@ class TestAudit:
         for src in OPERATIONS:
             for dst in OPERATIONS:
                 assert table[src.index, dst.index] == reference_edge_ok(src, dst, cfg)
+
+    @pytest.mark.parametrize("cfg", [CFG, CostConfig(10**6, 10**6, 10**4, 10**4)])
+    def test_op_costs_tabulate_the_definitions(self, cfg):
+        costs = op_costs(cfg)
+        assert costs is op_costs(cfg)
+        assert costs == tuple((params_of(op, cfg), madds_of(op, cfg)) for op in OPERATIONS)
+        assert all(type(c) is int and c >= 0 for pair in costs for c in pair)
 
     def test_null_to_skip_row(self):
         rows = {(r["from"], r["to"]): r for r in audit_rows(CFG)}
