@@ -95,7 +95,17 @@ def _geometry_options(command):
     return click.option("--channels", type=int, default=128)(command)
 
 
-@click.group(context_settings={"show_default": True})
+class _Commands(click.Group):
+    """The command group: a file that cannot be read or written is an error line naming it."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}") from None
+
+
+@click.group(cls=_Commands, context_settings={"show_default": True})
 def main() -> None:
     """Optimize cell-graph architectures under cost-non-increasing transitions."""
 

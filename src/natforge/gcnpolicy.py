@@ -408,7 +408,7 @@ def load_policy(path: str) -> PolicyParams:
         payload = json.load(fh)
     checkpoint_fields(payload, _POLICY_FIELDS)
     mode = payload["mode"]
-    if mode not in _NUM_ACTIONS:
+    if not isinstance(mode, str) or mode not in _NUM_ACTIONS:
         raise ValueError(f"mode: must be one of {sorted(_NUM_ACTIONS)}, got {mode!r}")
     i_max = checkpoint_dim(payload["i_max"], "i_max")
     depth = checkpoint_dim(payload["depth"], "depth")

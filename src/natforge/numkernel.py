@@ -109,11 +109,24 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through ``path + ".tmp"`` and an atomic rename."""
+    """Write ``text`` to ``path`` through ``path + ".tmp"`` and an atomic rename.
+
+    If the write or the rename raises, the temp file is removed and the error
+    re-raised; an ``OSError`` names ``path``, not the temp file.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    opened = False
+    try:
+        with open(tmp, "w") as fh:
+            opened = True
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if opened:
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            exc.filename, exc.filename2 = path, None
+        raise
 
 
 def checkpoint_array(values, shape: tuple[int, ...], field: str) -> np.ndarray:

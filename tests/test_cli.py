@@ -198,6 +198,22 @@ class TestOptimize:
         assert isinstance(result.exception, SystemExit)
         assert "mode: must be one of" in result.output
 
+    @pytest.mark.parametrize("mode", [[], {}])
+    def test_non_string_policy_mode_is_one_line_error(self, runner, tmp_path, mode):
+        graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
+        assert runner.invoke(main, ["sample", "--out", graphs]).exit_code == 0
+        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        save_policy(params, policy)
+        payload = json.load(open(policy))
+        payload["mode"] = mode
+        json.dump(payload, open(policy, "w"))
+        result = runner.invoke(main, ["optimize", "--in", graphs, "--policy", policy])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: {policy}: mode: must be one of ['nat', 'nat++'], got {mode!r}"
+        ]
+
 
     def test_rewired_rewrite_rejected_by_audit(self, runner, tmp_path, monkeypatch):
         """A rewrite that adds cost stops ``optimize`` before it writes. The inference
@@ -245,6 +261,30 @@ class TestOptimize:
             f"Error: {policy}: non-finite policy output; nothing was written"
         ]
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    def test_missing_directory_is_one_line_error(self, runner, tmp_path):
+        out = tmp_path / "missing_dir" / "x.txt"
+        result = runner.invoke(main, ["sample", "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = result.output.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"Error: {out}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_target_is_one_line_error_leaving_no_temp(self, runner, tmp_path):
+        graphs, target = tmp_path / "g.txt", tmp_path / "adir"
+        assert runner.invoke(main, ["sample", "--out", str(graphs)]).exit_code == 0
+        target.mkdir()
+        result = runner.invoke(main, ["cost", "--in", str(graphs), "--out", str(target)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = result.output.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"Error: {target}: ")
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["adir", "g.txt", "g.txt.manifest.json"]
+        assert list(target.iterdir()) == []
 
 
 class TestMissingInput:

@@ -195,3 +195,23 @@ class TestAtomicWrite:
         atomic_write(path, "second\n")
         assert open(path).read() == "second\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failed_rename_removes_temp_and_names_target(self, tmp_path):
+        target = tmp_path / "adir"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write(str(target), "text\n")
+        assert info.value.filename == str(target)
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+    def test_failed_write_removes_temp(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write(str(tmp_path / "out.txt"), b"not text")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_names_target(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.txt")
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write(path, "text\n")
+        assert info.value.filename == path
+        assert list(tmp_path.iterdir()) == []
