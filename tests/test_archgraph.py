@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,7 +26,7 @@ from natforge.archgraph import (
     serialize_many,
     validate,
 )
-from natforge.archgraph import _line_record
+from natforge.archgraph import _flat, _line_record, _serialize
 from natforge.opspace import (
     NUM_OPERATIONS,
     OPERATIONS,
@@ -394,6 +394,56 @@ class TestSerialization:
             parse_many("cell v=4\nedge t=0 s=0 f=-2 op=conv_9x9\nedge t=0 s=1 f=-1 op=null\n")
 
 
+def reference_parse_field(token, key):
+    if not token.startswith(key + "="):
+        raise ValueError(f"expected '{key}=...', got {token!r}")
+    return token[len(key) + 1 :]
+
+
+def reference_parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def reference_op_index(name):
+    for op in OPERATIONS:
+        if op.value == name:
+            return op.index
+    raise ValueError(f"unknown operation name: {name!r}")
+
+
+def reference_line_record(raw):
+    """The field-by-field tokenizer that ``_line_record`` must agree with on every line.
+
+    Returns (kind, value, error): kind "cell" (value: the node count), "edge"
+    (value: target, slot, source, op index) or None for a blank or comment
+    line, and the fault of a malformed line without its line number.
+    """
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None, None, None
+    tokens = line.split()
+    try:
+        if tokens[0] == "cell":
+            if len(tokens) != 2:
+                return "cell", None, "malformed cell header"
+            return "cell", reference_parse_int(reference_parse_field(tokens[1], "v")), None
+        if tokens[0] == "edge":
+            if len(tokens) != 5:
+                return "edge", None, "edge record needs t/s/f/op fields"
+            t, s, f = (
+                reference_parse_int(reference_parse_field(tok, key))
+                for tok, key in zip(tokens[1:4], "tsf")
+            )
+            op = reference_op_index(reference_parse_field(tokens[4], "op"))
+            return "edge", (t, s, f, op), None
+    except ValueError as exc:
+        return tokens[0], None, str(exc)
+    return None, None, f"unknown record {tokens[0]!r}"
+
+
 def reference_parse_many(text):
     """The line-by-line reader that ``parse_many`` must agree with, in cells and in messages.
 
@@ -416,7 +466,7 @@ def reference_parse_many(text):
         return None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        kind, value, error = _line_record(raw)
+        kind, value, error = reference_line_record(raw)
         if kind == "edge":
             if open_head is None:
                 error = "edge before any cell header"
@@ -755,3 +805,108 @@ class TestArrayCells:
         sep = OperationKind.SEP_CONV_3X3.index
         with pytest.raises(ValueError, match="conv_1x1 -> sep_conv_3x3 at edge 0 of cell 2"):
             apply_transitions([g, g, g], [0, 0, 0, 0, sep, 0])
+
+
+#: Integer field texts: canonical, signed, zero-padded, underscored, non-ASCII
+#: digits, huge, and not integers at all.
+INT_TEXTS = (
+    ["0", "1", "-1", "-2", "3", "12", "+0", "+3", "-03", "007", "+012"]
+    + ["1_0", "-1_2", "1__0", "_1", "1_", "٣", "-١٢", "１"]
+    + ["", "x", "1.5", "0x1", "--1", "+-1", "1e3", "99999999999999999999"]
+)
+OP_TEXTS = [op.value for op in OPERATIONS] + ["conv_9x9", "", "SKIP", "skip=", "op=skip", "null_"]
+
+
+def record_line(rng):
+    """One line of a cell file: a canonical or damaged header or edge, a blank or a comment."""
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    shape = pick(["edge", "edge", "cell", "other", "blank"])
+    if shape == "blank":
+        return pick(["", "   ", "\t", "#", "# edge t=0 s=0 f=-2 op=skip"])
+    head = shape if shape != "other" else pick(["node", "Edge", "cells", "v=4", "t=0"])
+    keys = ["v"] if head == "cell" else ["t", "s", "f", "op"]
+    tokens = [head]
+    for key in keys:
+        prefix = f"{key}=" if rng.random() < 0.8 else pick(["x=", f"{key}:", key.upper() + "=", ""])
+        value = pick(OP_TEXTS if key == "op" else INT_TEXTS)
+        if rng.random() < 0.6:  # mostly well-formed values
+            value = pick(OP_TEXTS[:NUM_OPERATIONS]) if key == "op" else str(int(rng.integers(-3, 10)))
+        tokens.append(prefix + value)
+    extra = pick([0, 0, 0, -1, 1])  # as many tokens, one fewer or one more
+    tokens = tokens[:-1] if extra < 0 else tokens + ["op=skip"] * extra
+    line = pick([" ", " ", "\t", "  ", " \t"]).join(tokens)
+    if rng.random() < 0.3:
+        line = pick(["", " ", "\t"]) + line + pick(["", " ", "\t"])
+    comment = pick(["", "", "", "  # trailing", "#", "# t=1"])
+    cut = int(rng.integers(len(line) + 1)) if rng.random() < 0.5 else len(line)
+    return line[:cut] + comment + line[cut:]
+
+
+def reference_edge_line(i, source, op):
+    return f"edge t={i >> 1} s={i & 1} f={source} op={OPERATIONS[op].value}\n"
+
+
+def reference_serialize(nodes, bounds, sources, ops):
+    """The per-edge serializer that ``_serialize`` must reproduce byte for byte."""
+    heads = bounds[:-1] + np.arange(len(nodes))
+    texts = {n: f"\ncell v={n}\n" for n in set(nodes.tolist())}
+    pieces = np.empty(len(nodes) + len(ops), dtype=object)
+    pieces[heads] = [texts[n] for n in nodes.tolist()]
+    is_edge = np.ones(len(pieces), dtype=bool)
+    is_edge[heads] = False
+    pos = np.arange(len(ops)) - np.repeat(bounds[:-1], np.diff(bounds))
+    pieces[is_edge] = list(map(reference_edge_line, pos.tolist(), sources.tolist(), ops.tolist()))
+    if len(nodes):
+        pieces[0] = pieces[0][1:]
+    return "".join(pieces.tolist())
+
+
+class TestCodecReferences:
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_line_record_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            line = record_line(rng)
+            assert _line_record(line) == reference_line_record(line), line
+
+    def test_record_lines_reach_every_record_kind(self):
+        """The generated lines give blanks, headers, edges and every kind of fault."""
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(2000):
+            kind, _, error = reference_line_record(record_line(rng))
+            seen.add((kind, error and error.split(":")[0].split(" '")[0]))
+        assert seen >= {
+            (None, None),
+            ("cell", None),
+            ("edge", None),
+            ("cell", "malformed cell header"),
+            ("cell", "expected"),
+            ("cell", "not an integer"),
+            ("edge", "edge record needs t/s/f/op fields"),
+            ("edge", "expected"),
+            ("edge", "not an integer"),
+            ("edge", "unknown operation name"),
+            (None, "unknown record"),
+        }
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 60), max_size=12))
+    @example(seed=0, sizes=[])
+    @example(seed=1, sizes=[1])
+    @example(seed=2, sizes=[60])
+    def test_serialize_matches_per_edge_reference(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        flat = _flat([sample_uniform(i, rng) for i in sizes])
+        assert _serialize(*flat) == reference_serialize(*flat)
+
+    def test_serialize_matches_reference_beyond_4096_distinct_lines(self):
+        rng = np.random.default_rng(12)
+        flat = _flat([sample_uniform(int(rng.integers(40, 61)), rng) for _ in range(60)])
+        text = _serialize(*flat)
+        assert len(set(text.splitlines())) > 4096
+        assert text == reference_serialize(*flat)
