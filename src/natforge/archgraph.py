@@ -26,14 +26,17 @@ Parsing, encoding, rewriting and serialization each have a private core
 over the flat form of many cells, ``(nodes, bounds, sources, ops)``: node
 counts, per-cell edge offsets and the concatenated edge arrays. The public
 functions wrap them, and ``natforge optimize`` runs on that form from file
-read to file write without building a ``CellGraph``.
+read to file write without building a ``CellGraph``. The cell-file codec
+costs work per distinct line, not per line or per edge: a file repeats few
+distinct lines, and the parser tokenizes each of them once and the
+serializer renders each of them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +50,7 @@ from .opspace import (
     non_increasing_table,
     op_costs,
     op_from_name,
+    _OP_INDEX,
 )
 
 
@@ -482,24 +486,34 @@ def _flat(graphs: Sequence[CellGraph]) -> tuple[np.ndarray, ...]:
     return nodes, bounds, sources, np.concatenate(empty + [g.ops for g in graphs])
 
 
-@lru_cache(maxsize=4096)
 def _edge_line(i: int, source: int, op: int) -> str:
-    """Text of edge i of a cell; a cell file repeats few distinct lines."""
+    """Text of edge i of a cell."""
     return f"edge t={i >> 1} s={i & 1} f={source} op={_OP_NAMES[op]}\n"
 
 
 def _serialize(nodes, bounds, sources: np.ndarray, ops: np.ndarray) -> str:
     """The text of flat cells: a header, then one line per edge, with a blank line between
-    cells. The cached edge lines and one text per distinct header are put in order and
-    joined once."""
+    cells. Each line gets an integer key; each distinct line is rendered once, and one
+    gather of those texts by key puts every line in order for one join."""
     heads = bounds[:-1] + np.arange(len(nodes))
-    texts = {n: f"\ncell v={n}\n" for n in set(nodes.tolist())}
-    pieces = np.empty(len(nodes) + len(ops), dtype=object)
-    pieces[heads] = [texts[n] for n in nodes.tolist()]
-    is_edge = np.ones(len(pieces), dtype=bool)
+    is_edge = np.ones(len(nodes) + len(ops), dtype=bool)
     is_edge[heads] = False
     pos = np.arange(len(ops)) - np.repeat(bounds[:-1], np.diff(bounds))
-    pieces[is_edge] = list(map(_edge_line, pos.tolist(), sources.tolist(), ops.tolist()))
+    # An edge line is set by (pos, source, op), and a valid cell has 0 <= source + 2
+    # < width. So an edge key is below 13 * K * (K / 2 + 2) for the longest cell's K
+    # edges, which fits int64 up to K = 10**9, a cell whose two int64 arrays alone
+    # would take 16 GB. Headers key as -num_nodes, below every edge.
+    width = int(pos.max(initial=0)) // 2 + 2
+    keys = np.empty(len(is_edge), dtype=np.int64)
+    keys[heads] = -nodes
+    keys[is_edge] = (pos * width + sources + 2) * NUM_OPERATIONS + ops
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    split = int(np.searchsorted(distinct, 0))
+    rest, op = np.divmod(distinct[split:], NUM_OPERATIONS)
+    i, source = np.divmod(rest, width)
+    texts = [f"\ncell v={-k}\n" for k in distinct[:split].tolist()]
+    texts += map(_edge_line, i.tolist(), (source - 2).tolist(), op.tolist())
+    pieces = np.array(texts, dtype=object)[inverse]
     if len(nodes):
         pieces[0] = pieces[0][1:]  # no blank line before the first cell
     return "".join(pieces.tolist())
@@ -528,12 +542,31 @@ def _line_record(raw: str) -> tuple[str | None, object, str | None]:
 
     ``kind`` is "cell" (value: the node count), "edge" (value: target, slot,
     source, op index) or None for a blank or comment line. ``error`` is the
-    fault of a malformed line, without its line number.
+    fault of a malformed line, without its line number. A blank line, a
+    well-formed header and a well-formed edge are read in one step; any other
+    line goes to ``_line_fault``, which names its fault.
     """
-    line = raw.split("#", 1)[0].strip()
-    if not line:
+    if "#" in raw:
+        raw = raw.split("#", 1)[0]
+    tokens = raw.split()
+    if not tokens:
         return None, None, None
-    tokens = line.split()
+    try:
+        if len(tokens) == 5 and tokens[0] == "edge":
+            _, t, s, f, op = tokens
+            index = _OP_INDEX.get(op[3:])
+            if index is not None and (t[:2], s[:2], f[:2], op[:3]) == ("t=", "s=", "f=", "op="):
+                return "edge", (int(t[2:]), int(s[2:]), int(f[2:]), index), None
+        elif len(tokens) == 2 and tokens[0] == "cell" and tokens[1][:2] == "v=":
+            return "cell", int(tokens[1][2:]), None
+    except ValueError:
+        pass
+    return _line_fault(tokens)
+
+
+def _line_fault(tokens: list[str]) -> tuple[str | None, object, str | None]:
+    """The record of a line that ``_line_record`` did not read in one step, checked
+    field by field so that the error names the first fault."""
     try:
         if tokens[0] == "cell":
             if len(tokens) != 2:
@@ -559,17 +592,21 @@ def parse_many(text: str) -> list[CellGraph]:
 def _parse(text: str) -> tuple[np.ndarray, ...]:
     """The flat form of a cell document; raises ParseError naming the first bad line.
 
-    Each distinct line is tokenized once; array ops then find where a line-by-line
-    reader stops: at the first malformed line or edge before any header, or at an
-    empty cell, reported on reaching the next header (before that header's own
-    error) or the end of the text. The cells closed before the stop are validated
+    One dict pass gives each line the id of its distinct text, and each distinct
+    line is tokenized once, a well-formed one in one step. Array ops then find
+    where a line-by-line reader stops: at the first malformed line or edge before
+    any header, or at an empty cell, reported on reaching the next header (before
+    that header's own error) or the end of the text. The cells closed before the stop are validated
     together first, so a cell's structural fault is reported before the stop.
     """
     lines = text.splitlines()
-    distinct = {raw: i for i, raw in enumerate(dict.fromkeys(lines))}
+    # One pass numbers the distinct lines in order of first appearance: each line's
+    # id is setdefault's answer, with the number of distinct lines so far as its default.
+    distinct: dict[str, int] = {}
+    ids = map(distinct.setdefault, lines, map(len, repeat(distinct)))
+    ids = np.fromiter(ids, np.intp, len(lines))
     # One record per distinct line, plus one that keeps the tables typed for an empty text.
     records = list(map(_line_record, distinct)) + [(None, None, None)]
-    ids = np.fromiter(map(distinct.__getitem__, lines), np.intp, len(lines))
     kind = np.array([(None, "cell", "edge").index(k) for k, _, _ in records], np.int8)[ids]
     bad = np.array([e is not None for _, _, e in records])[ids]
     # Per record: an edge's (t, s, f, op), a header's (node count, 0, 0, 0), else zeros.

@@ -101,11 +101,15 @@ NUM_OPERATIONS = len(OPERATIONS)
 WHITELISTED_TRANSITIONS = frozenset({(OperationKind.NULL, OperationKind.SKIP)})
 
 
+#: Serialized name -> index into ``OPERATIONS``; the cell parser reads it directly.
+_OP_INDEX = {op.value: op.index for op in OPERATIONS}
+
+
 def op_from_name(name: str) -> OperationKind:
     """Look up an operation by its snake-case serialized name."""
     try:
-        return OperationKind(name)
-    except ValueError:
+        return OPERATIONS[_OP_INDEX[name]]
+    except (KeyError, TypeError):
         raise ValueError(f"unknown operation name: {name!r}") from None
 
 

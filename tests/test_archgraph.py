@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from natforge import archgraph
 from natforge.archgraph import (
     CellGraph,
     EdgeSlot,
@@ -830,7 +831,8 @@ def record_line(rng):
     keys = ["v"] if head == "cell" else ["t", "s", "f", "op"]
     tokens = [head]
     for key in keys:
-        prefix = f"{key}=" if rng.random() < 0.8 else pick(["x=", f"{key}:", key.upper() + "=", ""])
+        wrong = ["x=", f"{key}:", key.upper() + "=", ""]
+        prefix = f"{key}=" if rng.random() < 0.8 else pick(wrong)
         value = pick(OP_TEXTS if key == "op" else INT_TEXTS)
         if rng.random() < 0.6:  # mostly well-formed values
             value = pick(OP_TEXTS[:NUM_OPERATIONS]) if key == "op" else str(int(rng.integers(-3, 10)))
@@ -910,3 +912,31 @@ class TestCodecReferences:
         text = _serialize(*flat)
         assert len(set(text.splitlines())) > 4096
         assert text == reference_serialize(*flat)
+
+    def test_serialize_renders_each_distinct_line_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(300)]
+        calls = []
+        render = archgraph._edge_line
+        monkeypatch.setattr(archgraph, "_edge_line", lambda *key: calls.append(key) or render(*key))
+        text = serialize_many(cells)
+        distinct = {
+            (i, f, o)
+            for g in cells
+            for i, (f, o) in enumerate(zip(g.sources.tolist(), g.ops.tolist()))
+        }
+        assert sorted(calls) == sorted(distinct)
+        assert text == reference_serialize(*_flat(cells))
+
+    def test_canonical_file_never_reaches_fault_path(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(300)]
+        faults = []
+        name_fault = archgraph._line_fault
+        spy = lambda tokens: faults.append(tokens) or name_fault(tokens)  # noqa: E731
+        monkeypatch.setattr(archgraph, "_line_fault", spy)
+        assert parse_many(serialize_many(cells)) == cells
+        assert faults == []
+        with pytest.raises(ParseError, match="line 2: not an integer: 'x'"):
+            parse_many("cell v=4\nedge t=x s=0 f=-2 op=skip\n")
+        assert faults == [["edge", "t=x", "s=0", "f=-2", "op=skip"]]
