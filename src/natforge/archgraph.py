@@ -596,8 +596,9 @@ def _parse(text: str) -> tuple[np.ndarray, ...]:
     line is tokenized once, a well-formed one in one step. Array ops then find
     where a line-by-line reader stops: at the first malformed line or edge before
     any header, or at an empty cell, reported on reaching the next header (before
-    that header's own error) or the end of the text. The cells closed before the stop are validated
-    together first, so a cell's structural fault is reported before the stop.
+    that header's own error) or the end of the text. The cells closed before the
+    stop are validated together first, so a cell's structural fault is reported
+    before the stop.
     """
     lines = text.splitlines()
     # One pass numbers the distinct lines in order of first appearance: each line's
