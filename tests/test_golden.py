@@ -7,6 +7,7 @@ numerics, or the training log shows up here as a digest mismatch. A
 deliberate byte change must update the pinned value and say why.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -23,10 +24,12 @@ from natforge.evaluator import (
     accuracy,
     graph_logits,
     init_shared,
+    load_shared,
     make_dataset,
     save_shared,
     supernet_train_step,
 )
+from natforge.gcnpolicy import load_policy
 
 #: sha256 of ``natforge sample --nodes 7 --count 50 --seed 11``.
 SAMPLE = "7ad58577c3de9b01e4b5240b8bb45b1896f49e7cadb151569a57a1a1a05c61ab"
@@ -52,6 +55,13 @@ TRAIN_FLAGS = {
     "nat-m1": ["--mode", "nat", "--m", "1"],
 }
 
+#: sha256 of the weight bytes ``load_policy`` reads from each ``TRAIN`` run's policy.json.
+TRAIN_WEIGHTS = {
+    "nat++-m1": "5ebd64b1c4dabe0a89dbf710c5dd7edfd4d727dbee91015812bcdbbec24c62e1",
+    "nat++-m2": "46c1df3468ae97b049c9c2a9796049d5d143a954604a0c634aa3f5c64c934fcc",
+    "nat-m1": "1e038dcfc5ab420656ab46a0558ee08df130bae93d7b7d9c00fe185bffd912ce",
+}
+
 #: sha256 of (policy weight bytes, ``to_jsonl()``) for the full default oracle run
 #: (200 epochs, 2,000 policy steps, seed 0), by mode.
 DEFAULT_RUN = {
@@ -72,6 +82,13 @@ SUPERNET = (
     "e2f151ada7848af7593db00684ef0a55140188da80f4a112e6bbf7fdb3b8ff94",
 )
 
+#: sha256 of the weight bytes ``load_policy`` and ``load_shared`` read from the
+#: supernet run's policy.json and supernet.json.
+SUPERNET_WEIGHTS = (
+    "0e0a7d5184536c035be64f788ed3dce4b3102ca9a730e4f4f72431c28940a9cd",
+    "7619b503c9c4df287c42b7224b5a9431beed9bc7237a9e7a97c7e30624441f32",
+)
+
 #: ``config_hash`` of ``run.manifest.json`` for each ``TRAIN`` run and the
 #: supernet run: the hash of the flag set, so it pins which values are flags.
 CONFIG_HASH = {
@@ -85,6 +102,12 @@ CONFIG_HASH = {
 PRETRAIN = {
     1: "904603e8e8f5eb5997e2a3b2915a5f79fc001626690072d8410e4fa565c613b0",
     2: "a6a495a8335f512542793f874a2595bc4dcf2f54fedb3707aa440b92f1eb6097",
+}
+
+#: sha256 of the weight bytes ``load_shared`` reads back from each ``PRETRAIN`` file.
+PRETRAIN_WEIGHTS = {
+    1: "0f9890b49252b51a33ec262c2fb538502c06f510d22d6d95c20767db163cb984",
+    2: "e147de9351ab3c2e7a3d6877337754cb46dcaac6198e82b5d267d0eb45bcfb04",
 }
 
 #: ``accuracy`` of 16 fixed cells under the m = 1 supernet, and sha256 of their logits.
@@ -151,6 +174,21 @@ def sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def policy_digest(path):
+    """sha256 of the arrays ``load_policy`` reads from ``path``: each ``gcn`` layer, then ``fc``."""
+    params = load_policy(path)
+    return hashlib.sha256(b"".join(w.tobytes() for w in [*params.gcn, params.fc])).hexdigest()
+
+
+def shared_digest(path):
+    """sha256 of the arrays ``load_shared`` reads from ``path``: ``head_w``, ``head_b``, then
+    every bank array by (edge, operation index, array name)."""
+    w, _ = load_shared(path)
+    keys = sorted(w.bank, key=lambda k: (k[0], k[1].index))
+    arrays = [w.head_w, w.head_b] + [w.bank[k][name] for k in keys for name in sorted(w.bank[k])]
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
 def invoke(args):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
@@ -203,6 +241,11 @@ def test_oracle_train_bytes(runs, name):
     assert digests == TRAIN[name]
 
 
+@pytest.mark.parametrize("name", sorted(TRAIN_WEIGHTS))
+def test_oracle_train_weights(runs, name):
+    assert policy_digest(os.path.join(runs[name], "policy.json")) == TRAIN_WEIGHTS[name]
+
+
 @pytest.mark.parametrize("mode", sorted(DEFAULT_RUN))
 def test_default_oracle_run_bytes(mode):
     result = run(TrainConfig(mode=mode))
@@ -218,6 +261,14 @@ def test_default_oracle_run_bytes(mode):
 def test_supernet_train_bytes(runs):
     files = ("policy.json", "train_log.jsonl", "supernet.json")
     assert tuple(sha(os.path.join(runs["supernet"], f)) for f in files) == SUPERNET
+
+
+def test_supernet_train_weights(runs):
+    digests = (
+        policy_digest(os.path.join(runs["supernet"], "policy.json")),
+        shared_digest(os.path.join(runs["supernet"], "supernet.json")),
+    )
+    assert digests == SUPERNET_WEIGHTS
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_HASH))
@@ -261,7 +312,9 @@ def test_manifest_bytes(runs):
     assert digests == MANIFEST
 
 
+@functools.lru_cache(maxsize=None)
 def pretrained_supernet(m):
+    """The m-cell pretrained supernet and its dataset; cached, so callers must not write to it."""
     rng = np.random.default_rng(6)
     ds = make_dataset(6)
     w = init_shared(rng, 4)
@@ -278,6 +331,14 @@ def test_supernet_pretrain_bytes(tmp_path, m):
     path = str(tmp_path / "supernet.json")
     save_shared(w, 6, path)
     assert sha(path) == PRETRAIN[m]
+
+
+@pytest.mark.parametrize("m", sorted(PRETRAIN_WEIGHTS))
+def test_supernet_pretrain_weights(tmp_path, m):
+    w, _ = pretrained_supernet(m)
+    path = str(tmp_path / "supernet.json")
+    save_shared(w, 6, path)
+    assert shared_digest(path) == PRETRAIN_WEIGHTS[m]
 
 
 def test_supernet_accuracy_values():
