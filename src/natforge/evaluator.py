@@ -68,6 +68,7 @@ from .numkernel import (
     checkpoint_array,
     checkpoint_dim,
     checkpoint_fields,
+    checkpoint_text,
     cross_entropy_logits,
     glorot_uniform,
 )
@@ -469,17 +470,18 @@ def supernet_train_step(
 
 def save_shared(w: SharedWeights, data_seed: int, path: str) -> None:
     """Write the supernet bank, its head and the ``make_dataset`` seed of the data the
-    weights were trained on as a versioned JSON checkpoint."""
+    weights were trained on as a versioned JSON checkpoint. Each array is one
+    ``checkpoint_text`` string (base64 of its row-major little-endian float64 bytes)."""
     payload = {
         "format_version": FORMAT_VERSION,
         "data_seed": data_seed,
         "feature_dim": w.feature_dim,
         "num_intermediate": w.num_intermediate,
         "num_classes": w.num_classes,
-        "head_w": w.head_w.tolist(),
-        "head_b": w.head_b.tolist(),
+        "head_w": checkpoint_text(w.head_w),
+        "head_b": checkpoint_text(w.head_b),
         "bank": {
-            f"{e}:{op.value}": {name: arr.tolist() for name, arr in entry.items()}
+            f"{e}:{op.value}": {name: checkpoint_text(arr) for name, arr in entry.items()}
             for (e, op), entry in sorted(
                 w.bank.items(), key=lambda item: (item[0][0], item[0][1].index)
             )
@@ -499,8 +501,8 @@ def load_shared(path: str) -> tuple[SharedWeights, int]:
     ``feature_dim`` and ``num_classes`` must be the synthetic data's, and the
     bank must hold exactly the entries ``init_shared`` allocates, each with
     its arrays' shapes. Raises ValueError naming the first field that is
-    missing, malformed, of the wrong value or shape, or not finite, or an
-    unknown ``format_version``.
+    missing, malformed (an array that is not base64 of float64 bytes), of the
+    wrong value or shape, or not finite, or an unknown ``format_version``.
     """
     with open(path) as fh:
         payload = json.load(fh)

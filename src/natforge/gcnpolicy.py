@@ -33,6 +33,9 @@ Operations enter as index arrays into ``OPERATIONS``, the form a
 ``CellGraph`` stores them in.
 
 Checkpoints carry ``format_version``; the loader rejects any other version.
+Each weight array is stored as one ``checkpoint_text`` string, the base64 of
+its row-major little-endian float64 bytes, so a loaded policy has the saved
+weights bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .numkernel import (
     checkpoint_array,
     checkpoint_dim,
     checkpoint_fields,
+    checkpoint_text,
     glorot_uniform,
 )
 from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, nat_actions
@@ -380,7 +384,8 @@ def ascend_(params: PolicyParams, grads: ParamGrads, lr: float) -> None:
 
 
 def save_policy(params: PolicyParams, path: str) -> None:
-    """Write a portable JSON checkpoint (version, mode, shapes, row-major values)."""
+    """Write a portable JSON checkpoint: version, mode, shapes, and each weight array as
+    one ``checkpoint_text`` string (base64 of its row-major little-endian float64 bytes)."""
     payload = {
         "format_version": FORMAT_VERSION,
         "mode": params.mode,
@@ -388,8 +393,8 @@ def save_policy(params: PolicyParams, path: str) -> None:
         "depth": params.depth,
         "gcn_shapes": [list(w.shape) for w in params.gcn],
         "fc_shape": list(params.fc.shape),
-        "gcn_values": [w.ravel().tolist() for w in params.gcn],
-        "fc_values": params.fc.ravel().tolist(),
+        "gcn_values": [checkpoint_text(w) for w in params.gcn],
+        "fc_values": checkpoint_text(params.fc),
     }
     atomic_write(path, json.dumps(payload) + "\n")
 
@@ -402,7 +407,8 @@ def load_policy(path: str) -> PolicyParams:
 
     Raises ValueError naming the first field that is missing, has an unknown
     ``format_version`` or mode, has a shape inconsistent with ``i_max``,
-    ``depth`` or the mode, or holds a non-finite value.
+    ``depth`` or the mode, or holds an array that ``checkpoint_array`` rejects
+    (not base64 of float64 bytes, the wrong value count, or a non-finite value).
     """
     with open(path) as fh:
         payload = json.load(fh)

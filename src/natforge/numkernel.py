@@ -4,6 +4,10 @@
 training log, CLI outputs and manifests): write a temporary file next to the
 target, then rename it over the target, so readers never see partial output.
 
+A checkpoint stores each array as one string, ``checkpoint_text``: the
+base64 (RFC 4648, padded, no line breaks) of its row-major little-endian
+float64 bytes. ``checkpoint_array`` reads it back bit for bit.
+
 Everything runs in float64 on numpy arrays with deterministic reduction
 order, so repeated runs are bit-reproducible. The masked softmax assigns
 exactly zero probability to cleared bits and renormalizes over the rest.
@@ -11,6 +15,8 @@ exactly zero probability to cleared bits and renormalizes over the rest.
 
 from __future__ import annotations
 
+import base64
+import math
 import os
 from functools import lru_cache
 
@@ -129,25 +135,34 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def checkpoint_array(values, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """Float array of exactly ``shape`` with only finite entries, read from a checkpoint.
+def checkpoint_text(arr: np.ndarray) -> str:
+    """An array as a checkpoint stores it: base64 of its row-major little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
-    Raises ValueError naming ``field`` when the values are not numeric, do not
-    have that shape, or include NaN or infinity.
+
+def checkpoint_array(text, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Float array of exactly ``shape`` with only finite entries, read from ``checkpoint_text``.
+
+    Raises ValueError naming ``field`` when the value is not a string of
+    strict base64 whose bytes are whole float64 values, does not hold
+    exactly the values of ``shape``, or includes NaN or infinity.
     """
     try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field}: not a numeric array") from None
-    if arr.shape != tuple(shape):
+        raw = base64.b64decode(text, validate=True) if isinstance(text, str) else None
+    except ValueError:  # a character outside the alphabet, or bad padding
+        raw = None
+    if raw is None or len(raw) % 8:
+        raise ValueError(f"{field}: not base64 of float64 bytes")
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if arr.size != math.prod(shape):
         raise ValueError(f"{field}: shape {arr.shape}, expected {tuple(shape)}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{field}: contains NaN or infinity")
-    return arr
+    return arr.reshape(shape)
 
 
 #: The ``format_version`` every checkpoint writer records and every loader requires.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def checkpoint_fields(payload, fields: tuple[str, ...]) -> None:

@@ -1,5 +1,6 @@
 """Command-line surface tests."""
 
+import base64
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ from natforge import trainer
 from natforge.archgraph import EncodingConfig
 from natforge.cli import main
 from natforge.gcnpolicy import NATPP, init_params, save_policy
+from natforge.numkernel import checkpoint_text
 from natforge.opspace import OperationKind
 
 
@@ -485,7 +487,9 @@ class TestTrainOptimizeReport:
 
     def test_report_rejects_bad_supernet(self, artifacts, tmp_path):
         payload = json.load(open(os.path.join(artifacts["run"], "supernet.json")))
-        payload["head_b"][0] = float("nan")
+        head_b = np.frombuffer(base64.b64decode(payload["head_b"]), dtype="<f8").copy()
+        head_b[0] = np.nan
+        payload["head_b"] = checkpoint_text(head_b)
         path = str(tmp_path / "supernet.json")
         json.dump(payload, open(path, "w"))
         result = self._report(artifacts, tmp_path, artifacts["opt"], supernet=path)

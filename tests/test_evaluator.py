@@ -1,5 +1,6 @@
 """Reward provider tests: synthetic data, toy supernet, planted oracle."""
 
+import base64
 import copy
 import json
 from collections import Counter
@@ -30,7 +31,7 @@ from natforge.evaluator import (
     save_shared,
     supernet_train_step,
 )
-from natforge.numkernel import cross_entropy_logits
+from natforge.numkernel import checkpoint_text, cross_entropy_logits
 from natforge.opspace import OPERATIONS, OperationKind, TypeClass, transition_mask
 from natforge.trainer import TrainConfig
 
@@ -334,6 +335,16 @@ class TestProviders:
                 assert p.reward(alpha, beta) == score_alpha - score_beta
 
 
+def edit_array(holder, key, edit):
+    """Decode the checkpoint array ``holder[key]``, apply ``edit`` and store it re-encoded.
+
+    ``edit`` changes the float64 array in place or returns the array to store.
+    """
+    values = np.frombuffer(base64.b64decode(holder[key]), dtype="<f8").copy()
+    edited = edit(values)
+    holder[key] = checkpoint_text(values if edited is None else edited)
+
+
 class TestSharedCheckpointValidation:
     @pytest.fixture()
     def payload(self, tmp_path):
@@ -353,16 +364,21 @@ class TestSharedCheckpointValidation:
             pytest.param("data_seed", lambda p: p.update(data_seed=-1), id="data_seed--1"),
             pytest.param("data_seed", lambda p: p.update(data_seed=True), id="data_seed-true"),
             pytest.param("data_seed", lambda p: p.update(data_seed="3"), id="data_seed-string"),
-            ("head_w", lambda p: p["head_w"][0].__setitem__(0, float("nan"))),
+            ("head_w", lambda p: edit_array(p, "head_w", lambda a: a.__setitem__(0, np.nan))),
             ("head_w", lambda p: p.update(num_intermediate=3)),
-            ("head_b", lambda p: p["head_b"].append(0.0)),
+            ("head_b", lambda p: edit_array(p, "head_b", lambda a: np.append(a, 0.0))),
             ("bank", lambda p: p["bank"].pop("3:conv_5x5")),
             ("bank", lambda p: p["bank"].update({"4:conv_1x1": {"mix": []}})),
             ("bank['0:sep_conv_3x3']", lambda p: p["bank"]["0:sep_conv_3x3"].pop("diag")),
-            ("bank['1:conv_3x3'].mix", lambda p: p["bank"]["1:conv_3x3"]["mix"].pop()),
+            (
+                "bank['1:conv_3x3'].mix",
+                lambda p: edit_array(p["bank"]["1:conv_3x3"], "mix", lambda a: a[:-1]),
+            ),
             (
                 "bank['2:dil_sep_conv_5x5'].diag",
-                lambda p: p["bank"]["2:dil_sep_conv_5x5"]["diag"].__setitem__(1, float("-inf")),
+                lambda p: edit_array(
+                    p["bank"]["2:dil_sep_conv_5x5"], "diag", lambda a: a.__setitem__(1, -np.inf)
+                ),
             ),
         ],
     )
@@ -380,19 +396,20 @@ class TestSharedCheckpointValidation:
         [
             (lambda p: p.pop("format_version"), "missing"),
             (lambda p: p.update(format_version=1), "1"),
-            (lambda p: p.update(format_version="2"), "'2'"),
+            (lambda p: p.update(format_version=2), "2"),
+            (lambda p: p.update(format_version="3"), "'3'"),
         ],
-        ids=["missing", "1", "string"],
+        ids=["missing", "1", "2", "string"],
     )
     def test_format_version_named(self, payload, tmp_path, edit, found):
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         edit(payload)
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(ValueError) as info:
             load_shared(path)
-        assert str(info.value) == f"format_version: expected 2, found {found}"
+        assert str(info.value) == f"format_version: expected 3, found {found}"
 
     def test_reload_rewrites_same_bytes(self, tmp_path):
         rng = np.random.default_rng(20)

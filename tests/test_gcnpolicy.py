@@ -1,5 +1,6 @@
 """Controller tests: forward distributions, sampling, and exact gradients."""
 
+import base64
 import json
 import warnings
 
@@ -38,7 +39,7 @@ from natforge.gcnpolicy import (
     save_policy,
     total_entropy,
 )
-from natforge.numkernel import grad_check
+from natforge.numkernel import checkpoint_text, grad_check
 from natforge.opspace import OPERATIONS, OperationKind, nat_actions, transition_mask
 
 LAYOUT = EncodingConfig(i_max=4)
@@ -670,6 +671,16 @@ class TestThetaStepRewrite:
         assert sample_actions(batched, rng).dtype == np.int64
 
 
+def edit_array(holder, key, edit):
+    """Decode the checkpoint array ``holder[key]``, apply ``edit`` and store it re-encoded.
+
+    ``edit`` changes the float64 array in place or returns the array to store.
+    """
+    values = np.frombuffer(base64.b64decode(holder[key]), dtype="<f8").copy()
+    edited = edit(values)
+    holder[key] = checkpoint_text(values if edited is None else edited)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -694,9 +705,12 @@ class TestCheckpoint:
         "field, edit",
         [
             ("mode", lambda p: p.update(mode="bogus")),
-            ("gcn_values[1]", lambda p: p["gcn_values"][1].__setitem__(0, float("nan"))),
-            ("fc_values", lambda p: p["fc_values"].__setitem__(3, float("inf"))),
-            ("fc_values", lambda p: p["fc_values"].pop()),
+            (
+                "gcn_values[1]",
+                lambda p: edit_array(p["gcn_values"], 1, lambda a: a.__setitem__(0, np.nan)),
+            ),
+            ("fc_values", lambda p: edit_array(p, "fc_values", lambda a: a.__setitem__(3, np.inf))),
+            ("fc_values", lambda p: edit_array(p, "fc_values", lambda a: a[:-1])),
             ("fc_shape", lambda p: p.update(mode="nat++")),
             ("gcn_shapes[0]", lambda p: p.update(i_max=3)),
             ("gcn_shapes", lambda p: p.update(depth=3)),
@@ -719,16 +733,17 @@ class TestCheckpoint:
         [
             (lambda p: p.pop("format_version"), "missing"),
             (lambda p: p.update(format_version=1), "1"),
-            (lambda p: p.update(format_version="2"), "'2'"),
+            (lambda p: p.update(format_version=2), "2"),
+            (lambda p: p.update(format_version="3"), "'3'"),
         ],
-        ids=["missing", "1", "string"],
+        ids=["missing", "1", "2", "string"],
     )
     def test_format_version_named(self, payload, tmp_path, edit, found):
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         edit(payload)
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(ValueError) as info:
             load_policy(path)
-        assert str(info.value) == f"format_version: expected 2, found {found}"
+        assert str(info.value) == f"format_version: expected 3, found {found}"

@@ -37,15 +37,15 @@ SAMPLE = "7ad58577c3de9b01e4b5240b8bb45b1896f49e7cadb151569a57a1a1a05c61ab"
 #: sha256 of (policy.json, train_log.jsonl) for ``natforge train`` on 3 epochs.
 TRAIN = {
     "nat++-m1": (
-        "7daf564a015fbc581b06069ea0bd337f9723a8b92ba715e13b2ee1e5efb8986f",
+        "b03807a24e2ae69fc02aedb5d5da12a17d8cc833cdf78ff0b97b753c524793a3",
         "7d78a55907f521065f2f3fc641f2addefd93f1a966628f8ce6564c0ab5329e08",
     ),
     "nat++-m2": (
-        "fa87845ecba3cd6d581f589255dc18bf6830d7fa6b1530090f0dafd29df1c3d8",
+        "61f82f2f8adfb58f07721d56e612d150667a59c93cf689762ee411af29399761",
         "c41d12f10ef92ca8cfad41c71ef3579aac2c0f493777984974c2724ef29512e6",
     ),
     "nat-m1": (
-        "26aa614300a4e6994219236ef6e64a1018c05c43fae545b5d2bb50baf43a0f9c",
+        "6db13e7dd9d725bf4a4bfb4b3381cd7180cb1373ea6ed0cb1ab67e40ae0fe6d6",
         "a9eab112fb34ade6fc8f9d76a6fca8b0087f0e1b4963f22b21e7ee60f8e43632",
     ),
 }
@@ -77,9 +77,9 @@ DEFAULT_RUN = {
 
 #: sha256 of (policy.json, train_log.jsonl, supernet.json) for one supernet epoch.
 SUPERNET = (
-    "2e905177357a376c2fe13812be7355bd48df64c687e43a725fa7399abc1f6327",
+    "dc6c10af3f3600040802af092d89f9f71661e3cf32d3af5c44f403c1ff0b956c",
     "5b5dbbfd2e89c8d6b07d115bd6c90ac4c3ae5a11140070c470546bc7b86516ab",
-    "e2f151ada7848af7593db00684ef0a55140188da80f4a112e6bbf7fdb3b8ff94",
+    "c9f144bf5bebc8596a2f5f21bac6c19c0436d8f7284997af86ff3c437e135988",
 )
 
 #: sha256 of the weight bytes ``load_policy`` and ``load_shared`` read from the
@@ -100,8 +100,8 @@ CONFIG_HASH = {
 
 #: sha256 of ``save_shared`` after 300 ``supernet_train_step``s on m uniform cells per step.
 PRETRAIN = {
-    1: "904603e8e8f5eb5997e2a3b2915a5f79fc001626690072d8410e4fa565c613b0",
-    2: "a6a495a8335f512542793f874a2595bc4dcf2f54fedb3707aa440b92f1eb6097",
+    1: "10902a6dc941896d2e5cef782ca8a815fb4b34cc07fb7db3226da938fa4ad49d",
+    2: "73fcff0a1ae7fc1e168c0928ab355dbcaae37a4a6ea1abb3e1445657f0c4fd9f",
 }
 
 #: sha256 of the weight bytes ``load_shared`` reads back from each ``PRETRAIN`` file.

@@ -1,14 +1,29 @@
 """Numeric primitive tests: softmax variants, entropy, gradient checker, checkpoint arrays."""
 
+import base64
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from natforge.gcnpolicy import PolicyOutput, total_entropy
+from natforge.archgraph import EncodingConfig
+from natforge.evaluator import init_shared, load_shared, save_shared
+from natforge.gcnpolicy import (
+    NATPP,
+    PolicyOutput,
+    init_params,
+    load_policy,
+    save_policy,
+    total_entropy,
+)
 from natforge.numkernel import (
     atomic_write,
     bmsoftmax,
+    checkpoint_array,
+    checkpoint_text,
     cross_entropy_logits,
     glorot_uniform,
     grad_check,
@@ -215,3 +230,91 @@ class TestAtomicWrite:
             atomic_write(path, "text\n")
         assert info.value.filename == path
         assert list(tmp_path.iterdir()) == []
+
+
+
+#: Finite float64 values at the edges of the range, each a distinct bit pattern.
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def fill(arrays, values, rng):
+    """Overwrite each array with ``values`` and ``EDGE_VALUES``, tiled and shuffled."""
+    pool = np.array(values + EDGE_VALUES)
+    for a in arrays:
+        flat = np.resize(pool, a.size)
+        rng.shuffle(flat)
+        a[...] = flat.reshape(a.shape)
+
+
+class TestCheckpointArrays:
+    @settings(deadline=None, max_examples=40)
+    @given(values=st.lists(finite_floats, max_size=40), seed=st.integers(0, 2**32 - 1))
+    def test_both_checkpoints_round_trip_bit_exact(self, values, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(NATPP, EncodingConfig().feature_dim, rng)
+        shared = init_shared(rng, 1)
+        bank = [a for entry in shared.bank.values() for a in entry.values()]
+        fill([*params.gcn, params.fc, shared.head_w, shared.head_b, *bank], values, rng)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_policy(params, f"{tmp}/policy.json")
+            save_shared(shared, 3, f"{tmp}/supernet.json")
+            loaded = load_policy(f"{tmp}/policy.json")
+            loaded_shared, _ = load_shared(f"{tmp}/supernet.json")
+        for a, b in zip([*params.gcn, params.fc], [*loaded.gcn, loaded.fc], strict=True):
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+        assert loaded_shared.head_w.tobytes() == shared.head_w.tobytes()
+        assert loaded_shared.head_b.tobytes() == shared.head_b.tobytes()
+        for key, entry in shared.bank.items():
+            for name, a in entry.items():
+                assert loaded_shared.bank[key][name].tobytes() == a.tobytes()
+
+    def test_text_is_base64_of_little_endian_float64(self):
+        a = np.array([[1.0, -0.0], [5e-324, 2.5]])
+        text = checkpoint_text(a)
+        assert text == base64.b64encode(a.astype("<f8").tobytes()).decode()
+        assert "\n" not in text and len(text) % 4 == 0
+        assert checkpoint_text(a.T) == checkpoint_text(np.ascontiguousarray(a.T))
+        assert checkpoint_text(a.astype(">f8")) == text
+
+    def test_read_array_is_native_writable_and_shaped(self):
+        a = np.arange(6.0)
+        read = checkpoint_array(checkpoint_text(a), (2, 3), "f")
+        assert read.dtype == np.float64 and read.dtype.isnative
+        assert read.flags.writeable and read.flags.c_contiguous
+        assert np.array_equal(read, a.reshape(2, 3))
+        read[0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param([0.0] * 6, id="list"),
+            pytest.param(1.5, id="number"),
+            pytest.param(None, id="null"),
+            pytest.param(checkpoint_text(np.zeros(6))[:-1] + "!", id="non-alphabet"),
+            pytest.param(checkpoint_text(np.zeros(6)) + "\n", id="line-break"),
+            pytest.param(checkpoint_text(np.zeros(6)).replace("A", "\u00c5", 1), id="non-ascii"),
+            pytest.param(checkpoint_text(np.zeros(6))[:-1], id="unpadded"),
+            pytest.param(base64.b64encode(bytes(47)).decode(), id="47-bytes"),
+            pytest.param(base64.b64encode(bytes(7)).decode(), id="7-bytes"),
+        ],
+    )
+    def test_undecodable_value_names_field(self, value):
+        with pytest.raises(ValueError) as info:
+            checkpoint_array(value, (2, 3), "bank['0:conv_1x1'].mix")
+        assert str(info.value) == "bank['0:conv_1x1'].mix: not base64 of float64 bytes"
+
+    @pytest.mark.parametrize("size", [5, 7, 0])
+    def test_wrong_value_count_names_field(self, size):
+        with pytest.raises(ValueError) as info:
+            checkpoint_array(checkpoint_text(np.zeros(size)), (2, 3), "head_w")
+        assert str(info.value) == f"head_w: shape ({size},), expected (2, 3)"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_field(self, bad):
+        values = np.zeros(6)
+        values[4] = bad
+        with pytest.raises(ValueError) as info:
+            checkpoint_array(checkpoint_text(values), (6,), "fc_values")
+        assert str(info.value) == "fc_values: contains NaN or infinity"
