@@ -2,7 +2,8 @@
 
 Every command is reproducible from its flag set plus seed; a manifest file
 written next to each artifact records both. File writes go through a
-write-temp-then-rename step so readers never observe partial output.
+write-temp-then-rename step so readers never observe partial output, and
+``train`` writes its artifacts as one unit: all of them or none.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .archgraph import (
 )
 from .evaluator import SupernetProvider, load_shared, make_dataset, save_shared
 from .gcnpolicy import load_policy, save_policy
-from .numkernel import atomic_write
+from .numkernel import atomic_write, write_together
 from .opspace import CostConfig, audit_rows, audit_violations, non_increasing_table
 from .trainer import TrainConfig
 
@@ -216,14 +217,15 @@ def train(
     os.makedirs(out_dir, exist_ok=True)
     policy_path = os.path.join(out_dir, "policy.json")
     log_path = os.path.join(out_dir, "train_log.jsonl")
-    save_policy(result.policy, policy_path)
-    result.log.write(log_path)
     artifacts = [policy_path, log_path]
-    if result.shared is not None:
-        shared_path = os.path.join(out_dir, "supernet.json")
-        save_shared(result.shared, cfg.seed, shared_path)
-        artifacts.append(shared_path)
-    manifest = _write_manifest(os.path.join(out_dir, "run"), cfg.to_dict())
+    with write_together():
+        save_policy(result.policy, policy_path)
+        result.log.write(log_path)
+        if result.shared is not None:
+            shared_path = os.path.join(out_dir, "supernet.json")
+            save_shared(result.shared, cfg.seed, shared_path)
+            artifacts.append(shared_path)
+        manifest = _write_manifest(os.path.join(out_dir, "run"), cfg.to_dict())
     click.echo(f"trained {mode} with {provider} provider; wrote {', '.join(artifacts)}")
     click.echo(f"manifest: {manifest}")
 

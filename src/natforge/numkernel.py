@@ -3,6 +3,9 @@
 ``atomic_write`` is the one way the package writes a file (checkpoints, the
 training log, CLI outputs and manifests): write a temporary file next to the
 target, then rename it over the target, so readers never see partial output.
+Inside a ``write_together`` block the writes are held and made as one unit on
+exit: every temp file is written before any is renamed, so a failure leaves
+none of the targets changed.
 
 A checkpoint stores each array as one string, ``checkpoint_text``: the
 base64 (RFC 4648, padded, no line breaks) of its row-major little-endian
@@ -16,8 +19,10 @@ exactly zero probability to cleared bits and renormalizes over the rest.
 from __future__ import annotations
 
 import base64
+import errno
 import math
 import os
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -114,21 +119,63 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+#: The (path, text) writes held by the open ``write_together`` block; None outside one.
+_held: list[tuple[str, str]] | None = None
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through ``path + ".tmp"`` and an atomic rename.
 
     If the write or the rename raises, the temp file is removed and the error
-    re-raised; an ``OSError`` names ``path``, not the temp file.
+    re-raised; an ``OSError`` names ``path``, not the temp file. Inside a
+    ``write_together`` block the write is held until the block ends.
     """
-    tmp = path + ".tmp"
-    opened = False
+    if _held is None:
+        _write_all([(path, text)])
+    else:
+        _held.append((path, text))
+
+
+@contextmanager
+def write_together():
+    """Hold every ``atomic_write`` of the block, then make them all on a clean exit.
+
+    The block renders every text before anything is written; a block that
+    raises writes nothing. Blocks do not nest.
+    """
+    global _held
+    _held = []
     try:
-        with open(tmp, "w") as fh:
-            opened = True
-            fh.write(text)
-        os.replace(tmp, path)
+        yield
+        files = _held
+    finally:
+        _held = None
+    _write_all(files)
+
+
+def _write_all(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text) through ``path + ".tmp"``, renaming only once all are written.
+
+    A target that is an existing directory is rejected before anything is
+    written. On any failure the temp files written so far are removed and the
+    error re-raised; an ``OSError`` names the target it was raised for, not
+    its temp file.
+    """
+    written = []
+    path = None
+    try:
+        for path, _ in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, text in files:
+            with open(path + ".tmp", "w") as fh:
+                written.append(path + ".tmp")
+                fh.write(text)
+        for path, _ in files:
+            os.replace(written[0], path)
+            del written[0]
     except BaseException as exc:
-        if opened:
+        for tmp in written:
             os.remove(tmp)
         if isinstance(exc, OSError):
             exc.filename, exc.filename2 = path, None

@@ -152,6 +152,17 @@ class TestTrain:
         ]
         assert not run_dir.exists()
 
+    def test_failed_write_writes_no_artifact(self, runner, tmp_path, monkeypatch):
+        """With one target an existing directory, no artifact, manifest or temp file appears."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run" / "supernet.json").mkdir(parents=True)
+        args = ["train", "--provider", "supernet", "--epochs", "1", "--out", "run"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["Error: run/supernet.json: Is a directory"]
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["supernet.json"]
+        assert list((tmp_path / "run" / "supernet.json").iterdir()) == []
+
 
 class TestSeed:
     @pytest.mark.parametrize(

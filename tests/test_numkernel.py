@@ -1,4 +1,5 @@
-"""Numeric primitive tests: softmax variants, entropy, gradient checker, checkpoint arrays."""
+"""Numeric primitive tests: softmax variants, entropy, gradient checker, file writes,
+checkpoint arrays."""
 
 import base64
 import math
@@ -28,6 +29,7 @@ from natforge.numkernel import (
     glorot_uniform,
     grad_check,
     softmax,
+    write_together,
 )
 
 
@@ -231,6 +233,45 @@ class TestAtomicWrite:
         assert info.value.filename == path
         assert list(tmp_path.iterdir()) == []
 
+
+
+class TestWriteTogether:
+    def test_writes_are_held_until_the_block_ends(self, tmp_path):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        with write_together():
+            for path in paths:
+                atomic_write(str(path), path.name)
+            assert list(tmp_path.iterdir()) == []
+        assert [p.read_text() for p in paths] == ["a.txt", "b.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_block_that_raises_writes_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with write_together():
+                atomic_write(str(tmp_path / "a.txt"), "a")
+                raise RuntimeError("stop")
+        assert list(tmp_path.iterdir()) == []
+        atomic_write(str(tmp_path / "b.txt"), "b")
+        assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
+
+    def test_directory_target_is_rejected_before_any_write(self, tmp_path):
+        (tmp_path / "b").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with write_together():
+                atomic_write(str(tmp_path / "a.txt"), "a")
+                atomic_write(str(tmp_path / "b"), "b")
+        assert info.value.filename == str(tmp_path / "b")
+        assert [p.name for p in tmp_path.iterdir()] == ["b"]
+        assert list((tmp_path / "b").iterdir()) == []
+
+    def test_failed_later_write_removes_earlier_temp(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "missing" / "b.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with write_together():
+                atomic_write(str(first), "a")
+                atomic_write(str(second), "b")
+        assert info.value.filename == str(second)
+        assert list(tmp_path.iterdir()) == []
 
 
 #: Finite float64 values at the edges of the range, each a distinct bit pattern.
