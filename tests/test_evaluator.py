@@ -372,7 +372,9 @@ class TestSharedCheckpointValidation:
             ("bank['0:sep_conv_3x3']", lambda p: p["bank"]["0:sep_conv_3x3"].pop("diag")),
             (
                 "bank['1:conv_3x3'].mix",
-                lambda p: edit_array(p["bank"]["1:conv_3x3"], "mix", lambda a: a[:-1]),
+                lambda p: edit_array(
+                    p["bank"]["1:conv_3x3"], "mix", lambda a: a.reshape(16, 16)[:-1]
+                ),
             ),
             (
                 "bank['2:dil_sep_conv_5x5'].diag",

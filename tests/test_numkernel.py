@@ -333,7 +333,7 @@ class TestCheckpointArrays:
             pytest.param([0.0] * 6, id="list"),
             pytest.param(1.5, id="number"),
             pytest.param(None, id="null"),
-            pytest.param(checkpoint_text(np.zeros(6))[:-1] + "!", id="non-alphabet"),
+            pytest.param("!" + checkpoint_text(np.zeros(6)), id="non-alphabet"),
             pytest.param(checkpoint_text(np.zeros(6)) + "\n", id="line-break"),
             pytest.param(checkpoint_text(np.zeros(6)).replace("A", "\u00c5", 1), id="non-ascii"),
             pytest.param(checkpoint_text(np.zeros(6))[:-1], id="unpadded"),
