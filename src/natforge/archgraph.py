@@ -272,15 +272,10 @@ OP_BLOCK = NUM_OPERATIONS + 1
 _NO_EDGE = NUM_OPERATIONS
 
 
-@dataclass(frozen=True)
-class EncodingConfig:
-    """Layout of the (A, X) encoding fed to the controller."""
-
-    i_max: int = 4
-
-    @property
-    def feature_dim(self) -> int:
-        return 4 + self.i_max + 2 * OP_BLOCK
+#: The most intermediates an encoded cell may have; it fixes the controller's input width.
+I_MAX = 4
+#: Width of a node's feature row: role (4), intermediate position (I_MAX), two op blocks.
+FEATURE_DIM = 4 + I_MAX + 2 * OP_BLOCK
 
 
 @dataclass(frozen=True)
@@ -290,7 +285,7 @@ class GraphEncoding:
 
 
 @lru_cache(maxsize=64)
-def _template(num_nodes: int, i_max: int) -> tuple[np.ndarray, ...]:
+def _template(num_nodes: int) -> tuple[np.ndarray, ...]:
     """Read-only (adjacency, features, edge target rows, slot column bases) for one size.
 
     The adjacency holds the self-loops and the intermediate<->output links,
@@ -302,12 +297,12 @@ def _template(num_nodes: int, i_max: int) -> tuple[np.ndarray, ...]:
     adj = np.eye(n)
     adj[2:out, out] = 1.0
     adj[out, 2:out] = 1.0
-    x = np.zeros((n, EncodingConfig(i_max).feature_dim))
+    x = np.zeros((n, FEATURE_DIM))
     x[0, 0] = x[1, 1] = x[out, 3] = 1.0
     inter = np.arange(num_inter)
     x[2 + inter, 2] = 1.0
     x[2 + inter, 4 + inter] = 1.0
-    slot_base = 4 + i_max + np.array([0, OP_BLOCK])
+    slot_base = 4 + I_MAX + np.array([0, OP_BLOCK])
     for row in (0, 1, out):
         x[row, slot_base + _NO_EDGE] = 1.0
     pos = np.arange(2 * num_inter)
@@ -317,9 +312,7 @@ def _template(num_nodes: int, i_max: int) -> tuple[np.ndarray, ...]:
     return parts
 
 
-def encode(
-    graphs: CellGraph | Sequence[CellGraph], layout: EncodingConfig = EncodingConfig()
-) -> GraphEncoding:
+def encode(graphs: CellGraph | Sequence[CellGraph]) -> GraphEncoding:
     """Encode one cell, or a group of same-size cells, as (adjacency, node features).
 
     A node's feature row is [role one-hot (input-0 / input-1 / intermediate /
@@ -327,9 +320,9 @@ def encode(
     one-hot], where the extra op code marks "no incoming edge". Adjacency is
     symmetric over edge slots plus the intermediate->output concatenation
     links, with self-loops and row normalization. One cell gives (V, V) and
-    (V, F) arrays; B cells of V nodes give them stacked, (B, V, V) and
-    (B, V, F). Each is a copy of a cached template with only the K edge
-    entries filled in.
+    (V, F) arrays, F = ``FEATURE_DIM``; B cells of V nodes give them stacked,
+    (B, V, V) and (B, V, F). Each is a copy of a cached template with only the
+    K edge entries filled in.
     """
     single = isinstance(graphs, CellGraph)
     cells = [graphs] if single else graphs
@@ -339,19 +332,17 @@ def encode(
     if any(g.num_nodes != n for g in cells):
         raise ValueError("encode takes a group of cells with one node count")
     sources, ops = np.array([g.sources for g in cells]), np.array([g.ops for g in cells])
-    enc = _encode(n, sources, ops, layout)
+    enc = _encode(n, sources, ops)
     return GraphEncoding(enc.adjacency[0], enc.features[0]) if single else enc
 
 
-def _encode(num_nodes: int, sources, ops, layout: EncodingConfig) -> GraphEncoding:
+def _encode(num_nodes: int, sources, ops) -> GraphEncoding:
     """The stacked (B, V, V) adjacencies and (B, V, F) features of B cells of V nodes,
     from their (B, K) ``sources`` and ``ops``."""
     num_inter = num_nodes - 3
-    if num_inter > layout.i_max:
-        raise GraphError(
-            f"graph has {num_inter} intermediates, layout allows {layout.i_max}"
-        )
-    adj0, x0, rows, cols = _template(num_nodes, layout.i_max)
+    if num_inter > I_MAX:
+        raise GraphError(f"graph has {num_inter} intermediates, the encoding allows {I_MAX}")
+    adj0, x0, rows, cols = _template(num_nodes)
     b = len(sources)
     cell = np.arange(b)[:, None]
     sources = sources + 2

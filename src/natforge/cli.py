@@ -20,6 +20,7 @@ import numpy as np
 
 from . import trainer
 from .archgraph import (
+    I_MAX,
     _parse,
     _serialize,
     cost_of,
@@ -241,12 +242,12 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
     policy = _read(policy_path, load_policy)
     # The file stays in its flat form (nodes, bounds, sources, ops) from read to write.
     flat = nodes, bounds, sources, ops = _read(in_path, _cells, _parse)
-    too_big = np.flatnonzero(nodes - 3 > policy.i_max)
+    too_big = np.flatnonzero(nodes - 3 > I_MAX)
     if len(too_big):
         i = int(too_big[0])
         raise click.ClickException(
             f"graph {i} has {nodes[i] - 3} intermediate nodes; "
-            f"the policy handles at most i_max={policy.i_max}"
+            f"the policy handles at most i_max={I_MAX}"
         )
     rng = np.random.default_rng(seed)
     try:

@@ -20,14 +20,17 @@ outlives the call.
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
 central finite differences. They come in two parts: one draw's per-edge
-gradient in the logits, the sum of its ``reward_logit_grad`` and the weighted
-entropy gradient (one pass per cell gives the entropy and its gradient), and
-``backprop``, which carries a logit gradient through the cached GCN down to the
-first layer's weights and computes no gradient for the input features. The
+gradient in the logits, the sum of its reward term (``_reward_logit_grads``,
+which checks the actions) and the weighted entropy gradient (one pass per cell,
+``_entropy_terms``, gives the entropy and its gradient), and ``backprop``,
+which carries a logit gradient through the cached GCN down to the first
+layer's weights and computes no gradient for the input features. The
 objective is linear in the logit gradient, so the trainer forms the reward
-terms of a cell's n draws in one stacked pass (the private core that
-``reward_logit_grad`` wraps), sums the draws of every cell and backprops once
-per step; ``policy_gradient`` is the two composed.
+terms of a cell's n draws in one stacked call, sums the draws of every cell and
+backprops once per step; ``policy_gradient`` is the two composed for one draw.
+
+The controller's input width is ``archgraph.FEATURE_DIM``, fixed by
+``I_MAX``; a checkpoint records ``i_max`` and the loader accepts only ``I_MAX``.
 
 Operations enter as index arrays into ``OPERATIONS``, the form a
 ``CellGraph`` stores them in.
@@ -47,7 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .archgraph import EncodingConfig, GraphEncoding
+from .archgraph import FEATURE_DIM, I_MAX, GraphEncoding
 from .numkernel import (
     FORMAT_VERSION,
     _arange,
@@ -76,7 +79,6 @@ class PolicyParams:
     mode: str
     gcn: list[np.ndarray]
     fc: np.ndarray
-    i_max: int
 
     @property
     def depth(self) -> int:
@@ -87,7 +89,7 @@ class PolicyParams:
         return _NUM_ACTIONS[self.mode]
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.mode, [w.copy() for w in self.gcn], self.fc.copy(), self.i_max)
+        return PolicyParams(self.mode, [w.copy() for w in self.gcn], self.fc.copy())
 
 
 @dataclass
@@ -129,21 +131,18 @@ class PolicyOutput:
 
 
 def init_params(
-    mode: str,
-    feature_dim: int,
-    rng: np.random.Generator,
-    hidden_dim: int = 64,
-    depth: int = 2,
+    mode: str, rng: np.random.Generator, hidden_dim: int = 64, depth: int = 2
 ) -> PolicyParams:
-    """Glorot-initialized controller of the given depth, for cells of the default ``i_max``."""
+    """Glorot-initialized controller of the given depth, for cells of at most ``I_MAX``
+    intermediates (``FEATURE_DIM`` inputs)."""
     if mode not in _NUM_ACTIONS:
         raise ValueError(f"mode must be one of {sorted(_NUM_ACTIONS)}, got {mode!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    dims = [feature_dim] + [hidden_dim] * depth
+    dims = [FEATURE_DIM] + [hidden_dim] * depth
     gcn = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(depth)]
     fc = glorot_uniform(rng, hidden_dim, 2 * _NUM_ACTIONS[mode])
-    return PolicyParams(mode=mode, gcn=gcn, fc=fc, i_max=EncodingConfig.i_max)
+    return PolicyParams(mode=mode, gcn=gcn, fc=fc)
 
 
 def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> PolicyOutput:
@@ -248,7 +247,8 @@ def argmax_actions(out: PolicyOutput) -> np.ndarray:
 def _entropy_terms(z: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed row entropy of (K, c) probabilities and its logit gradient, from one ``log``.
 
-    An entry that is not positive takes ``log(1.0) = 0.0`` (so no warning is
+    The gradient depends on the cell only, not on a draw. An entry that is not
+    positive (a bit its mask clears) takes ``log(1.0) = 0.0`` (so no warning is
     raised), adds nothing to the entropy and gets a zero gradient."""
     on = z > 0
     logp = np.log(np.where(on, z, 1.0))
@@ -277,21 +277,12 @@ def actions_to_ops(mode: str, current_ops: np.ndarray, actions: np.ndarray) -> n
     return actions
 
 
-def reward_logit_grad(out: PolicyOutput, actions: np.ndarray, reward: float) -> np.ndarray:
-    """Per-edge gradient of reward * log pi(actions) in the logits, for one cell's (K, c) output.
-
-    Raises ValueError naming the first edge whose action is outside [0, c)
-    or cleared by its transition mask.
-    """
-    return _reward_logit_grads(out.Z, out.masks, np.asarray(actions)[None], [reward])[0]
-
-
 def _reward_logit_grads(
     z: np.ndarray, masks: np.ndarray, actions: np.ndarray, rewards: Sequence[float]
 ) -> np.ndarray:
-    """``reward_logit_grad`` of n draws of one cell's (K, c) ``z`` and ``masks`` at once:
-    (n, K) actions and n rewards give the (n, K, c) gradients, draw j's block the same
-    floats as its own call.
+    """Per-edge gradients of reward * log pi(actions) in the logits, for n draws of one
+    cell's (K, c) ``z`` and ``masks``: (n, K) actions and n rewards give the (n, K, c)
+    gradients, draw j's block the same floats as a call with that draw alone.
 
     Raises ValueError on a non-finite reward, or naming the edge of the first
     draw-major action that is outside [0, c) or cleared by its transition mask.
@@ -314,15 +305,6 @@ def _reward_logit_grads(
     grad_logp[_arange(len(actions))[:, None], rows, actions] += 1.0
     grad_logp *= np.array(rewards, dtype=float)[:, None, None]
     return grad_logp
-
-
-def entropy_logit_grad(out: PolicyOutput) -> np.ndarray:
-    """Per-edge gradient of H(pi) in the logits; it depends on the cell only, not on a draw.
-
-    For a masked row the softmax Jacobian is zero at cleared bits, so the
-    gradient vanishes there.
-    """
-    return _entropy_terms(out.Z)[1]
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -372,7 +354,8 @@ def policy_gradient(
 
     ``backprop`` of the draw's two logit-gradient terms, with their checks.
     """
-    g_u = reward_logit_grad(out, actions, reward) + entropy_weight * entropy_logit_grad(out)
+    g_u = _reward_logit_grads(out.Z, out.masks, np.asarray(actions)[None], [reward])[0]
+    g_u += entropy_weight * _entropy_terms(out.Z)[1]
     return backprop(out, params, g_u)
 
 
@@ -389,7 +372,7 @@ def save_policy(params: PolicyParams, path: str) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "mode": params.mode,
-        "i_max": params.i_max,
+        "i_max": I_MAX,
         "depth": params.depth,
         "gcn_shapes": [list(w.shape) for w in params.gcn],
         "fc_shape": list(params.fc.shape),
@@ -406,9 +389,10 @@ def load_policy(path: str) -> PolicyParams:
     """Read a ``save_policy`` checkpoint, validating every field.
 
     Raises ValueError naming the first field that is missing, has an unknown
-    ``format_version`` or mode, has a shape inconsistent with ``i_max``,
-    ``depth`` or the mode, or holds an array that ``checkpoint_array`` rejects
-    (not base64 of float64 bytes, the wrong value count, or a non-finite value).
+    ``format_version`` or mode, has an ``i_max`` other than ``I_MAX``, has a
+    shape inconsistent with ``FEATURE_DIM``, ``depth`` or the mode, or holds an
+    array that ``checkpoint_array`` rejects (not base64 of float64 bytes, the
+    wrong value count, or a non-finite value).
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -416,12 +400,14 @@ def load_policy(path: str) -> PolicyParams:
     mode = payload["mode"]
     if not isinstance(mode, str) or mode not in _NUM_ACTIONS:
         raise ValueError(f"mode: must be one of {sorted(_NUM_ACTIONS)}, got {mode!r}")
-    i_max = checkpoint_dim(payload["i_max"], "i_max")
+    i_max = payload["i_max"]
+    if type(i_max) is not int or i_max != I_MAX:
+        raise ValueError(f"i_max: expected {I_MAX}, got {i_max!r}")
     depth = checkpoint_dim(payload["depth"], "depth")
     for field in ("gcn_shapes", "gcn_values"):
         if not isinstance(payload[field], list) or len(payload[field]) != depth:
             raise ValueError(f"{field}: expected a list of depth={depth} entries")
-    fan_in = EncodingConfig(i_max=i_max).feature_dim
+    fan_in = FEATURE_DIM
     gcn = []
     for i, (shape, vals) in enumerate(zip(payload["gcn_shapes"], payload["gcn_values"])):
         if not (isinstance(shape, list) and len(shape) == 2 and shape[0] == fan_in):
@@ -434,4 +420,4 @@ def load_policy(path: str) -> PolicyParams:
     if payload["fc_shape"] != fc_shape:
         raise ValueError(f"fc_shape: expected {fc_shape}, got {payload['fc_shape']!r}")
     fc = checkpoint_array(payload["fc_values"], (fc_shape[0] * fc_shape[1],), "fc_values")
-    return PolicyParams(mode=mode, gcn=gcn, fc=fc.reshape(fc_shape), i_max=i_max)
+    return PolicyParams(mode=mode, gcn=gcn, fc=fc.reshape(fc_shape))

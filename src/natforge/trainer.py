@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gcnpolicy
-from .archgraph import CellGraph, EncodingConfig, apply_transitions, encode, sample_uniform
+from .archgraph import CellGraph, apply_transitions, encode, sample_uniform
 from .archgraph import _cell, _checked_ops, _encode, _flat
 from .evaluator import (
     OracleProvider,
@@ -71,7 +71,6 @@ class TrainConfig:
     iters_theta = 10
     num_intermediate = 4
     hidden_dim = 64
-    i_max = EncodingConfig.i_max
     train_batch = 64
     reward_batch = 256
     baseline_decay = 0.9
@@ -157,7 +156,7 @@ def _draw(
     ``sample_actions`` call over each cell's rows repeated n times, with the uniforms of n
     calls per cell, and one group ``apply_transitions``; rewrite i·n + j is cell i's draw j."""
     ops = np.array([b.ops for b in betas])
-    out = _checked_output(forward(encode(betas, EncodingConfig(i_max=policy.i_max)), ops, policy))
+    out = _checked_output(forward(encode(betas), ops, policy))
     rows = PolicyOutput(Z=_per_draw(out.Z, n), masks=_per_draw(out.masks, n))
     drawn = sample_actions(rows, rng)
     alphas = apply_transitions(
@@ -220,8 +219,7 @@ def run(cfg: TrainConfig) -> TrainResult:
     ``_draw``, ``_score``, ``_logit_grads`` and ``_ascend``, whose docstrings say the rest.
     """
     rng = np.random.default_rng(cfg.seed)
-    feature_dim = EncodingConfig(i_max=cfg.i_max).feature_dim
-    policy = init_params(cfg.mode, feature_dim, rng, hidden_dim=cfg.hidden_dim, depth=cfg.depth)
+    policy = init_params(cfg.mode, rng, hidden_dim=cfg.hidden_dim, depth=cfg.depth)
 
     shared = oracle = dataset = None
     if cfg.provider == "oracle":
@@ -313,7 +311,7 @@ def _infer_ops(
             k = 2 * (n - 3)
             edges = (bounds[start + np.flatnonzero(chunk == n)][:, None] + np.arange(k)).ravel()
             current = ops[edges].reshape(-1, k)
-            enc = _encode(n, sources[edges].reshape(-1, k), current, EncodingConfig(policy.i_max))
+            enc = _encode(n, sources[edges].reshape(-1, k), current)
             out = _checked_output(_forward(enc, current, policy, cache=False))
             if decode == "argmax":
                 actions = argmax_actions(out).ravel()

@@ -17,7 +17,6 @@ from scipy import stats
 
 from natforge import trainer
 from natforge.archgraph import (
-    EncodingConfig,
     assignment_count,
     cost_non_increasing,
     cost_of,
@@ -131,10 +130,9 @@ def test_criterion_04_gradient_fidelity():
     for i in range(50):
         mode = "nat" if i % 2 == 0 else "nat++"
         num_inter = int(rng.integers(1, 5))  # K = 2..8
-        layout = EncodingConfig(i_max=4)
-        params = init_params(mode, layout.feature_dim, rng, hidden_dim=8)
+        params = init_params(mode, rng, hidden_dim=8)
         g = sample_uniform(num_inter, rng)
-        enc = encode(g, layout)
+        enc = encode(g)
         out = forward(enc, g.ops, params)
         actions = sample_actions(out, rng)
         reward = float(rng.standard_normal())
@@ -284,7 +282,6 @@ def test_criterion_08b_high_entropy_weight_is_random_search():
     verdict would just shrink with sample size).
     """
     uniform_h = trainer.uniform_policy_entropy()
-    layout = EncodingConfig(i_max=4)
     ratios, match_counts, match_totals = [], 0, 0
     control_counts = control_total = 0
     for seed in range(3):
@@ -293,7 +290,7 @@ def test_criterion_08b_high_entropy_weight_is_random_search():
         entropies = []
         for _ in range(50):
             beta = sample_uniform(4, ent_rng)
-            out = forward(encode(beta, layout), beta.ops, result.policy)
+            out = forward(encode(beta), beta.ops, result.policy)
             entropies.append(total_entropy(out))
         ratios.append(float(np.mean(entropies)) / uniform_h)
         match_rng = np.random.default_rng(40_000 + seed)

@@ -11,8 +11,9 @@ from scipy import stats
 from natforge import archgraph
 from natforge.archgraph import (
     CellGraph,
+    FEATURE_DIM,
+    I_MAX,
     EdgeSlot,
-    EncodingConfig,
     GraphError,
     ParseError,
     apply_transitions,
@@ -28,6 +29,7 @@ from natforge.archgraph import (
     validate,
 )
 from natforge.archgraph import _flat, _line_record, _serialize
+from natforge.gcnpolicy import NATPP, init_params
 from natforge.opspace import (
     NUM_OPERATIONS,
     OPERATIONS,
@@ -159,7 +161,9 @@ class TestSampling:
 
 class TestEncoding:
     def test_feature_dim_36(self):
-        assert EncodingConfig(i_max=4).feature_dim == 36
+        g = sample_uniform(4, np.random.default_rng(0))
+        width = init_params(NATPP, np.random.default_rng(0)).gcn[0].shape[0]
+        assert FEATURE_DIM == 36 == encode(g).features.shape[-1] == width
 
     def test_rows_are_one_hot_blocks(self):
         g = chain_cell(OperationKind.SEP_CONV_3X3)
@@ -192,7 +196,7 @@ class TestEncoding:
         rng = np.random.default_rng(4)
         g = sample_uniform(5, rng)
         with pytest.raises(GraphError, match="allows"):
-            encode(g, EncodingConfig(i_max=4))
+            encode(g)
 
 
 class TestTransitions:
@@ -630,7 +634,7 @@ def reference_sample_uniform(num_intermediate, rng):
     return make_cell(num_intermediate + 3, edges)
 
 
-def reference_encode(graph, layout):
+def reference_encode(graph):
     """Per-node loop encoding that batched ``encode`` must reproduce bit for bit."""
     n = graph.num_nodes
     adj = np.zeros((n, n))
@@ -643,7 +647,7 @@ def reference_encode(graph, layout):
     adj = adj + np.eye(n)
     adj = adj / adj.sum(axis=1, keepdims=True)
     slot_ops = {(e.target_node, e.slot): e.op for e in graph.edges}
-    x = np.zeros((n, layout.feature_dim))
+    x = np.zeros((n, FEATURE_DIM))
     for node in range(-2, n - 2):
         row = node + 2
         if node == -2:
@@ -658,7 +662,7 @@ def reference_encode(graph, layout):
         for slot in (0, 1):
             op = slot_ops.get((node, slot))
             code = op.index if op is not None else NUM_OPERATIONS
-            x[row, 4 + layout.i_max + slot * (NUM_OPERATIONS + 1) + code] = 1.0
+            x[row, 4 + I_MAX + slot * (NUM_OPERATIONS + 1) + code] = 1.0
     return adj, x
 
 
@@ -677,18 +681,16 @@ class TestArrayReferences:
     @given(
         seed=st.integers(0, 2**32 - 1),
         num_intermediate=st.integers(1, 4),
-        extra=st.integers(0, 2),
         count=st.integers(1, 12),
     )
-    def test_batched_encode_matches_loop(self, seed, num_intermediate, extra, count):
-        layout = EncodingConfig(i_max=num_intermediate + extra)
+    def test_batched_encode_matches_loop(self, seed, num_intermediate, count):
         rng = np.random.default_rng(seed)
         cells = [sample_uniform(num_intermediate, rng) for _ in range(count)]
-        batch = encode(cells, layout)
+        batch = encode(cells)
         assert batch.adjacency.shape == (count, num_intermediate + 3, num_intermediate + 3)
         for b, g in enumerate(cells):
-            adj, x = reference_encode(g, layout)
-            single = encode(g, layout)
+            adj, x = reference_encode(g)
+            single = encode(g)
             for got in (batch.adjacency[b], single.adjacency):
                 assert np.array_equal(got, adj)
             for got in (batch.features[b], single.features):

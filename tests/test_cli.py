@@ -11,7 +11,6 @@ import pytest
 from click.testing import CliRunner
 
 from natforge import trainer
-from natforge.archgraph import EncodingConfig
 from natforge.cli import main
 from natforge.gcnpolicy import NATPP, init_params, save_policy
 from natforge.numkernel import checkpoint_text
@@ -190,7 +189,7 @@ class TestOptimize:
     def test_cell_beyond_policy_i_max_names_limit(self, runner, tmp_path):
         graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
         assert runner.invoke(main, ["sample", "--nodes", "9", "--out", graphs]).exit_code == 0
-        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        params = init_params(NATPP, np.random.default_rng(0))
         save_policy(params, policy)
         result = runner.invoke(main, ["optimize", "--in", graphs, "--policy", policy])
         assert result.exit_code == 1
@@ -201,7 +200,7 @@ class TestOptimize:
     def test_bad_policy_names_field(self, runner, tmp_path):
         graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
         assert runner.invoke(main, ["sample", "--out", graphs]).exit_code == 0
-        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        params = init_params(NATPP, np.random.default_rng(0))
         save_policy(params, policy)
         payload = json.load(open(policy))
         payload["mode"] = "bogus"
@@ -215,7 +214,7 @@ class TestOptimize:
     def test_non_string_policy_mode_is_one_line_error(self, runner, tmp_path, mode):
         graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
         assert runner.invoke(main, ["sample", "--out", graphs]).exit_code == 0
-        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        params = init_params(NATPP, np.random.default_rng(0))
         save_policy(params, policy)
         payload = json.load(open(policy))
         payload["mode"] = mode
@@ -227,6 +226,26 @@ class TestOptimize:
             f"Error: {policy}: mode: must be one of ['nat', 'nat++'], got {mode!r}"
         ]
 
+    @pytest.mark.parametrize("i_max", [0, 3, 5, "4", True])
+    def test_policy_of_other_i_max_is_one_line_error_writing_nothing(
+        self, runner, tmp_path, i_max
+    ):
+        graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
+        out = tmp_path / "opt.txt"
+        assert runner.invoke(main, ["sample", "--out", graphs]).exit_code == 0
+        save_policy(init_params(NATPP, np.random.default_rng(0)), policy)
+        payload = json.load(open(policy))
+        payload["i_max"] = i_max
+        json.dump(payload, open(policy, "w"))
+        args = ["optimize", "--in", graphs, "--policy", policy, "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: {policy}: i_max: expected 4, got {i_max!r}"
+        ]
+        assert not out.exists()
+
 
     def test_rewired_rewrite_rejected_by_audit(self, runner, tmp_path, monkeypatch):
         """A rewrite that adds cost stops ``optimize`` before it writes. The inference
@@ -234,7 +253,7 @@ class TestOptimize:
         graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
         out = str(tmp_path / "opt.txt")
         assert runner.invoke(main, ["sample", "--count", "3", "--out", graphs]).exit_code == 0
-        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        params = init_params(NATPP, np.random.default_rng(0))
         save_policy(params, policy)
         dearest = OperationKind.CONV_5X5.index
 
@@ -262,7 +281,7 @@ class TestOptimize:
         graphs, policy = str(tmp_path / "g.txt"), str(tmp_path / "policy.json")
         out = tmp_path / "opt.txt"
         assert runner.invoke(main, ["sample", "--count", "5", "--out", graphs]).exit_code == 0
-        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, np.random.default_rng(0))
+        params = init_params(NATPP, np.random.default_rng(0))
         for w in params.gcn + [params.fc]:
             w *= 1e299
         save_policy(params, policy)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natforge.archgraph import EncodingConfig
 from natforge.evaluator import init_shared, load_shared, save_shared
 from natforge.gcnpolicy import (
     NATPP,
@@ -294,7 +293,7 @@ class TestCheckpointArrays:
     @given(values=st.lists(finite_floats, max_size=40), seed=st.integers(0, 2**32 - 1))
     def test_both_checkpoints_round_trip_bit_exact(self, values, seed):
         rng = np.random.default_rng(seed)
-        params = init_params(NATPP, EncodingConfig().feature_dim, rng)
+        params = init_params(NATPP, rng)
         shared = init_shared(rng, 1)
         bank = [a for entry in shared.bank.values() for a in entry.values()]
         fill([*params.gcn, params.fc, shared.head_w, shared.head_b, *bank], values, rng)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from natforge import gcnpolicy, trainer
 from natforge.archgraph import (
-    EncodingConfig,
     apply_transitions,
     cost_non_increasing,
     encode,
@@ -26,13 +25,13 @@ from natforge.gcnpolicy import (
     ParamGrads,
     PolicyOutput,
     _entropy_terms,
+    _reward_logit_grads,
     actions_to_ops,
     ascend_,
     forward,
     init_params,
     load_policy,
     policy_gradient,
-    reward_logit_grad,
     sample_actions,
     save_policy,
 )
@@ -205,7 +204,7 @@ class TestInfer:
 
 def reference_infer(policy, beta, decode, rng):
     """Per-cell inference that ``infer_many`` must reproduce: encode, forward, decode, apply."""
-    out = forward(encode(beta, EncodingConfig(i_max=policy.i_max)), beta.ops, policy)
+    out = forward(encode(beta), beta.ops, policy)
     if decode == "argmax":
         actions = out.Z.argmax(axis=1)
     else:
@@ -222,14 +221,7 @@ def reference_run(cfg):
     rewards and the generator.
     """
     rng = np.random.default_rng(cfg.seed)
-    layout = EncodingConfig(i_max=cfg.i_max)
-    policy = init_params(
-        cfg.mode,
-        layout.feature_dim,
-        rng,
-        hidden_dim=cfg.hidden_dim,
-        depth=cfg.depth,
-    )
+    policy = init_params(cfg.mode, rng, hidden_dim=cfg.hidden_dim, depth=cfg.depth)
     provider = OracleProvider(make_oracle(cfg.seed, num_edges=2 * cfg.num_intermediate))
     baseline = 0.0
     mean_rewards = []
@@ -238,7 +230,7 @@ def reference_run(cfg):
         total = None
         rewards = []
         for beta in betas:
-            out = forward(encode(beta, layout), beta.ops, policy)
+            out = forward(encode(beta), beta.ops, policy)
             [base] = provider.score_many([beta])
             for _ in range(cfg.n):
                 actions = sample_actions(out, rng)
@@ -291,7 +283,7 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(30)
         cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(2 * INFER_CHUNK + 37)]
         for scale in (0.1, 1.0, 30.0):
-            policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng, depth=2)
+            policy = init_params(mode, rng, depth=2)
             policy.fc *= scale
             fast_rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
             fast = infer_many(policy, cells, decode=decode, rng=fast_rng)
@@ -327,7 +319,7 @@ class TestOptimizeCommand:
         in_path, policy_path, out_path = (str(tmp_path / n) for n in ("in.txt", "p.json", "o.txt"))
         with open(in_path, "w") as fh:
             fh.write("\n\n".join(blocks) + "\n")
-        params = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        params = init_params(mode, rng)
         params.fc *= 3.0
         save_policy(params, policy_path)
         policy = load_policy(policy_path)
@@ -361,7 +353,7 @@ class TestCacheFreeInference:
         in_path, policy_path, out_path = (str(tmp_path / n) for n in ("in.txt", "p.json", "o.txt"))
         with open(in_path, "w") as fh:
             fh.write(serialize_many(cells))
-        params = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, rng)
+        params = init_params(NATPP, rng)
         params.fc *= 3.0
         save_policy(params, policy_path)
         policy = load_policy(policy_path)
@@ -383,7 +375,7 @@ class TestCacheFreeInference:
     @pytest.mark.parametrize("decode", ["sample", "argmax"])
     def test_overflowing_policy_raises(self, decode):
         rng = np.random.default_rng(42)
-        policy = init_params(NATPP, EncodingConfig(i_max=4).feature_dim, rng)
+        policy = init_params(NATPP, rng)
         for w in policy.gcn + [policy.fc]:
             w *= 1e299
         cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(20)]
@@ -405,12 +397,11 @@ class TestDrawSet:
     )
     def test_one_draw_call_equals_per_draw_calls(self, seed, mode, m, n, num_intermediate, scale):
         rng = np.random.default_rng(seed)
-        layout = EncodingConfig(i_max=4)
-        policy = init_params(mode, layout.feature_dim, rng)
+        policy = init_params(mode, rng)
         policy.fc *= scale
         betas = [sample_uniform(num_intermediate, rng) for _ in range(m)]
         ops = np.array([b.ops for b in betas])
-        out = forward(encode(betas, layout), ops, policy)
+        out = forward(encode(betas), ops, policy)
 
         fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         rows = PolicyOutput(Z=trainer._per_draw(out.Z, n), masks=trainer._per_draw(out.masks, n))
@@ -433,7 +424,7 @@ class TestDrawSet:
 
 
 def reference_reward_logit_grad(z, actions, reward):
-    """One draw's reward term, with the arithmetic of a per-draw ``reward_logit_grad``."""
+    """One draw's reward term, with the arithmetic of a one-draw ``_reward_logit_grads``."""
     grad_logp = -z
     grad_logp[np.arange(len(z)), actions] += 1.0
     return reward * grad_logp
@@ -475,7 +466,7 @@ class TestStackedLogitGrads:
         cfg = TrainConfig(
             mode=mode, m=m, n=n, use_baseline=use_baseline, entropy_weight=entropy_weight
         )
-        policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        policy = init_params(mode, rng)
         policy.fc *= scale
         betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(m)]
         out, _, actions = trainer._draw(betas, policy, rng, n)
@@ -490,13 +481,14 @@ class TestStackedLogitGrads:
         cell = PolicyOutput(Z=out.Z[0], masks=out.masks[0])
         for j in range(n):
             want = reference_reward_logit_grad(cell.Z, actions[j], rewards[j])
-            assert reward_logit_grad(cell, actions[j], rewards[j]).tobytes() == want.tobytes()
+            got = _reward_logit_grads(cell.Z, cell.masks, actions[j][None], [rewards[j]])[0]
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_bad_draws_raise_reward_logit_grad_messages(self, mode):
         rng = np.random.default_rng(33)
         cfg = TrainConfig(mode=mode, m=2, n=3)
-        policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        policy = init_params(mode, rng)
         betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
         out, _, actions = trainer._draw(betas, policy, rng, cfg.n)
         rewards = [0.01] * (cfg.m * cfg.n)
@@ -520,7 +512,7 @@ class TestStackedLogitGrads:
                 r[j] = value
             cell = PolicyOutput(Z=out.Z[j // cfg.n], masks=out.masks[j // cfg.n])
             with pytest.raises(ValueError, match=message):
-                reward_logit_grad(cell, a[j], r[j])
+                _reward_logit_grads(cell.Z, cell.masks, a[j][None], [r[j]])
             with pytest.raises(ValueError, match=message):
                 trainer._logit_grads(out, a, r, 0.0, cfg)
 
@@ -532,7 +524,7 @@ class TestDrawIsSampledInference:
     def test_one_draw_per_cell_equals_infer_many(self, seed, mode, scale):
         """With n = 1, ``_draw`` of same-size cells is ``infer_many``'s sampling decode."""
         rng = np.random.default_rng(seed)
-        policy = init_params(mode, EncodingConfig(i_max=4).feature_dim, rng)
+        policy = init_params(mode, rng)
         policy.fc *= scale
         num_intermediate = int(rng.integers(1, 5))
         betas = [sample_uniform(num_intermediate, rng) for _ in range(int(rng.integers(1, 9)))]
