@@ -3,7 +3,8 @@
 Every command is reproducible from its flag set plus seed; a manifest file
 written next to each artifact records both. File writes go through a
 write-temp-then-rename step so readers never observe partial output, and
-``train`` writes its artifacts as one unit: all of them or none.
+every command writes its artifacts and manifest as one unit: all of them or
+none.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _write_manifest(out_path: str, flags: dict) -> str:
     path = out_path + ".manifest.json"
     atomic_write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def _write_output(out_path: str, text: str) -> None:
+    """Write a command's output and its manifest as one unit: both or neither."""
+    with write_together():
+        atomic_write(out_path, text)
+        _write_manifest(out_path, _flags())
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -123,8 +131,7 @@ def audit(channels: int, hw: int, out_path: str) -> None:
     cfg = _cost_config(channels, hw)
     rows = audit_rows(cfg)
     header = ["from", "to", "valid", "whitelisted", "params_delta", "madds_delta"]
-    atomic_write(out_path, _csv_text(header, [[r[h] for h in header] for r in rows]))
-    _write_manifest(out_path, _flags())
+    _write_output(out_path, _csv_text(header, [[r[h] for h in header] for r in rows]))
     violations = audit_violations(cfg)
     click.echo(f"wrote {len(rows)} rows to {out_path}; {len(violations)} violations")
     if violations:
@@ -145,8 +152,7 @@ def sample(nodes: int, count: int, seed: int, out_path: str) -> None:
     """Sample cells uniformly and write them in the text format."""
     rng = np.random.default_rng(seed)
     graphs = [sample_uniform(nodes - 3, rng) for _ in range(count)]
-    atomic_write(out_path, serialize_many(graphs))
-    _write_manifest(out_path, _flags())
+    _write_output(out_path, serialize_many(graphs))
     click.echo(f"wrote {count} graphs to {out_path}")
 
 
@@ -162,8 +168,7 @@ def cost(in_path: str, channels: int, hw: int, out_path: str) -> None:
     for i, g in enumerate(graphs):
         report = cost_of(g, cfg)
         rows.append([i, report.total_params, report.total_madds])
-    atomic_write(out_path, _csv_text(["graph", "total_params", "total_madds"], rows))
-    _write_manifest(out_path, _flags())
+    _write_output(out_path, _csv_text(["graph", "total_params", "total_madds"], rows))
     click.echo(f"wrote costs for {len(graphs)} graphs to {out_path}")
 
 
@@ -221,7 +226,7 @@ def train(
     artifacts = [policy_path, log_path]
     with write_together():
         save_policy(result.policy, policy_path)
-        result.log.write(log_path)
+        atomic_write(log_path, result.log.to_jsonl())
         if result.shared is not None:
             shared_path = os.path.join(out_dir, "supernet.json")
             save_shared(result.shared, cfg.seed, shared_path)
@@ -258,8 +263,7 @@ def optimize(in_path: str, policy_path: str, decode: str, seed: int, out_path: s
     # Each rewrite keeps its input's sources, so the audit compares operations only.
     if not non_increasing_table(CostConfig())[ops, new].all():
         raise click.ClickException("optimized graph failed the cost audit")
-    atomic_write(out_path, _serialize(nodes, bounds, sources, new))
-    _write_manifest(out_path, _flags())
+    _write_output(out_path, _serialize(nodes, bounds, sources, new))
     click.echo(f"optimized {len(nodes)} graphs to {out_path}")
 
 
@@ -322,8 +326,7 @@ def report(
         + [stat for col in cols for stat in (float(np.mean(col)), float(np.std(col)))]
         for label, cols in sets.items()
     ]
-    atomic_write(out_path, _csv_text(header, rows))
-    _write_manifest(out_path, _flags())
+    _write_output(out_path, _csv_text(header, rows))
     click.echo(f"wrote report to {out_path}")
 
 

@@ -147,14 +147,10 @@ class SharedWeights:
     ``bank`` is the one store of the entries. ``slots[e][o]`` is the same
     entry dict as ``bank[(e, OPERATIONS[o])]``, or None for an operation
     without parameters, so the supernet kernels index it by operation index.
-    The feature dimension and class count are the synthetic data's.
     ``_writes`` counts the ``supernet_train_step`` updates, so a
     ``SupernetProvider`` can tell when its memo is stale; it is not a
     constructor argument, not compared and not checkpointed.
     """
-
-    feature_dim = _FEATURE_DIM
-    num_classes = _NUM_CLASSES
 
     num_intermediate: int
     bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]]
@@ -293,11 +289,6 @@ def _edge_backward(o: int, gy: np.ndarray, entry: dict | None, cache, need_dx: b
     return None, gx
 
 
-def _edge_lists(graph: CellGraph) -> tuple[list[int], list[int]]:
-    """The cell's per-edge sources and operation indices as lists, for the per-edge loops."""
-    return graph.sources.tolist(), graph.ops.tolist()
-
-
 def _forward_graph(
     sources: list[int],
     ops: list[int],
@@ -361,7 +352,7 @@ def _read_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray, memo: dict) 
     """Read-only forward of one cell, sharing ``memo`` as ``_forward_graph`` describes."""
     if graph.num_intermediate != w.num_intermediate:
         raise ValueError("graph and shared weights disagree on intermediate count")
-    logits, _ = _forward_graph(*_edge_lists(graph), w, x, memo)
+    logits, _ = _forward_graph(graph.sources.tolist(), graph.ops.tolist(), w, x, memo)
     return logits
 
 
@@ -376,7 +367,7 @@ def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarra
 
 
 def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of the batch classified correctly by the shared-weight forward pass."""
+    """Fraction of the batch classified correctly: the float ``SupernetProvider`` scores."""
     return _fraction_correct(graph_logits(graph, w, x), labels)
 
 
@@ -419,7 +410,7 @@ def supernet_train_step(
     ends the weighted input-fed edge outputs kept by every ``SupernetProvider``
     on ``w``.
     """
-    d = w.feature_dim
+    d = _FEATURE_DIM
     slots = w.slots
     # Gradients by (edge slot index, operation index), summed over the graphs.
     grad_bank: dict[tuple[int, int], dict[str, np.ndarray]] = {}
@@ -428,7 +419,7 @@ def supernet_train_step(
     for graph in graphs:
         if graph.num_intermediate != w.num_intermediate:
             raise ValueError("graph and shared weights disagree on intermediate count")
-        sources, ops = _edge_lists(graph)
+        sources, ops = graph.sources.tolist(), graph.ops.tolist()
         logits, (nodes, edge_caches, feats) = _forward_graph(sources, ops, w, x)
         loss, dlogits = cross_entropy_logits(logits, labels)
         total_loss += loss
@@ -475,9 +466,9 @@ def save_shared(w: SharedWeights, data_seed: int, path: str) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "data_seed": data_seed,
-        "feature_dim": w.feature_dim,
+        "feature_dim": _FEATURE_DIM,
         "num_intermediate": w.num_intermediate,
-        "num_classes": w.num_classes,
+        "num_classes": _NUM_CLASSES,
         "head_w": checkpoint_text(w.head_w),
         "head_b": checkpoint_text(w.head_b),
         "bank": {

@@ -13,9 +13,9 @@ BMSoftmax the plain softmax, bit for bit.
 ``forward`` takes one cell or a stack of same-size cells and maps every
 intermediate node through the head in one stacked product. Its output
 carries a backprop cache of the intermediates, so a policy step runs the
-forward pass once. Inference, which never backprops, runs the same private
-core without the cache: the same ``Z`` and ``masks`` bytes, and no activation
-outlives the call.
+forward pass once. Inference (``trainer._infer_ops``), which never backprops,
+runs the same private core without the cache: the same ``Z`` and ``masks``
+bytes, and no activation outlives the call.
 
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
@@ -237,11 +237,6 @@ def _sample_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = np.add.accumulate(p, axis=1)
     cdf /= cdf[:, -1:]
     return np.add.reduce(cdf <= u[:, None], axis=1)
-
-
-def argmax_actions(out: PolicyOutput) -> np.ndarray:
-    """Per-row argmax over the last axis; ties break toward the lowest action index."""
-    return out.Z.argmax(axis=-1)
 
 
 def _entropy_terms(z: np.ndarray) -> tuple[float, np.ndarray]:

@@ -5,10 +5,11 @@ uniformly sampled cells (skipped for the oracle provider, which has nothing
 to train), then policy-gradient ascent on the controller using rewards from
 the provider. Inference is a single policy application per input cell:
 encode it, read the per-edge distributions, pick actions by sampling or
-argmax, and apply them. Cells do not depend on each other, so ``infer_many``
-runs the policy once per group of same-size cells. Because only rule-valid
-transitions carry probability, the optimized cell never costs more than its
-input.
+argmax, and apply them. Cells do not depend on each other, so ``_infer_ops``
+runs the policy once per group of same-size cells of their flat form;
+``natforge optimize`` calls it directly, and ``infer`` is one cell through it.
+Because only rule-valid transitions carry probability, the optimized cell
+never costs more than its input.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .gcnpolicy import (
     _entropy_terms,
     _forward,
     actions_to_ops,
-    argmax_actions,
     backprop,
     forward,
     init_params,
@@ -47,7 +46,6 @@ from .gcnpolicy import (
     _sample_rows,
     sample_actions,
 )
-from .numkernel import atomic_write
 from .opspace import VALID
 
 
@@ -105,9 +103,6 @@ class TrainLog:
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r) + "\n" for r in self.records)
 
-    def write(self, path: str) -> None:
-        atomic_write(path, self.to_jsonl())
-
 
 @dataclass
 class TrainResult:
@@ -154,7 +149,8 @@ def _draw(
 ) -> tuple[PolicyOutput, list[CellGraph], np.ndarray]:
     """One batched ``forward`` of same-size cells (a non-finite output raises), one
     ``sample_actions`` call over each cell's rows repeated n times, with the uniforms of n
-    calls per cell, and one group ``apply_transitions``; rewrite i·n + j is cell i's draw j."""
+    calls per cell, and one group ``apply_transitions``; rewrite i·n + j is cell i's draw j.
+    With n = 1 it is ``_infer_ops``'s sampling decode."""
     ops = np.array([b.ops for b in betas])
     out = _checked_output(forward(encode(betas), ops, policy))
     rows = PolicyOutput(Z=_per_draw(out.Z, n), masks=_per_draw(out.masks, n))
@@ -258,26 +254,9 @@ def run(cfg: TrainConfig) -> TrainResult:
     return TrainResult(policy=policy, log=log, shared=shared, oracle=oracle)
 
 
-#: Cells per batched policy application in ``infer_many``. It bounds the
+#: Cells per batched policy application in ``_infer_ops``. It bounds the
 #: memory of one chunk's stacked encodings and activations.
 INFER_CHUNK = 256
-
-
-def infer_many(
-    policy: PolicyParams,
-    graphs: Sequence[CellGraph],
-    decode: str = "sample",
-    rng: np.random.Generator | None = None,
-) -> list[CellGraph]:
-    """Optimize every input cell with one policy application each, in input order.
-
-    ``_infer_ops`` on the cells' flat form, which runs the policy without a backprop
-    cache; each result keeps its input's ``sources``.
-    """
-    flat = _flat(graphs)
-    new = _infer_ops(policy, flat, decode, rng)
-    starts = flat[1].tolist()
-    return [_cell(g.num_nodes, g.sources, new[a:b]) for g, a, b in zip(graphs, starts, starts[1:])]
 
 
 def _infer_ops(
@@ -314,7 +293,8 @@ def _infer_ops(
             enc = _encode(n, sources[edges].reshape(-1, k), current)
             out = _checked_output(_forward(enc, current, policy, cache=False))
             if decode == "argmax":
-                actions = argmax_actions(out).ravel()
+                # Ties break toward the lowest action index.
+                actions = out.Z.argmax(axis=-1).ravel()
             else:
                 actions = _sample_rows(out.Z.reshape(-1, policy.num_actions), u[edges - first])
             # Freed before the next group allocates, so that group reuses these heap
@@ -330,8 +310,9 @@ def infer(
     decode: str = "sample",
     rng: np.random.Generator | None = None,
 ) -> CellGraph:
-    """Optimize one input cell with a single policy application (``infer_many`` of one)."""
-    return infer_many(policy, [beta], decode=decode, rng=rng)[0]
+    """Optimize one input cell with a single policy application: ``_infer_ops`` on its flat
+    form, without a backprop cache; the result keeps the input's ``sources``."""
+    return _cell(beta.num_nodes, beta.sources, _infer_ops(policy, _flat([beta]), decode, rng))
 
 
 def edge_match_rate(

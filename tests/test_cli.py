@@ -318,6 +318,29 @@ class TestUnwritableOutput:
         assert names == ["adir", "g.txt", "g.txt.manifest.json"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["audit", "sample", "cost", "optimize", "report"])
+    def test_directory_manifest_target_writes_no_output(self, artifacts, tmp_path, command):
+        """With ``<out>.manifest.json`` an existing directory, no output or temp file appears."""
+        policy = os.path.join(artifacts["run"], "policy.json")
+        supernet = os.path.join(artifacts["run"], "supernet.json")
+        inputs = {
+            "audit": [],
+            "sample": [],
+            "cost": ["--in", artifacts["graphs"]],
+            "optimize": ["--in", artifacts["graphs"], "--policy", policy],
+            "report": [
+                "--in", artifacts["graphs"], "--optimized", artifacts["opt"], "--supernet", supernet
+            ],
+        }[command]
+        out, manifest = tmp_path / "out.txt", tmp_path / "out.txt.manifest.json"
+        manifest.mkdir()
+        result = CliRunner().invoke(main, [command, *inputs, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {manifest}: Is a directory"]
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
+        assert list(manifest.iterdir()) == []
+
 
 class TestMissingInput:
     @pytest.mark.parametrize(

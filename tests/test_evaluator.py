@@ -259,7 +259,8 @@ class TestSupernetTraining:
         save_shared(w, 10, path)
         loaded, data_seed = load_shared(path)
         assert data_seed == 10
-        assert loaded.feature_dim == w.feature_dim
+        with open(path) as fh:
+            assert json.load(fh)["feature_dim"] == 16
         assert np.array_equal(loaded.head_w, w.head_w)
         assert set(loaded.bank) == set(w.bank)
         for key in w.bank:
@@ -509,7 +510,7 @@ def _ref_forward_graph(graph, w, x):
 
 
 def _ref_train_step(w, graphs, x, labels, lr):
-    d = w.feature_dim
+    d = x.shape[1]
     grad_bank = {}
     grad_head_w = np.zeros_like(w.head_w)
     grad_head_b = np.zeros_like(w.head_b)
@@ -604,7 +605,7 @@ class TestReferenceEquivalence:
             for g in cells:
                 covered.update(enumerate(g.ops.tolist()))
                 assert np.array_equal(graph_logits(g, w, x_val), _ref_forward_graph(g, w, x_val)[0])
-                x, y = rng.standard_normal((32, feature_dim)), rng.integers(0, w.num_classes, 32)
+                x, y = rng.standard_normal((32, feature_dim)), rng.integers(0, len(w.head_b), 32)
                 graphs = [g] if trial < 2 else [g, sample_uniform(4, rng)]
                 ref = copy.deepcopy(w)
                 loss = supernet_train_step(w, graphs, x, y, 0.05)

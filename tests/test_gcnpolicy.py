@@ -26,7 +26,6 @@ from natforge.gcnpolicy import (
     _forward,
     _reward_logit_grads,
     actions_to_ops,
-    argmax_actions,
     ascend_,
     backprop,
     forward,
@@ -166,19 +165,20 @@ class TestArgmax:
     def test_plain_argmax(self):
         z = np.array([[0.2, 0.5, 0.3]])
         out = PolicyOutput(Z=z, masks=np.ones((1, 3), dtype=int))
-        assert argmax_actions(out)[0] == 1
+        assert out.Z.argmax(axis=-1)[0] == 1
 
     def test_tie_breaks_low_index(self):
         z = np.array([[0.5, 0.5, 0.0]])
         out = PolicyOutput(Z=z, masks=np.ones((1, 3), dtype=int))
-        assert argmax_actions(out)[0] == 0
+        assert out.Z.argmax(axis=-1)[0] == 0
 
     def test_single_set_bit(self):
         z = np.zeros((1, 13))
         z[0, 12] = 1.0
         masks = np.zeros((1, 13), dtype=int)
         masks[0, 12] = 1
-        assert argmax_actions(PolicyOutput(Z=z, masks=masks))[0] == 12
+        out = PolicyOutput(Z=z, masks=masks)
+        assert out.Z.argmax(axis=-1)[0] == 12
 
 
 class TestActionsToOps:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from natforge import gcnpolicy, trainer
 from natforge.archgraph import (
+    _flat,
     apply_transitions,
     cost_non_increasing,
     encode,
@@ -41,7 +42,6 @@ from natforge.trainer import (
     TrainLog,
     edge_match_rate,
     infer,
-    infer_many,
     random_policy_match_rate,
     uniform_policy_entropy,
 )
@@ -97,7 +97,8 @@ class TestLog:
         cfg = TrainConfig(seed=0, **FAST)
         result = trainer.run(cfg)
         path = str(tmp_path / "log.jsonl")
-        result.log.write(path)
+        with open(path, "w") as fh:
+            fh.write(result.log.to_jsonl())
         records = [json.loads(line) for line in open(path)]
         assert len(records) == 10 * 2  # oracle provider skips the w phase
         assert all(r["phase"] == "theta" for r in records)
@@ -203,7 +204,7 @@ class TestInfer:
 
 
 def reference_infer(policy, beta, decode, rng):
-    """Per-cell inference that ``infer_many`` must reproduce: encode, forward, decode, apply."""
+    """Per-cell inference that ``_infer_ops`` must reproduce: encode, forward, decode, apply."""
     out = forward(encode(beta), beta.ops, policy)
     if decode == "argmax":
         actions = out.Z.argmax(axis=1)
@@ -279,27 +280,23 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("decode", ["sample", "argmax"])
     @pytest.mark.parametrize("mode", [NAT, NATPP])
-    def test_infer_many_matches_per_cell_loop(self, mode, decode):
+    def test_infer_ops_matches_per_cell_loop(self, mode, decode):
         rng = np.random.default_rng(30)
         cells = [sample_uniform(int(rng.integers(1, 5)), rng) for _ in range(2 * INFER_CHUNK + 37)]
         for scale in (0.1, 1.0, 30.0):
             policy = init_params(mode, rng, depth=2)
             policy.fc *= scale
-            fast_rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-            fast = infer_many(policy, cells, decode=decode, rng=fast_rng)
+            fast_rng, one_rng, ref_rng = (np.random.default_rng(31) for _ in range(3))
+            fast = trainer._infer_ops(policy, _flat(cells), decode, fast_rng)
             ref = [reference_infer(policy, g, decode, ref_rng) for g in cells]
-            assert fast == ref
+            np.testing.assert_array_equal(fast, _flat(ref)[3])
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_infer_is_infer_many_of_one(self, trained):
-        cells = [sample_uniform(i % 4 + 1, np.random.default_rng(i)) for i in range(8)]
-        fast_rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
-        many = infer_many(trained.policy, cells, rng=fast_rng)
-        assert many == [infer(trained.policy, g, rng=ref_rng) for g in cells]
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert [infer(policy, g, decode=decode, rng=one_rng) for g in cells] == ref
+            assert one_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_empty_input(self, trained):
-        assert infer_many(trained.policy, [], rng=np.random.default_rng(0)) == []
+        new = trainer._infer_ops(trained.policy, _flat([]), "sample", np.random.default_rng(0))
+        assert new.size == 0
 
 
 class TestOptimizeCommand:
@@ -365,7 +362,8 @@ class TestCacheFreeInference:
 
         monkeypatch.setattr(gcnpolicy, "forward", no_forward)
         monkeypatch.setattr(trainer, "forward", no_forward)
-        assert infer_many(policy, cells, decode=decode, rng=np.random.default_rng(9)) == expected
+        new = trainer._infer_ops(policy, _flat(cells), decode, np.random.default_rng(9))
+        np.testing.assert_array_equal(new, _flat(expected)[3])
         args = ["optimize", "--in", in_path, "--policy", policy_path, "--decode", decode]
         result = CliRunner().invoke(main, args + ["--seed", "9", "--out", out_path])
         assert result.exit_code == 0, result.output
@@ -382,7 +380,7 @@ class TestCacheFreeInference:
         with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match="^non-finite policy output$"
         ):
-            infer_many(policy, cells, decode=decode, rng=rng)
+            trainer._infer_ops(policy, _flat(cells), decode, rng)
 
 
 class TestDrawSet:
@@ -521,8 +519,8 @@ class TestDrawIsSampledInference:
     @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     @pytest.mark.parametrize("seed", range(5))
-    def test_one_draw_per_cell_equals_infer_many(self, seed, mode, scale):
-        """With n = 1, ``_draw`` of same-size cells is ``infer_many``'s sampling decode."""
+    def test_one_draw_per_cell_equals_infer_ops(self, seed, mode, scale):
+        """With n = 1, ``_draw`` of same-size cells is ``_infer_ops``'s sampling decode."""
         rng = np.random.default_rng(seed)
         policy = init_params(mode, rng)
         policy.fc *= scale
@@ -530,7 +528,10 @@ class TestDrawIsSampledInference:
         betas = [sample_uniform(num_intermediate, rng) for _ in range(int(rng.integers(1, 9)))]
         draw_rng, infer_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         _, alphas, _ = trainer._draw(betas, policy, draw_rng, 1)
-        assert alphas == infer_many(policy, betas, decode="sample", rng=infer_rng)
+        nodes, bounds, sources, ops = _flat(betas)
+        new = trainer._infer_ops(policy, (nodes, bounds, sources, ops), "sample", infer_rng)
+        for got, want in zip(_flat(alphas), (nodes, bounds, sources, new)):
+            np.testing.assert_array_equal(got, want)
         assert draw_rng.bit_generator.state == infer_rng.bit_generator.state
 
 
