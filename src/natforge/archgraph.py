@@ -453,15 +453,8 @@ def cost_non_increasing(
 
 
 def assignment_count(num_intermediate: int, vocab_size: int = NUM_OPERATIONS) -> int:
-    """Number of distinct per-edge op assignments: vocab^(2*I).
-
-    Computed as a product (one factor per edge slot) rather than by
-    enumeration, so it stays exact for spaces far beyond enumerable size.
-    """
-    count = 1
-    for _ in range(2 * num_intermediate):
-        count *= vocab_size
-    return count
+    """Number of distinct per-edge op assignments: vocab^(2*I), an exact Python int."""
+    return vocab_size ** (2 * num_intermediate)
 
 
 _OP_NAMES = tuple(op.value for op in OPERATIONS)

@@ -1,15 +1,15 @@
 """Command-line surface: audit, sample, cost, train, optimize, report.
 
 Every command is reproducible from its flag set plus seed; a manifest file
-written next to each artifact records both. File writes go through a
-write-temp-then-rename step so readers never observe partial output, and
-every command writes its artifacts and manifest as one unit: all of them or
-none.
+written next to each artifact records both. Every command writes its
+artifacts and manifest with one ``numkernel.atomic_write`` call, so none of
+them changes unless all were written to their temp files.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -30,9 +30,9 @@ from .archgraph import (
     sample_uniform,
     serialize_many,
 )
-from .evaluator import SupernetProvider, load_shared, make_dataset, save_shared
-from .gcnpolicy import load_policy, save_policy
-from .numkernel import atomic_write, write_together
+from .evaluator import SupernetProvider, load_shared, make_dataset, shared_file
+from .gcnpolicy import load_policy, policy_file
+from .numkernel import atomic_write
 from .opspace import CostConfig, audit_rows, audit_violations, non_increasing_table
 from .trainer import TrainConfig
 
@@ -43,24 +43,21 @@ def _flags() -> dict:
     return {p.opts[0][2:]: ctx.params[p.name] for p in ctx.command.params}
 
 
-def _write_manifest(out_path: str, flags: dict) -> str:
-    """Record the running command, its flag set (seed included) and a stable hash of it."""
+def _manifest_file(out_path: str, flags: dict) -> tuple[str, str]:
+    """The ``(path, text)`` of a manifest: the running command, its flag set (seed
+    included) and a stable hash of it."""
     canon = json.dumps(flags, sort_keys=True)
     manifest = {
         "command": click.get_current_context().command.name,
         "flags": flags,
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
     }
-    path = out_path + ".manifest.json"
-    atomic_write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    return out_path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
 def _write_output(out_path: str, text: str) -> None:
-    """Write a command's output and its manifest as one unit: both or neither."""
-    with write_together():
-        atomic_write(out_path, text)
-        _write_manifest(out_path, _flags())
+    """Write a command's output and its manifest as one ``atomic_write`` unit."""
+    atomic_write([(out_path, text), _manifest_file(out_path, _flags())])
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -221,19 +218,17 @@ def train(
     except FloatingPointError as exc:
         raise click.ClickException(f"training diverged: {exc}; nothing was written") from None
     os.makedirs(out_dir, exist_ok=True)
-    policy_path = os.path.join(out_dir, "policy.json")
-    log_path = os.path.join(out_dir, "train_log.jsonl")
-    artifacts = [policy_path, log_path]
-    with write_together():
-        save_policy(result.policy, policy_path)
-        atomic_write(log_path, result.log.to_jsonl())
-        if result.shared is not None:
-            shared_path = os.path.join(out_dir, "supernet.json")
-            save_shared(result.shared, cfg.seed, shared_path)
-            artifacts.append(shared_path)
-        manifest = _write_manifest(os.path.join(out_dir, "run"), cfg.to_dict())
-    click.echo(f"trained {mode} with {provider} provider; wrote {', '.join(artifacts)}")
-    click.echo(f"manifest: {manifest}")
+    files = [
+        policy_file(result.policy, os.path.join(out_dir, "policy.json")),
+        (os.path.join(out_dir, "train_log.jsonl"), result.log.to_jsonl()),
+    ]
+    if result.shared is not None:
+        files.append(shared_file(result.shared, cfg.seed, os.path.join(out_dir, "supernet.json")))
+    manifest = _manifest_file(os.path.join(out_dir, "run"), dataclasses.asdict(cfg))
+    atomic_write([*files, manifest])
+    artifacts = ", ".join(path for path, _ in files)
+    click.echo(f"trained {mode} with {provider} provider; wrote {artifacts}")
+    click.echo(f"manifest: {manifest[0]}")
 
 
 @main.command()

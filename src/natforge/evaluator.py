@@ -64,7 +64,6 @@ from .numkernel import (
     FORMAT_VERSION,
     _arange,
     _read_only,
-    atomic_write,
     checkpoint_array,
     checkpoint_dim,
     checkpoint_fields,
@@ -163,12 +162,9 @@ class SharedWeights:
 
     def __post_init__(self) -> None:
         self.slots = [
-            [self.bank.get((e, op)) for op in OPERATIONS] for e in range(self.num_edges)
+            [self.bank.get((e, op)) for op in OPERATIONS]
+            for e in range(2 * self.num_intermediate)
         ]
-
-    @property
-    def num_edges(self) -> int:
-        return 2 * self.num_intermediate
 
 
 def _entry_shapes(op: OperationKind) -> dict[str, tuple[int, ...]]:
@@ -459,10 +455,10 @@ def supernet_train_step(
     return total_loss * scale
 
 
-def save_shared(w: SharedWeights, data_seed: int, path: str) -> None:
-    """Write the supernet bank, its head and the ``make_dataset`` seed of the data the
-    weights were trained on as a versioned JSON checkpoint. Each array is one
-    ``checkpoint_text`` string (base64 of its row-major little-endian float64 bytes)."""
+def shared_file(w: SharedWeights, data_seed: int, path: str) -> tuple[str, str]:
+    """The ``(path, text)`` of a versioned JSON checkpoint of the supernet bank, its head
+    and the ``make_dataset`` seed of the data the weights were trained on. Each array is
+    one ``checkpoint_text`` string (base64 of its row-major little-endian float64 bytes)."""
     payload = {
         "format_version": FORMAT_VERSION,
         "data_seed": data_seed,
@@ -478,7 +474,7 @@ def save_shared(w: SharedWeights, data_seed: int, path: str) -> None:
             )
         },
     }
-    atomic_write(path, json.dumps(payload) + "\n")
+    return path, json.dumps(payload) + "\n"
 
 
 _SHARED_FIELDS = (
@@ -487,7 +483,7 @@ _SHARED_FIELDS = (
 
 
 def load_shared(path: str) -> tuple[SharedWeights, int]:
-    """Read a ``save_shared`` checkpoint, validating every field; returns (weights, data_seed).
+    """Read a ``shared_file`` checkpoint, validating every field; returns (weights, data_seed).
 
     ``feature_dim`` and ``num_classes`` must be the synthetic data's, and the
     bank must hold exactly the entries ``init_shared`` allocates, each with

@@ -35,10 +35,12 @@ The controller's input width is ``archgraph.FEATURE_DIM``, fixed by
 Operations enter as index arrays into ``OPERATIONS``, the form a
 ``CellGraph`` stores them in.
 
-Checkpoints carry ``format_version``; the loader rejects any other version.
-Each weight array is stored as one ``checkpoint_text`` string, the base64 of
-its row-major little-endian float64 bytes, so a loaded policy has the saved
-weights bit for bit.
+A checkpoint is built as a ``(path, text)`` pair by ``policy_file``, so a
+caller can write it in one ``numkernel.atomic_write`` unit with other files;
+``save_policy`` writes it alone. Checkpoints carry ``format_version``; the
+loader rejects any other version. Each weight array is stored as one
+``checkpoint_text`` string, the base64 of its row-major little-endian float64
+bytes, so a loaded policy has the saved weights bit for bit.
 """
 
 from __future__ import annotations
@@ -361,9 +363,10 @@ def ascend_(params: PolicyParams, grads: ParamGrads, lr: float) -> None:
     params.fc += lr * grads.fc
 
 
-def save_policy(params: PolicyParams, path: str) -> None:
-    """Write a portable JSON checkpoint: version, mode, shapes, and each weight array as
-    one ``checkpoint_text`` string (base64 of its row-major little-endian float64 bytes)."""
+def policy_file(params: PolicyParams, path: str) -> tuple[str, str]:
+    """The ``(path, text)`` of a portable JSON checkpoint: version, mode, shapes, and each
+    weight array as one ``checkpoint_text`` string (base64 of its row-major little-endian
+    float64 bytes)."""
     payload = {
         "format_version": FORMAT_VERSION,
         "mode": params.mode,
@@ -374,14 +377,19 @@ def save_policy(params: PolicyParams, path: str) -> None:
         "gcn_values": [checkpoint_text(w) for w in params.gcn],
         "fc_values": checkpoint_text(params.fc),
     }
-    atomic_write(path, json.dumps(payload) + "\n")
+    return path, json.dumps(payload) + "\n"
+
+
+def save_policy(params: PolicyParams, path: str) -> None:
+    """Write ``policy_file(params, path)`` through ``atomic_write``."""
+    atomic_write([policy_file(params, path)])
 
 
 _POLICY_FIELDS = ("mode", "i_max", "depth", "gcn_shapes", "fc_shape", "gcn_values", "fc_values")
 
 
 def load_policy(path: str) -> PolicyParams:
-    """Read a ``save_policy`` checkpoint, validating every field.
+    """Read a ``policy_file`` checkpoint, validating every field.
 
     Raises ValueError naming the first field that is missing, has an unknown
     ``format_version`` or mode, has an ``i_max`` other than ``I_MAX``, has a

@@ -1,11 +1,12 @@
 """Dense numeric primitives: softmax variants, gradient checking, checkpoint arrays.
 
-``atomic_write`` is the one way the package writes a file (checkpoints, the
-training log, CLI outputs and manifests): write a temporary file next to the
-target, then rename it over the target, so readers never see partial output.
-Inside a ``write_together`` block the writes are held and made as one unit on
-exit: every temp file is written before any is renamed, so a failure leaves
-none of the targets changed.
+``atomic_write(files)`` is the one way the package writes files (checkpoints,
+the training log, CLI outputs and manifests). Its argument is the list of
+(path, text) pairs of one unit. Each text goes to a temporary file next to its
+target, which is then renamed over the target, so readers never see partial
+output. No target changes unless every temp file was written. Each rename is
+its own step: if one fails, the targets before it hold their new text, the
+rest keep their old, and no temp file is left.
 
 A checkpoint stores each array as one string, ``checkpoint_text``: the
 base64 (RFC 4648, padded, no line breaks) of its row-major little-endian
@@ -22,7 +23,6 @@ import base64
 import errno
 import math
 import os
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -119,45 +119,11 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-#: The (path, text) writes held by the open ``write_together`` block; None outside one.
-_held: list[tuple[str, str]] | None = None
-
-
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through ``path + ".tmp"`` and an atomic rename.
-
-    If the write or the rename raises, the temp file is removed and the error
-    re-raised; an ``OSError`` names ``path``, not the temp file. Inside a
-    ``write_together`` block the write is held until the block ends.
-    """
-    if _held is None:
-        _write_all([(path, text)])
-    else:
-        _held.append((path, text))
-
-
-@contextmanager
-def write_together():
-    """Hold every ``atomic_write`` of the block, then make them all on a clean exit.
-
-    The block renders every text before anything is written; a block that
-    raises writes nothing. Blocks do not nest.
-    """
-    global _held
-    _held = []
-    try:
-        yield
-        files = _held
-    finally:
-        _held = None
-    _write_all(files)
-
-
-def _write_all(files: list[tuple[str, str]]) -> None:
+def atomic_write(files: list[tuple[str, str]]) -> None:
     """Write each (path, text) through ``path + ".tmp"``, renaming only once all are written.
 
     A target that is an existing directory is rejected before anything is
-    written. On any failure the temp files written so far are removed and the
+    written. On any failure the temp files not yet renamed are removed and the
     error re-raised; an ``OSError`` names the target it was raised for, not
     its temp file.
     """
@@ -178,7 +144,9 @@ def _write_all(files: list[tuple[str, str]]) -> None:
         for tmp in written:
             os.remove(tmp)
         if isinstance(exc, OSError):
-            exc.filename, exc.filename2 = path, None
+            # Deleted, not set to None: a set ``filename2`` prints as "-> None".
+            exc.filename = path
+            del exc.filename2
         raise
 
 

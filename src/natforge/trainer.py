@@ -85,9 +85,6 @@ class TrainConfig:
         if self.provider not in ("oracle", "supernet"):
             raise ValueError(f"unknown provider {self.provider!r}")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass
 class TrainLog:

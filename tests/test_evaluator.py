@@ -28,10 +28,10 @@ from natforge.evaluator import (
     load_shared,
     make_dataset,
     make_oracle,
-    save_shared,
+    shared_file,
     supernet_train_step,
 )
-from natforge.numkernel import checkpoint_text, cross_entropy_logits
+from natforge.numkernel import atomic_write, checkpoint_text, cross_entropy_logits
 from natforge.opspace import OPERATIONS, OperationKind, TypeClass, transition_mask
 from natforge.trainer import TrainConfig
 
@@ -227,8 +227,8 @@ class TestSupernetTraining:
             return w
 
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        save_shared(run(), 8, p1)
-        save_shared(run(), 8, p2)
+        atomic_write([shared_file(run(), 8, p1)])
+        atomic_write([shared_file(run(), 8, p2)])
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_trained_dense_graph_beats_half(self):
@@ -256,7 +256,7 @@ class TestSupernetTraining:
         rng = np.random.default_rng(10)
         w = init_shared(rng, 4)
         path = str(tmp_path / "w.json")
-        save_shared(w, 10, path)
+        atomic_write([shared_file(w, 10, path)])
         loaded, data_seed = load_shared(path)
         assert data_seed == 10
         with open(path) as fh:
@@ -350,7 +350,7 @@ class TestSharedCheckpointValidation:
     @pytest.fixture()
     def payload(self, tmp_path):
         path = str(tmp_path / "w.json")
-        save_shared(init_shared(np.random.default_rng(19), 2), 19, path)
+        atomic_write([shared_file(init_shared(np.random.default_rng(19), 2), 19, path)])
         with open(path) as fh:
             return json.load(fh)
 
@@ -422,8 +422,8 @@ class TestSharedCheckpointValidation:
             x, y = ds.train_batch(rng, 16)
             supernet_train_step(w, [sample_uniform(4, rng)], x, y, 0.05)
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        save_shared(w, 20, p1)
-        save_shared(*load_shared(p1), p2)
+        atomic_write([shared_file(w, 20, p1)])
+        atomic_write([shared_file(*load_shared(p1), p2)])
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
@@ -616,7 +616,7 @@ class TestReferenceEquivalence:
     def test_slots_are_the_bank_entries(self, tmp_path):
         w = init_shared(np.random.default_rng(41), 2)
         path = str(tmp_path / "w.json")
-        save_shared(w, 41, path)
+        atomic_write([shared_file(w, 41, path)])
         learnable = (TypeClass.CONV, TypeClass.SEP_CONV, TypeClass.DIL_SEP_CONV)
         for shared in (w, load_shared(path)[0], copy.deepcopy(w)):
             assert len(shared.slots) == 4

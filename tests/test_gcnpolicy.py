@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from natforge import trainer
 from natforge.archgraph import (
     GraphEncoding,
+    _flat,
     apply_transitions,
     encode,
     sample_uniform,
@@ -37,7 +39,7 @@ from natforge.gcnpolicy import (
     total_entropy,
 )
 from natforge.numkernel import checkpoint_text, grad_check
-from natforge.opspace import OPERATIONS, OperationKind, nat_actions, transition_mask
+from natforge.opspace import OPERATIONS, VALID, OperationKind, nat_actions, transition_mask
 
 
 def log_prob_of(out: PolicyOutput, actions: np.ndarray) -> float:
@@ -162,23 +164,18 @@ class TestSampling:
 
 
 class TestArgmax:
-    def test_plain_argmax(self):
-        z = np.array([[0.2, 0.5, 0.3]])
-        out = PolicyOutput(Z=z, masks=np.ones((1, 3), dtype=int))
-        assert out.Z.argmax(axis=-1)[0] == 1
-
-    def test_tie_breaks_low_index(self):
-        z = np.array([[0.5, 0.5, 0.0]])
-        out = PolicyOutput(Z=z, masks=np.ones((1, 3), dtype=int))
-        assert out.Z.argmax(axis=-1)[0] == 0
-
-    def test_single_set_bit(self):
-        z = np.zeros((1, 13))
-        z[0, 12] = 1.0
-        masks = np.zeros((1, 13), dtype=int)
-        masks[0, 12] = 1
-        out = PolicyOutput(Z=z, masks=masks)
-        assert out.Z.argmax(axis=-1)[0] == 12
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_ties_break_toward_lowest_action(self, mode):
+        # An all-zero head gives every set bit of a row the same probability.
+        params = init_params(mode, np.random.default_rng(0))
+        params.fc[...] = 0.0
+        rng = np.random.default_rng(1)
+        cells = [sample_uniform(int(i), rng) for i in rng.integers(1, 5, size=300)]
+        flat = _flat(cells)
+        ops = flat[3]
+        new = trainer._infer_ops(params, flat, "argmax", None)
+        expected = ops if mode == NAT else VALID[ops].argmax(axis=1)
+        assert new.tolist() == expected.tolist()
 
 
 class TestActionsToOps:

@@ -26,10 +26,11 @@ from natforge.evaluator import (
     init_shared,
     load_shared,
     make_dataset,
-    save_shared,
+    shared_file,
     supernet_train_step,
 )
 from natforge.gcnpolicy import load_policy
+from natforge.numkernel import atomic_write
 
 #: sha256 of ``natforge sample --nodes 7 --count 50 --seed 11``.
 SAMPLE = "7ad58577c3de9b01e4b5240b8bb45b1896f49e7cadb151569a57a1a1a05c61ab"
@@ -98,7 +99,7 @@ CONFIG_HASH = {
     "supernet": "d717378e7d95418418c7919a67b40c940e606f2e4a8d84e8a5ad60ca90b03ffc",
 }
 
-#: sha256 of ``save_shared`` after 300 ``supernet_train_step``s on m uniform cells per step.
+#: sha256 of ``shared_file`` after 300 ``supernet_train_step``s on m uniform cells per step.
 PRETRAIN = {
     1: "10902a6dc941896d2e5cef782ca8a815fb4b34cc07fb7db3226da938fa4ad49d",
     2: "73fcff0a1ae7fc1e168c0928ab355dbcaae37a4a6ea1abb3e1445657f0c4fd9f",
@@ -329,7 +330,7 @@ def pretrained_supernet(m):
 def test_supernet_pretrain_bytes(tmp_path, m):
     w, _ = pretrained_supernet(m)
     path = str(tmp_path / "supernet.json")
-    save_shared(w, 6, path)
+    atomic_write([shared_file(w, 6, path)])
     assert sha(path) == PRETRAIN[m]
 
 
@@ -337,7 +338,7 @@ def test_supernet_pretrain_bytes(tmp_path, m):
 def test_supernet_pretrain_weights(tmp_path, m):
     w, _ = pretrained_supernet(m)
     path = str(tmp_path / "supernet.json")
-    save_shared(w, 6, path)
+    atomic_write([shared_file(w, 6, path)])
     assert shared_digest(path) == PRETRAIN_WEIGHTS[m]
 
 

@@ -2,7 +2,9 @@
 checkpoint arrays."""
 
 import base64
+import errno
 import math
+import os
 import tempfile
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natforge.evaluator import init_shared, load_shared, save_shared
+from natforge import numkernel
+from natforge.evaluator import init_shared, load_shared, shared_file
 from natforge.gcnpolicy import (
     NATPP,
     PolicyOutput,
@@ -28,7 +31,6 @@ from natforge.numkernel import (
     glorot_uniform,
     grad_check,
     softmax,
-    write_together,
 )
 
 
@@ -207,8 +209,8 @@ class TestGlorot:
 class TestAtomicWrite:
     def test_replaces_target_and_leaves_no_temp(self, tmp_path):
         path = str(tmp_path / "out.txt")
-        atomic_write(path, "first\n")
-        atomic_write(path, "second\n")
+        atomic_write([(path, "first\n")])
+        atomic_write([(path, "second\n")])
         assert open(path).read() == "second\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
@@ -216,61 +218,66 @@ class TestAtomicWrite:
         target = tmp_path / "adir"
         target.mkdir()
         with pytest.raises(IsADirectoryError) as info:
-            atomic_write(str(target), "text\n")
+            atomic_write([(str(target), "text\n")])
         assert info.value.filename == str(target)
+        assert str(info.value) == f"[Errno 21] Is a directory: {str(target)!r}"
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
     def test_failed_write_removes_temp(self, tmp_path):
         with pytest.raises(TypeError):
-            atomic_write(str(tmp_path / "out.txt"), b"not text")
+            atomic_write([(str(tmp_path / "out.txt"), b"not text")])
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_directory_names_target(self, tmp_path):
         path = str(tmp_path / "missing" / "out.txt")
         with pytest.raises(FileNotFoundError) as info:
-            atomic_write(path, "text\n")
+            atomic_write([(path, "text\n")])
         assert info.value.filename == path
+        assert str(info.value) == f"[Errno 2] No such file or directory: {path!r}"
         assert list(tmp_path.iterdir()) == []
 
-
-
-class TestWriteTogether:
-    def test_writes_are_held_until_the_block_ends(self, tmp_path):
+    def test_writes_every_file_of_the_unit(self, tmp_path):
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
-        with write_together():
-            for path in paths:
-                atomic_write(str(path), path.name)
-            assert list(tmp_path.iterdir()) == []
+        atomic_write([(str(path), path.name) for path in paths])
         assert [p.read_text() for p in paths] == ["a.txt", "b.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
 
-    def test_block_that_raises_writes_nothing(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            with write_together():
-                atomic_write(str(tmp_path / "a.txt"), "a")
-                raise RuntimeError("stop")
-        assert list(tmp_path.iterdir()) == []
-        atomic_write(str(tmp_path / "b.txt"), "b")
-        assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
-
     def test_directory_target_is_rejected_before_any_write(self, tmp_path):
         (tmp_path / "b").mkdir()
+        target = str(tmp_path / "b")
         with pytest.raises(IsADirectoryError) as info:
-            with write_together():
-                atomic_write(str(tmp_path / "a.txt"), "a")
-                atomic_write(str(tmp_path / "b"), "b")
-        assert info.value.filename == str(tmp_path / "b")
+            atomic_write([(str(tmp_path / "a.txt"), "a"), (target, "b")])
+        assert info.value.filename == target
+        assert str(info.value) == f"[Errno 21] Is a directory: {target!r}"
         assert [p.name for p in tmp_path.iterdir()] == ["b"]
         assert list((tmp_path / "b").iterdir()) == []
 
     def test_failed_later_write_removes_earlier_temp(self, tmp_path):
         first, second = tmp_path / "a.txt", tmp_path / "missing" / "b.txt"
         with pytest.raises(FileNotFoundError) as info:
-            with write_together():
-                atomic_write(str(first), "a")
-                atomic_write(str(second), "b")
+            atomic_write([(str(first), "a"), (str(second), "b")])
         assert info.value.filename == str(second)
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_keeps_the_renames_before_it(self, tmp_path, monkeypatch):
+        paths = [tmp_path / name for name in ("a.txt", "b.txt", "c.txt")]
+        for path in paths:
+            path.write_text("old")
+        replace, calls = os.replace, []
+
+        def replace_failing_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(numkernel.os, "replace", replace_failing_second)
+        with pytest.raises(PermissionError) as info:
+            atomic_write([(str(path), "new") for path in paths])
+        assert info.value.filename == str(paths[1])
+        assert str(info.value) == f"[Errno 13] Permission denied: {str(paths[1])!r}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "c.txt"]
+        assert [p.read_text() for p in paths] == ["new", "old", "old"]
 
 
 #: Finite float64 values at the edges of the range, each a distinct bit pattern.
@@ -299,7 +306,7 @@ class TestCheckpointArrays:
         fill([*params.gcn, params.fc, shared.head_w, shared.head_b, *bank], values, rng)
         with tempfile.TemporaryDirectory() as tmp:
             save_policy(params, f"{tmp}/policy.json")
-            save_shared(shared, 3, f"{tmp}/supernet.json")
+            atomic_write([shared_file(shared, 3, f"{tmp}/supernet.json")])
             loaded = load_policy(f"{tmp}/policy.json")
             loaded_shared, _ = load_shared(f"{tmp}/supernet.json")
         for a, b in zip([*params.gcn, params.fc], [*loaded.gcn, loaded.fc], strict=True):

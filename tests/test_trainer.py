@@ -79,12 +79,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(**{field: value})
 
-    def test_to_dict_round_trips_fields(self):
-        cfg = TrainConfig(seed=5)
-        d = cfg.to_dict()
-        assert d["seed"] == 5
-        assert TrainConfig(**d) == cfg
-
 
 class TestLog:
     def test_iterations_strictly_increase(self):
