@@ -242,6 +242,17 @@ class TestAtomicWrite:
         assert [p.read_text() for p in paths] == ["a.txt", "b.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
 
+    def test_unit_that_raises_writes_nothing(self, tmp_path):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in paths:
+            path.write_text("old")
+        with pytest.raises(TypeError):
+            atomic_write([(str(paths[0]), "new"), (str(paths[1]), b"not text")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+        assert [p.read_text() for p in paths] == ["old", "old"]
+        atomic_write([(str(paths[1]), "new")])
+        assert [p.read_text() for p in paths] == ["old", "new"]
+
     def test_directory_target_is_rejected_before_any_write(self, tmp_path):
         (tmp_path / "b").mkdir()
         target = str(tmp_path / "b")

@@ -1,5 +1,6 @@
 """Training-loop and inference tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -78,6 +79,13 @@ class TestConfig:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(**{field: value})
+
+    def test_manifest_flags_rebuild_the_config(self):
+        # ``train`` records ``dataclasses.asdict(cfg)`` as its manifest's JSON flags.
+        cfg = TrainConfig(seed=5, mode="nat", depth=3, entropy_weight=0.01, use_baseline=True)
+        flags = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert flags["seed"] == 5
+        assert TrainConfig(**flags) == cfg
 
 
 class TestLog:
