@@ -26,11 +26,26 @@ kept under its operation for the provider's life. A weighted (edge,
 operation) output is kept until the weights change: ``supernet_train_step``
 counts its writes in ``SharedWeights``, and the provider drops its weighted
 outputs when that count has moved, so in training they last one θ phase. The
-memo holds at most one (batch, feature) array, (256, 16) in training, per
+memo holds at most one (feature, batch) array, (16, 256) in training, per
 non-null weighted (edge, operation), plus one per weight-free operation. No
 output computed under older weights is ever reused. Writing into ``bank`` or
 the ``head_*`` arrays directly does not move the count, so scoring after such
 a write needs a new provider.
+
+The read path (``graph_logits``, ``accuracy`` and the provider) works
+feature-major. It transposes its batch once into a C-contiguous (16, B)
+array, and node l of a cell is rows ``16 l .. 16 l + 15`` of one (16 I, B)
+feature buffer: each node is written in place, an edge fed by it reads one
+contiguous row block, and the head reads the buffer's transpose, so no cell
+concatenates its nodes. The training step stays row-major: a feature-major
+``supernet_train_step`` was measured no faster (median ratios 1.06 and 1.00
+on ``supernet-pretrain``) and did not keep the weights' bits, so each path
+has its own kernels, sharing only the operation tables and the roll and pad
+indices. On the OpenBLAS of numpy's wheels, ``mix.T @ x_t`` has the bits of
+``x @ mix`` and the head product over the transposed buffer the bits of the
+product over the concatenated nodes, so the read path's logits are those of
+the training layout's forward. The byte tests against the row-major
+reference forward in ``tests/test_evaluator.py`` guard this.
 
 The supernet kernels work on a cell's operation indices, the form
 ``CellGraph.ops`` stores. They dispatch through per-index tuples of type
@@ -204,6 +219,7 @@ def _edge_forward(o: int, x: np.ndarray, entry: dict | None):
     """Apply toy operation ``OPERATIONS[o]``; returns (output, cache-for-backward).
 
     Null is not handled: its output is zero, and ``_forward_graph`` skips it.
+    ``_read_edge`` is the same operation on a feature-major batch.
     """
     tc = _TYPE[o]
     if tc is TypeClass.SKIP:
@@ -227,7 +243,7 @@ def _edge_forward(o: int, x: np.ndarray, entry: dict | None):
         y = np.maximum(xp[:, :d], xp[:, 1 : 1 + d])
         for j in range(2, k):
             np.maximum(y, xp[:, j : j + d], out=y)
-        # The argmax is taken in backward, so a read-only forward skips it.
+        # The argmax is taken in backward.
         return y, x
     # ``np.add.reduce`` starts a short sum from +0.0, which turns an all -0.0 window into +0.0.
     y = xp[:, :d] + 0.0
@@ -285,31 +301,14 @@ def _edge_backward(o: int, gy: np.ndarray, entry: dict | None, cache, need_dx: b
     return None, gx
 
 
-def _forward_graph(
-    sources: list[int],
-    ops: list[int],
-    w: SharedWeights,
-    x: np.ndarray,
-    memo: dict | None = None,
-):
-    """Supernet forward over a batch; returns (logits, caches).
+def _forward_graph(sources: list[int], ops: list[int], w: SharedWeights, x: np.ndarray):
+    """Supernet forward over a row-major (batch, feature) batch; returns (logits, caches).
 
     Node l is ``tanh(0 + y_2l + y_2l+1)``, the sum of its two edge outputs
     started from zeros. A null edge's output is zero, so it is skipped; the
     start from zeros only turns a -0.0 sum into +0.0, and adding 0.0 to the
-    tanh does the same, so the nodes keep their exact bits.
-
-    With a ``memo``, the forward is read-only and keeps no backward cache. An
-    edge whose source is an input node reads its output from the memo,
-    computing and storing it on a miss. Both input nodes are ``x``, so a
-    weighted operation's output depends on (edge, operation) and is keyed
-    ``(edge index, operation index)``, and a weight-free one's (pooling,
-    skip) on its operation alone and is keyed by its index. The memo so holds
-    at most one (batch, feature) array per non-null weighted (edge, operation)
-    plus one per weight-free operation: (256, 16) arrays when scoring in
-    training. The caller must pass the same batch with every use of one memo.
-    Weighted entries live until the weights are next written, as
-    ``SupernetProvider`` does; weight-free ones as long as the batch.
+    tanh does the same, so the nodes keep their exact bits. This is the
+    training forward; ``_read_logits`` is the read-only one.
     """
     num_inter = len(ops) // 2
     slots = w.slots
@@ -323,16 +322,7 @@ def _forward_graph(
             o = ops[e_idx]
             if o == _NULL:
                 continue
-            src = sources[e_idx]
-            entry = slots[e_idx][o]
-            if memo is None or src >= 0:
-                y, edge_caches[e_idx] = _edge_forward(o, nodes[src], entry)
-            else:
-                # Both input nodes are x: a weight-free output depends on the op alone.
-                key = o if entry is None else (e_idx, o)
-                y = memo.get(key)
-                if y is None:
-                    y = memo[key] = _edge_forward(o, x, entry)[0]
+            y, edge_caches[e_idx] = _edge_forward(o, nodes[sources[e_idx]], slots[e_idx][o])
             pre = y if pre is None else pre + y
         if pre is None:
             nodes[l] = np.zeros_like(x)
@@ -344,11 +334,86 @@ def _forward_graph(
     return logits, (nodes, edge_caches, feats)
 
 
-def _read_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray, memo: dict) -> np.ndarray:
-    """Read-only forward of one cell, sharing ``memo`` as ``_forward_graph`` describes."""
+def _read_edge(o: int, x_t: np.ndarray, entry: dict | None) -> np.ndarray:
+    """``_edge_forward``'s output for a feature-major (feature, batch) input, transposed.
+
+    It keeps no backward cache, and skip returns ``x_t`` itself. Null is not
+    handled: ``_read_logits`` skips it.
+    """
+    tc = _TYPE[o]
+    if tc is TypeClass.SKIP:
+        return x_t
+    if tc is TypeClass.CONV:
+        return entry["mix"].T @ x_t
+    if tc is TypeClass.SEP_CONV:
+        return entry["mix"].T @ (x_t * entry["diag"][:, None])
+    d, k = x_t.shape[0], _KERNEL[o]
+    if tc is TypeClass.DIL_SEP_CONV:
+        return entry["mix"].T @ (x_t[_roll(d, k)] * entry["diag"][:, None])
+    # Rows j .. j + d - 1 of the padded input are column j of every window,
+    # combined in window order as ``_edge_forward`` combines its columns.
+    xp = x_t[_pad(d, k)]
+    if tc is TypeClass.MAX_POOL:
+        y = np.maximum(xp[:d], xp[1 : 1 + d])
+        for j in range(2, k):
+            np.maximum(y, xp[j : j + d], out=y)
+        return y
+    y = xp[:d] + 0.0
+    for j in range(1, k):
+        y += xp[j : j + d]
+    y /= k
+    return y
+
+
+def _read_logits(graph: CellGraph, w: SharedWeights, x_t: np.ndarray, memo: dict) -> np.ndarray:
+    """Read-only forward of one cell on a feature-major (feature, batch) batch ``x_t``.
+
+    Returns the row-major (batch, class) logits of ``_forward_graph``, bit for
+    bit. Node l is written into rows ``d l .. d l + d - 1`` of one C-contiguous
+    (I d, B) buffer: the sum of its edge outputs, then its tanh, then 0.0
+    added, in place, as ``_forward_graph`` computes it; a node whose edges
+    are both null is zeros. The head reads the buffer's transpose, so the
+    logits need no concatenation and come out row-major.
+
+    An edge whose source is an input node reads its output from ``memo``,
+    computing and storing it on a miss. Both input nodes are ``x_t``, so a
+    weighted operation's output depends on (edge, operation) and is keyed
+    ``(edge index, operation index)``, and a weight-free one's (pooling,
+    skip) on its operation alone and is keyed by its index. The caller must
+    pass the same batch with every use of one memo, and drop its weighted
+    entries when the weights change, as ``SupernetProvider`` does.
+    """
     if graph.num_intermediate != w.num_intermediate:
         raise ValueError("graph and shared weights disagree on intermediate count")
-    logits, _ = _forward_graph(graph.sources.tolist(), graph.ops.tolist(), w, x, memo)
+    sources, ops = graph.sources.tolist(), graph.ops.tolist()
+    slots = w.slots
+    d = x_t.shape[0]
+    feats = np.empty((len(ops) // 2 * d, x_t.shape[1]))
+    for l in range(len(ops) // 2):
+        row = feats[l * d : (l + 1) * d]
+        pre = None
+        for e_idx in (2 * l, 2 * l + 1):
+            o = ops[e_idx]
+            if o == _NULL:
+                continue
+            src = sources[e_idx]
+            entry = slots[e_idx][o]
+            if src >= 0:
+                y = _read_edge(o, feats[src * d : (src + 1) * d], entry)
+            else:
+                # Both input nodes are x_t: a weight-free output depends on the op alone.
+                key = o if entry is None else (e_idx, o)
+                y = memo.get(key)
+                if y is None:
+                    y = memo[key] = _read_edge(o, x_t, entry)
+            pre = y if pre is None else np.add(pre, y, out=row)
+        if pre is None:
+            row[...] = 0.0
+        else:
+            np.tanh(pre, out=row)
+            row += 0.0
+    logits = feats.T @ w.head_w
+    logits += w.head_b
     return logits
 
 
@@ -357,13 +422,32 @@ def _fraction_correct(logits: np.ndarray, labels: np.ndarray) -> float:
     return np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
 
 
+def _check_batch(x: np.ndarray, labels: np.ndarray | None = None) -> None:
+    """Raise ValueError naming the shapes unless ``x`` is (B, 16) with B >= 1 and
+    ``labels``, if given, holds B entries."""
+    shape = np.shape(x)
+    if (
+        len(shape) == 2
+        and shape[0] >= 1
+        and shape[1] == _FEATURE_DIM
+        and (labels is None or np.shape(labels) == shape[:1])
+    ):
+        return
+    want, got = f"x of shape (B, {_FEATURE_DIM}) with B >= 1", f"x {shape}"
+    if labels is not None:
+        want, got = want + " and B labels", got + f" and labels {np.shape(labels)}"
+    raise ValueError(f"batch: expected {want}, got {got}")
+
+
 def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarray:
-    """Pure read-only forward pass."""
-    return _read_logits(graph, w, x, {})
+    """Pure read-only forward pass of a row-major (B, 16) batch; returns (B, 8) logits."""
+    _check_batch(x)
+    return _read_logits(graph, w, np.asarray(x).T.copy(), {})
 
 
 def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the batch classified correctly: the float ``SupernetProvider`` scores."""
+    _check_batch(x, labels)
     return _fraction_correct(graph_logits(graph, w, x), labels)
 
 
@@ -603,23 +687,31 @@ class OracleProvider:
 class SupernetProvider:
     """Reward as validation-accuracy improvement under shared weights.
 
-    The provider keeps the input-fed edge outputs it has computed, with two
-    lifetimes. A weight-free operation's output (pooling, skip) depends only
-    on ``x_val`` and is kept for the provider's life. A weighted (edge,
-    operation) output is kept until ``supernet_train_step`` next writes
-    ``w``: every call first compares ``w._writes`` with the count its
-    weighted entries were made under, and drops them when the count has
-    moved. The memo so holds at most one (batch, feature) array, (256, 16) in
-    training, per non-null weighted (edge, operation), plus one per
-    weight-free operation. Scores are exactly those of one ``accuracy`` call
-    per cell. Weights written other than by ``supernet_train_step``, or a new
-    ``x_val``, need a new provider.
+    The provider checks its batch once, as ``accuracy`` does, and keeps its
+    own C-contiguous (16, B) copy of ``x_val``, the feature-major layout
+    ``_read_logits`` works in, and its own copy of ``y_val``, so a later
+    write into the caller's arrays changes no score. It keeps the input-fed
+    edge outputs it has computed, with two lifetimes. A weight-free
+    operation's output (pooling, skip) depends only on the batch and is kept
+    for the provider's life. A weighted (edge, operation) output is kept
+    until ``supernet_train_step`` next writes ``w``: every call first
+    compares ``w._writes`` with the count its weighted entries were made
+    under, and drops them when the count has moved. The memo so holds at
+    most one (feature, batch) array, (16, 256) in training, per non-null
+    weighted (edge, operation), plus one per weight-free operation. The
+    scores are exactly those of one ``accuracy`` call per cell, and their
+    logits those of the row-major training forward on the OpenBLAS of
+    numpy's wheels. Training keeps its row-major layout, since a
+    feature-major training step was no faster and changed the weights' bits
+    (see the module docstring). Weights written other than by
+    ``supernet_train_step`` need a new provider.
     """
 
     def __init__(self, w: SharedWeights, x_val: np.ndarray, y_val: np.ndarray):
+        _check_batch(x_val, y_val)
         self.w = w
-        self.x_val = x_val
-        self.y_val = y_val
+        self._x_t = np.asarray(x_val).T.copy()
+        self.y_val = np.array(y_val)
         # Weighted outputs keyed (edge, op); weight-free ones keyed by the op index alone.
         self._memo: dict = {}
         self._memo_writes = w._writes
@@ -630,7 +722,7 @@ class SupernetProvider:
             self._memo = {key: y for key, y in self._memo.items() if type(key) is int}
             self._memo_writes = self.w._writes
         return [
-            _fraction_correct(_read_logits(g, self.w, self.x_val, self._memo), self.y_val)
+            _fraction_correct(_read_logits(g, self.w, self._x_t, self._memo), self.y_val)
             for g in graphs
         ]
 

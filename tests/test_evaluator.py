@@ -88,21 +88,21 @@ def _forwards(keys):
     return Counter(key if key in _WEIGHT_FREE else key[1] for key in keys)
 
 
-def _spy_input_fed_forwards(monkeypatch, x, calls):
-    """Append to ``calls`` the operation index of each ``_edge_forward`` on ``x`` itself.
+def _spy_input_fed_forwards(monkeypatch, x_t, calls):
+    """Append to ``calls`` the operation index of each ``_read_edge`` on ``x_t`` itself.
 
-    A read-only forward passes its batch itself only to the edges fed by an
-    input node, so with the validation batch as ``x`` these are the scoring
-    memo's misses.
+    A read-only forward passes its feature-major batch itself only to the
+    edges fed by an input node, so with a provider's own batch as ``x_t``
+    these are the scoring memo's misses.
     """
-    real = evaluator._edge_forward
+    real = evaluator._read_edge
 
     def spy(o, inputs, entry):
-        if inputs is x:
+        if inputs is x_t:
             calls.append(o)
         return real(o, inputs, entry)
 
-    monkeypatch.setattr(evaluator, "_edge_forward", spy)
+    monkeypatch.setattr(evaluator, "_read_edge", spy)
 
 
 class TestDataset:
@@ -828,15 +828,16 @@ class TestReferenceEquivalence:
 
 
 class TestDrawSetScoring:
+    @pytest.mark.parametrize("batch", [1, 7, 128])
     @pytest.mark.parametrize("num_intermediate", [1, 2, 3, 4])
-    def test_accuracy_many_is_one_cell_accuracy(self, num_intermediate):
+    def test_accuracy_many_is_one_cell_accuracy(self, num_intermediate, batch):
         rng = np.random.default_rng(60 + num_intermediate)
         ds = make_dataset(60)
         w = init_shared(rng, num_intermediate)
         for _ in range(20):
             x, y = ds.train_batch(rng, 64)
             supernet_train_step(w, [sample_uniform(num_intermediate, rng)], x, y, 0.05)
-        x_val, y_val = ds.val_batch(128)
+        x_val, y_val = ds.val_batch(batch)
         topology = sample_uniform(num_intermediate, rng)
         pools = (OperationKind.MAX_POOL_3X3, OperationKind.MAX_POOL_5X5)
         pools += (OperationKind.AVG_POOL_3X3, OperationKind.AVG_POOL_5X5)
@@ -854,15 +855,17 @@ class TestDrawSetScoring:
                 assert SupernetProvider(w, x, y_val).score_many(graphs) == want
                 memo = {}
                 for g in graphs:
-                    got = evaluator._read_logits(g, w, x, memo)
+                    got = evaluator._read_logits(g, w, x.T.copy(), memo)
                     assert got.tobytes() == _ref_forward_graph(g, w, x)[0].tobytes()
                 # The memo holds exactly the non-null edges fed by an input node, each
-                # weight-free operation once under its index.
+                # weight-free operation once under its index, as (feature, batch) arrays.
                 assert set(memo) == _memo_keys(graphs)
                 for key, y in memo.items():
-                    if key in _WEIGHT_FREE:
-                        want_y = _ref_edge_forward(OPERATIONS[key], x, None)[0]
-                        assert y.tobytes() == want_y.tobytes()
+                    e, o = (None, key) if key in _WEIGHT_FREE else key
+                    entry = None if e is None else w.bank[e, OPERATIONS[o]]
+                    want_y = _ref_edge_forward(OPERATIONS[o], x, entry)[0]
+                    assert y.shape == (16, batch) and y.flags.c_contiguous
+                    assert y.T.tobytes() == want_y.tobytes()
 
     def test_intermediate_count_mismatch_rejected(self):
         w = init_shared(np.random.default_rng(61), 2)
@@ -870,6 +873,21 @@ class TestDrawSetScoring:
         cells = [sample_uniform(2, np.random.default_rng(62)), chain_cell(OperationKind.SKIP)]
         with pytest.raises(ValueError, match="intermediate count"):
             SupernetProvider(w, x, y).score_many(cells)
+
+    def test_provider_keeps_its_own_copy_of_the_batch(self):
+        rng = np.random.default_rng(68)
+        w = init_shared(rng, 4)
+        x_val, y_val = make_dataset(68).val_batch(256)
+        x_original, y_original = x_val.copy(), y_val.copy()
+        cells = [sample_uniform(4, rng) for _ in range(12)]
+        provider = SupernetProvider(w, x_val, y_val)
+        want = [accuracy(g, w, x_original, y_original) for g in cells]
+        x_val[:] = rng.standard_normal(x_val.shape)
+        assert provider.score_many(cells) == want
+        assert [accuracy(g, w, x_val, y_original) for g in cells] != want
+        y_val[:] = (y_val + 1) % 8
+        assert provider.score_many(cells) == want
+        assert [accuracy(g, w, x_original, y_val) for g in cells] != want
 
     def test_scores_follow_the_weights(self):
         # No output computed under older weights is reused by a later call.
@@ -902,7 +920,7 @@ class TestDrawSetScoring:
         # The second call needs some outputs the first computed, and some it did not.
         assert first & second and second - first
         calls = []
-        _spy_input_fed_forwards(monkeypatch, x_val, calls)
+        _spy_input_fed_forwards(monkeypatch, provider._x_t, calls)
         scores = [provider.score_many(d) for d in draw_sets]
         # Each weighted input-fed (edge, op) and each weight-free op is computed once.
         assert Counter(calls) == _forwards(first | second)
@@ -921,7 +939,7 @@ class TestDrawSetScoring:
         # Weight-free outputs are kept when the weights change, weighted ones are not.
         assert weighted and keys - weighted
         calls = []
-        _spy_input_fed_forwards(monkeypatch, x_val, calls)
+        _spy_input_fed_forwards(monkeypatch, provider._x_t, calls)
         want = _forwards(keys)
         for _ in range(3):
             provider.score_many(draw_set)
@@ -964,8 +982,49 @@ class TestDrawSetScoring:
         for key, y in kept.items():
             assert provider._memo[key] is y
         for g in cells:
-            got = evaluator._read_logits(g, w, x_val, provider._memo)
+            got = evaluator._read_logits(g, w, provider._x_t, provider._memo)
             assert got.tobytes() == _ref_forward_graph(g, w, x_val)[0].tobytes()
+
+
+class TestBatchChecks:
+    """A malformed batch is rejected with its shapes, not scored."""
+
+    @pytest.fixture
+    def scored(self):
+        w = init_shared(np.random.default_rng(0), 4)
+        x, y = make_dataset(0).val_batch(256)
+        return sample_uniform(4, np.random.default_rng(1)), w, x, y
+
+    def test_too_few_labels_rejected(self, scored):
+        g, w, x, y = scored
+        msg = r"with B >= 1 and B labels, got x \(256, 16\) and labels \(1,\)"
+        with pytest.raises(ValueError, match=msg):
+            accuracy(g, w, x, y[:1])
+        with pytest.raises(ValueError, match=msg):
+            SupernetProvider(w, x, y[:1])
+
+    def test_empty_batch_rejected(self, scored):
+        g, w, x, y = scored
+        msg = r"B >= 1 and B labels, got x \(0, 16\) and labels \(0,\)"
+        with pytest.raises(ValueError, match=msg):
+            accuracy(g, w, x[:0], y[:0])
+        with pytest.raises(ValueError, match=msg):
+            SupernetProvider(w, x[:0], y[:0])
+        with pytest.raises(ValueError, match=r"with B >= 1, got x \(0, 16\)$"):
+            graph_logits(g, w, x[:0])
+
+    def test_wrong_feature_count_rejected(self, scored):
+        g, w, x, y = scored
+        msg = (
+            r"^batch: expected x of shape \(B, 16\) with B >= 1 and B labels, "
+            r"got x \(256, 15\) and labels \(256,\)$"
+        )
+        with pytest.raises(ValueError, match=msg):
+            accuracy(g, w, x[:, :15], y)
+        with pytest.raises(ValueError, match=msg):
+            SupernetProvider(w, x[:, :15], y)
+        with pytest.raises(ValueError, match=r"got x \(256, 15\)$"):
+            graph_logits(g, w, x[:, :15])
 
 
 class TestTrainerScoring:
@@ -1018,7 +1077,7 @@ class TestTrainerScoring:
         class Recording(SupernetProvider):
             def __init__(self, w, x_val, y_val):
                 super().__init__(w, x_val, y_val)
-                _spy_input_fed_forwards(monkeypatch, x_val, forwards)
+                _spy_input_fed_forwards(monkeypatch, self._x_t, forwards)
 
             def score_many(self, graphs):
                 if after_w_step[0]:
@@ -1054,7 +1113,7 @@ class TestTrainerScoring:
         class Recording(SupernetProvider):
             def __init__(self, w, x_val, y_val):
                 super().__init__(w, x_val, y_val)
-                _spy_input_fed_forwards(monkeypatch, x_val, forwards)
+                _spy_input_fed_forwards(monkeypatch, self._x_t, forwards)
 
         monkeypatch.setattr(trainer, "SupernetProvider", Recording)
         cfg = TrainConfig(
