@@ -32,20 +32,22 @@ output computed under older weights is ever reused. Writing into ``bank`` or
 the ``head_*`` arrays directly does not move the count, so scoring after such
 a write needs a new provider.
 
-The read path (``graph_logits``, ``accuracy`` and the provider) works
-feature-major. It transposes its batch once into a C-contiguous (16, B)
-array, and node l of a cell is rows ``16 l .. 16 l + 15`` of one (16 I, B)
-feature buffer: each node is written in place, an edge fed by it reads one
-contiguous row block, and the head reads the buffer's transpose, so no cell
-concatenates its nodes. The training step stays row-major: a feature-major
-``supernet_train_step`` was measured no faster (median ratios 1.06 and 1.00
-on ``supernet-pretrain``) and did not keep the weights' bits, so each path
-has its own kernels, sharing only the operation tables and the roll and pad
-indices. On the OpenBLAS of numpy's wheels, ``mix.T @ x_t`` has the bits of
-``x @ mix`` and the head product over the transposed buffer the bits of the
-product over the concatenated nodes, so the read path's logits are those of
-the training layout's forward. The byte tests against the row-major
-reference forward in ``tests/test_evaluator.py`` guard this.
+There is one forward, feature-major. ``graph_logits``, ``accuracy``, the
+provider and ``supernet_train_step`` transpose their batch once into a
+C-contiguous (16, B) array, and node l of a cell is rows ``16 l .. 16 l + 15``
+of one (16 I, B) feature buffer: each node is written in place, an edge fed
+by it reads one contiguous row block through ``_read_edge``, and the head
+reads the buffer's transpose, so no cell concatenates its nodes. The
+backward stays row-major, over transposed views of that buffer: node and
+edge gradients are (B, 16), and an edge's parameter gradients read its
+feature-major input, ``x_t @ gy`` for a mix. This rests on the OpenBLAS of
+numpy's wheels, where a C-contiguous left operand gives the bits of the
+transposed view of its row-major twin and ``mix.T @ x_t`` the bits of
+``x @ mix``; a named layout test and the byte tests against the row-major
+reference in ``tests/test_evaluator.py`` guard it. Each reduction keeps its
+row-major order: the diag gradient sums ``gu * x_t.T`` down its rows, since
+summing the (16, B) product along its rows takes numpy's pairwise order and
+changes the bits.
 
 The supernet kernels work on a cell's operation indices, the form
 ``CellGraph.ops`` stores. They dispatch through per-index tuples of type
@@ -53,8 +55,8 @@ class and kernel size, read once from ``opspace``, and read parameters
 through ``SharedWeights.slots[e][o]``, which holds the same entry dicts as
 ``bank``. The dilated rotation and its inverse, and the circular pad of the
 pools, are gathers through cached index arrays; the max-pool backward
-gathers its windows from the cached input. None of this changes a bit of the
-results.
+gathers its windows from the edge's input. None of this changes a bit of
+the results.
 
 ``supernet_train_step`` computes only what its SGD update reads. An edge
 computes its input gradient only when its source is an intermediate node;
@@ -215,130 +217,12 @@ def init_shared(rng: np.random.Generator, num_intermediate: int) -> SharedWeight
     return SharedWeights(num_intermediate=num_intermediate, bank=bank, head_w=head_w, head_b=head_b)
 
 
-def _edge_forward(o: int, x: np.ndarray, entry: dict | None):
-    """Apply toy operation ``OPERATIONS[o]``; returns (output, cache-for-backward).
-
-    Null is not handled: its output is zero, and ``_forward_graph`` skips it.
-    ``_read_edge`` is the same operation on a feature-major batch.
-    """
-    tc = _TYPE[o]
-    if tc is TypeClass.SKIP:
-        return x, None
-    if tc is TypeClass.CONV:
-        return x @ entry["mix"], (x,)
-    if tc is TypeClass.SEP_CONV:
-        u = x * entry["diag"]
-        return u @ entry["mix"], (x, u)
-    if tc is TypeClass.DIL_SEP_CONV:
-        # A gather through the cached permutation copies exactly what np.roll would.
-        xr = x[:, _roll(x.shape[1], _KERNEL[o])]
-        u = xr * entry["diag"]
-        return u @ entry["mix"], (xr, u)
-    d, k = x.shape[1], _KERNEL[o]
-    # Column j of window i is column i + j of the padded input, so column j of
-    # every window is one shifted slice, combined in window order as the
-    # reductions over a (B, d, k) window gather would combine them.
-    xp = x[:, _pad(d, k)]
-    if tc is TypeClass.MAX_POOL:
-        y = np.maximum(xp[:, :d], xp[:, 1 : 1 + d])
-        for j in range(2, k):
-            np.maximum(y, xp[:, j : j + d], out=y)
-        # The argmax is taken in backward.
-        return y, x
-    # ``np.add.reduce`` starts a short sum from +0.0, which turns an all -0.0 window into +0.0.
-    y = xp[:, :d] + 0.0
-    for j in range(1, k):
-        y += xp[:, j : j + d]
-    y /= k
-    return y, None
-
-
-def _edge_backward(o: int, gy: np.ndarray, entry: dict | None, cache, need_dx: bool):
-    """Gradient of toy operation ``OPERATIONS[o]``; returns (param_grads, dx).
-
-    ``param_grads`` holds fresh arrays keyed like ``entry``, or is None for an
-    operation without parameters. ``dx`` is None unless ``need_dx``, so an
-    edge whose input gradient is not read skips its work: pooling and skip do
-    nothing, and a separable convolution keeps only the ``gu`` its ``diag``
-    gradient needs. Null is not handled: its gradients are zero, and
-    ``supernet_train_step`` skips it.
-    """
-    tc = _TYPE[o]
-    if tc is TypeClass.CONV:
-        (x,) = cache
-        return {"mix": x.T @ gy}, (gy @ entry["mix"].T if need_dx else None)
-    if tc is TypeClass.SEP_CONV or tc is TypeClass.DIL_SEP_CONV:
-        # A dilated edge caches its rotated input, so both read the same way.
-        x, u = cache
-        gu = gy @ entry["mix"].T
-        grads = {"diag": np.add.reduce(gu * x, axis=0), "mix": u.T @ gy}
-        if not need_dx:
-            return grads, None
-        if tc is TypeClass.SEP_CONV:
-            return grads, gu * entry["diag"]
-        return grads, (gu * entry["diag"])[:, _roll(gy.shape[1], -_KERNEL[o])]
-    if not need_dx:
-        return None, None
-    if tc is TypeClass.SKIP:
-        return None, gy
-    b, d = gy.shape
-    k = _KERNEL[o]
-    if tc is TypeClass.MAX_POOL:
-        win = _windows(d, k)
-        cols = win[np.arange(d)[None, :], cache[:, win].argmax(axis=2)]
-        # One input coordinate can be the max of several windows: accumulate.
-        # ``bincount`` adds the flat (row, column) targets in input order from
-        # 0.0, the same sums in the same order as ``np.add.at``.
-        flat = (cols + d * np.arange(b)[:, None]).ravel()
-        return None, np.bincount(flat, weights=gy.ravel(), minlength=b * d).reshape(b, d)
-    gx = np.zeros_like(gy)
-    # Window i feeds coordinate i + j (mod d) from its column j, so column j's
-    # share of the gradient is g rolled by j: one gather per column, added in
-    # the column order a per-coordinate scatter would use.
-    g = gy / k
-    for j in range(k):
-        gx += g[:, _roll(d, j)]
-    return None, gx
-
-
-def _forward_graph(sources: list[int], ops: list[int], w: SharedWeights, x: np.ndarray):
-    """Supernet forward over a row-major (batch, feature) batch; returns (logits, caches).
-
-    Node l is ``tanh(0 + y_2l + y_2l+1)``, the sum of its two edge outputs
-    started from zeros. A null edge's output is zero, so it is skipped; the
-    start from zeros only turns a -0.0 sum into +0.0, and adding 0.0 to the
-    tanh does the same, so the nodes keep their exact bits. This is the
-    training forward; ``_read_logits`` is the read-only one.
-    """
-    num_inter = len(ops) // 2
-    slots = w.slots
-    nodes: dict[int, np.ndarray] = {-2: x, -1: x}
-    edge_caches: list = [None] * len(ops)
-    # Edges are in canonical (target, slot) order, so node l's edges are 2l
-    # and 2l + 1, and sources precede targets, so their inputs are computed.
-    for l in range(num_inter):
-        pre = None
-        for e_idx in (2 * l, 2 * l + 1):
-            o = ops[e_idx]
-            if o == _NULL:
-                continue
-            y, edge_caches[e_idx] = _edge_forward(o, nodes[sources[e_idx]], slots[e_idx][o])
-            pre = y if pre is None else pre + y
-        if pre is None:
-            nodes[l] = np.zeros_like(x)
-        else:
-            node = nodes[l] = np.tanh(pre)
-            node += 0.0
-    feats = np.concatenate([nodes[l] for l in range(num_inter)], axis=1)
-    logits = feats @ w.head_w + w.head_b
-    return logits, (nodes, edge_caches, feats)
-
-
 def _read_edge(o: int, x_t: np.ndarray, entry: dict | None) -> np.ndarray:
-    """``_edge_forward``'s output for a feature-major (feature, batch) input, transposed.
+    """Apply toy operation ``OPERATIONS[o]`` to a feature-major (feature, batch) input.
 
-    It keeps no backward cache, and skip returns ``x_t`` itself. Null is not
-    handled: ``_read_logits`` skips it.
+    The one supernet forward kernel: scoring and training both call it. It
+    keeps no backward cache, and skip returns ``x_t`` itself. Null is not
+    handled: its output is zero, and ``_read_nodes`` skips it.
     """
     tc = _TYPE[o]
     if tc is TypeClass.SKIP:
@@ -349,15 +233,18 @@ def _read_edge(o: int, x_t: np.ndarray, entry: dict | None) -> np.ndarray:
         return entry["mix"].T @ (x_t * entry["diag"][:, None])
     d, k = x_t.shape[0], _KERNEL[o]
     if tc is TypeClass.DIL_SEP_CONV:
+        # A gather through the cached permutation copies exactly what np.roll would.
         return entry["mix"].T @ (x_t[_roll(d, k)] * entry["diag"][:, None])
-    # Rows j .. j + d - 1 of the padded input are column j of every window,
-    # combined in window order as ``_edge_forward`` combines its columns.
+    # Rows j .. j + d - 1 of the padded input are column j of every window, so
+    # each column is one shifted slice, combined in window order as the
+    # reductions over a (B, d, k) window gather would combine them.
     xp = x_t[_pad(d, k)]
     if tc is TypeClass.MAX_POOL:
         y = np.maximum(xp[:d], xp[1 : 1 + d])
         for j in range(2, k):
             np.maximum(y, xp[j : j + d], out=y)
         return y
+    # ``np.add.reduce`` starts a short sum from +0.0, which turns an all -0.0 window into +0.0.
     y = xp[:d] + 0.0
     for j in range(1, k):
         y += xp[j : j + d]
@@ -365,15 +252,14 @@ def _read_edge(o: int, x_t: np.ndarray, entry: dict | None) -> np.ndarray:
     return y
 
 
-def _read_logits(graph: CellGraph, w: SharedWeights, x_t: np.ndarray, memo: dict) -> np.ndarray:
-    """Read-only forward of one cell on a feature-major (feature, batch) batch ``x_t``.
+def _read_nodes(graph: CellGraph, w: SharedWeights, x_t: np.ndarray, memo: dict) -> np.ndarray:
+    """The intermediate nodes of one cell on a feature-major (feature, batch) batch ``x_t``.
 
-    Returns the row-major (batch, class) logits of ``_forward_graph``, bit for
-    bit. Node l is written into rows ``d l .. d l + d - 1`` of one C-contiguous
-    (I d, B) buffer: the sum of its edge outputs, then its tanh, then 0.0
-    added, in place, as ``_forward_graph`` computes it; a node whose edges
-    are both null is zeros. The head reads the buffer's transpose, so the
-    logits need no concatenation and come out row-major.
+    Returns one C-contiguous (I d, B) buffer whose rows ``d l .. d l + d - 1``
+    are node l: the sum of its edge outputs, then its tanh, then 0.0 added,
+    in place; a node whose edges are both null is zeros. Adding 0.0 turns a
+    -0.0 into +0.0 and changes no other bit, so each node has the bits of
+    ``tanh(0 + y_2l + y_2l+1)``, summed from zeros.
 
     An edge whose source is an input node reads its output from ``memo``,
     computing and storing it on a miss. Both input nodes are ``x_t``, so a
@@ -389,6 +275,8 @@ def _read_logits(graph: CellGraph, w: SharedWeights, x_t: np.ndarray, memo: dict
     slots = w.slots
     d = x_t.shape[0]
     feats = np.empty((len(ops) // 2 * d, x_t.shape[1]))
+    # Edges are in canonical (target, slot) order, so node l's edges are 2l
+    # and 2l + 1, and sources precede targets, so their inputs are computed.
     for l in range(len(ops) // 2):
         row = feats[l * d : (l + 1) * d]
         pre = None
@@ -412,6 +300,11 @@ def _read_logits(graph: CellGraph, w: SharedWeights, x_t: np.ndarray, memo: dict
         else:
             np.tanh(pre, out=row)
             row += 0.0
+    return feats
+
+
+def _head(feats: np.ndarray, w: SharedWeights) -> np.ndarray:
+    """Row-major (batch, class) logits of a ``_read_nodes`` buffer, read through its transpose."""
     logits = feats.T @ w.head_w
     logits += w.head_b
     return logits
@@ -442,13 +335,69 @@ def _check_batch(x: np.ndarray, labels: np.ndarray | None = None) -> None:
 def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarray:
     """Pure read-only forward pass of a row-major (B, 16) batch; returns (B, 8) logits."""
     _check_batch(x)
-    return _read_logits(graph, w, np.asarray(x).T.copy(), {})
+    return _head(_read_nodes(graph, w, np.asarray(x).T.copy(), {}), w)
 
 
 def accuracy(graph: CellGraph, w: SharedWeights, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the batch classified correctly: the float ``SupernetProvider`` scores."""
     _check_batch(x, labels)
     return _fraction_correct(graph_logits(graph, w, x), labels)
+
+
+def _edge_backward(o: int, gy: np.ndarray, entry: dict | None, x_t: np.ndarray, need_dx: bool):
+    """Gradient of toy operation ``OPERATIONS[o]``; returns (param_grads, dx).
+
+    ``gy`` and ``dx`` are row-major (batch, feature); ``x_t`` is the edge's
+    feature-major (feature, batch) input, as ``_read_edge`` read it.
+    ``param_grads`` holds fresh arrays keyed like ``entry``, or is None for an
+    operation without parameters. ``dx`` is None unless ``need_dx``, so an
+    edge whose input gradient is not read skips its work: pooling and skip do
+    nothing, and a separable convolution keeps only the ``gu`` its ``diag``
+    gradient needs. Null is not handled: its gradients are zero, and
+    ``supernet_train_step`` skips it.
+    """
+    tc = _TYPE[o]
+    if tc is TypeClass.CONV:
+        return {"mix": x_t @ gy}, (gy @ entry["mix"].T if need_dx else None)
+    if tc is TypeClass.SEP_CONV or tc is TypeClass.DIL_SEP_CONV:
+        d = x_t.shape[0]
+        if tc is TypeClass.DIL_SEP_CONV:
+            x_t = x_t[_roll(d, _KERNEL[o])]
+        gu = gy @ entry["mix"].T
+        # The diag sum runs down the rows of a row-major product, as a sum
+        # over the batch of (B, d) arrays does: reducing the (d, B) product
+        # along its rows would sum pairwise and change the bits.
+        grads = {
+            "diag": np.add.reduce(gu * x_t.T, axis=0),
+            "mix": (x_t * entry["diag"][:, None]) @ gy,
+        }
+        if not need_dx:
+            return grads, None
+        if tc is TypeClass.SEP_CONV:
+            return grads, gu * entry["diag"]
+        return grads, (gu * entry["diag"])[:, _roll(d, -_KERNEL[o])]
+    if not need_dx:
+        return None, None
+    if tc is TypeClass.SKIP:
+        return None, gy
+    b, d = gy.shape
+    k = _KERNEL[o]
+    if tc is TypeClass.MAX_POOL:
+        win = _windows(d, k)
+        cols = win[np.arange(d)[None, :], x_t.T[:, win].argmax(axis=2)]
+        # One input coordinate can be the max of several windows: accumulate.
+        # ``bincount`` adds the flat (row, column) targets in input order from
+        # 0.0, the same sums in the same order as ``np.add.at``.
+        flat = (cols + d * np.arange(b)[:, None]).ravel()
+        return None, np.bincount(flat, weights=gy.ravel(), minlength=b * d).reshape(b, d)
+    gx = np.zeros_like(gy)
+    # Window i feeds coordinate i + j (mod d) from its column j, so column j's
+    # share of the gradient is g rolled by j: one gather per column, added in
+    # the column order a per-coordinate scatter would use.
+    g = gy / k
+    for j in range(k):
+        gx += g[:, _roll(d, j)]
+    return None, gx
 
 
 def _sum_into(
@@ -479,41 +428,48 @@ def supernet_train_step(
 
     The gradient is averaged over the graphs; bank entries not used by any of
     them are left untouched. Returns the mean cross-entropy before the step.
+    Raises ValueError, before anything is written, for an empty ``graphs``,
+    a batch ``accuracy`` would reject, or a graph whose intermediate count
+    is not the weights'.
 
-    The backward computes only what the update reads. An edge passes an input
-    gradient on only when its source is an intermediate node, so an edge fed
-    by an input node computes its parameter gradients alone, and a null edge
-    has no backward. The first graph to touch a gradient stores its fresh
+    The forward is the read path's: one transpose of the batch, then
+    ``_read_nodes`` and ``_head`` per graph, with one memo of input-fed edge
+    outputs for the step, whose weights do not change until its update. The
+    backward is row-major and computes only what the update reads (see the
+    module docstring). The first graph to touch a gradient stores its fresh
     arrays and later graphs add to them in order, as ``_sum_into`` describes.
 
     The step counts itself in ``w._writes`` before it writes a weight, which
     ends the weighted input-fed edge outputs kept by every ``SupernetProvider``
     on ``w``.
     """
+    if len(graphs) == 0:
+        raise ValueError("graphs: expected at least one cell")
+    _check_batch(x, labels)
     d = _FEATURE_DIM
     slots = w.slots
+    x_t = np.asarray(x).T.copy()
+    memo: dict = {}
     # Gradients by (edge slot index, operation index), summed over the graphs.
     grad_bank: dict[tuple[int, int], dict[str, np.ndarray]] = {}
     grad_head: dict[str, np.ndarray] | None = None
     total_loss = 0.0
     for graph in graphs:
-        if graph.num_intermediate != w.num_intermediate:
-            raise ValueError("graph and shared weights disagree on intermediate count")
-        sources, ops = graph.sources.tolist(), graph.ops.tolist()
-        logits, (nodes, edge_caches, feats) = _forward_graph(sources, ops, w, x)
-        loss, dlogits = cross_entropy_logits(logits, labels)
+        feats = _read_nodes(graph, w, x_t, memo)
+        loss, dlogits = cross_entropy_logits(_head(feats, w), labels)
         total_loss += loss
         grad_head = _sum_into(
-            grad_head, {"head_w": feats.T @ dlogits, "head_b": np.add.reduce(dlogits, axis=0)}
+            grad_head, {"head_w": feats @ dlogits, "head_b": np.add.reduce(dlogits, axis=0)}
         )
         dfeats = dlogits @ w.head_w.T
         # Contiguous copies: each ufunc on a strided column block of ``dfeats``
         # costs about three times as much as on a copy, and a node's gradient
         # meets one to three of them.
         node_grads = [dfeats[:, l * d : (l + 1) * d].copy() for l in range(graph.num_intermediate)]
+        sources, ops = graph.sources.tolist(), graph.ops.tolist()
         # Walk intermediates in reverse so downstream credit arrives first.
         for l in range(graph.num_intermediate - 1, -1, -1):
-            gpre = node_grads[l] * (1.0 - nodes[l] ** 2)
+            gpre = node_grads[l] * (1.0 - feats[l * d : (l + 1) * d].T ** 2)
             for e_idx in (2 * l, 2 * l + 1):
                 o = ops[e_idx]
                 src = sources[e_idx]
@@ -522,7 +478,8 @@ def supernet_train_step(
                     if src >= 0:
                         node_grads[src] += 0.0
                     continue
-                grads, dx = _edge_backward(o, gpre, slots[e_idx][o], edge_caches[e_idx], src >= 0)
+                src_t = x_t if src < 0 else feats[src * d : (src + 1) * d]
+                grads, dx = _edge_backward(o, gpre, slots[e_idx][o], src_t, src >= 0)
                 if grads is not None:
                     grad_bank[e_idx, o] = _sum_into(grad_bank.get((e_idx, o)), grads)
                 if dx is not None:
@@ -689,22 +646,17 @@ class SupernetProvider:
 
     The provider checks its batch once, as ``accuracy`` does, and keeps its
     own C-contiguous (16, B) copy of ``x_val``, the feature-major layout
-    ``_read_logits`` works in, and its own copy of ``y_val``, so a later
+    ``_read_nodes`` works in, and its own copy of ``y_val``, so a later
     write into the caller's arrays changes no score. It keeps the input-fed
     edge outputs it has computed, with two lifetimes. A weight-free
     operation's output (pooling, skip) depends only on the batch and is kept
     for the provider's life. A weighted (edge, operation) output is kept
     until ``supernet_train_step`` next writes ``w``: every call first
     compares ``w._writes`` with the count its weighted entries were made
-    under, and drops them when the count has moved. The memo so holds at
-    most one (feature, batch) array, (16, 256) in training, per non-null
-    weighted (edge, operation), plus one per weight-free operation. The
-    scores are exactly those of one ``accuracy`` call per cell, and their
-    logits those of the row-major training forward on the OpenBLAS of
-    numpy's wheels. Training keeps its row-major layout, since a
-    feature-major training step was no faster and changed the weights' bits
-    (see the module docstring). Weights written other than by
-    ``supernet_train_step`` need a new provider.
+    under, and drops them when the count has moved. The scores are exactly
+    those of one ``accuracy`` call per cell, through the forward that
+    ``supernet_train_step`` trains (see the module docstring). Weights
+    written other than by ``supernet_train_step`` need a new provider.
     """
 
     def __init__(self, w: SharedWeights, x_val: np.ndarray, y_val: np.ndarray):
@@ -721,8 +673,9 @@ class SupernetProvider:
         if self._memo_writes != self.w._writes:
             self._memo = {key: y for key, y in self._memo.items() if type(key) is int}
             self._memo_writes = self.w._writes
+        w = self.w
         return [
-            _fraction_correct(_read_logits(g, self.w, self._x_t, self._memo), self.y_val)
+            _fraction_correct(_head(_read_nodes(g, w, self._x_t, self._memo), w), self.y_val)
             for g in graphs
         ]
 

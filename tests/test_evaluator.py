@@ -84,7 +84,7 @@ def _memo_keys(graphs):
 
 
 def _forwards(keys):
-    """The operation of each ``_edge_forward`` that computes ``keys``, counted."""
+    """The operation of each ``_read_edge`` that computes ``keys``, counted."""
     return Counter(key if key in _WEIGHT_FREE else key[1] for key in keys)
 
 
@@ -656,8 +656,8 @@ class TestReferenceEquivalence:
                 EdgeSlot(1, 1, -1, OperationKind.SKIP),
             ),
         )
-        feats = evaluator._forward_graph(g.sources.tolist(), g.ops.tolist(), w, x)[1][2]
-        assert feats.tobytes() == _ref_forward_graph(g, w, x)[1][2].tobytes()
+        feats = evaluator._read_nodes(g, w, x.T.copy(), {})
+        assert feats.T.tobytes() == _ref_forward_graph(g, w, x)[1][2].tobytes()
 
     def test_pool_ties_match_reference(self):
         # A node fed only by null edges is all zeros, so pooling it ties everywhere.
@@ -703,7 +703,7 @@ class TestReferenceEquivalence:
                 want = np.maximum.reduce(vals, axis=2)
             else:
                 want = np.add.reduce(vals, axis=2) / pool.kernel
-            y, _ = evaluator._edge_forward(pool.index, x, None)
+            y = evaluator._read_edge(pool.index, x.T.copy(), None).T
         assert y.tobytes() == want.tobytes()
         # An all -0.0 window keeps its max, but averages to +0.0: the sum starts from +0.0.
         assert np.signbit(y[:32]).all() == (pool.type_class is TypeClass.MAX_POOL)
@@ -718,13 +718,14 @@ class TestReferenceEquivalence:
         gy = rng.standard_normal((64, 16))
         gy[11, 4] = np.nan
         gy[12] = -0.0
-        y, cache = evaluator._edge_forward(pool.index, x, None)
+        x_t = x.T.copy()
+        y = evaluator._read_edge(pool.index, x_t, None).T
         ref_y, ref_cache = _ref_edge_forward(pool, x, None)
         assert y.tobytes() == ref_y.tobytes()
-        grads, dx = evaluator._edge_backward(pool.index, gy, None, cache, True)
+        grads, dx = evaluator._edge_backward(pool.index, gy, None, x_t, True)
         assert grads is None
         assert dx.tobytes() == _ref_edge_backward(pool, gy, None, ref_cache, None).tobytes()
-        assert evaluator._edge_backward(pool.index, gy, None, cache, False) == (None, None)
+        assert evaluator._edge_backward(pool.index, gy, None, x_t, False) == (None, None)
 
     @pytest.mark.parametrize("op", OPERATIONS, ids=lambda op: op.value)
     def test_parameter_gradients_do_not_depend_on_need_dx(self, monkeypatch, op):
@@ -734,9 +735,9 @@ class TestReferenceEquivalence:
         backward = evaluator._edge_backward
         asked = []
 
-        def both_ways(o, gy, entry, cache, need_dx):
+        def both_ways(o, gy, entry, x_t, need_dx):
             asked.append(need_dx)
-            (grads, dx), (bare, no_dx) = (backward(o, gy, entry, cache, n) for n in (True, False))
+            (grads, dx), (bare, no_dx) = (backward(o, gy, entry, x_t, n) for n in (True, False))
             assert dx is not None and no_dx is None
             if grads is None:
                 assert bare is None
@@ -744,7 +745,7 @@ class TestReferenceEquivalence:
                 assert {k: g.tobytes() for k, g in bare.items()} == {
                     k: g.tobytes() for k, g in grads.items()
                 }
-            return backward(o, gy, entry, cache, need_dx)
+            return backward(o, gy, entry, x_t, need_dx)
 
         monkeypatch.setattr(evaluator, "_edge_backward", both_ways)
         _steps_match_reference(w, [chain_cell(op)], x, y)
@@ -787,14 +788,14 @@ class TestReferenceEquivalence:
                 EdgeSlot(3, 1, 0, OperationKind.MAX_POOL_3X3),
             ),
         )
-        nodes = evaluator._forward_graph(g.sources.tolist(), g.ops.tolist(), w, x)[1][0]
-        assert all((np.abs(nodes[l]) == 1.0).any() for l in range(3))
+        feats = evaluator._read_nodes(g, w, x.T.copy(), {})
+        assert all((np.abs(feats[16 * l : 16 * (l + 1)]) == 1.0).any() for l in range(3))
         backward = evaluator._edge_backward
         signed_zeros = []
 
-        def spy(o, gy, entry, cache, need_dx):
+        def spy(o, gy, entry, x_t, need_dx):
             signed_zeros.append(np.count_nonzero((gy == 0.0) & np.signbit(gy)))
-            return backward(o, gy, entry, cache, need_dx)
+            return backward(o, gy, entry, x_t, need_dx)
 
         monkeypatch.setattr(evaluator, "_edge_backward", spy)
         _steps_match_reference(w, [g], x, y, steps=5)
@@ -807,6 +808,18 @@ class TestReferenceEquivalence:
         assert acc["g"].tobytes() == (np.zeros(4) + [-0.0, 0.0, 2.0, np.nan]).tobytes()
         assert evaluator._sum_into(acc, {"g": np.array([-0.0, -0.0, 1.0, 0.0])}) is acc
         assert acc["g"].tobytes() == np.array([0.0, 0.0, 3.0, np.nan]).tobytes()
+
+    def test_feature_major_left_operand_keeps_row_major_bits(self):
+        # The training step takes its mix and head gradients as x_t @ gy and feats @ dlogits
+        # over feature-major inputs; the reference step takes them as x.T @ gy through a
+        # transposed view of the row-major input. A BLAS that gives these products different
+        # bits fails here, not only through the golden digests.
+        rng = np.random.default_rng(71)
+        for batch in (1, 7, 16, 32, 64, 256):
+            for rows, cols in [(16, 16)] + [(16 * i, 8) for i in range(1, 5)]:
+                for _ in range(20):
+                    x, gy = rng.standard_normal((batch, rows)), rng.standard_normal((batch, cols))
+                    assert (x.T.copy() @ gy).tobytes() == (x.T @ gy).tobytes(), (batch, rows, cols)
 
     def test_every_op_on_input_fed_and_intermediate_fed_edges(self):
         # Node l > 0 takes OPERATIONS[l % 13] from node l - 1 and every node takes
@@ -855,7 +868,7 @@ class TestDrawSetScoring:
                 assert SupernetProvider(w, x, y_val).score_many(graphs) == want
                 memo = {}
                 for g in graphs:
-                    got = evaluator._read_logits(g, w, x.T.copy(), memo)
+                    got = evaluator._head(evaluator._read_nodes(g, w, x.T.copy(), memo), w)
                     assert got.tobytes() == _ref_forward_graph(g, w, x)[0].tobytes()
                 # The memo holds exactly the non-null edges fed by an input node, each
                 # weight-free operation once under its index, as (feature, batch) arrays.
@@ -982,7 +995,7 @@ class TestDrawSetScoring:
         for key, y in kept.items():
             assert provider._memo[key] is y
         for g in cells:
-            got = evaluator._read_logits(g, w, provider._x_t, provider._memo)
+            got = evaluator._head(evaluator._read_nodes(g, w, provider._x_t, provider._memo), w)
             assert got.tobytes() == _ref_forward_graph(g, w, x_val)[0].tobytes()
 
 
@@ -1025,6 +1038,46 @@ class TestBatchChecks:
             SupernetProvider(w, x[:, :15], y)
         with pytest.raises(ValueError, match=r"got x \(256, 15\)$"):
             graph_logits(g, w, x[:, :15])
+
+
+class TestTrainStepChecks:
+    """A malformed step is rejected before it counts a write or changes a weight."""
+
+    @pytest.fixture
+    def step(self):
+        w = init_shared(np.random.default_rng(0), 4)
+        x, y = make_dataset(0).train_batch(np.random.default_rng(1), 64)
+        return w, [sample_uniform(4, np.random.default_rng(2))], x, y
+
+    @staticmethod
+    def _rejected(w, graphs, x, y, msg):
+        before = copy.deepcopy(w)
+        with pytest.raises(ValueError, match=msg):
+            supernet_train_step(w, graphs, x, y, 0.05)
+        assert w._writes == 0
+        assert _same_weights(w, before)
+
+    def test_no_graphs_rejected(self, step):
+        w, _, x, y = step
+        self._rejected(w, [], x, y, r"^graphs: expected at least one cell$")
+
+    def test_empty_batch_rejected(self, step):
+        w, graphs, x, y = step
+        self._rejected(w, graphs, x[:0], y[:0], r"got x \(0, 16\) and labels \(0,\)$")
+
+    def test_wrong_feature_count_rejected(self, step):
+        w, graphs, x, y = step
+        self._rejected(w, graphs, x[:, :15], y, r"got x \(64, 15\) and labels \(64,\)$")
+
+    def test_too_few_labels_rejected(self, step):
+        w, graphs, x, y = step
+        self._rejected(w, graphs, x, y[:10], r"got x \(64, 16\) and labels \(10,\)$")
+
+    def test_intermediate_count_mismatch_rejected(self, step):
+        # The second graph is rejected after the first has been through forward and backward.
+        w, graphs, x, y = step
+        mismatched = graphs + [chain_cell(OperationKind.SKIP, 2)]
+        self._rejected(w, mismatched, x, y, "intermediate count")
 
 
 class TestTrainerScoring:
