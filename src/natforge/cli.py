@@ -178,6 +178,13 @@ def cost(in_path: str, channels: int, hw: int, out_path: str) -> None:
 @click.option("--epochs", type=int, default=TrainConfig.epochs)
 @click.option("--m", "m", type=int, default=TrainConfig.m)
 @click.option("--n", "n", type=int, default=TrainConfig.n)
+@click.option("--depth", type=int, default=TrainConfig.depth, help="Graph-convolution layers.")
+@click.option(
+    "--baseline/--no-baseline",
+    "use_baseline",
+    default=TrainConfig.use_baseline,
+    help="Subtract a moving-average reward baseline.",
+)
 @_seed_option
 @click.option("--out", "out_dir", default="run", help="Output directory.")
 def train(
@@ -189,6 +196,8 @@ def train(
     epochs: int,
     m: int,
     n: int,
+    depth: int,
+    use_baseline: bool,
     seed: int,
     out_dir: str,
 ) -> None:
@@ -203,6 +212,8 @@ def train(
         eta_theta=eta_theta,
         epochs=epochs,
         seed=seed,
+        depth=depth,
+        use_baseline=use_baseline,
     )
     # Each flag is checked on its own, so a rejected value is a usage error naming its flag.
     options = {p.name: p.opts[0] for p in click.get_current_context().command.params}

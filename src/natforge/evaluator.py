@@ -14,11 +14,12 @@ The planted oracle scores each (edge, operation) pair with a fixed random
 table, so the best reachable transition for every edge is known exactly and
 policy convergence can be measured against ground truth.
 
-Both providers score a draw set in one call, ``score_many(graphs)``, and
+Both providers score a list of cells in one call, ``score_many(graphs)``, and
 define the reward of a rewrite as ``score(alpha) - score(beta)``. Scores are
-pure, so a caller that draws n rewrites of one input cell scores the cell and
-its rewrites together, and the cell once. Under the supernet, an edge fed by
-an input node computes the same output for every cell scored on the same
+pure, so a caller scores each input cell once, whatever number of rewrites it
+draws: the trainer scores a θ phase's input cells in one call before its
+steps, and each step's rewrites in one call. Under the supernet, an edge fed
+by an input node computes the same output for every cell scored on the same
 batch, so a ``SupernetProvider`` keeps these outputs from one ``score_many``
 call to the next, with two lifetimes. An operation without weights (the four
 pools, and skip, which is its input) gives one output for every edge slot,
@@ -317,19 +318,30 @@ def _fraction_correct(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def _check_batch(x: np.ndarray, labels: np.ndarray | None = None) -> None:
     """Raise ValueError naming the shapes unless ``x`` is (B, 16) with B >= 1 and
-    ``labels``, if given, holds B entries."""
+    ``labels``, if given, holds B entries, and naming the first bad label unless every
+    label is an integer class in [0, 8). The label check is three numpy calls for any B."""
     shape = np.shape(x)
-    if (
+    if not (
         len(shape) == 2
         and shape[0] >= 1
         and shape[1] == _FEATURE_DIM
         and (labels is None or np.shape(labels) == shape[:1])
     ):
+        want, got = f"x of shape (B, {_FEATURE_DIM}) with B >= 1", f"x {shape}"
+        if labels is not None:
+            want, got = want + " and B labels", got + f" and labels {np.shape(labels)}"
+        raise ValueError(f"batch: expected {want}, got {got}")
+    if labels is None:
         return
-    want, got = f"x of shape (B, {_FEATURE_DIM}) with B >= 1", f"x {shape}"
-    if labels is not None:
-        want, got = want + " and B labels", got + f" and labels {np.shape(labels)}"
-    raise ValueError(f"batch: expected {want}, got {got}")
+    y = np.asarray(labels)
+    integer = y.dtype.kind in "iu"
+    if integer and np.minimum.reduce(y) >= 0 and np.maximum.reduce(y) < _NUM_CLASSES:
+        return
+    bad = int(np.argmax((y < 0) | (y >= _NUM_CLASSES))) if integer else 0
+    raise ValueError(
+        f"batch: expected integer labels in [0, {_NUM_CLASSES}), "
+        f"got {y[bad].item()!r} at index {bad}"
+    )
 
 
 def graph_logits(graph: CellGraph, w: SharedWeights, x: np.ndarray) -> np.ndarray:

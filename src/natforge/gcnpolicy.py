@@ -11,11 +11,15 @@ to-skip}, all three always allowed: its mask is all ones, which makes
 BMSoftmax the plain softmax, bit for bit.
 
 ``forward`` takes one cell or a stack of same-size cells and maps every
-intermediate node through the head in one stacked product. Its output
-carries a backprop cache of the intermediates, so a policy step runs the
-forward pass once. Inference (``trainer._infer_ops``), which never backprops,
-runs the same private core without the cache: the same ``Z`` and ``masks``
-bytes, and no activation outlives the call.
+intermediate node through the head in one stacked product. It runs in two
+stages. ``_inputs`` is θ-free: the checks of the operations and the first
+graph convolution's ``a @ x``. ``_pass`` is the rest, which depends on the
+weights, and the transition masks. The training loop takes ``_inputs`` once for all
+the cells of a θ phase and runs ``_pass`` on each step's slice of it. The
+output of ``forward`` carries a backprop cache of the intermediates, so a
+policy step runs the forward pass once. Inference (``trainer._infer_ops``),
+which never backprops, runs the same two stages without the cache: the same
+``Z`` and ``masks`` bytes, and no activation outlives the call.
 
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
@@ -157,36 +161,50 @@ def forward(enc: GraphEncoding, ops: np.ndarray, params: PolicyParams) -> Policy
     is (B, K), and ``Z`` and ``masks`` are (B, K, c). Either way the graph
     convolutions are the same matmuls, the head maps every intermediate node
     through ``fc`` in one stacked product, and the output carries the
-    backprop cache.
+    backprop cache. It is ``_pass`` over ``_inputs``.
     """
-    return _forward(enc, ops, params, cache=True)
+    return _pass(_inputs(enc, ops), params, cache=True)
 
 
-def _forward(
-    enc: GraphEncoding, ops: np.ndarray, params: PolicyParams, cache: bool
-) -> PolicyOutput:
-    """``forward``'s checks and pass. With ``cache`` False the output's ``cache`` is None and
-    no activation outlives the call; ``Z`` and ``masks`` are the same bytes either way."""
+def _inputs(enc: GraphEncoding, ops: np.ndarray) -> list[np.ndarray]:
+    """``forward``'s θ-free stage: the checks of ``ops``, then ``[a, a @ x, ops]``.
+
+    ``a @ x`` is the first graph convolution's product. Neither it nor the
+    checks depend on the weights, so a caller may take them once for many
+    passes, and a slice of the leading axis is the stage of those cells:
+    ``a @ x`` of a stack is one product per cell, the same bits as each
+    cell's own.
+    """
     a, x = enc.adjacency, enc.features
     index = np.asarray(ops)
-    num_inter = a.shape[-1] - 3
-    k = 2 * num_inter
-    if index.shape != a.shape[:-2] + (k,):
+    if index.shape != a.shape[:-2] + (2 * (a.shape[-1] - 3),):
         raise ValueError("ops must list both slots of every intermediate node")
     if index.dtype.kind not in "iu" or ((index < 0) | (index >= NUM_OPERATIONS)).any():
         raise ValueError(f"ops must be operation indices in [0, {NUM_OPERATIONS})")
-    if x.shape[-1] != params.gcn[0].shape[0]:
+    return [a, a @ x, index]
+
+
+def _pass(inputs: list[np.ndarray], params: PolicyParams, cache: bool) -> PolicyOutput:
+    """``forward``'s θ-dependent pass over an ``_inputs`` list, which it empties.
+
+    The list is emptied so that, with ``cache`` False, ``a @ x`` is dropped
+    once the first layer has used it, like every later activation: at most
+    two of them are alive at a time and no activation outlives the call. The
+    masks are gathered last, once the activations are freed: allocated
+    before them, they change where inference's later groups land in the heap
+    and raise its page faults. With ``cache`` False the output's ``cache`` is
+    None; ``Z`` and ``masks`` are the same bytes either way.
+    """
+    a, ah, index = inputs
+    inputs.clear()
+    if ah.shape[-1] != params.gcn[0].shape[0]:
         raise ValueError(
-            f"feature dim {x.shape[-1]} does not match controller input "
+            f"feature dim {ah.shape[-1]} does not match controller input "
             f"{params.gcn[0].shape[0]}"
         )
-    # Each activation is dropped once the next one is computed, so without the
-    # cache at most two of them are alive at a time.
-    h = x
     ahs = []
     pres = []
     for w in params.gcn[:-1]:
-        ah = a @ h
         pre = ah @ w
         if cache:
             ahs.append(ah)
@@ -194,16 +212,16 @@ def _forward(
         del ah
         h = np.maximum(pre, 0.0)
         del pre
-    ah = a @ h
-    del h
+        ah = a @ h
+        del h
     m = ah @ params.gcn[-1]
     if cache:
         ahs.append(ah)
     del ah
     kept = BackpropCache(a, ahs, pres, m) if cache else None
 
-    c = params.num_actions
-    logits = (m[..., 2 : 2 + num_inter, :] @ params.fc).reshape(a.shape[:-2] + (k, c))
+    num_inter = a.shape[-1] - 3
+    logits = (m[..., 2 : 2 + num_inter, :] @ params.fc).reshape(index.shape + (-1,))
     del m
     masks = _MASKS[params.mode][index]
     return PolicyOutput(Z=bmsoftmax(logits, masks), masks=masks, cache=kept)

@@ -3,11 +3,19 @@
 Each epoch alternates two phases: supernet updates on training batches over
 uniformly sampled cells (skipped for the oracle provider, which has nothing
 to train), then policy-gradient ascent on the controller using rewards from
-the provider. Inference is a single policy application per input cell:
-encode it, read the per-edge distributions, pick actions by sampling or
-argmax, and apply them. Cells do not depend on each other, so ``_infer_ops``
-runs the policy once per group of same-size cells of their flat form;
-``natforge optimize`` calls it directly, and ``infer`` is one cell through it.
+the provider. A θ phase does its θ-free work once, before its steps: it takes
+all of its input cells and uniforms off the generator in the order the steps
+use them, encodes the cells and takes the policy's θ-free stage
+(``gcnpolicy._inputs``: op checks and the first ``a @ x``) in one
+stacked call, and scores the cells in one ``score_many`` call, which is valid
+because nothing writes the supernet during a θ phase. Each step then runs
+only the policy's θ-dependent pass on its slice.
+
+Inference is a single policy application per input cell: encode it, read the
+per-edge distributions, pick actions by sampling or argmax, and apply them.
+Cells do not depend on each other, so ``_infer_ops`` runs the policy once per
+group of same-size cells of their flat form; ``natforge optimize`` calls it
+directly, and ``infer`` is one cell through it.
 Because only rule-valid transitions carry probability, the optimized cell
 never costs more than its input.
 """
@@ -17,11 +25,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gcnpolicy
-from .archgraph import CellGraph, apply_transitions, encode, sample_uniform
+from .archgraph import CellGraph, sample_uniform
 from .archgraph import _cell, _checked_ops, _encode, _flat
 from .evaluator import (
     OracleProvider,
@@ -37,14 +46,13 @@ from .gcnpolicy import (
     PolicyOutput,
     PolicyParams,
     _entropy_terms,
-    _forward,
+    _inputs,
+    _pass,
     actions_to_ops,
     backprop,
-    forward,
     init_params,
     _reward_logit_grads,
     _sample_rows,
-    sample_actions,
 )
 from .opspace import VALID
 
@@ -82,6 +90,8 @@ class TrainConfig:
             raise ValueError("learning rates must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
         if self.provider not in ("oracle", "supernet"):
             raise ValueError(f"unknown provider {self.provider!r}")
 
@@ -141,33 +151,63 @@ def _checked_output(out: PolicyOutput) -> PolicyOutput:
     return out
 
 
-def _draw(
-    betas: list[CellGraph], policy: PolicyParams, rng: np.random.Generator, n: int
-) -> tuple[PolicyOutput, list[CellGraph], np.ndarray]:
-    """One batched ``forward`` of same-size cells (a non-finite output raises), one
-    ``sample_actions`` call over each cell's rows repeated n times, with the uniforms of n
-    calls per cell, and one group ``apply_transitions``; rewrite i·n + j is cell i's draw j.
-    With n = 1 it is ``_infer_ops``'s sampling decode."""
+def _draw_phase(cfg: TrainConfig, rng: np.random.Generator) -> tuple[list[CellGraph], list]:
+    """A θ phase's input cells and uniforms, taken off the generator in the order its steps
+    use them: per step, m ``sample_uniform`` calls, then one ``rng.random(m·n·K)``."""
+    k = 2 * cfg.num_intermediate
+    betas, u = [], []
+    for _ in range(cfg.iters_theta):
+        betas += [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
+        u.append(rng.random(cfg.m * cfg.n * k))
+    return betas, u
+
+
+class _Phase(NamedTuple):
+    """The θ-free part of a θ phase: its same-size input cells, each step's uniforms, and
+    the cells' ``gcnpolicy._inputs`` stage, stacked on one leading axis. Step s owns cells
+    s·m … (s + 1)·m − 1, m = ``len(betas) // len(u)``."""
+
+    betas: list[CellGraph]
+    u: list[np.ndarray]
+    a: np.ndarray  # (S·m, V, V) adjacencies
+    ax: np.ndarray  # (S·m, V, F) first-layer products a @ x
+    ops: np.ndarray  # (S·m, K) op rows
+
+
+def _prepare(betas: list[CellGraph], u: list) -> _Phase:
+    """One ``_encode`` and one ``_inputs`` (op checks and the stacked ``a @ x``) for all of
+    a phase's cells."""
     ops = np.array([b.ops for b in betas])
-    out = _checked_output(forward(encode(betas), ops, policy))
-    rows = PolicyOutput(Z=_per_draw(out.Z, n), masks=_per_draw(out.masks, n))
-    drawn = sample_actions(rows, rng)
-    alphas = apply_transitions(
-        [beta for beta in betas for _j in range(n)],
-        actions_to_ops(policy.mode, _per_draw(ops, n), drawn),
-    )
-    return out, alphas, drawn.reshape(len(betas) * n, -1)
+    enc = _encode(betas[0].num_nodes, np.array([b.sources for b in betas]), ops)
+    return _Phase(betas, u, *_inputs(enc, ops))
 
 
-def _score(provider, betas: list[CellGraph], alphas: list[CellGraph], n: int) -> list[float]:
-    """Each rewrite's score minus its cell's, from one ``score_many`` call per cell and its n
-    rewrites; the supernet provider keeps its weighted input-fed edge outputs for one θ phase
-    and its weight-free ones for the run."""
-    rewards = []
-    for i, beta in enumerate(betas):
-        base, *scores = provider.score_many([beta] + alphas[i * n : (i + 1) * n])
-        rewards += [score - base for score in scores]
-    return rewards
+def _draw(
+    phase: _Phase, s: int, policy: PolicyParams, n: int
+) -> tuple[PolicyOutput, list[CellGraph], np.ndarray]:
+    """Step s of a prepared phase: the θ-dependent ``_pass`` over its m cells (a non-finite
+    output raises), one ``_sample_rows`` over each cell's rows repeated n times at the
+    step's uniforms, and the rewrites checked against the phase's op rows in one
+    ``_checked_ops``; rewrite i·n + j is cell i's draw j. With n = 1 it is
+    ``_infer_ops``'s sampling decode."""
+    m = len(phase.betas) // len(phase.u)
+    rows = slice(s * m, (s + 1) * m)
+    inputs = [phase.a[rows], phase.ax[rows], phase.ops[rows]]
+    out = _checked_output(_pass(inputs, policy, cache=True))
+    k = phase.ops.shape[1]
+    drawn = _sample_rows(_per_draw(out.Z, n), phase.u[s])
+    current = _per_draw(phase.ops[rows], n)
+    new = _checked_ops(current, actions_to_ops(policy.mode, current, drawn), [k] * (m * n))
+    cells = [beta for beta in phase.betas[rows] for _j in range(n)]
+    alphas = [_cell(b.num_nodes, b.sources, new[j * k : (j + 1) * k]) for j, b in enumerate(cells)]
+    return out, alphas, drawn.reshape(m * n, k)
+
+
+def _score(provider, base: list[float], alphas: list[CellGraph], n: int) -> list[float]:
+    """Each rewrite's score minus its cell's ``base`` score, from one ``score_many`` call on
+    the step's rewrites; the supernet provider keeps its weighted input-fed edge outputs for
+    one θ phase and its weight-free ones for the run."""
+    return [score - base[j // n] for j, score in enumerate(provider.score_many(alphas))]
 
 
 def _logit_grads(
@@ -207,9 +247,12 @@ def _ascend(out: PolicyOutput, policy: PolicyParams, g_u, cfg: TrainConfig, step
 def run(cfg: TrainConfig) -> TrainResult:
     """Alternating supernet / policy training, fully deterministic under the seed.
 
-    An epoch runs ``iters_w`` ``_w_step`` calls (supernet only), then ``iters_theta``
-    θ steps, each of which takes its m cells off the one generator before their stages,
-    ``_draw``, ``_score``, ``_logit_grads`` and ``_ascend``, whose docstrings say the rest.
+    An epoch runs ``iters_w`` ``_w_step`` calls (supernet only), then a θ phase of
+    ``iters_theta`` steps. The phase first takes its cells and uniforms off the one
+    generator (``_draw_phase``, the order of a step at a time), prepares them
+    (``_prepare``) and scores its input cells. Each step then runs ``_draw``,
+    ``_score``, ``_logit_grads`` and ``_ascend`` on its m cells, whose docstrings say
+    the rest. Same seed, same bits as a run that draws, encodes and scores per step.
     """
     rng = np.random.default_rng(cfg.seed)
     policy = init_params(cfg.mode, rng, hidden_dim=cfg.hidden_dim, depth=cfg.depth)
@@ -234,11 +277,13 @@ def run(cfg: TrainConfig) -> TrainResult:
             log.append(
                 {"iter": step, "phase": "w", "loss": loss, "mean_reward": None, "entropy": None}
             )
-        for _ in range(cfg.iters_theta):
+        # No w write happens in a θ phase, so its cells are scored once, before its steps.
+        phase = _prepare(*_draw_phase(cfg, rng))
+        base = provider.score_many(phase.betas)
+        for s in range(cfg.iters_theta):
             step += 1
-            betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
-            out, alphas, actions = _draw(betas, policy, rng, cfg.n)
-            rewards = _score(provider, betas, alphas, cfg.n)
+            out, alphas, actions = _draw(phase, s, policy, cfg.n)
+            rewards = _score(provider, base[s * cfg.m : (s + 1) * cfg.m], alphas, cfg.n)
             g_u, entropies = _logit_grads(out, actions, rewards, baseline, cfg)
             _ascend(out, policy, g_u, cfg, step)
             mean_reward = _mean(rewards)
@@ -263,8 +308,8 @@ def _infer_ops(
     for range and against ``VALID``; a non-finite policy output raises ``FloatingPointError``.
 
     The cells are taken in chunks of ``INFER_CHUNK``. Within a chunk, the cells
-    of each node count share one batched pass of ``forward``'s core that keeps
-    no backprop cache (the same ``Z`` bytes), and are decoded together; the
+    of each node count share one batched ``gcnpolicy._inputs`` and ``_pass`` that
+    keeps no backprop cache (the same ``Z`` bytes), and are decoded together; the
     group's encoding and output are freed before the next group allocates.
     A cell's rows do not depend on the other cells of its group, and one
     ``rng.random`` call per chunk draws one uniform per edge in input order, so
@@ -288,7 +333,7 @@ def _infer_ops(
             edges = (bounds[start + np.flatnonzero(chunk == n)][:, None] + np.arange(k)).ravel()
             current = ops[edges].reshape(-1, k)
             enc = _encode(n, sources[edges].reshape(-1, k), current)
-            out = _checked_output(_forward(enc, current, policy, cache=False))
+            out = _checked_output(_pass(_inputs(enc, current), policy, cache=False))
             if decode == "argmax":
                 # Ties break toward the lowest action index.
                 actions = out.Z.argmax(axis=-1).ravel()

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 from natforge import trainer
 from natforge.cli import main
-from natforge.gcnpolicy import NATPP, init_params, save_policy
+from natforge.evaluator import shared_file
+from natforge.gcnpolicy import NATPP, init_params, policy_file, save_policy
 from natforge.numkernel import checkpoint_text
 from natforge.opspace import OperationKind
 
@@ -117,6 +118,7 @@ class TestTrain:
             ("--eta-theta", "inf"),
             ("--epochs", "0"),
             ("--epochs", "-2"),
+            ("--depth", "0"),
         ],
     )
     def test_rejected_value_is_usage_error_naming_flag(self, runner, tmp_path, flag, value):
@@ -127,6 +129,35 @@ class TestTrain:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and errors[0].startswith(f"Error: {flag} ")
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
+        "args, recipe",
+        [
+            (
+                ["--provider", "supernet", "--baseline", "--n", "8", "--lambda", "0.1"],
+                dict(provider="supernet", use_baseline=True, n=8, entropy_weight=0.1),
+            ),
+            (["--depth", "3", "--no-baseline", "--seed", "4"], dict(depth=3, seed=4)),
+        ],
+        ids=["criterion-7-recipe", "depth-3"],
+    )
+    def test_flags_write_the_bytes_of_their_config(self, runner, tmp_path, args, recipe):
+        """``train`` with these flags writes what ``trainer.run`` gives on the same config."""
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["train", *args, "--epochs", "2", "--out", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        cfg = trainer.TrainConfig(epochs=2, **recipe)
+        ran = trainer.run(cfg)
+        want = {
+            "policy.json": policy_file(ran.policy, "")[1],
+            "train_log.jsonl": ran.log.to_jsonl(),
+        }
+        if ran.shared is not None:
+            want["supernet.json"] = shared_file(ran.shared, cfg.seed, "")[1]
+        for name, text in want.items():
+            assert (run_dir / name).read_text() == text, name
+        flags = json.loads((run_dir / "run.manifest.json").read_text())["flags"]
+        assert trainer.TrainConfig(**flags) == cfg
 
     def test_diverging_run_is_one_line_error_writing_nothing(self, runner, tmp_path):
         """A finite but huge ``--eta-w`` overflows the shared weights within three epochs."""

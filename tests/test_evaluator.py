@@ -1040,6 +1040,59 @@ class TestBatchChecks:
             graph_logits(g, w, x[:, :15])
 
 
+_BAD_LABELS = [
+    (lambda y: _with(y, 5, -1), r"got -1 at index 5$"),
+    (lambda y: _with(y, 7, 8), r"got 8 at index 7$"),
+    # Every label of a float array is bad, integral or not: the first is named.
+    (lambda y: _with(y, 0, 3).astype(float), r"got 3\.0 at index 0$"),
+]
+
+
+def _with(y, i, value):
+    y = y.copy()
+    y[i] = value
+    return y
+
+
+class TestLabelChecks:
+    """A label that is not an integer class in [0, 8) is rejected by name, before any write."""
+
+    @pytest.fixture
+    def batch(self):
+        w = init_shared(np.random.default_rng(0), 4)
+        x, y = make_dataset(0).train_batch(np.random.default_rng(1), 64)
+        return sample_uniform(4, np.random.default_rng(2)), w, x, y
+
+    @staticmethod
+    def _rejected(w, call, msg):
+        before = copy.deepcopy(w)
+        prefix = r"^batch: expected integer labels in \[0, 8\), "
+        with pytest.raises(ValueError, match=prefix + msg):
+            call()
+        assert w._writes == 0
+        assert _same_weights(w, before)
+
+    @pytest.mark.parametrize("bad, msg", _BAD_LABELS, ids=["minus-one", "eight", "float"])
+    def test_accuracy(self, batch, bad, msg):
+        g, w, x, y = batch
+        self._rejected(w, lambda: accuracy(g, w, x, bad(y)), msg)
+
+    @pytest.mark.parametrize("bad, msg", _BAD_LABELS, ids=["minus-one", "eight", "float"])
+    def test_supernet_provider(self, batch, bad, msg):
+        g, w, x, y = batch
+        self._rejected(w, lambda: SupernetProvider(w, x, bad(y)), msg)
+
+    @pytest.mark.parametrize("bad, msg", _BAD_LABELS, ids=["minus-one", "eight", "float"])
+    def test_supernet_train_step(self, batch, bad, msg):
+        g, w, x, y = batch
+        self._rejected(w, lambda: supernet_train_step(w, [g], x, bad(y), 0.05), msg)
+
+    def test_first_bad_label_is_named(self, batch):
+        g, w, x, y = batch
+        y = _with(_with(y, 9, 8), 20, -3)
+        self._rejected(w, lambda: accuracy(g, w, x, y), r"got 8 at index 9$")
+
+
 class TestTrainStepChecks:
     """A malformed step is rejected before it counts a write or changes a weight."""
 
@@ -1084,15 +1137,14 @@ class TestTrainerScoring:
     @pytest.mark.parametrize("provider", ["oracle", "supernet"])
     def test_beta_scored_once_per_draw_set(self, monkeypatch, provider):
         base = OracleProvider if provider == "oracle" else SupernetProvider
-        counted = ("forward", "sample_actions", "apply_transitions", "backprop")
-        counts = dict.fromkeys(("score_many", "scored", "reward") + counted, 0)
+        per_step = ("_pass", "_sample_rows", "_checked_ops", "backprop")
+        per_phase = ("_encode", "_inputs")
+        counts = dict.fromkeys(("reward",) + per_step + per_phase, 0)
+        calls = []  # the cells of each score_many call, kept alive so no id is reused
 
         class Counting(base):
             def score_many(self, graphs):
-                # One call per draw set: a cell, then its n rewrites.
-                counts["score_many"] += 1
-                counts["scored"] += len(graphs)
-                assert all(same_topology(g, graphs[0]) for g in graphs)
+                calls.append(list(graphs))
                 return super().score_many(graphs)
 
             def reward(self, alpha, beta):
@@ -1102,24 +1154,37 @@ class TestTrainerScoring:
         def counting(name):
             real = getattr(trainer, name)
 
-            def call(*args):
+            def call(*args, **kwargs):
                 counts[name] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             return call
 
         monkeypatch.setattr(trainer, base.__name__, Counting)
-        for name in counted:
+        for name in per_step + per_phase:
             monkeypatch.setattr(trainer, name, counting(name))
-        cfg = TrainConfig(provider=provider, m=2, n=3, epochs=1)
+        cfg = TrainConfig(provider=provider, m=2, n=3, epochs=2)
         trainer.run(cfg)
-        theta_steps = cfg.epochs * cfg.iters_theta
-        assert counts["score_many"] == theta_steps * cfg.m
-        assert counts["scored"] == theta_steps * cfg.m * (cfg.n + 1)
+        steps = cfg.iters_theta
+        # Per θ phase: one call on its input cells, then one per step on that step's rewrites.
+        assert len(calls) == cfg.epochs * (1 + steps)
+        scored = [g for graphs in calls for g in graphs]
+        assert len(scored) == cfg.epochs * steps * cfg.m * (cfg.n + 1)
+        assert len({id(g) for g in scored}) == len(scored)  # each cell scored exactly once
+        for epoch in range(cfg.epochs):
+            betas, *alphas = calls[epoch * (1 + steps) : (epoch + 1) * (1 + steps)]
+            assert len(betas) == steps * cfg.m
+            for s, group in enumerate(alphas):
+                assert len(group) == cfg.m * cfg.n
+                for j, alpha in enumerate(group):
+                    assert same_topology(alpha, betas[s * cfg.m + j // cfg.n])
         assert counts["reward"] == 0
-        # One forward, one draw call, one group rewrite and one backprop per θ step.
-        for name in counted:
-            assert counts[name] == theta_steps, name
+        # One pass, one draw call, one group rewrite check and one backprop per θ step;
+        # one encoding and one θ-free stage per θ phase.
+        for name in per_step:
+            assert counts[name] == cfg.epochs * steps, name
+        for name in per_phase:
+            assert counts[name] == cfg.epochs, name
 
     def test_one_input_fed_forward_per_pair_and_theta_phase(self, monkeypatch):
         # The input-fed forwards in call order, and per θ phase the index of

@@ -25,7 +25,8 @@ from natforge.gcnpolicy import (
     PolicyOutput,
     PolicyParams,
     _entropy_terms,
-    _forward,
+    _inputs,
+    _pass,
     _reward_logit_grads,
     actions_to_ops,
     ascend_,
@@ -130,6 +131,48 @@ class TestForward:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             init_params("both", np.random.default_rng(0))
+
+
+class TestStages:
+    """``forward`` is ``_pass`` over ``_inputs``, and the θ-free stage of a stack slices."""
+
+    @pytest.mark.parametrize("batch", [1, 10, 20])
+    @pytest.mark.parametrize("num_nodes", [4, 5, 6, 7])
+    def test_stacked_first_product_is_per_cell_products(self, num_nodes, batch):
+        """The stacked ``a @ x`` of B cells is each cell's own product, bit for bit, as a
+        (V, V) @ (V, F) product and as the (1, V, V) @ (1, V, F) product of a one-cell
+        stack."""
+        rng = np.random.default_rng(100 + 10 * num_nodes + batch)
+        cells = [sample_uniform(num_nodes - 3, rng) for _ in range(batch)]
+        enc, ops = encode(cells), np.array([g.ops for g in cells])
+        a, ax, index = _inputs(enc, ops)
+        assert a is enc.adjacency and index is ops and ax.shape == enc.features.shape
+        for i in range(batch):
+            one = enc.adjacency[i] @ enc.features[i]
+            assert same_bytes(ax[i], one)
+            assert same_bytes(ax[i : i + 1], enc.adjacency[i : i + 1] @ enc.features[i : i + 1])
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_pass_over_a_slice_is_forward_of_its_cells(self, mode):
+        rng = np.random.default_rng(9)
+        params = init_params(mode, rng)
+        cells = [sample_uniform(4, rng) for _ in range(12)]
+        enc, ops = encode(cells), np.array([g.ops for g in cells])
+        a, ax, index = _inputs(enc, ops)
+        for rows in (slice(0, 1), slice(3, 5), slice(9, 12)):
+            got = _pass([a[rows], ax[rows], index[rows]], params, cache=True)
+            sub = cells[rows]
+            want = forward(encode(sub), np.array([g.ops for g in sub]), params)
+            assert same_bytes(got.Z, want.Z) and same_bytes(got.masks, want.masks)
+            for g, w in zip(got.cache.ahs + got.cache.pres, want.cache.ahs + want.cache.pres):
+                assert same_bytes(g, w)
+
+    def test_pass_empties_its_inputs(self):
+        rng = np.random.default_rng(10)
+        g = sample_uniform(3, rng)
+        inputs = _inputs(encode(g), g.ops)
+        _pass(inputs, init_params(NATPP, rng), cache=False)
+        assert inputs == []
 
 
 class TestSampling:
@@ -534,7 +577,7 @@ class TestReferenceEquivalence:
         cells = [sample_uniform(num_intermediate, rng) for _ in range(count)]
         enc, ops = encode(cells), np.array([g.ops for g in cells])
         out = forward(enc, ops, params)
-        bare = _forward(enc, ops, params, cache=False)
+        bare = _pass(_inputs(enc, ops), params, cache=False)
         assert same_bytes(bare.Z, out.Z)
         assert same_bytes(bare.masks, out.masks)
         assert out.cache is not None and bare.cache is None

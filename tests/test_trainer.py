@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from natforge.archgraph import (
     apply_transitions,
     cost_non_increasing,
     encode,
+    same_topology,
     sample_uniform,
     serialize_many,
     validate,
@@ -363,7 +365,8 @@ class TestCacheFreeInference:
             raise AssertionError("inference called the training forward")
 
         monkeypatch.setattr(gcnpolicy, "forward", no_forward)
-        monkeypatch.setattr(trainer, "forward", no_forward)
+        # The trainer binds no name of its own to ``forward``: it runs the two stages.
+        assert not hasattr(trainer, "forward")
         new = trainer._infer_ops(policy, _flat(cells), decode, np.random.default_rng(9))
         np.testing.assert_array_equal(new, _flat(expected)[3])
         args = ["optimize", "--in", in_path, "--policy", policy_path, "--decode", decode]
@@ -385,6 +388,13 @@ class TestCacheFreeInference:
             trainer._infer_ops(policy, _flat(cells), decode, rng)
 
 
+def draw_once(betas, policy, rng, n):
+    """``_draw`` of a one-step phase of ``betas``, its uniforms taken from ``rng`` in one
+    ``rng.random(m·n·K)`` call, as ``_draw_phase`` takes a step's."""
+    u = [rng.random(len(betas) * n * betas[0].num_edges)]
+    return trainer._draw(trainer._prepare(betas, u), 0, policy, n)
+
+
 class TestDrawSet:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -404,12 +414,9 @@ class TestDrawSet:
         out = forward(encode(betas), ops, policy)
 
         fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        rows = PolicyOutput(Z=trainer._per_draw(out.Z, n), masks=trainer._per_draw(out.masks, n))
-        drawn = sample_actions(rows, fast_rng)
-        alphas = apply_transitions(
-            [b for b in betas for _ in range(n)],
-            actions_to_ops(mode, trainer._per_draw(ops, n), drawn),
-        )
+        fast_out, alphas, drawn = draw_once(betas, policy, fast_rng, n)
+        assert fast_out.Z.tobytes() == out.Z.tobytes()
+        assert fast_out.masks.tobytes() == out.masks.tobytes()
 
         ref_actions, ref_alphas = [], []
         for i, beta in enumerate(betas):
@@ -418,9 +425,101 @@ class TestDrawSet:
                 actions = sample_actions(cell, ref_rng)
                 ref_actions.append(actions)
                 ref_alphas.append(apply_transitions(beta, actions_to_ops(mode, beta.ops, actions)))
-        assert np.array_equal(drawn.reshape(m * n, -1), np.stack(ref_actions))
+        assert np.array_equal(drawn, np.stack(ref_actions))
         assert alphas == ref_alphas
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestPhase:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_phase_draw_keeps_the_per_step_stream(self, m, n):
+        """``_draw_phase`` takes the cells and uniforms a step at a time would: per step, m
+        ``sample_uniform`` calls then one ``rng.random(m·n·K)``."""
+        cfg = TrainConfig(m=m, n=n)
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        betas, u = trainer._draw_phase(cfg, rng)
+        k = 2 * cfg.num_intermediate
+        ref_betas, ref_u = [], []
+        for _ in range(cfg.iters_theta):
+            ref_betas += [sample_uniform(cfg.num_intermediate, ref_rng) for _ in range(m)]
+            ref_u.append(ref_rng.random(m * n * k))
+        assert betas == ref_betas
+        assert [x.tobytes() for x in u] == [x.tobytes() for x in ref_u]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_each_step_draws_as_a_phase_of_its_own(self, mode):
+        """Step s of a prepared phase gives the bytes of a one-step phase of its m cells."""
+        cfg = TrainConfig(mode=mode, m=2, n=3)
+        rng = np.random.default_rng(13)
+        policy = init_params(mode, rng)
+        betas, u = trainer._draw_phase(cfg, rng)
+        phase = trainer._prepare(betas, u)
+        for s in range(cfg.iters_theta):
+            rows = slice(s * cfg.m, (s + 1) * cfg.m)
+            own = trainer._prepare(betas[rows], [u[s]])
+            got, want = trainer._draw(phase, s, policy, cfg.n), trainer._draw(own, 0, policy, cfg.n)
+            assert got[0].Z.tobytes() == want[0].Z.tobytes()
+            got_cache, want_cache = got[0].cache, want[0].cache
+            for g, w in zip(got_cache.ahs + got_cache.pres, want_cache.ahs + want_cache.pres):
+                assert g.tobytes() == w.tobytes()
+            assert got[1] == want[1] and got[2].tobytes() == want[2].tobytes()
+            inputs = [beta for beta in betas[rows] for _ in range(cfg.n)]
+            assert all(same_topology(alpha, beta) for alpha, beta in zip(got[1], inputs))
+
+    def test_bad_rewrite_names_its_cell(self, monkeypatch):
+        """The step's rewrites are checked against the phase's op rows, with
+        ``apply_transitions``' messages."""
+        cfg = TrainConfig(m=2, n=3)
+        rng = np.random.default_rng(14)
+        policy = init_params(NATPP, rng)
+        phase = trainer._prepare(*trainer._draw_phase(cfg, rng))
+        current = phase.ops[2:4].repeat(cfg.n, axis=0).ravel()
+        bad = np.full(len(current), 13)
+        with pytest.raises(ValueError) as want:
+            apply_transitions([b for b in phase.betas[2:4] for _ in range(cfg.n)], bad)
+        monkeypatch.setattr(trainer, "actions_to_ops", lambda mode, ops, actions: bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            trainer._draw(phase, 1, policy, cfg.n)
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_no_supernet_write_in_a_theta_phase(self, monkeypatch, mode):
+        """Scoring a phase's input cells before its steps is valid: ``_writes`` does not move
+        from a phase's ``score_many`` of its cells to its last step."""
+        writes = []
+        real = trainer._draw_phase
+
+        def draw_phase(cfg, rng):
+            writes.append([])
+            return real(cfg, rng)
+
+        real_ascend = trainer._ascend
+
+        def ascend(out, policy, g_u, cfg, step):
+            writes[-1].append(provider[0].w._writes)
+            return real_ascend(out, policy, g_u, cfg, step)
+
+        provider = []
+
+        class Recording(trainer.SupernetProvider):
+            def __init__(self, *args):
+                super().__init__(*args)
+                provider.append(self)
+
+            def score_many(self, graphs):
+                if not writes[-1]:
+                    writes[-1].append(self.w._writes)
+                return super().score_many(graphs)
+
+        monkeypatch.setattr(trainer, "_draw_phase", draw_phase)
+        monkeypatch.setattr(trainer, "_ascend", ascend)
+        monkeypatch.setattr(trainer, "SupernetProvider", Recording)
+        cfg = TrainConfig(mode=mode, provider="supernet", m=2, n=2, epochs=3)
+        trainer.run(cfg)
+        assert len(writes) == cfg.epochs
+        for epoch, counts in enumerate(writes):
+            assert counts == [(epoch + 1) * cfg.iters_w] * (cfg.iters_theta + 1)
 
 
 def reference_reward_logit_grad(z, actions, reward):
@@ -469,7 +568,7 @@ class TestStackedLogitGrads:
         policy = init_params(mode, rng)
         policy.fc *= scale
         betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(m)]
-        out, _, actions = trainer._draw(betas, policy, rng, n)
+        out, _, actions = draw_once(betas, policy, rng, n)
         # Accuracy differences: multiples of 1/256 with signed zeros among them.
         rewards = (rng.integers(-3, 4, size=m * n) / 256).tolist()
         rewards[0] = -0.0
@@ -490,7 +589,7 @@ class TestStackedLogitGrads:
         cfg = TrainConfig(mode=mode, m=2, n=3)
         policy = init_params(mode, rng)
         betas = [sample_uniform(cfg.num_intermediate, rng) for _ in range(cfg.m)]
-        out, _, actions = trainer._draw(betas, policy, rng, cfg.n)
+        out, _, actions = draw_once(betas, policy, rng, cfg.n)
         rewards = [0.01] * (cfg.m * cfg.n)
         c = policy.num_actions
         bad = [("action", 4, 5, c, rf"^action {c} at edge 5 is not in \[0, {c}\)$")]
@@ -522,14 +621,15 @@ class TestDrawIsSampledInference:
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     @pytest.mark.parametrize("seed", range(5))
     def test_one_draw_per_cell_equals_infer_ops(self, seed, mode, scale):
-        """With n = 1, ``_draw`` of same-size cells is ``_infer_ops``'s sampling decode."""
+        """With n = 1, ``_draw`` of a phase of same-size cells is ``_infer_ops``'s sampling
+        decode."""
         rng = np.random.default_rng(seed)
         policy = init_params(mode, rng)
         policy.fc *= scale
         num_intermediate = int(rng.integers(1, 5))
         betas = [sample_uniform(num_intermediate, rng) for _ in range(int(rng.integers(1, 9)))]
         draw_rng, infer_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        _, alphas, _ = trainer._draw(betas, policy, draw_rng, 1)
+        _, alphas, _ = draw_once(betas, policy, draw_rng, 1)
         nodes, bounds, sources, ops = _flat(betas)
         new = trainer._infer_ops(policy, (nodes, bounds, sources, ops), "sample", infer_rng)
         for got, want in zip(_flat(alphas), (nodes, bounds, sources, new)):
