@@ -71,6 +71,7 @@ included.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -441,8 +442,8 @@ def supernet_train_step(
     The gradient is averaged over the graphs; bank entries not used by any of
     them are left untouched. Returns the mean cross-entropy before the step.
     Raises ValueError, before anything is written, for an empty ``graphs``,
-    a batch ``accuracy`` would reject, or a graph whose intermediate count
-    is not the weights'.
+    a non-finite ``lr``, a batch ``accuracy`` would reject, or a graph whose
+    intermediate count is not the weights'.
 
     The forward is the read path's: one transpose of the batch, then
     ``_read_nodes`` and ``_head`` per graph, with one memo of input-fed edge
@@ -457,6 +458,8 @@ def supernet_train_step(
     """
     if len(graphs) == 0:
         raise ValueError("graphs: expected at least one cell")
+    if not math.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
     _check_batch(x, labels)
     d = _FEATURE_DIM
     slots = w.slots

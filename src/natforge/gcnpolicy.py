@@ -24,14 +24,29 @@ which never backprops, runs the same two stages without the cache: the same
 Gradients of the policy-gradient objective (log-probability times reward plus
 an entropy bonus) are exact analytic derivatives, verified elsewhere against
 central finite differences. They come in two parts: one draw's per-edge
-gradient in the logits, the sum of its reward term (``_reward_logit_grads``,
-which checks the actions) and the weighted entropy gradient (one pass per cell,
+gradient in the logits, the sum of its reward term (``_reward_logit_grads``)
+and the weighted entropy gradient (one pass per cell,
 ``_entropy_terms``, gives the entropy and its gradient), and ``backprop``,
 which carries a logit gradient through the cached GCN down to the first
 layer's weights and computes no gradient for the input features. The
 objective is linear in the logit gradient, so the trainer forms the reward
 terms of a cell's n draws in one stacked call, sums the draws of every cell and
 backprops once per step; ``policy_gradient`` is the two composed for one draw.
+
+Each invariant of a step is checked once, at the public entry point; the
+private cores that the trainer and inference call do not check again.
+- ``sample_actions`` checks that Z's normalized rows are finite, non-negative
+  and sum to 1; ``_sample_rows`` does not. The trainer and inference call it
+  only on a BMSoftmax output that ``trainer._checked_output`` has shown to
+  be finite, and such rows sum to 1 and put zero probability on every
+  cleared bit, so the drawn action is in range and set in its mask.
+- ``numkernel.bmsoftmax`` checks its shapes and that every mask row has a
+  set bit; ``_pass`` calls its unchecked core ``_bmsoftmax`` with rows of a
+  ``_MASKS`` table, every row of which has a set bit.
+- ``policy_gradient`` checks that each action is in [0, c) and set in its
+  mask; ``_reward_logit_grads`` checks only that the rewards are finite. On
+  the trainer's path, ``trainer._draw`` has already rejected a bad draw
+  (``actions_to_ops`` and ``archgraph._checked_ops``).
 
 The controller's input width is ``archgraph.FEATURE_DIM``, fixed by
 ``I_MAX``; a checkpoint records ``i_max`` and the loader accepts only ``I_MAX``.
@@ -60,8 +75,8 @@ from .archgraph import FEATURE_DIM, I_MAX, GraphEncoding
 from .numkernel import (
     FORMAT_VERSION,
     _arange,
+    _bmsoftmax,
     atomic_write,
-    bmsoftmax,
     checkpoint_array,
     checkpoint_dim,
     checkpoint_fields,
@@ -73,8 +88,8 @@ from .opspace import NUM_OPERATIONS, OPERATIONS, VALID, nat_actions
 NAT = "nat"
 NATPP = "nat++"
 
-#: Per mode, the transition mask of each source operation, indexed by its index.
-_MASKS = {NAT: np.ones((NUM_OPERATIONS, 3), dtype=int), NATPP: VALID}
+#: Per mode, the boolean transition mask of each source operation, indexed by its index.
+_MASKS = {NAT: np.ones((NUM_OPERATIONS, 3), dtype=bool), NATPP: VALID.astype(bool)}
 _NUM_ACTIONS = {mode: table.shape[1] for mode, table in _MASKS.items()}
 
 
@@ -120,7 +135,8 @@ class BackpropCache(NamedTuple):
 
 @dataclass
 class PolicyOutput:
-    """Per-edge action distributions and the masks that shaped them.
+    """Per-edge action distributions and the masks that shaped them (boolean in the
+    output of ``forward``).
 
     ``cache`` holds the intermediates of the ``forward`` call that produced
     the output; it is None for an output of inference's cache-free pass or
@@ -224,7 +240,7 @@ def _pass(inputs: list[np.ndarray], params: PolicyParams, cache: bool) -> Policy
     logits = (m[..., 2 : 2 + num_inter, :] @ params.fc).reshape(index.shape + (-1,))
     del m
     masks = _MASKS[params.mode][index]
-    return PolicyOutput(Z=bmsoftmax(logits, masks), masks=masks, cache=kept)
+    return PolicyOutput(Z=_bmsoftmax(logits, masks), masks=masks, cache=kept)
 
 
 #: Tolerance on a row's probability sum, the one ``Generator.choice`` applies.
@@ -238,13 +254,13 @@ def sample_actions(out: PolicyOutput, rng: np.random.Generator) -> np.ndarray:
     make: one uniform variate per edge, in edge order, located in the row's
     normalized CDF. The whole batch takes one ``rng.random(k)``, which consumes
     the generator exactly as the per-edge ``choice`` calls would.
+
+    The rows are checked here, as ``choice`` checks them, after the draw: a
+    normalized row that holds NaN or inf, a negative entry, or a sum further
+    than ``_SUM_ATOL`` from 1 raises ValueError. Then ``_sample_rows`` draws.
     """
-    return _sample_rows(out.Z, rng.random(out.num_edges))
-
-
-def _sample_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The action of each (N, c) row of ``z`` at its uniform variate ``u[i]``."""
-    p = z / np.add.reduce(z, axis=1, keepdims=True)
+    u = rng.random(out.num_edges)
+    p = out.Z / np.add.reduce(out.Z, axis=1, keepdims=True)
     # Non-negative rows whose sums are within tolerance are also finite, so
     # one pass accepts valid rows; the checks below name what is wrong.
     sums_ok = np.abs(np.add.reduce(p, axis=1) - 1.0) <= _SUM_ATOL
@@ -254,6 +270,19 @@ def _sample_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
         if (p < 0).any():
             raise ValueError("probabilities are not non-negative")
         raise ValueError("probabilities do not sum to 1")
+    return _sample_rows(out.Z, u)
+
+
+def _sample_rows(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The action of each (N, c) row of ``z`` at its uniform variate ``u[i]``, unchecked.
+
+    The rows must pass ``sample_actions``' checks. The trainer and inference
+    call it on a BMSoftmax output that ``trainer._checked_output`` has shown
+    to be finite: such a row is non-negative, sums to 1 within rounding and is
+    exactly 0.0 on every cleared bit, so the action is in [0, c) and on a set
+    bit for every ``u[i]`` in [0, 1).
+    """
+    p = z / np.add.reduce(z, axis=1, keepdims=True)
     cdf = np.add.accumulate(p, axis=1)
     cdf /= cdf[:, -1:]
     return np.add.reduce(cdf <= u[:, None], axis=1)
@@ -292,32 +321,20 @@ def actions_to_ops(mode: str, current_ops: np.ndarray, actions: np.ndarray) -> n
     return actions
 
 
-def _reward_logit_grads(
-    z: np.ndarray, masks: np.ndarray, actions: np.ndarray, rewards: Sequence[float]
-) -> np.ndarray:
+def _reward_logit_grads(z: np.ndarray, actions: np.ndarray, rewards: Sequence[float]) -> np.ndarray:
     """Per-edge gradients of reward * log pi(actions) in the logits, for n draws of one
-    cell's (K, c) ``z`` and ``masks``: (n, K) actions and n rewards give the (n, K, c)
-    gradients, draw j's block the same floats as a call with that draw alone.
+    cell's (K, c) ``z``: (n, K) actions and n rewards give the (n, K, c) gradients, draw
+    j's block the same floats as a call with that draw alone.
 
-    Raises ValueError on a non-finite reward, or naming the edge of the first
-    draw-major action that is outside [0, c) or cleared by its transition mask.
+    Raises ValueError on a non-finite reward. The actions are not checked: each
+    must be in [0, c) and set in its transition mask. ``policy_gradient`` checks
+    them; on the trainer's path ``trainer._draw`` has.
     """
     if not all(map(math.isfinite, rewards)):
         raise ValueError("reward must be finite")
     k, c = z.shape
-    # Checked before any indexing, where a negative action would wrap around.
-    if actions.size and (
-        np.minimum.reduce(actions, axis=None) < 0 or np.maximum.reduce(actions, axis=None) >= c
-    ):
-        bad = int(np.argmax((actions < 0) | (actions >= c)))
-        raise ValueError(f"action {actions.flat[bad]} at edge {bad % k} is not in [0, {c})")
-    rows = _arange(k)
-    allowed = masks[rows, actions]
-    if np.count_nonzero(allowed) < allowed.size:
-        bad = int(allowed.argmin())
-        raise ValueError(f"action at edge {bad % k} violates its transition mask")
     grad_logp = np.negative(z, out=np.empty(actions.shape + (c,)))
-    grad_logp[_arange(len(actions))[:, None], rows, actions] += 1.0
+    grad_logp[_arange(len(actions))[:, None], _arange(k), actions] += 1.0
     grad_logp *= np.array(rewards, dtype=float)[:, None, None]
     return grad_logp
 
@@ -367,9 +384,22 @@ def policy_gradient(
 ) -> ParamGrads:
     """Exact gradient of reward * log pi(actions) + entropy_weight * H(pi) for one cell.
 
-    ``backprop`` of the draw's two logit-gradient terms, with their checks.
+    ``backprop`` of the draw's two logit-gradient terms. The draw is checked
+    here: ValueError names the first edge whose action is outside [0, c) or
+    cleared by its transition mask, and ``_reward_logit_grads`` rejects a
+    non-finite reward.
     """
-    g_u = _reward_logit_grads(out.Z, out.masks, np.asarray(actions)[None], [reward])[0]
+    actions = np.asarray(actions)
+    k, c = out.Z.shape
+    # Checked before any indexing, where a negative action would wrap around.
+    out_of_range = (actions < 0) | (actions >= c)
+    if out_of_range.any():
+        bad = int(out_of_range.argmax())
+        raise ValueError(f"action {actions[bad]} at edge {bad} is not in [0, {c})")
+    allowed = out.masks[_arange(k), actions]
+    if not allowed.all():
+        raise ValueError(f"action at edge {int(allowed.argmin())} violates its transition mask")
+    g_u = _reward_logit_grads(out.Z, actions[None], [reward])[0]
     g_u += entropy_weight * _entropy_terms(out.Z)[1]
     return backprop(out, params, g_u)
 

@@ -52,6 +52,10 @@ def bmsoftmax(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Cleared bits get exactly 0; the max-logit shift is taken over set bits
     only, so arbitrarily large logits on cleared bits cannot overflow.
+
+    The checks live here: the shapes must match and every row must have a set
+    bit. ``_bmsoftmax`` is the unchecked core, for callers whose masks are
+    rows of a table already known to have a set bit in every row.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v)
@@ -60,6 +64,12 @@ def bmsoftmax(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     on = v != 0
     if not np.logical_and.reduce(np.logical_or.reduce(on, axis=-1), axis=None):
         raise ValueError("mask must have at least one set bit")
+    return _bmsoftmax(u, on)
+
+
+def _bmsoftmax(u: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """``bmsoftmax`` of float logits ``u`` under a boolean mask ``on`` of the same shape
+    whose every row has a set bit, unchecked."""
     shifted = u - np.maximum.reduce(np.where(on, u, -np.inf), axis=-1, keepdims=True)
     # exp(-inf) is exactly 0.0, so cleared bits come out 0 from one ``where``.
     e = np.exp(np.where(on, shifted, -np.inf))

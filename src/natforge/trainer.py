@@ -130,7 +130,12 @@ def _per_draw(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def _mean(values: list[float]) -> float:
-    """``float(np.mean(values))`` without its Python wrapper: the same sum and division."""
+    """``float(np.mean(values))`` without its Python wrapper: the same sum and division.
+
+    One value is its own mean; numpy's sum starts from +0.0, so ``+ 0.0`` gives
+    its bits (-0.0 reads +0.0) without the array round trip."""
+    if len(values) == 1:
+        return float(values[0]) + 0.0
     return float(np.add.reduce(values) / len(values))
 
 
@@ -189,7 +194,13 @@ def _draw(
     output raises), one ``_sample_rows`` over each cell's rows repeated n times at the
     step's uniforms, and the rewrites checked against the phase's op rows in one
     ``_checked_ops``; rewrite i·n + j is cell i's draw j. With n = 1 it is
-    ``_infer_ops``'s sampling decode."""
+    ``_infer_ops``'s sampling decode.
+
+    These are the step's only checks of its draws. ``_sample_rows`` is unchecked: it
+    runs once ``_checked_output`` has shown Z finite, which is all a BMSoftmax output
+    needs to be a valid distribution. ``actions_to_ops`` rejects a NAT action outside
+    [0, 3) and ``_checked_ops`` every op out of range or not ``VALID`` from its source,
+    so ``_reward_logit_grads`` gets only valid actions."""
     m = len(phase.betas) // len(phase.u)
     rows = slice(s * m, (s + 1) * m)
     inputs = [phase.a[rows], phase.ax[rows], phase.ops[rows]]
@@ -225,7 +236,7 @@ def _logit_grads(
         r_eff = rewards[i * n : (i + 1) * n]
         if cfg.use_baseline:
             r_eff = [r - baseline for r in r_eff]
-        terms = _reward_logit_grads(z, out.masks[i], actions[i * n : (i + 1) * n], r_eff)
+        terms = _reward_logit_grads(z, actions[i * n : (i + 1) * n], r_eff)
         terms += cfg.entropy_weight * h_grad
         row = g_u[i]
         for term in terms:
@@ -370,7 +381,10 @@ def edge_match_rate(
     Argmax decode measures the policy's single best guess; sampling decode
     measures search behavior (the rate at which drawn transitions land on
     the optimum), which is the right comparison against random search.
+    Raises ValueError unless ``num_graphs`` is at least 1.
     """
+    if num_graphs < 1:
+        raise ValueError(f"num_graphs must be at least 1, got {num_graphs}")
     optimum = oracle.table.argmax(axis=1)
     matches = 0
     total = 0

@@ -1103,12 +1103,17 @@ class TestTrainStepChecks:
         return w, [sample_uniform(4, np.random.default_rng(2))], x, y
 
     @staticmethod
-    def _rejected(w, graphs, x, y, msg):
+    def _rejected(w, graphs, x, y, msg, lr=0.05):
         before = copy.deepcopy(w)
         with pytest.raises(ValueError, match=msg):
-            supernet_train_step(w, graphs, x, y, 0.05)
+            supernet_train_step(w, graphs, x, y, lr)
         assert w._writes == 0
         assert _same_weights(w, before)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lr_rejected(self, step, lr):
+        w, graphs, x, y = step
+        self._rejected(w, graphs, x, y, rf"^lr must be finite, got {lr}$", lr=lr)
 
     def test_no_graphs_rejected(self, step):
         w, _, x, y = step

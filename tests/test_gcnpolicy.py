@@ -24,10 +24,12 @@ from natforge.gcnpolicy import (
     NATPP,
     PolicyOutput,
     PolicyParams,
+    _MASKS,
     _entropy_terms,
     _inputs,
     _pass,
     _reward_logit_grads,
+    _sample_rows,
     actions_to_ops,
     ascend_,
     backprop,
@@ -39,7 +41,7 @@ from natforge.gcnpolicy import (
     save_policy,
     total_entropy,
 )
-from natforge.numkernel import checkpoint_text, grad_check
+from natforge.numkernel import _bmsoftmax, checkpoint_text, grad_check
 from natforge.opspace import OPERATIONS, VALID, OperationKind, nat_actions, transition_mask
 
 
@@ -205,6 +207,34 @@ class TestSampling:
             actions = sample_actions(out, rng)
             assert (out.masks[np.arange(8), actions] == 1).all()
 
+    def test_every_mask_row_has_a_set_bit(self):
+        """``_pass`` calls the unchecked ``_bmsoftmax`` on rows of these tables; the
+        set-bit check that ``bmsoftmax`` makes per call is made here once."""
+        for table in _MASKS.values():
+            assert table.dtype == bool
+            assert np.logical_or.reduce(table, axis=1).all()
+
+    @pytest.mark.parametrize("mode", [NAT, NATPP])
+    def test_unchecked_sampler_draws_only_set_bits(self, mode):
+        """``_sample_rows`` over the unchecked softmax core returns an action in [0, c) on a
+        set bit, with logits large enough that set bits underflow to exactly 0.0 and with
+        uniforms of exactly 0.0 and of the largest float below 1."""
+        rng = np.random.default_rng(40)
+        table = _MASKS[mode]
+        c = table.shape[1]
+        underflowed = 0
+        for scale in 10.0 ** np.arange(-3, 7):
+            on = table[rng.integers(0, len(table), 12_000)]
+            z = _bmsoftmax(rng.standard_normal(on.shape) * scale, on)
+            underflowed += np.count_nonzero(on & (z == 0.0))
+            u = rng.random(len(on))
+            u[::3] = 0.0
+            u[1::3] = np.nextafter(1.0, 0.0)
+            actions = _sample_rows(z, u)
+            assert ((actions >= 0) & (actions < c)).all()
+            assert on[np.arange(len(on)), actions].all()
+        assert underflowed > 0
+
 
 class TestArgmax:
     @pytest.mark.parametrize("mode", [NAT, NATPP])
@@ -276,12 +306,10 @@ class TestGradient:
         actions[5] = action
         message = rf"action {action} at edge 5 is not in \[0, {c}\)"
         with pytest.raises(ValueError, match=message):
-            _reward_logit_grads(out.Z, out.masks, actions[None], [1.0])
-        with pytest.raises(ValueError, match=message):
             policy_gradient(out, params, actions, 1.0, 0.1)
         # Every edge at -1 (or c) would index the last (or no) column.
         with pytest.raises(ValueError, match="at edge 0 is not in"):
-            _reward_logit_grads(out.Z, out.masks, np.full((1, 8), action), [1.0])
+            policy_gradient(out, params, np.full(8, action), 1.0, 0.1)
 
     def test_non_finite_reward_rejected(self):
         rng = np.random.default_rng(14)
@@ -370,7 +398,7 @@ class TestEstimator:
                 actions = sample_actions(out, rng)
                 alpha = apply_transitions(beta, actions_to_ops(mode, beta.ops, actions))
                 reward = provider.score_many([alpha])[0] - base - baseline
-                draws[s] = _reward_logit_grads(out.Z, out.masks, actions[None], [reward])[0]
+                draws[s] = _reward_logit_grads(out.Z, actions[None], [reward])[0]
                 draws[s] += lam * _entropy_terms(out.Z)[1]
                 flat.append(flat_grads(backprop(out, params, draws[s])))
             self.assert_within_clt(draws, exact)
@@ -494,7 +522,7 @@ class TestReferenceEquivalence:
             actions = sample_actions(out, rng)
             reward = float(rng.standard_normal())
             lam = float(rng.choice([0.0, 0.003, 0.1, 1.0]))
-            g_u = _reward_logit_grads(out.Z, out.masks, actions[None], [reward])[0]
+            g_u = _reward_logit_grads(out.Z, actions[None], [reward])[0]
             g_u += lam * _entropy_terms(out.Z)[1]
             grads = policy_gradient(out, params, actions, reward, lam)
             ref_g_u, ref_gcn, ref_fc = reference_policy_gradient(out, params, actions, reward, lam)
@@ -510,7 +538,7 @@ class TestReferenceEquivalence:
         for params, out in random_outputs(20, 28):
             actions = sample_actions(out, rng)
             reward, lam = float(rng.standard_normal()), float(rng.choice([0.0, 0.1, 1.0]))
-            split = _reward_logit_grads(out.Z, out.masks, actions[None], [reward])[0]
+            split = _reward_logit_grads(out.Z, actions[None], [reward])[0]
             split += lam * _entropy_terms(out.Z)[1]
             got = flat_grads(policy_gradient(out, params, actions, reward, lam))
             assert np.array_equal(got, flat_grads(backprop(out, params, split)))

@@ -39,6 +39,7 @@ from natforge.gcnpolicy import (
     sample_actions,
     save_policy,
 )
+from natforge.opspace import OPERATIONS
 from natforge.trainer import (
     INFER_CHUNK,
     TrainConfig,
@@ -115,6 +116,26 @@ class TestLog:
         assert "w" in phases and "theta" in phases
 
 
+class TestMean:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0],
+            [0.0],
+            [0.1],
+            [np.float64(-0.0)],
+            [np.float64(2.5)],
+            [float("inf")],
+            [0.1, 0.2],
+            [np.float64(1.0), 3.0, -0.5],
+        ],
+    )
+    def test_mean_is_numpy_mean(self, values):
+        got = trainer._mean(values)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == np.array([float(np.mean(values))]).tobytes()
+
+
 class TestRun:
     def test_deterministic(self):
         a = trainer.run(TrainConfig(seed=3, **FAST))
@@ -153,7 +174,7 @@ class TestRun:
 
     def test_non_finite_policy_weights_raise(self, monkeypatch):
         # A NaN logit gradient gives NaN weights, caught after the update.
-        def nan_terms(z, masks, actions, rewards):
+        def nan_terms(z, actions, rewards):
             return np.full((len(actions),) + z.shape, np.nan)
 
         monkeypatch.setattr(trainer, "_reward_logit_grads", nan_terms)
@@ -580,11 +601,14 @@ class TestStackedLogitGrads:
         cell = PolicyOutput(Z=out.Z[0], masks=out.masks[0])
         for j in range(n):
             want = reference_reward_logit_grad(cell.Z, actions[j], rewards[j])
-            got = _reward_logit_grads(cell.Z, cell.masks, actions[j][None], [rewards[j]])[0]
+            got = _reward_logit_grads(cell.Z, actions[j][None], [rewards[j]])[0]
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", [NAT, NATPP])
     def test_bad_draws_raise_reward_logit_grad_messages(self, mode):
+        """Every bad draw raises its message from ``policy_gradient``; a bad reward also from
+        ``_reward_logit_grads`` and ``trainer._logit_grads``. The trainer's cores do not check
+        actions: ``TestDrawChecks`` shows that ``_draw`` rejects a bad one first."""
         rng = np.random.default_rng(33)
         cfg = TrainConfig(mode=mode, m=2, n=3)
         policy = init_params(mode, rng)
@@ -610,10 +634,74 @@ class TestStackedLogitGrads:
             else:
                 r[j] = value
             cell = PolicyOutput(Z=out.Z[j // cfg.n], masks=out.masks[j // cfg.n])
+            # The checks raise before ``backprop``, so the cell needs no cache.
             with pytest.raises(ValueError, match=message):
-                _reward_logit_grads(cell.Z, cell.masks, a[j][None], [r[j]])
-            with pytest.raises(ValueError, match=message):
-                trainer._logit_grads(out, a, r, 0.0, cfg)
+                policy_gradient(cell, policy, a[j], r[j], cfg.entropy_weight)
+            if kind == "reward":
+                with pytest.raises(ValueError, match=message):
+                    _reward_logit_grads(cell.Z, a[j][None], [r[j]])
+                with pytest.raises(ValueError, match=message):
+                    trainer._logit_grads(out, a, r, 0.0, cfg)
+
+
+class TestDrawChecks:
+    """``_sample_rows`` does not check its actions; ``_draw`` and ``_infer_ops`` reject a bad
+    one with the messages of ``actions_to_ops`` (NAT) and ``_checked_ops`` (NAT++)."""
+
+    CASES = [(NAT, "-1"), (NAT, "c"), (NATPP, "-1"), (NATPP, "c"), (NATPP, "masked")]
+
+    @staticmethod
+    def corrupt(monkeypatch, bad, at):
+        """Make ``trainer._sample_rows`` return flat action ``at`` as ``bad`` says: -1, c, or
+        the first bit its row's mask clears. Returns the list the masked target is put in."""
+        real = trainer._sample_rows
+        target = []
+
+        def sample_rows(z, u):
+            actions = real(z, u)
+            if bad == "masked":
+                target.append(int(np.argmin(z[at] > 0)))
+                assert z[at, target[-1]] == 0.0
+                actions[at] = target[-1]
+            else:
+                actions[at] = -1 if bad == "-1" else z.shape[1]
+            return actions
+
+        monkeypatch.setattr(trainer, "_sample_rows", sample_rows)
+        return target
+
+    @staticmethod
+    def message(mode, bad, target, where):
+        if mode == NAT:
+            return r"^NAT actions must be in \[0, 3\)$"
+        if bad == "masked":
+            dst = re.escape(OPERATIONS[target[0]].value)
+            return rf"^invalid transition \S+ -> {dst} at {where}$"
+        value = -1 if bad == "-1" else 13
+        return rf"^operation index {value} at {where} is not in \[0, 13\)$"
+
+    @pytest.mark.parametrize("mode, bad", CASES)
+    def test_draw_rejects_a_bad_action_before_any_update(self, monkeypatch, mode, bad):
+        # Draw j = 4 is cell 1's second of n = 3; its edge 5 is flat row 4·8 + 5.
+        cfg = TrainConfig(mode=mode, m=2, n=3, epochs=1)
+        target = self.corrupt(monkeypatch, bad, 4 * 8 + 5)
+        calls = []
+        monkeypatch.setattr(trainer, "backprop", lambda *args: calls.append("backprop"))
+        monkeypatch.setattr(gcnpolicy, "ascend_", lambda *args: calls.append("ascend_"))
+        with pytest.raises(ValueError) as raised:
+            trainer.run(cfg)
+        assert re.match(self.message(mode, bad, target, "edge 5 of cell 4"), str(raised.value))
+        assert calls == []
+
+    @pytest.mark.parametrize("mode, bad", CASES)
+    def test_infer_ops_rejects_a_bad_action(self, monkeypatch, mode, bad):
+        rng = np.random.default_rng(16)
+        policy = init_params(mode, rng)
+        cells = [sample_uniform(4, rng) for _ in range(6)]
+        target = self.corrupt(monkeypatch, bad, 4 * 8 + 5)
+        with pytest.raises(ValueError) as raised:
+            trainer._infer_ops(policy, _flat(cells), "sample", rng)
+        assert re.match(self.message(mode, bad, target, "edge 5 of cell 4"), str(raised.value))
 
 
 class TestDrawIsSampledInference:
@@ -638,6 +726,12 @@ class TestDrawIsSampledInference:
 
 
 class TestMatchRates:
+    @pytest.mark.parametrize("num_graphs", [0, -1])
+    def test_match_rate_needs_a_graph(self, num_graphs):
+        result = trainer.run(TrainConfig(seed=0, epochs=1))
+        with pytest.raises(ValueError, match=rf"^num_graphs must be at least 1, got {num_graphs}$"):
+            edge_match_rate(result.policy, result.oracle, np.random.default_rng(0), num_graphs)
+
     def test_match_rate_bounds(self):
         result = trainer.run(TrainConfig(seed=0, **FAST))
         rate = edge_match_rate(result.policy, result.oracle, np.random.default_rng(0), num_graphs=10)
