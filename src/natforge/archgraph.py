@@ -23,20 +23,23 @@ the new operations, for range and against ``VALID``. So encoding,
 serialization, the cost audit and the reward providers never re-check a cell.
 
 Parsing, encoding, rewriting and serialization each have a private core
-over the flat form of many cells, ``(nodes, bounds, sources, ops)``: node
-counts, per-cell edge offsets and the concatenated edge arrays. The public
-functions wrap them, and ``natforge optimize`` runs on that form from file
-read to file write without building a ``CellGraph``. The cell-file codec
-costs work per distinct line, not per line or per edge: a file repeats few
-distinct lines, and the parser tokenizes each of them once and the
-serializer renders each of them once.
+over many cells: ``_parse`` and ``_serialize`` work on the flat form
+``(nodes, bounds, sources, ops)`` (node counts, per-cell edge offsets and
+the concatenated edge arrays), ``_encode`` stacks cells of one node count,
+and ``_checked_ops`` checks a group's concatenated rewrites. The public
+functions wrap them, ``encode`` and ``apply_transitions`` for one cell. The
+trainer and ``natforge optimize`` call the cores, and ``optimize`` runs on
+the flat form from file read to file write without building a
+``CellGraph``. The cell-file codec costs work per distinct line, not per
+line or per edge: a file repeats few distinct lines, and the parser
+tokenizes each of them once and the serializer renders each of them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -312,28 +315,19 @@ def _template(num_nodes: int) -> tuple[np.ndarray, ...]:
     return parts
 
 
-def encode(graphs: CellGraph | Sequence[CellGraph]) -> GraphEncoding:
-    """Encode one cell, or a group of same-size cells, as (adjacency, node features).
+def encode(graph: CellGraph) -> GraphEncoding:
+    """Encode one cell as its (V, V) adjacency and (V, F) node features, F = ``FEATURE_DIM``.
 
     A node's feature row is [role one-hot (input-0 / input-1 / intermediate /
     output) || intermediate-position one-hot || slot-0 op one-hot || slot-1 op
     one-hot], where the extra op code marks "no incoming edge". Adjacency is
     symmetric over edge slots plus the intermediate->output concatenation
-    links, with self-loops and row normalization. One cell gives (V, V) and
-    (V, F) arrays, F = ``FEATURE_DIM``; B cells of V nodes give them stacked,
-    (B, V, V) and (B, V, F). Each is a copy of a cached template with only the
-    K edge entries filled in.
+    links, with self-loops and row normalization. Each is a copy of a cached
+    template with only the K edge entries filled in; ``_encode`` stacks them
+    for B cells of one node count.
     """
-    single = isinstance(graphs, CellGraph)
-    cells = [graphs] if single else graphs
-    if not cells:
-        raise ValueError("encode needs at least one cell")
-    n = cells[0].num_nodes
-    if any(g.num_nodes != n for g in cells):
-        raise ValueError("encode takes a group of cells with one node count")
-    sources, ops = np.array([g.sources for g in cells]), np.array([g.ops for g in cells])
-    enc = _encode(n, sources, ops)
-    return GraphEncoding(enc.adjacency[0], enc.features[0]) if single else enc
+    enc = _encode(graph.num_nodes, graph.sources[None], graph.ops[None])
+    return GraphEncoding(enc.adjacency[0], enc.features[0])
 
 
 def _encode(num_nodes: int, sources, ops) -> GraphEncoding:
@@ -355,32 +349,16 @@ def _encode(num_nodes: int, sources, ops) -> GraphEncoding:
     return GraphEncoding(adjacency=adj, features=x)
 
 
-def apply_transitions(
-    graphs: CellGraph | Sequence[CellGraph], ops: Sequence[int] | np.ndarray
-) -> CellGraph | list[CellGraph]:
-    """Replace per-edge operations (indices into ``OPERATIONS``), rejecting any invalid one.
+def apply_transitions(graph: CellGraph, ops: Sequence[int] | np.ndarray) -> CellGraph:
+    """Replace a cell's per-edge operations (indices into ``OPERATIONS``), rejecting invalid ones.
 
-    Takes one cell and its K new operations, or a group of cells and their
-    new operations concatenated in order, and returns one cell or a list.
-    Topology is untouched: each result shares its input's validated
-    ``sources``, and only the new operations are checked, for range and
-    against ``VALID``, in one pass over the group. By cost monotonicity of
-    the rules a result never costs more than its input (up to the
-    whitelisted null->skip copies).
+    Topology is untouched: the result shares its input's validated
+    ``sources``, and only the K new operations are checked, for range and
+    against ``VALID``, by ``_checked_ops``, which also checks a group of cells'
+    rewrites in one pass. By cost monotonicity of the rules the result never
+    costs more than its input (up to the whitelisted null->skip copies).
     """
-    single = isinstance(graphs, CellGraph)
-    cells = [graphs] if single else graphs
-    if not cells:
-        if len(ops):
-            raise ValueError(f"expected 0 actions, got {len(ops)}")
-        return []
-    current = np.concatenate([g.ops for g in cells])
-    sizes = None if single else [len(g.ops) for g in cells]
-    new = _checked_ops(current, ops, sizes)
-    if single:
-        return _cell(graphs.num_nodes, graphs.sources, new)
-    starts = [0, *accumulate(sizes)]
-    return [_cell(g.num_nodes, g.sources, new[a:b]) for g, a, b in zip(cells, starts, starts[1:])]
+    return _cell(graph.num_nodes, graph.sources, _checked_ops(graph.ops, ops, None))
 
 
 def _checked_ops(current: np.ndarray, ops, sizes: Sequence[int] | None) -> np.ndarray:

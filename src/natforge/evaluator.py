@@ -1,7 +1,7 @@
 """Reward providers: a planted deterministic oracle and a toy shared-weight supernet.
 
-The supernet mirrors weight sharing at desk scale: one parameter bank covers
-every (edge slot, operation) pair, features are plain vectors instead of
+The supernet mirrors weight sharing at desk scale: each (edge slot,
+operation) pair owns its parameters, features are plain vectors instead of
 spatial tensors, and each operation keeps its character — convolutions are
 dense mixes, separable convolutions factor into a learned diagonal followed
 by a dense mix, dilated ones first rotate coordinates by the kernel size,
@@ -29,9 +29,9 @@ counts its writes in ``SharedWeights``, and the provider drops its weighted
 outputs when that count has moved, so in training they last one θ phase. The
 memo holds at most one (feature, batch) array, (16, 256) in training, per
 non-null weighted (edge, operation), plus one per weight-free operation. No
-output computed under older weights is ever reused. Writing into ``bank`` or
-the ``head_*`` arrays directly does not move the count, so scoring after such
-a write needs a new provider.
+output computed under older weights is ever reused. Writing into the
+``slots`` entries or the ``head_*`` arrays directly does not move the count,
+so scoring after such a write needs a new provider.
 
 There is one forward, feature-major. ``graph_logits``, ``accuracy``, the
 provider and ``supernet_train_step`` transpose their batch once into a
@@ -41,23 +41,26 @@ by it reads one contiguous row block through ``_read_edge``, and the head
 reads the buffer's transpose, so no cell concatenates its nodes. The
 backward stays row-major, over transposed views of that buffer: node and
 edge gradients are (B, 16), and an edge's parameter gradients read its
-feature-major input, ``x_t @ gy`` for a mix. This rests on the OpenBLAS of
-numpy's wheels, where a C-contiguous left operand gives the bits of the
-transposed view of its row-major twin and ``mix.T @ x_t`` the bits of
-``x @ mix``; a named layout test and the byte tests against the row-major
-reference in ``tests/test_evaluator.py`` guard it. Each reduction keeps its
-row-major order: the diag gradient sums ``gu * x_t.T`` down its rows, since
-summing the (16, B) product along its rows takes numpy's pairwise order and
-changes the bits.
+feature-major input, ``x_t @ gy`` for a mix. That these give the bits of
+the row-major reference was checked on one BLAS kernel: the OpenBLAS 0.3.31
+of numpy 2.4.6's wheel running its SkylakeX kernel, where a C-contiguous left
+operand gives the bits of the transposed view of its row-major twin and
+``mix.T @ x_t`` the bits of ``x @ mix``. Under the same library's Haswell
+kernel the second does not hold (at batch 7, for one), so the read path's
+logits differ in bits from the row-major reference there. A named layout
+test and the byte tests against the row-major reference in
+``tests/test_evaluator.py`` check both on the kernel they run on. Each
+reduction keeps its row-major order: the diag gradient sums ``gu * x_t.T``
+down its rows, since summing the (16, B) product along its rows takes
+numpy's pairwise order and changes the bits.
 
 The supernet kernels work on a cell's operation indices, the form
 ``CellGraph.ops`` stores. They dispatch through per-index tuples of type
 class and kernel size, read once from ``opspace``, and read parameters
-through ``SharedWeights.slots[e][o]``, which holds the same entry dicts as
-``bank``. The dilated rotation and its inverse, and the circular pad of the
-pools, are gathers through cached index arrays; the max-pool backward
-gathers its windows from the edge's input. None of this changes a bit of
-the results.
+from ``SharedWeights.slots[e][o]``, the one store of the entries. The
+dilated rotation and its inverse, and the circular pad of the pools, are
+gathers through cached index arrays; the max-pool backward gathers its
+windows from the edge's input. None of this changes a bit of the results.
 
 ``supernet_train_step`` computes only what its SGD update reads. An edge
 computes its input gradient only when its source is an intermediate node;
@@ -160,34 +163,41 @@ def _pad(feature_dim: int, k: int) -> np.ndarray:
 
 @dataclass
 class SharedWeights:
-    """Parameter bank indexed by (edge slot index, operation) plus the head.
+    """The supernet's parameters: one entry per (edge slot, learnable operation), plus the head.
 
-    ``bank`` is the one store of the entries. ``slots[e][o]`` is the same
-    entry dict as ``bank[(e, OPERATIONS[o])]``, or None for an operation
-    without parameters, so the supernet kernels index it by operation index.
+    ``slots`` is the one store: ``slots[e][o]`` is the entry dict of edge
+    slot e and operation index o, or None for an operation without
+    parameters, so the supernet kernels index it by operation index.
     ``_writes`` counts the ``supernet_train_step`` updates, so a
     ``SupernetProvider`` can tell when its memo is stale; it is not a
     constructor argument, not compared and not checkpointed.
     """
 
     num_intermediate: int
-    bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]]
+    slots: list[list[dict[str, np.ndarray] | None]]
     head_w: np.ndarray
     head_b: np.ndarray
-    slots: list[list[dict[str, np.ndarray] | None]] = field(
-        init=False, repr=False, compare=False
-    )
     _writes: int = field(default=0, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.slots = [
-            [self.bank.get((e, op)) for op in OPERATIONS]
-            for e in range(2 * self.num_intermediate)
-        ]
+    @property
+    def bank(self) -> dict[tuple[int, OperationKind], dict[str, np.ndarray]]:
+        """A new dict ``{(e, OPERATIONS[o]): slots[e][o]}`` of the entries with parameters:
+        writing into their arrays writes the store, assigning a key does not."""
+        return {(e, op): entry for e, op, entry in _entries(self.slots)}
+
+
+def _entries(slots: list[list[dict | None]]) -> list[tuple[int, OperationKind, dict]]:
+    """(edge slot, operation, entry) of the entries with parameters, in ``slots`` order."""
+    return [
+        (e, op, entry)
+        for e, row in enumerate(slots)
+        for op, entry in zip(OPERATIONS, row)
+        if entry is not None
+    ]
 
 
 def _entry_shapes(op: OperationKind) -> dict[str, tuple[int, ...]]:
-    """Array shapes of ``op``'s bank entry, in storage order.
+    """Array shapes of ``op``'s entry, in storage order.
 
     Convolutions hold a dense ``mix``; separable ones (plain or dilated) a
     ``diag`` first, then a ``mix``. Other operations have no entry.
@@ -201,22 +211,22 @@ def _entry_shapes(op: OperationKind) -> dict[str, tuple[int, ...]]:
 
 
 def init_shared(rng: np.random.Generator, num_intermediate: int) -> SharedWeights:
-    """Allocate one bank entry per (edge slot, learnable operation).
+    """Allocate one entry per (edge slot, learnable operation), edge-major, then the head.
 
     A ``diag`` starts at ones and a ``mix`` is Glorot-uniform.
     """
-    bank: dict[tuple[int, OperationKind], dict[str, np.ndarray]] = {}
-    for e in range(2 * num_intermediate):
-        for op in OPERATIONS:
-            shapes = _entry_shapes(op)
-            if shapes:
-                bank[(e, op)] = {
-                    name: np.ones(shape) if name == "diag" else glorot_uniform(rng, *shape)
-                    for name, shape in shapes.items()
-                }
+    slots = [
+        [
+            {k: np.ones(s) if k == "diag" else glorot_uniform(rng, *s) for k, s in shapes.items()}
+            if (shapes := _entry_shapes(op))
+            else None
+            for op in OPERATIONS
+        ]
+        for _ in range(2 * num_intermediate)
+    ]
     head_w = glorot_uniform(rng, num_intermediate * _FEATURE_DIM, _NUM_CLASSES)
     head_b = np.zeros(_NUM_CLASSES)
-    return SharedWeights(num_intermediate=num_intermediate, bank=bank, head_w=head_w, head_b=head_b)
+    return SharedWeights(num_intermediate, slots, head_w, head_b)
 
 
 def _read_edge(o: int, x_t: np.ndarray, entry: dict | None) -> np.ndarray:
@@ -439,7 +449,7 @@ def supernet_train_step(
 ) -> float:
     """One SGD step on the parameters touched by the sampled graphs.
 
-    The gradient is averaged over the graphs; bank entries not used by any of
+    The gradient is averaged over the graphs; entries not used by any of
     them are left untouched. Returns the mean cross-entropy before the step.
     Raises ValueError, before anything is written, for an empty ``graphs``,
     a non-finite ``lr``, a batch ``accuracy`` would reject, or a graph whose
@@ -512,9 +522,10 @@ def supernet_train_step(
 
 
 def shared_file(w: SharedWeights, data_seed: int, path: str) -> tuple[str, str]:
-    """The ``(path, text)`` of a versioned JSON checkpoint of the supernet bank, its head
-    and the ``make_dataset`` seed of the data the weights were trained on. Each array is
-    one ``checkpoint_text`` string (base64 of its row-major little-endian float64 bytes)."""
+    """The ``(path, text)`` of a versioned JSON checkpoint of the supernet's ``"e:op"`` entries,
+    in ``slots`` order, its head and the ``make_dataset`` seed of the data the weights were
+    trained on. Each array is one ``checkpoint_text`` string (base64 of its row-major
+    little-endian float64 bytes)."""
     payload = {
         "format_version": FORMAT_VERSION,
         "data_seed": data_seed,
@@ -525,9 +536,7 @@ def shared_file(w: SharedWeights, data_seed: int, path: str) -> tuple[str, str]:
         "head_b": checkpoint_text(w.head_b),
         "bank": {
             f"{e}:{op.value}": {name: checkpoint_text(arr) for name, arr in entry.items()}
-            for (e, op), entry in sorted(
-                w.bank.items(), key=lambda item: (item[0][0], item[0][1].index)
-            )
+            for e, op, entry in _entries(w.slots)
         },
     }
     return path, json.dumps(payload) + "\n"
@@ -565,27 +574,29 @@ def load_shared(path: str) -> tuple[SharedWeights, int]:
     stored = payload["bank"]
     if not isinstance(stored, dict):
         raise ValueError("bank: expected an object")
-    bank = {}
-    for e in range(2 * num_intermediate):
-        for op in OPERATIONS:
-            shapes = _entry_shapes(op)
-            if not shapes:
-                continue
-            key = f"{e}:{op.value}"
-            if key not in stored:
-                raise ValueError(f"bank: missing entry {key!r}")
-            entry = stored[key]
-            if not isinstance(entry, dict) or set(entry) != set(shapes):
-                raise ValueError(f"bank[{key!r}]: expected arrays {sorted(shapes)}")
-            bank[(e, op)] = {
-                name: checkpoint_array(vals, shapes[name], f"bank[{key!r}].{name}")
-                for name, vals in entry.items()
-            }
-    if len(stored) != len(bank):
-        extra = sorted(set(stored) - {f"{e}:{op.value}" for e, op in bank})
-        raise ValueError(f"bank: unexpected entry {extra[0]!r}")
-    w = SharedWeights(num_intermediate=num_intermediate, bank=bank, head_w=head_w, head_b=head_b)
-    return w, data_seed
+    rest = dict(stored)
+    slots = [[_pop_entry(rest, e, op) for op in OPERATIONS] for e in range(2 * num_intermediate)]
+    if rest:
+        raise ValueError(f"bank: unexpected entry {sorted(rest)[0]!r}")
+    return SharedWeights(num_intermediate, slots, head_w, head_b), data_seed
+
+
+def _pop_entry(rest: dict, e: int, op: OperationKind) -> dict[str, np.ndarray] | None:
+    """Entry (e, op) taken out of a checkpoint's ``bank`` object and checked, or None for
+    an operation without parameters."""
+    shapes = _entry_shapes(op)
+    if not shapes:
+        return None
+    key = f"{e}:{op.value}"
+    if key not in rest:
+        raise ValueError(f"bank: missing entry {key!r}")
+    entry = rest.pop(key)
+    if not isinstance(entry, dict) or set(entry) != set(shapes):
+        raise ValueError(f"bank[{key!r}]: expected arrays {sorted(shapes)}")
+    return {
+        name: checkpoint_array(vals, shapes[name], f"bank[{key!r}].{name}")
+        for name, vals in entry.items()
+    }
 
 
 # ---------------------------------------------------------------------------

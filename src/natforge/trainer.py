@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -82,6 +83,12 @@ class TrainConfig:
     baseline_decay = 0.9
 
     def __post_init__(self) -> None:
+        for name in ("m", "n", "epochs", "depth", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.mode not in (gcnpolicy.NAT, gcnpolicy.NATPP):
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if not (0 <= self.entropy_weight < math.inf):
@@ -92,6 +99,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.provider not in ("oracle", "supernet"):
             raise ValueError(f"unknown provider {self.provider!r}")
 

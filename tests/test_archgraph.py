@@ -28,7 +28,7 @@ from natforge.archgraph import (
     serialize_many,
     validate,
 )
-from natforge.archgraph import _flat, _line_record, _serialize
+from natforge.archgraph import _cell, _checked_ops, _encode, _flat, _line_record, _serialize
 from natforge.gcnpolicy import NATPP, init_params
 from natforge.opspace import (
     NUM_OPERATIONS,
@@ -686,7 +686,8 @@ class TestArrayReferences:
     def test_batched_encode_matches_loop(self, seed, num_intermediate, count):
         rng = np.random.default_rng(seed)
         cells = [sample_uniform(num_intermediate, rng) for _ in range(count)]
-        batch = encode(cells)
+        sources, ops = np.array([g.sources for g in cells]), np.array([g.ops for g in cells])
+        batch = _encode(num_intermediate + 3, sources, ops)
         assert batch.adjacency.shape == (count, num_intermediate + 3, num_intermediate + 3)
         for b, g in enumerate(cells):
             adj, x = reference_encode(g)
@@ -695,11 +696,6 @@ class TestArrayReferences:
                 assert np.array_equal(got, adj)
             for got in (batch.features[b], single.features):
                 assert np.array_equal(got, x)
-
-    def test_encode_rejects_mixed_sizes(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError, match="one node count"):
-            encode([sample_uniform(2, rng), sample_uniform(3, rng)])
 
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1), num_intermediate=st.integers(1, 6))
@@ -783,7 +779,7 @@ class TestArrayCells:
         with pytest.raises(ValueError, match=r"index -?\d+ at edge 1 is not in \[0, 13\)"):
             apply_transitions(g, [OperationKind.CONV_3X3.index, bad])
         with pytest.raises(ValueError, match=r"at edge 1 of cell 1 is not in"):
-            apply_transitions([g, g], [g.ops[0], g.ops[1], g.ops[0], bad])
+            _checked_ops(np.tile(g.ops, 2), [g.ops[0], g.ops[1], g.ops[0], bad], [2, 2])
 
     def test_non_integer_ops_rejected(self):
         g = chain_cell(OperationKind.CONV_3X3, num_intermediate=1)
@@ -798,16 +794,19 @@ class TestArrayCells:
              for e in g.edges]
             for g in cells
         ]
-        group = apply_transitions(cells, np.concatenate(targets))
+        sizes = [g.num_edges for g in cells]
+        new = _checked_ops(np.concatenate([g.ops for g in cells]), np.concatenate(targets), sizes)
+        starts = np.cumsum([0] + sizes).tolist()
+        group = [_cell(g.num_nodes, g.sources, new[a:b])
+                 for g, a, b in zip(cells, starts, starts[1:])]
         assert group == [apply_transitions(g, t) for g, t in zip(cells, targets)]
         assert all(cost_non_increasing(b, a, CFG) for b, a in zip(cells, group))
-        assert apply_transitions([], []) == []
 
     def test_group_rewrite_names_cell_of_invalid_transition(self):
         g = chain_cell(OperationKind.CONV_1X1, num_intermediate=1)
         sep = OperationKind.SEP_CONV_3X3.index
         with pytest.raises(ValueError, match="conv_1x1 -> sep_conv_3x3 at edge 0 of cell 2"):
-            apply_transitions([g, g, g], [0, 0, 0, 0, sep, 0])
+            _checked_ops(np.tile(g.ops, 3), [0, 0, 0, 0, sep, 0], [2, 2, 2])
 
 
 #: Integer field texts: canonical, signed, zero-padded, underscored, non-ASCII

@@ -812,14 +812,24 @@ class TestReferenceEquivalence:
     def test_feature_major_left_operand_keeps_row_major_bits(self):
         # The training step takes its mix and head gradients as x_t @ gy and feats @ dlogits
         # over feature-major inputs; the reference step takes them as x.T @ gy through a
-        # transposed view of the row-major input. A BLAS that gives these products different
-        # bits fails here, not only through the golden digests.
+        # transposed view of the row-major input. The forward takes an edge's mix as
+        # mix.T @ x_t and the head as feats.T @ head_w, where the reference takes x @ mix.
+        # A BLAS that gives these products different bits fails here, not only through the
+        # golden digests: OpenBLAS 0.3.31's Haswell kernel does, for mix.T @ x_t at batch 7.
         rng = np.random.default_rng(71)
+        shapes = [(16, 16)] + [(16 * i, 8) for i in range(1, 5)]
         for batch in (1, 7, 16, 32, 64, 256):
-            for rows, cols in [(16, 16)] + [(16 * i, 8) for i in range(1, 5)]:
+            for rows, cols in shapes:
                 for _ in range(20):
                     x, gy = rng.standard_normal((batch, rows)), rng.standard_normal((batch, cols))
                     assert (x.T.copy() @ gy).tobytes() == (x.T @ gy).tobytes(), (batch, rows, cols)
+        for batch in (1, 7, 128, 256):
+            for rows, cols in shapes:
+                for _ in range(20):
+                    x, mix = rng.standard_normal((batch, rows)), rng.standard_normal((rows, cols))
+                    x_t, want = x.T.copy(), (x @ mix).tobytes()
+                    assert (mix.T @ x_t).T.tobytes() == want, ("edge", batch, rows, cols)
+                    assert (x_t.T @ mix).tobytes() == want, ("head", batch, rows, cols)
 
     def test_every_op_on_input_fed_and_intermediate_fed_edges(self):
         # Node l > 0 takes OPERATIONS[l % 13] from node l - 1 and every node takes

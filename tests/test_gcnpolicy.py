@@ -13,6 +13,7 @@ from scipy import stats
 from natforge import trainer
 from natforge.archgraph import (
     GraphEncoding,
+    _encode,
     _flat,
     apply_transitions,
     encode,
@@ -43,6 +44,12 @@ from natforge.gcnpolicy import (
 )
 from natforge.numkernel import _bmsoftmax, checkpoint_text, grad_check
 from natforge.opspace import OPERATIONS, VALID, OperationKind, nat_actions, transition_mask
+
+
+def encode_stack(cells):
+    """The stacked encoding and (B, K) ops of same-size cells, as the trainer builds them."""
+    ops = np.array([g.ops for g in cells])
+    return _encode(cells[0].num_nodes, np.array([g.sources for g in cells]), ops), ops
 
 
 def log_prob_of(out: PolicyOutput, actions: np.ndarray) -> float:
@@ -146,7 +153,7 @@ class TestStages:
         stack."""
         rng = np.random.default_rng(100 + 10 * num_nodes + batch)
         cells = [sample_uniform(num_nodes - 3, rng) for _ in range(batch)]
-        enc, ops = encode(cells), np.array([g.ops for g in cells])
+        enc, ops = encode_stack(cells)
         a, ax, index = _inputs(enc, ops)
         assert a is enc.adjacency and index is ops and ax.shape == enc.features.shape
         for i in range(batch):
@@ -159,12 +166,12 @@ class TestStages:
         rng = np.random.default_rng(9)
         params = init_params(mode, rng)
         cells = [sample_uniform(4, rng) for _ in range(12)]
-        enc, ops = encode(cells), np.array([g.ops for g in cells])
+        enc, ops = encode_stack(cells)
         a, ax, index = _inputs(enc, ops)
         for rows in (slice(0, 1), slice(3, 5), slice(9, 12)):
             got = _pass([a[rows], ax[rows], index[rows]], params, cache=True)
             sub = cells[rows]
-            want = forward(encode(sub), np.array([g.ops for g in sub]), params)
+            want = forward(*encode_stack(sub), params)
             assert same_bytes(got.Z, want.Z) and same_bytes(got.masks, want.masks)
             for g, w in zip(got.cache.ahs + got.cache.pres, want.cache.ahs + want.cache.pres):
                 assert same_bytes(g, w)
@@ -603,7 +610,7 @@ class TestReferenceEquivalence:
         params = init_params(mode, rng, depth=depth)
         params.fc *= scale
         cells = [sample_uniform(num_intermediate, rng) for _ in range(count)]
-        enc, ops = encode(cells), np.array([g.ops for g in cells])
+        enc, ops = encode_stack(cells)
         out = forward(enc, ops, params)
         bare = _pass(_inputs(enc, ops), params, cache=False)
         assert same_bytes(bare.Z, out.Z)
@@ -689,7 +696,7 @@ class TestThetaStepRewrite:
             params.fc *= float(rng.choice([0.1, 1.0, 30.0]))
             cells = [sample_uniform(trial % 4 + 1, rng) for _ in range(int(rng.integers(1, 6)))]
             outs = [forward(encode(cells[0]), cells[0].ops, params)]
-            outs.append(forward(encode(cells), np.array([g.ops for g in cells]), params))
+            outs.append(forward(*encode_stack(cells), params))
             for out in outs:
                 g_u = rng.standard_normal(out.Z.shape) * (out.masks > 0)
                 got = backprop(out, params, g_u)

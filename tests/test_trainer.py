@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from natforge import gcnpolicy, trainer
 from natforge.archgraph import (
+    _checked_ops,
+    _encode,
     _flat,
     apply_transitions,
     cost_non_increasing,
@@ -76,6 +78,31 @@ class TestConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(provider="real")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("m", 1.5, "m must be an integer, got 1.5"),
+            ("n", 2.0, "n must be an integer, got 2.0"),
+            ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+            ("depth", True, "depth must be an integer, got True"),
+            ("seed", 0.0, "seed must be an integer, got 0.0"),
+            ("m", False, "m must be an integer, got False"),
+            ("seed", -1, "seed must be >= 0"),
+            ("seed", np.int64(-1), "seed must be >= 0"),
+            ("mode", "bogus", "unknown mode 'bogus'"),
+            ("mode", "NAT", "unknown mode 'NAT'"),
+        ],
+    )
+    def test_unusable_values_rejected_naming_field(self, field, value, message):
+        """Each value ``run`` cannot use fails at construction, naming its field."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(m=np.int64(2), n=np.int32(3), epochs=np.uint8(4), depth=np.int16(1))
+        assert (cfg.m, cfg.n, cfg.epochs, cfg.depth) == (2, 3, 4, 1)
+        assert TrainConfig(seed=np.int64(7)).seed == 7
 
     @pytest.mark.parametrize("field", ["entropy_weight", "eta_w", "eta_theta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -432,7 +459,8 @@ class TestDrawSet:
         policy.fc *= scale
         betas = [sample_uniform(num_intermediate, rng) for _ in range(m)]
         ops = np.array([b.ops for b in betas])
-        out = forward(encode(betas), ops, policy)
+        enc = _encode(num_intermediate + 3, np.array([b.sources for b in betas]), ops)
+        out = forward(enc, ops, policy)
 
         fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         fast_out, alphas, drawn = draw_once(betas, policy, fast_rng, n)
@@ -491,7 +519,7 @@ class TestPhase:
 
     def test_bad_rewrite_names_its_cell(self, monkeypatch):
         """The step's rewrites are checked against the phase's op rows, with
-        ``apply_transitions``' messages."""
+        ``_checked_ops``' messages, which name the cell."""
         cfg = TrainConfig(m=2, n=3)
         rng = np.random.default_rng(14)
         policy = init_params(NATPP, rng)
@@ -499,7 +527,7 @@ class TestPhase:
         current = phase.ops[2:4].repeat(cfg.n, axis=0).ravel()
         bad = np.full(len(current), 13)
         with pytest.raises(ValueError) as want:
-            apply_transitions([b for b in phase.betas[2:4] for _ in range(cfg.n)], bad)
+            _checked_ops(current, bad, [phase.ops.shape[1]] * (2 * cfg.n))
         monkeypatch.setattr(trainer, "actions_to_ops", lambda mode, ops, actions: bad)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             trainer._draw(phase, 1, policy, cfg.n)
